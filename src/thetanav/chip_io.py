@@ -1,9 +1,9 @@
 """Bit-level emulation of the oscillator chip's host interface.
 
 Covers programming of preferred-velocity codes and per-phase bypass bits,
-the time-multiplexed serial scan of enabled phase taps, re-parallelization
-of the serial stream, square-wave frequency estimation, per-unit linear
-fits, and admission of well-behaved units for network construction.
+the time-multiplexed scan of enabled phase taps (one frame of tap bits
+per scan cycle), square-wave frequency estimation, per-unit linear fits,
+and admission of well-behaved units for network construction.
 """
 
 from __future__ import annotations
@@ -90,9 +90,12 @@ class FrequencyEstimate(NamedTuple):
 class ChipState:
     """Programmable chip around a sampled population.
 
-    A fresh chip starts with the clear line held (all oscillators pinned
-    at phase 0) and nothing programmed.  Phases advance ideally during a
-    scan: phase(c) = frac(phase0 + f * c / fs), one update per scan cycle.
+    This is the one model of oscillator phase: ``phases`` holds every
+    unit's phase in cycles [0, 1) and ``held`` the clear line.  A fresh
+    chip starts with the clear line held (all oscillators pinned at phase
+    0) and nothing programmed.  Phases advance ideally during a scan:
+    phase(c) = frac(phase0 + f * c / fs), one update per scan cycle, and
+    tap k reads high while frac(phase + k/8) < 1/2.
     """
 
     def __init__(self, population: ThetaPopulation,
@@ -154,22 +157,16 @@ def program(chip: ChipState,
     return chip
 
 
-def scan(chip: ChipState, v: VelocityVector, n_cycles: int,
-         clock_hz: float = DEFAULT_SCAN_CLOCK_HZ) -> np.ndarray:
+def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
+                clock_hz: float = DEFAULT_SCAN_CLOCK_HZ) -> np.ndarray:
     """Serial scan of the enabled phases for n_cycles scan cycles.
 
     Within a cycle, bits appear in unit-major tap-minor shift order and
     sample every enabled tap at the cycle instant; all oscillators then
     advance by one per-phase sample interval at their current frequency.
-    Returns the serial stream as a uint8 array of n_cycles * N bits.
+    Returns one frame per cycle as a [n_cycles, enabled_phases] uint8
+    array; column i is the i-th enabled phase in shift order.
     """
-    frames = scan_frames(chip, v, n_cycles, clock_hz)
-    return frames.reshape(-1)
-
-
-def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
-                clock_hz: float = DEFAULT_SCAN_CLOCK_HZ) -> np.ndarray:
-    """Like :func:`scan` but already shaped [n_cycles, enabled_phases]."""
     if not chip.programmed:
         raise NotProgrammedError("scan requires a programmed chip")
     n_enabled = chip.enabled_phases
@@ -197,21 +194,6 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     if not chip.held:
         chip.phases = (chip.phases + freqs * dt * n_cycles) % 1.0
     return frames
-
-
-def reparallelize(stream: np.ndarray, enabled_phases: int) -> np.ndarray:
-    """Reshape a serial scan stream to one row per enabled phase.
-
-    Returns a [enabled_phases, n_cycles] matrix; row i is the trace of
-    the i-th enabled phase in shift order.
-    """
-    stream = np.asarray(stream)
-    if enabled_phases <= 0:
-        raise ValueError("enabled_phases must be positive")
-    if stream.size % enabled_phases != 0:
-        raise ValueError(
-            f"stream length {stream.size} not divisible by {enabled_phases}")
-    return stream.reshape(-1, enabled_phases).T
 
 
 def estimate_frequency(trace: np.ndarray, fs: float) -> FrequencyEstimate:
@@ -278,7 +260,7 @@ def tap0_bypass() -> tuple[int, ...]:
 
 def calibrate(chip: ChipState, clock_hz: float = DEFAULT_SCAN_CLOCK_HZ,
               window_s: float = 0.12) -> list[UnitFit]:
-    """Full calibration pipeline: program, scan, re-parallelize, estimate, fit.
+    """Full calibration pipeline: program, scan, estimate, fit.
 
     Programs every unit's preferred velocity to each axis extreme in
     turn, sweeps the matching velocity component over the linear range,
@@ -306,20 +288,6 @@ def calibrate(chip: ChipState, clock_hz: float = DEFAULT_SCAN_CLOCK_HZ,
                 est = estimate_frequency(traces[u], cfg.fs)
                 samples[u].append((inner, est.hz))
     return [fit_unit(samples[u], unit=u) for u in range(chip.n_units)]
-
-
-def write_trace_csv(path, traces: np.ndarray,
-                    enabled: Sequence[tuple[int, int]]) -> None:
-    """Trace export: one row per sample, one column per enabled phase,
-    header naming unit:tap."""
-    traces = np.asarray(traces)
-    if traces.shape[0] != len(enabled):
-        raise ValueError("one trace row per enabled phase required")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{u}:{t}" for u, t in enabled])
-        for row in traces.T:
-            writer.writerow([int(b) for b in row])
 
 
 def write_fit_report_csv(path, fits: Sequence[UnitFit]) -> None:

@@ -81,7 +81,8 @@ def cmd_field_map(args) -> int:
                        session_ticks=args.session_ticks)
     files = write_field_map_csv(result, args.out, stride=args.stride)
     fired = sum(1 for v in result.first_fire.values() if v is not None)
-    print(f"{fired}/{len(result.cells)} designated cells fired; wrote "
+    print(f"{fired}/{len(result.cells)} designated cells fired, "
+          f"{len(result.failed)} failed to compile; wrote "
           f"{len(files)} files to {args.out}")
     return 0
 

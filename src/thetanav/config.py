@@ -10,10 +10,12 @@ pitch / speed seconds.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import (Optional, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
-from .theta_core import LINEAR, SIGMOID, PopulationSpec, VelocityVector
+from . import __version__
+from .theta_core import PopulationSpec, VelocityVector
 from .vector_net import (
     DEFAULT_DRIFT_TOLERANCE,
     DEFAULT_MIN_ACTIVE_GROUPS,
@@ -149,104 +151,103 @@ def built_in_scripts(speed: float) -> dict[str, PathScript]:
     }
 
 
-def save_config(config: RunConfig, path) -> None:
-    parser = configparser.ConfigParser()
-    pop = config.population
-    parser["population"] = {
-        "n_units": str(pop.n_units),
-        "f_idle_mean": repr(pop.f_idle_mean),
-        "f_idle_std": repr(pop.f_idle_std),
-        "beta_mean": repr(pop.beta_mean),
-        "beta_std": repr(pop.beta_std),
-        "dac_offset_std": repr(pop.dac_offset_std),
-        "response": pop.response,
-        "seed": str(pop.seed),
-    }
-    parser["scan"] = {
-        "scan_clock_hz": repr(config.scan_clock_hz),
-        "calibration_clock_hz": repr(config.calibration_clock_hz),
-        "calibration_window_s": repr(config.calibration_window_s),
-    }
-    flt = config.filters
-    parser["filters"] = {
-        "alpha1": repr(flt.alpha1), "alpha2": repr(flt.alpha2),
-        "rise1": repr(flt.rise1), "fall1": repr(flt.fall1),
-        "rise2": repr(flt.rise2), "fall2": repr(flt.fall2),
-    }
-    parser["network"] = {
-        "tap_tolerance": repr(config.tap_tolerance),
-        "drift_tolerance": repr(config.drift_tolerance),
-        "min_active_groups": str(config.min_active_groups),
-        "admission_r2": repr(config.admission_r2),
-        "network_units": str(config.network_units),
-    }
-    parser["tracking"] = {
-        "debounce_width": str(config.debounce_width),
-        "grid_size": str(config.grid_size),
-        "pitch": repr(config.pitch),
-        "speed": repr(config.speed),
-        "hold_ticks": str(config.hold_ticks),
-        "settle_ticks": str(config.settle_ticks),
-        "budget_factor": repr(config.budget_factor),
-    }
-    if config.periodic_reset_ticks is not None:
-        parser["tracking"]["periodic_reset_ticks"] = str(config.periodic_reset_ticks)
-    if config.seed is not None:
-        parser["run"] = {"seed": str(config.seed)}
+def _encode(value) -> str:
+    """INI text of one field value: a segment list as ``vx:vy:ticks``
+    legs joined by ``;`` (``pulse`` for until-pulse), a tuple as
+    comma-separated items, anything else as its ``str``."""
+    if isinstance(value, tuple) and value and isinstance(value[0], Segment):
+        return ";".join(
+            ":".join([repr(v) for v in seg.velocity]
+                     + ["pulse" if seg.until_pulse else str(seg.ticks)])
+            for seg in value)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _decode(text: str, hint):
+    """Inverse of :func:`_encode` for a field of type ``hint``."""
+    if get_origin(hint) is Union:
+        hint = next(a for a in get_args(hint) if a is not type(None))
+    if hint == tuple[Segment, ...]:
+        legs = [leg.split(":") for leg in text.split(";")]
+        return tuple(Segment(VelocityVector(float(vx), float(vy)),
+                             None if ticks == "pulse" else int(ticks))
+                     for vx, vy, ticks in legs)
+    if get_origin(hint) is tuple:
+        return tuple(t(v) for t, v in zip(get_args(hint), text.split(",")))
+    return hint(text)
+
+
+def _scalar_hints(cls) -> dict:
+    """Field name to type for every field of ``cls`` that is not itself a
+    dataclass (those get a section of their own)."""
+    return {name: hint for name, hint in get_type_hints(cls).items()
+            if not is_dataclass(hint)}
+
+
+def _section(obj) -> dict[str, str]:
+    """INI section of a dataclass: every scalar field that is set."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: _encode(v) for name, v in values.items()
+            if v is not None and not is_dataclass(v)}
+
+
+def _fields_from(cls, section) -> dict:
+    hints = _scalar_hints(cls)
+    for key in section:
+        if key not in hints:
+            raise ValueError(f"unknown key {key!r} in [{section.name}]")
+    return {key: _decode(text, hints[key]) for key, text in section.items()}
+
+
+def save_config(config: RunConfig, path,
+                script: Optional[PathScript] = None) -> None:
+    """Write ``config`` as INI: one section per nested spec (``population``,
+    ``filters``) and ``[run]`` for the remaining fields; unset optional
+    fields are left out.  With a script, the file is a run manifest and
+    also gets ``[script]`` and ``[meta]`` (the package version)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    for f in fields(config):
+        if is_dataclass(getattr(config, f.name)):
+            parser[f.name] = _section(getattr(config, f.name))
+    parser["run"] = _section(config)
+    if script is not None:
+        parser["script"] = _section(script)
+        parser["meta"] = {"version": __version__}
     with open(path, "w") as fh:
         parser.write(fh)
 
 
-def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser()
+def load_manifest(path) -> tuple[RunConfig, Optional[PathScript]]:
+    """Read a file written by :func:`save_config`: the validated config,
+    plus the script when the file is a run manifest.  A missing key takes
+    its default; an unknown section or key raises ValueError."""
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         parser.read_file(fh)
-    pop_s = parser["population"]
-    population = PopulationSpec(
-        n_units=pop_s.getint("n_units"),
-        f_idle_mean=pop_s.getfloat("f_idle_mean"),
-        f_idle_std=pop_s.getfloat("f_idle_std"),
-        beta_mean=pop_s.getfloat("beta_mean"),
-        beta_std=pop_s.getfloat("beta_std"),
-        dac_offset_std=pop_s.getfloat("dac_offset_std"),
-        response=pop_s.get("response", LINEAR),
-        seed=pop_s.getint("seed"),
-    )
-    if population.response not in (LINEAR, SIGMOID):
-        raise ValueError(f"bad response mode {population.response!r}")
-    scan_s = parser["scan"]
-    flt_s = parser["filters"]
-    filters = FilterParams(
-        alpha1=flt_s.getfloat("alpha1"), alpha2=flt_s.getfloat("alpha2"),
-        rise1=flt_s.getfloat("rise1"), fall1=flt_s.getfloat("fall1"),
-        rise2=flt_s.getfloat("rise2"), fall2=flt_s.getfloat("fall2"),
-    )
-    net_s = parser["network"]
-    trk_s = parser["tracking"]
-    seed = None
-    if parser.has_section("run") and parser.has_option("run", "seed"):
-        seed = parser.getint("run", "seed")
-    config = RunConfig(
-        population=population,
-        scan_clock_hz=scan_s.getfloat("scan_clock_hz"),
-        calibration_clock_hz=scan_s.getfloat("calibration_clock_hz"),
-        calibration_window_s=scan_s.getfloat("calibration_window_s"),
-        filters=filters,
-        tap_tolerance=net_s.getfloat("tap_tolerance"),
-        drift_tolerance=net_s.getfloat("drift_tolerance"),
-        min_active_groups=net_s.getint("min_active_groups"),
-        admission_r2=net_s.getfloat("admission_r2"),
-        network_units=net_s.getint("network_units"),
-        debounce_width=trk_s.getint("debounce_width"),
-        grid_size=trk_s.getint("grid_size"),
-        pitch=trk_s.getfloat("pitch"),
-        speed=trk_s.getfloat("speed"),
-        hold_ticks=trk_s.getint("hold_ticks"),
-        settle_ticks=trk_s.getint("settle_ticks"),
-        budget_factor=trk_s.getfloat("budget_factor"),
-        periodic_reset_ticks=(trk_s.getint("periodic_reset_ticks")
-                              if trk_s.get("periodic_reset_ticks", None) else None),
-        seed=seed,
-    )
+    hints = get_type_hints(RunConfig)
+    kwargs: dict = {}
+    script = None
+    for name in parser.sections():
+        section = parser[name]
+        if name == "run":
+            kwargs.update(_fields_from(RunConfig, section))
+        elif name == "script":
+            script = PathScript(**_fields_from(PathScript, section))
+            script.validate()
+        elif name == "meta":
+            if set(section) - {"version"}:
+                raise ValueError(f"unknown key in [meta]: {sorted(section)}")
+        elif is_dataclass(hints.get(name)):
+            kwargs[name] = hints[name](**_fields_from(hints[name], section))
+        else:
+            raise ValueError(f"unknown section [{name}]")
+    config = RunConfig(**kwargs)
     config.validate()
-    return config
+    return config, script
+
+
+def load_config(path) -> RunConfig:
+    """The run configuration of an INI file or run manifest."""
+    return load_manifest(path)[0]

@@ -11,6 +11,7 @@ without migrating.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import place_grid
 from .chip_io import (
     ChipState,
     UnitFit,
@@ -28,7 +29,7 @@ from .chip_io import (
     select_units,
     tap0_bypass,
 )
-from .config import PathScript, RunConfig, Segment, save_config
+from .config import PathScript, RunConfig, load_manifest, save_config
 from .place_grid import (
     CAUSE_PERIODIC,
     PlaceGrid,
@@ -40,7 +41,9 @@ from .place_grid import (
 )
 from .theta_core import VelocityVector, sample_population
 from .vector_net import (
+    CompileError,
     MuxTable,
+    Pairing,
     TargetLocation,
     VectorNetwork,
     compile_lookup,
@@ -64,7 +67,7 @@ class TrackRig:
     chip: ChipState
     fits: list[UnitFit]
     admitted: list[UnitFit]
-    pairing: object
+    pairing: Pairing
     frame_layout: dict[tuple[int, int], int]
     networks: dict[str, VectorNetwork]
     fs: float
@@ -104,23 +107,24 @@ def build_rig(config: RunConfig) -> TrackRig:
     frame_layout = {pt: i for i, pt in enumerate(chip.enabled_taps())}
     fs = config.scan_clock_hz / chip.enabled_phases
 
-    networks = {}
+    rig = TrackRig(config=config, chip=chip, fits=fits, admitted=admitted,
+                   pairing=pairing, frame_layout=frame_layout, networks={},
+                   fs=fs)
     for direction in DIRECTION_ORDER:
-        mux = compile_lookup(
-            pairing, fits,
-            TargetLocation(config.pitch, DIRECTION_THETA[direction]),
-            config.speed, tolerance=config.tap_tolerance,
-            drift_tolerance=config.drift_tolerance,
-            min_active_groups=config.min_active_groups)
-        networks[direction] = VectorNetwork(mux, frame_layout, config.filters)
-    return TrackRig(config=config, chip=chip, fits=fits, admitted=admitted,
-                    pairing=pairing, frame_layout=frame_layout,
-                    networks=networks, fs=fs)
+        mux = rig.compile_target(
+            TargetLocation(config.pitch, DIRECTION_THETA[direction]))
+        rig.networks[direction] = rig.network_for(mux)
+    return rig
 
 
 @dataclass
 class TrackResult:
-    """Everything a tracking run produced."""
+    """Everything a tracking run produced.
+
+    ``traces`` holds each direction's network output on the trail tick
+    axis: reset holds read 0, so ``traces[d][tick]`` is the output at
+    ``tick`` and every trace is ``ticks`` long.
+    """
 
     events: list[PulseEvent] = field(default_factory=list)
     trail: list[tuple[int, str, int, int]] = field(default_factory=list)
@@ -156,8 +160,7 @@ def _first_confirmed_pulse(outputs: dict[str, np.ndarray], width: int,
     for direction, bits in outputs.items():
         masked = bits.copy()
         masked[:settle] = 0
-        from .place_grid import debounce
-        events = debounce(masked, width)
+        events = place_grid.debounce(masked, width)
         if events:
             starts[direction] = events[0]
     if not starts:
@@ -221,6 +224,8 @@ def run_track(config: RunConfig, script: PathScript,
                 chunk = min(chunk, config.periodic_reset_ticks)
             chip.hold()
             tick += config.hold_ticks
+            for d in DIRECTION_ORDER:
+                traces[d].append(np.zeros(config.hold_ticks, dtype=np.uint8))
             chip.release()
             frames = scan_frames(chip, seg.velocity, chunk,
                                  config.scan_clock_hz)
@@ -275,8 +280,7 @@ def run_track(config: RunConfig, script: PathScript,
 
 def _apply_event(grid: PlaceGrid, event: PulseEvent,
                  result: TrackResult) -> PlaceGrid:
-    from .place_grid import apply_pulse
-    grid = apply_pulse(grid, event)
+    grid = place_grid.apply_pulse(grid, event)
     result.events.append(event)
     x, y = locate(grid)
     result.trail.append((event.tick, event.direction, x, y))
@@ -286,7 +290,11 @@ def _apply_event(grid: PlaceGrid, event: PulseEvent,
 
 @dataclass
 class FieldMapResult:
-    """Per-cell vector-cell responses under one shared input."""
+    """Per-cell vector-cell responses under one shared input.
+
+    ``failed`` maps each cell whose lookup table did not compile to the
+    cause; such a cell has ``first_fire`` None and no events or outputs.
+    """
 
     velocity: VelocityVector
     session_ticks: int
@@ -295,6 +303,7 @@ class FieldMapResult:
     events: dict[tuple[int, int], list[int]]
     outputs: dict[tuple[int, int], np.ndarray]
     grid_size: int
+    failed: dict[tuple[int, int], str] = field(default_factory=dict)
 
     def occupancy(self, tick: int) -> np.ndarray:
         """Grid snapshot of which designated cells read high at a tick."""
@@ -314,7 +323,8 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     each fires during a single constant-velocity session from reset.
 
     Every cell's lookup table is compiled for the configured speed
-    toward that cell; all cells then observe the same scanned input.
+    toward that cell; all cells then observe the same scanned input.  A
+    cell whose table does not compile is recorded in ``failed``.
     """
     config.validate()
     if rig is None:
@@ -333,26 +343,26 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     chip.release()
     frames = scan_frames(chip, velocity, session_ticks, config.scan_clock_hz)
 
-    from .place_grid import debounce
-    first_fire: dict[tuple[int, int], Optional[int]] = {}
-    events: dict[tuple[int, int], list[int]] = {}
-    outputs: dict[tuple[int, int], np.ndarray] = {}
+    result = FieldMapResult(velocity=velocity, session_ticks=session_ticks,
+                            cells=list(targets), first_fire={}, events={},
+                            outputs={}, grid_size=config.grid_size)
     for cell in targets:
         x, y = cell
         target = TargetLocation(config.pitch * math.hypot(x, y),
                                 math.atan2(y, x))
-        mux = rig.compile_target(target)
-        net = rig.network_for(mux)
-        out = net.run(frames)
+        try:
+            mux = rig.compile_target(target)
+        except CompileError as exc:
+            result.failed[cell] = str(exc)
+            result.first_fire[cell] = None
+            continue
+        out = rig.network_for(mux).run(frames)
         out[:config.settle_ticks] = 0
-        outputs[cell] = out
-        evs = debounce(out, config.debounce_width)
-        events[cell] = evs
-        first_fire[cell] = evs[0] if evs else None
-    return FieldMapResult(velocity=velocity, session_ticks=session_ticks,
-                          cells=list(targets), first_fire=first_fire,
-                          events=events, outputs=outputs,
-                          grid_size=config.grid_size)
+        result.outputs[cell] = out
+        evs = place_grid.debounce(out, config.debounce_width)
+        result.events[cell] = evs
+        result.first_fire[cell] = evs[0] if evs else None
+    return result
 
 
 @dataclass
@@ -405,24 +415,6 @@ def sweep_seeds(config: RunConfig, script: PathScript,
     return SweepResult(outcomes=outcomes)
 
 
-def _serialize_segments(script: PathScript) -> str:
-    parts = []
-    for seg in script.segments:
-        ticks = "pulse" if seg.until_pulse else str(seg.ticks)
-        parts.append(f"{seg.velocity.vx!r}:{seg.velocity.vy!r}:{ticks}")
-    return ";".join(parts)
-
-
-def _parse_segments(text: str) -> tuple[Segment, ...]:
-    segments = []
-    for part in text.split(";"):
-        vx, vy, ticks = part.split(":")
-        segments.append(Segment(
-            velocity=VelocityVector(float(vx), float(vy)),
-            ticks=None if ticks == "pulse" else int(ticks)))
-    return tuple(segments)
-
-
 def emit(result: TrackResult, outdir, config: RunConfig,
          script: PathScript) -> list[Path]:
     """Write the run to disk: manifest, trail, traces, grid snapshots.
@@ -436,16 +428,7 @@ def emit(result: TrackResult, outdir, config: RunConfig,
     written = []
 
     manifest = outdir / "manifest.ini"
-    save_config(config, manifest)
-    with open(manifest, "a") as fh:
-        fh.write("\n[script]\n")
-        fh.write(f"name = {script.name}\n")
-        fh.write(f"segments = {_serialize_segments(script)}\n")
-        if script.expected_final is not None:
-            fh.write(f"expected_final = {script.expected_final[0]},"
-                     f"{script.expected_final[1]}\n")
-        fh.write("\n[meta]\n")
-        fh.write(f"version = {__version__}\n")
+    save_config(config, manifest, script)
     written.append(manifest)
 
     trail_path = outdir / "trail.csv"
@@ -453,15 +436,10 @@ def emit(result: TrackResult, outdir, config: RunConfig,
     written.append(trail_path)
 
     traces_path = outdir / "traces.csv"
-    with open(traces_path, "w") as fh:
-        fh.write("tick," + ",".join(DIRECTION_ORDER) + "\n")
-        n = max((t.size for t in result.traces.values()), default=0)
-        for i in range(n):
-            row = [str(i)]
-            for d in DIRECTION_ORDER:
-                t = result.traces[d]
-                row.append(str(int(t[i])) if i < t.size else "0")
-            fh.write(",".join(row) + "\n")
+    table = np.column_stack([np.arange(result.ticks)]
+                            + [result.traces[d] for d in DIRECTION_ORDER])
+    np.savetxt(traces_path, table, fmt="%d", delimiter=",", comments="",
+               header="tick," + ",".join(DIRECTION_ORDER))
     written.append(traces_path)
 
     for i, snap in enumerate(result.snapshots):
@@ -476,43 +454,29 @@ def emit(result: TrackResult, outdir, config: RunConfig,
     return written
 
 
-def load_manifest(path) -> tuple[RunConfig, PathScript]:
-    """Read back a manifest written by :func:`emit`."""
-    import configparser
-
-    from .config import load_config
-    config = load_config(path)
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
-    sec = parser["script"]
-    expected = None
-    if "expected_final" in sec:
-        x, y = sec["expected_final"].split(",")
-        expected = (int(x), int(y))
-    script = PathScript(name=sec["name"],
-                        segments=_parse_segments(sec["segments"]),
-                        expected_final=expected)
-    return config, script
-
-
 def run_from_manifest(path) -> TrackResult:
+    """Re-run the tracking run whose manifest :func:`emit` wrote."""
     config, script = load_manifest(path)
+    if script is None:
+        raise ValueError(f"{path} has no [script] section")
     return run_track(config, script)
 
 
 def write_field_map_csv(result: FieldMapResult, outdir,
                         stride: int = 64) -> list[Path]:
-    """Occupancy matrices every ``stride`` ticks plus first-fire times."""
+    """Occupancy matrices every ``stride`` ticks plus first-fire times,
+    with the compile failure of each failed cell."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     ff_path = outdir / "first_fire.csv"
-    with open(ff_path, "w") as fh:
-        fh.write("x,y,first_fire_tick\n")
+    with open(ff_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "first_fire_tick", "compile_error"])
         for cell in result.cells:
             ff = result.first_fire[cell]
-            fh.write(f"{cell[0]},{cell[1]},{'' if ff is None else ff}\n")
+            writer.writerow([cell[0], cell[1], "" if ff is None else ff,
+                             result.failed.get(cell, "")])
     written.append(ff_path)
     for tick in range(0, result.session_ticks, stride):
         occ_path = outdir / f"occupancy_{tick:06d}.csv"

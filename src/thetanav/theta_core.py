@@ -2,9 +2,9 @@
 
 A theta cell oscillates at an idling frequency plus a gain times the inner
 product of the agent velocity with the cell's preferred velocity.  This
-module models a population of such cells at the phase-accumulator level:
-parameter sampling with analog mismatch, the frequency law, discrete-time
-phase stepping, the eight square-wave phase taps, and the reset hold line.
+module holds the static side of a population: velocity coding, parameter
+sampling with analog mismatch, and the frequency law.  Phases, the eight
+square-wave taps and the reset hold line live in ``chip_io.ChipState``.
 """
 
 from __future__ import annotations
@@ -132,21 +132,6 @@ class PopulationSpec:
             raise ValueError(f"unknown response mode {self.response!r}")
 
 
-@dataclass
-class OscillatorState:
-    """Dynamic state of one oscillator: phase in cycles [0, 1) plus the
-    reset hold flag.  While held, the phase is pinned to 0."""
-
-    phase: float = 0.0
-    held: bool = False
-
-    def __post_init__(self):
-        if self.held:
-            self.phase = 0.0
-        if not 0.0 <= self.phase < 1.0:
-            raise ValueError(f"phase must lie in [0, 1), got {self.phase}")
-
-
 def _truncated_normal(rng: np.random.Generator, mean: float, std: float,
                       lower: float, n: int) -> np.ndarray:
     """Draw n values from Normal(mean, std) conditioned on > lower, by
@@ -164,26 +149,15 @@ def _truncated_normal(rng: np.random.Generator, mean: float, std: float,
 
 
 class ThetaPopulation:
-    """A fixed collection of theta units plus their oscillator states.
-
-    The reference frequency (mean sampled idle rate) defines per-unit
-    offset frequencies as ``f_idle - f_reference``; only differences of
-    offsets ever enter the interference math, so the reference is
-    informational.
-    """
+    """A fixed collection of theta units."""
 
     def __init__(self, units: list[ThetaUnit]):
         if not units:
             raise ValueError("population needs at least one unit")
         self.units = list(units)
-        self.states = [OscillatorState() for _ in units]
-        self.f_reference = float(np.mean([u.f_idle for u in units]))
 
     def __len__(self) -> int:
         return len(self.units)
-
-    def f_offset(self, index: int) -> float:
-        return self.units[index].f_idle - self.f_reference
 
 
 def sample_population(spec: PopulationSpec) -> ThetaPopulation:
@@ -230,42 +204,3 @@ def instantaneous_frequency(unit: ThetaUnit, v: VelocityVector,
     else:
         f = unit.f_idle + f_swing * float(np.tanh(unit.beta * inner / f_swing))
     return max(f, 0.0)
-
-
-def step(state: OscillatorState, f: float, dt: float) -> OscillatorState:
-    """Advance one oscillator by one sample interval.
-
-    Requires f*dt < 0.5 so the square-wave taps stay unaliased.  A held
-    oscillator stays pinned at phase 0.
-    """
-    if f < 0:
-        raise ValueError(f"frequency must be >= 0, got {f}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if f * dt >= 0.5:
-        raise AliasingError(
-            f"f*dt = {f * dt:.3f} >= 0.5: sampling too slow for {f} Hz")
-    if state.held:
-        return OscillatorState(phase=0.0, held=True)
-    return OscillatorState(phase=(state.phase + f * dt) % 1.0, held=False)
-
-
-def tap_output(state: OscillatorState, k: int) -> int:
-    """Square-wave output of phase tap k (0..7).
-
-    Tap k leads tap 0 by k/8 cycle.  The wave is high for the first half
-    of each cycle, so a freshly reset unit (phase 0) reads high on tap 0.
-    """
-    if not 0 <= k <= 7:
-        raise ValueError(f"tap index must be in 0..7, got {k}")
-    return 1 if (state.phase + k / 8.0) % 1.0 < 0.5 else 0
-
-
-def reset_all(states: list[OscillatorState]) -> list[OscillatorState]:
-    """Assert the reset line: every phase to 0, held until released."""
-    return [OscillatorState(phase=0.0, held=True) for _ in states]
-
-
-def release_all(states: list[OscillatorState]) -> list[OscillatorState]:
-    """Release the reset line; oscillation resumes from phase 0."""
-    return [OscillatorState(phase=s.phase, held=False) for s in states]

@@ -143,23 +143,6 @@ class Pairing:
         return out
 
 
-@dataclass(frozen=True)
-class EffectiveCell:
-    """Parameters of the low-frequency component of an interfered pair:
-    gains add, offsets subtract, and the preferred direction follows the
-    positive member."""
-
-    beta_eff: float
-    f_off_eff: float
-    theta_p: float
-    members: tuple[int, int]
-    v_pref_magnitude: float = 1.0
-
-    def __post_init__(self):
-        if self.beta_eff <= 0:
-            raise ValueError("effective gain must be positive")
-
-
 @dataclass
 class MuxTable:
     """Compiled phase-tap routing for one vector-cell network.
@@ -221,56 +204,9 @@ def pair_layer1(admitted: Sequence[UnitFit], n_units: int = 80) -> Pairing:
     return Pairing(pairs=tuple(pairs))
 
 
-def effective_params(a: UnitFit, b: UnitFit, pref_a: tuple[float, float],
-                     pref_b: tuple[float, float],
-                     f_reference: float = 0.0) -> EffectiveCell:
-    """Combine an opposing pair into one effective cell.
-
-    Offsets are taken relative to ``f_reference``; only their difference
-    matters, so the default of zero uses raw idle frequencies.
-    """
-    if pref_a[0] != -pref_b[0] or pref_a[1] != -pref_b[1]:
-        raise PairingError(
-            f"preferred directions must oppose, got {pref_a} vs {pref_b}")
-    mag = math.hypot(*pref_a)
-    if mag == 0:
-        raise PairingError("preferred direction must be nonzero")
-    return EffectiveCell(
-        beta_eff=a.beta_hat + b.beta_hat,
-        f_off_eff=(a.f_idle_hat - f_reference) - (b.f_idle_hat - f_reference),
-        theta_p=math.atan2(pref_a[1], pref_a[0]),
-        members=(a.unit, b.unit),
-        v_pref_magnitude=mag,
-    )
-
-
-def phase_shift(loc: TargetLocation, cell: EffectiveCell, speed: float) -> float:
-    """Digitized initial phase shift for a cell designated at ``loc``.
-
-    Computes the beat phase the cell accumulates while the agent travels
-    straight to the target at ``speed``, converts it to the required
-    forward shift, and reduces modulo the 1/8-cycle tap step.  The gain
-    enters in cycles per spatial unit (per-Hz gain times preferred
-    magnitude, with one velocity code unit equal to one spatial unit per
-    second).
-    """
-    if speed <= 0:
-        raise ValueError("speed must be positive")
-    gain_spatial = cell.beta_eff * cell.v_pref_magnitude
-    acc = loc.r * (math.cos(loc.theta - cell.theta_p) * gain_spatial
-                   + cell.f_off_eff / speed)
-    return ((1.0 - (acc % 1.0)) % 1.0) % TAP_STEP
-
-
 def circular_distance(a: float, b: float) -> float:
     d = abs(a - b) % 1.0
     return min(d, 1.0 - d)
-
-
-def _centered(x: float) -> float:
-    """Map a cyclic phase to (-0.5, 0.5]."""
-    x = x % 1.0
-    return x - 1.0 if x > 0.5 else x
 
 
 def predicted_frequency(fit: UnitFit, pref: tuple[int, int],
@@ -388,54 +324,6 @@ def deserialize_mux(text: str) -> MuxTable:
         drift_tolerance=header["drift_tolerance"])
 
 
-@dataclass
-class NodeState:
-    """Runtime state of one interference node: FIR delay line (newest
-    sample first), RC accumulator in [0, 1], and the Schmitt output."""
-
-    fir_hist: np.ndarray = field(default_factory=lambda: np.zeros(FIR_TAPS))
-    rc: float = 0.0
-    out: int = 0
-
-    def clear(self) -> None:
-        self.fir_hist[:] = 0.0
-        self.rc = 0.0
-        self.out = 0
-
-
-def rc_step(y, x, alpha):
-    """One leaky-accumulator update; exact for rational inputs."""
-    return y + alpha * (x - y)
-
-
-def node_step(node: NodeState, a: int, b: int, layer: int = 1,
-              filters: FilterParams = DEFAULT_FILTERS) -> int:
-    """Advance one interference node by one sample.
-
-    ANDs the inputs, runs the layer's 9-tap FIR and RC stage, and
-    updates the Schmitt output (rises at the layer's rise threshold,
-    falls at its fall threshold).
-    """
-    if layer == 1:
-        coeffs, alpha = FIR_LAYER1, filters.alpha1
-        rise, fall = filters.rise1, filters.fall1
-    elif layer == 2:
-        coeffs, alpha = FIR_LAYER2, filters.alpha2
-        rise, fall = filters.rise2, filters.fall2
-    else:
-        raise ValueError(f"layer must be 1 or 2, got {layer}")
-    x = 1.0 if (a and b) else 0.0
-    node.fir_hist[1:] = node.fir_hist[:-1]
-    node.fir_hist[0] = x
-    fir = float(coeffs @ node.fir_hist)
-    node.rc = rc_step(node.rc, fir, alpha)
-    if node.rc >= rise:
-        node.out = 1
-    elif node.rc <= fall:
-        node.out = 0
-    return node.out
-
-
 def schmitt_batch(y: np.ndarray, rise: float, fall: float) -> np.ndarray:
     """Vectorized Schmitt trigger along axis 0, initial output low."""
     marks = np.zeros(y.shape, dtype=np.int8)
@@ -449,15 +337,22 @@ def schmitt_batch(y: np.ndarray, rise: float, fall: float) -> np.ndarray:
     return (filled == 1).astype(np.uint8)
 
 
+def _stage(layer: int, filters: FilterParams) -> tuple:
+    """(FIR taps, RC alpha, Schmitt rise, Schmitt fall) of one layer."""
+    if layer == 1:
+        return FIR_LAYER1, filters.alpha1, filters.rise1, filters.fall1
+    if layer == 2:
+        return FIR_LAYER2, filters.alpha2, filters.rise2, filters.fall2
+    raise ValueError(f"layer must be 1 or 2, got {layer}")
+
+
 def filter_stage_batch(x: np.ndarray, layer: int,
                        filters: FilterParams = DEFAULT_FILTERS) -> np.ndarray:
-    """FIR + RC + Schmitt over a whole [T, nodes] block from cleared state."""
-    if layer == 1:
-        coeffs, alpha = FIR_LAYER1, filters.alpha1
-        rise, fall = filters.rise1, filters.fall1
-    else:
-        coeffs, alpha = FIR_LAYER2, filters.alpha2
-        rise, fall = filters.rise2, filters.fall2
+    """One layer's nodes over a whole [T, nodes] block of AND outputs,
+    from cleared state: the layer's 9-tap FIR, the leaky RC accumulator
+    y += alpha * (fir - y), and the Schmitt trigger (rises at the rise
+    threshold, falls at the fall threshold, starts low)."""
+    coeffs, alpha, rise, fall = _stage(layer, filters)
     fir = lfilter(coeffs, [1.0], x, axis=0)
     rc = lfilter([alpha], [1.0, alpha - 1.0], fir, axis=0)
     return schmitt_batch(rc, rise, fall)
@@ -468,9 +363,8 @@ class VectorNetwork:
 
     ``frame_layout`` maps (unit, tap) to its position within each scan
     frame; the multiplexer gathers the 80 routed inputs from there.
-    ``step`` advances the whole pipeline one sample; ``run`` computes an
-    entire constant-configuration session from cleared filter state in
-    one vectorized pass (identical mechanics, batched).
+    ``run`` computes an entire constant-configuration session from
+    cleared filter state in one vectorized pass per layer.
     """
 
     def __init__(self, mux: MuxTable,
@@ -487,29 +381,6 @@ class VectorNetwork:
         self.n_pairs = mux.n_pairs
         self.n_groups = mux.n_groups
         self.active = np.array(mux.active_groups, dtype=int)
-        self.l1 = [NodeState() for _ in range(self.n_pairs)]
-        self.l2 = [NodeState() for _ in range(self.n_groups)]
-
-    def reset(self) -> None:
-        """Clear all filter and trigger state (phase-reset companion)."""
-        for node in self.l1 + self.l2:
-            node.clear()
-
-    def step(self, frame: np.ndarray) -> int:
-        """Advance one sample given one scan frame; returns the output bit."""
-        bits = frame[self.input_pos]
-        l1_out = [
-            node_step(self.l1[j], bits[2 * j], bits[2 * j + 1], 1, self.filters)
-            for j in range(self.n_pairs)
-        ]
-        half = self.n_pairs // 2
-        l2_out = [
-            node_step(self.l2[i], l1_out[i], l1_out[half + i], 2, self.filters)
-            for i in range(self.n_groups)
-        ]
-        if self.active.size == 0:
-            return 0
-        return int(all(l2_out[i] for i in self.active))
 
     def run(self, frames: np.ndarray) -> np.ndarray:
         """Whole-session output bits for [T, frame] input, from cleared state."""
@@ -524,26 +395,6 @@ class VectorNetwork:
         if self.active.size == 0:
             return np.zeros(frames.shape[0], dtype=np.uint8)
         return l2_bits[:, self.active].all(axis=1).astype(np.uint8)
-
-
-def square_wave(f: float, fs: float, n: int, phase0: float = 0.0) -> np.ndarray:
-    """Ideal 50% duty square wave sampled at fs, high in the first half
-    of each cycle."""
-    phase = (phase0 + f * np.arange(n) / fs) % 1.0
-    return (phase < 0.5).astype(np.uint8)
-
-
-def pair_beat_frequency(bits_a: np.ndarray, bits_b: np.ndarray, fs: float,
-                        filters: FilterParams = DEFAULT_FILTERS) -> float:
-    """Measured envelope frequency of an AND-interfered pair.
-
-    Runs the two bit streams through one first-layer node and counts
-    rising edges of the binarized envelope over the window.
-    """
-    x = (np.asarray(bits_a) & np.asarray(bits_b)).astype(float).reshape(-1, 1)
-    env = filter_stage_batch(x, 1, filters)[:, 0]
-    edges = int(np.count_nonzero((env[1:] == 1) & (env[:-1] == 0)))
-    return edges / (env.size / fs)
 
 
 def sharable_nodes(m: int, n: int) -> int:

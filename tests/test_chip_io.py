@@ -1,5 +1,5 @@
-"""Host-interface emulation: programming, serial scan, stream reshaping,
-frequency estimation, fits and unit admission."""
+"""Host-interface emulation: programming, the serial scan, frequency
+estimation, fits and unit admission."""
 
 import numpy as np
 import pytest
@@ -16,23 +16,21 @@ from thetanav.chip_io import (
     estimate_frequency,
     fit_unit,
     program,
-    reparallelize,
-    scan,
     scan_frames,
     select_units,
     tap0_bypass,
     write_fit_report_csv,
-    write_trace_csv,
 )
 from thetanav.theta_core import (
-    OscillatorState,
     PopulationSpec,
     ThetaPopulation,
     ThetaUnit,
     VelocityVector,
+    instantaneous_frequency,
     sample_population,
-    tap_output,
 )
+
+from reference_models import tap_bit
 
 ALL8 = (1,) * 8
 
@@ -68,7 +66,7 @@ class TestProgram:
         chip = make_chip(4)
         program(chip, [])
         assert chip.programmed and chip.enabled_phases == 0
-        assert scan(chip, VelocityVector(0, 0), 5).size == 0
+        assert scan_frames(chip, VelocityVector(0, 0), 5).size == 0
 
     def test_duplicate_index_last_write_wins(self):
         # Replaying the serialized sequence by hand for two writes to the
@@ -109,53 +107,39 @@ class TestScan:
                    for u in range(80)]
         program(chip, configs)
         chip.release()
-        stream = scan(chip, VelocityVector(0, 0), 2)
-        assert stream.size == 440
+        frames = scan_frames(chip, VelocityVector(0, 0), 2)
+        assert frames.size == 440 and frames.shape == (2, 220)
 
     def test_all_held_reads_high_on_tap_zero(self):
         chip = make_chip(6)
         program(chip, [(u, (8, 8), tap0_bypass()) for u in range(6)])
         assert chip.held
-        stream = scan(chip, VelocityVector(2, 1), 10)
-        assert stream.size == 60 and stream.min() == 1
+        frames = scan_frames(chip, VelocityVector(2, 1), 10)
+        assert frames.size == 60 and frames.min() == 1
 
     def test_edge_count_matches_frequency(self):
         chip = make_chip(1, f_idle=2000.0)
         program(chip, [(0, (8, 8), tap0_bypass())])
         chip.release()
         fs = 27272.7
-        stream = scan(chip, VelocityVector(0, 0), 27273, clock_hz=fs)
+        stream = scan_frames(chip, VelocityVector(0, 0), 27273,
+                             clock_hz=fs)[:, 0]
         edges = int(np.count_nonzero((stream[1:] == 1) & (stream[:-1] == 0)))
         assert abs(edges - 2000) <= 1
 
     def test_unprogrammed_refused(self):
         chip = make_chip(2)
         with pytest.raises(NotProgrammedError):
-            scan(chip, VelocityVector(0, 0), 10)
+            scan_frames(chip, VelocityVector(0, 0), 10)
 
     def test_nyquist_enforced(self):
         chip = make_chip(128)
         program(chip, [(u, (8, 8), ALL8) for u in range(128)])
         chip.release()
         with pytest.raises(NyquistError):
-            scan(chip, VelocityVector(0, 0), 4, clock_hz=6e6)
+            scan_frames(chip, VelocityVector(0, 0), 4, clock_hz=6e6)
 
-
-class TestReparallelize:
-    def test_shape(self):
-        stream = np.zeros(440, dtype=np.uint8)
-        mat = reparallelize(stream, 220)
-        assert mat.shape == (220, 2)
-
-    def test_single_phase_identity(self):
-        stream = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        assert np.array_equal(reparallelize(stream, 1)[0], stream)
-
-    def test_non_divisible_rejected(self):
-        with pytest.raises(ValueError):
-            reparallelize(np.zeros(10), 3)
-
-    def test_round_trip_equals_direct_tap_sampling(self):
+    def test_frames_equal_direct_tap_sampling(self):
         # Independent oracle: per enabled phase, advance a scalar
         # oscillator with the ideal phase law and read its tap.
         units = [ThetaUnit(f_idle=f, beta=10.0, v_pref_code=(12, 8))
@@ -170,16 +154,13 @@ class TestReparallelize:
         freqs = chip.frequencies(v)
         enabled = chip.enabled_taps()
 
-        stream = scan(chip, v, n_cycles, clock_hz=clock)
-        mat = reparallelize(stream, chip.enabled_phases)
+        frames = scan_frames(chip, v, n_cycles, clock_hz=clock)
 
         dt = chip.enabled_phases / clock
-        for row, (u, k) in enumerate(enabled):
-            expected = []
-            for c in range(n_cycles):
-                state = OscillatorState((freqs[u] * dt * c) % 1.0)
-                expected.append(tap_output(state, k))
-            assert np.array_equal(mat[row], np.array(expected)), (u, k)
+        for col, (u, k) in enumerate(enabled):
+            expected = [tap_bit((freqs[u] * dt * c) % 1.0, k)
+                        for c in range(n_cycles)]
+            assert np.array_equal(frames[:, col], np.array(expected)), (u, k)
 
 
 class TestEstimateFrequency:
@@ -293,7 +274,6 @@ class TestCalibratePipeline:
         chip.release()
         fs = 46875.0
         window = 0.2
-        from thetanav.theta_core import instantaneous_frequency
         for vx in (-3.0, 0.5, 4.0):
             v = VelocityVector(vx, 0.0)
             frames = scan_frames(chip, v, int(window * fs), clock_hz=fs * 4)
@@ -304,14 +284,7 @@ class TestCalibratePipeline:
 
 
 class TestCsvExports:
-    def test_trace_and_report_files(self, tmp_path):
-        traces = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-        trace_path = tmp_path / "traces.csv"
-        write_trace_csv(trace_path, traces, [(0, 0), (3, 5)])
-        lines = trace_path.read_text().strip().splitlines()
-        assert lines[0] == "0:0,3:5"
-        assert lines[1:] == ["1,0", "0,1", "1,1"]
-
+    def test_fit_report_file(self, tmp_path):
         fits = [UnitFit(0, 2000.0, 20.0, 0.999)]
         report_path = tmp_path / "fits.csv"
         write_fit_report_csv(report_path, fits)

@@ -1,0 +1,53 @@
+"""One smoke test per CLI subcommand under the default config."""
+
+import pytest
+
+from thetanav.cli import main
+from thetanav.config import RunConfig, save_config
+
+
+@pytest.fixture(autouse=True)
+def in_tmp(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+
+def test_calibrate(tmp_path, capsys):
+    assert main(["calibrate", "--out", "fits.csv"]) == 0
+    assert len((tmp_path / "fits.csv").read_text().splitlines()) == 129
+    assert "wrote 128 unit fits" in capsys.readouterr().out
+
+
+def test_compile_with_config_file(tmp_path, capsys):
+    save_config(RunConfig(), tmp_path / "run.ini")
+    assert main(["compile", "--config", "run.ini",
+                 "--target", "0.0024,0", "--out", "mux.txt"]) == 0
+    assert (tmp_path / "mux.txt").read_text().startswith("muxtable-v1\n")
+    assert "dropped groups" in capsys.readouterr().out
+
+
+def test_track(tmp_path, capsys):
+    assert main(["track", "--script", "path1_meander", "--out", "run"]) == 0
+    assert (tmp_path / "run" / "manifest.ini").is_file()
+    assert "final location (0, -3) after 5 events" in capsys.readouterr().out
+
+
+def test_field_map(tmp_path, capsys):
+    assert main(["field-map", "--velocity", "0.25,0", "--stride", "1024",
+                 "--out", "map"]) == 0
+    assert (tmp_path / "map" / "first_fire.csv").is_file()
+    assert "28 failed to compile" in capsys.readouterr().out
+
+
+def test_sweep(tmp_path, capsys):
+    assert main(["sweep", "--script", "path3_loop", "--seeds", "1",
+                 "--out", "sweep.csv"]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1].startswith("0,1,0,0,4,")
+    assert "success fraction: 1.00" in capsys.readouterr().out
+
+
+def test_nodes(capsys):
+    assert main(["nodes", "-M", "80", "-N", "2", "-K", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "sharable nodes: 20" in out
+    assert "total nodes for 4 network(s): 180 (vs 240 unshared)" in out

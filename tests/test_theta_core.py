@@ -1,25 +1,47 @@
 """Oscillator-level contracts: coding, frequency law, phase stepping,
-taps, reset, and population sampling."""
+taps, reset, and population sampling.  Phase, taps and the reset line
+are those of ``ChipState``, driven through ``scan_frames``."""
 
 import numpy as np
 import pytest
 
+from thetanav.chip_io import ChipState, program, scan_frames, tap0_bypass
 from thetanav.theta_core import (
     AliasingError,
     InvalidCodeError,
-    OscillatorState,
     PopulationSpec,
+    ThetaPopulation,
     ThetaUnit,
     VelocityVector,
     decode_velocity_code,
     encode_velocity,
     instantaneous_frequency,
-    release_all,
-    reset_all,
     sample_population,
-    step,
-    tap_output,
 )
+
+ALL8 = (1,) * 8
+REST = VelocityVector(0, 0)
+
+
+def released_chip(f_idles, phases=0.0, taps=tap0_bypass()):
+    """Chip of zero-preference units (each runs at its idle frequency),
+    every unit enabling ``taps``, released with the given phases."""
+    chip = ChipState(ThetaPopulation(
+        [ThetaUnit(f_idle=f, beta=1.0) for f in f_idles]))
+    program(chip, [(u, (8, 8), taps) for u in range(len(f_idles))])
+    chip.release()
+    chip.phases[:] = phases
+    return chip
+
+
+def step(chip, fs, n=1):
+    """Scan n cycles at per-phase rate fs; returns the frames."""
+    return scan_frames(chip, REST, n, clock_hz=fs * chip.enabled_phases)
+
+
+def taps_at(phase):
+    """The eight tap bits of one oscillator at the given phase."""
+    return step(released_chip([1000.0], phase, ALL8), 10_000.0)[0]
 
 
 class TestDecodeVelocityCode:
@@ -111,81 +133,84 @@ class TestInstantaneousFrequency:
 
 class TestStep:
     def test_advance(self):
-        s = step(OscillatorState(0.0), 2000.0, 1.0 / 27272.7)
-        assert s.phase == pytest.approx(0.073333, abs=1e-5)
+        chip = released_chip([2000.0])
+        step(chip, 27272.7)
+        assert chip.phases[0] == pytest.approx(0.073333, abs=1e-5)
 
     def test_held_stays_at_zero(self):
-        s = step(OscillatorState(0.0, held=True), 3000.0, 1e-4)
-        assert s.phase == 0.0 and s.held
+        chip = released_chip([3000.0])
+        chip.hold()
+        step(chip, 1e4, 10)
+        assert chip.phases[0] == 0.0 and chip.held
 
     def test_wraparound(self):
-        s = step(OscillatorState(0.999), 0.002, 1.0)
-        assert s.phase == pytest.approx(0.001)
+        chip = released_chip([20.0], 0.999)
+        step(chip, 1e4)
+        assert chip.phases[0] == pytest.approx(0.001)
 
     def test_aliasing_rejected(self):
         with pytest.raises(AliasingError):
-            step(OscillatorState(0.0), 3000.0, 1.0 / 5000.0)
+            step(released_chip([5000.0]), 9000.0)
 
     def test_phase_stays_in_unit_interval(self):
         rng = np.random.default_rng(3)
-        s = OscillatorState(0.0)
-        for _ in range(500):
-            s = step(s, float(rng.uniform(0, 4000)), 1.0 / 27272.7)
-            assert 0.0 <= s.phase < 1.0
+        chip = released_chip(rng.uniform(1, 4000, 50).tolist())
+        for _ in range(100):
+            step(chip, 27272.7)
+            assert ((0.0 <= chip.phases) & (chip.phases < 1.0)).all()
 
 
 class TestTapOutput:
     def test_phase_zero_tap_zero_high(self):
-        assert tap_output(OscillatorState(0.0), 0) == 1
+        assert taps_at(0.0)[0] == 1
 
     def test_phase_half_tap_zero_low(self):
-        assert tap_output(OscillatorState(0.5), 0) == 0
+        assert taps_at(0.5)[0] == 0
 
     def test_tap_wraps(self):
-        assert tap_output(OscillatorState(0.9), 1) == 1
+        assert taps_at(0.9)[1] == 1
 
     def test_tap_leads_by_eighth_cycles(self):
         # Tap k at phase p equals tap 0 at phase p + k/8.
         for k in range(8):
             for p in (0.0, 0.1, 0.33, 0.49, 0.51, 0.77):
-                assert (tap_output(OscillatorState(p), k)
-                        == tap_output(OscillatorState((p + k / 8) % 1.0), 0))
+                assert taps_at(p)[k] == taps_at((p + k / 8) % 1.0)[0]
 
     def test_tap_index_checked(self):
+        # A unit has taps 0..7 only: a ninth bypass bit is refused.
+        chip = ChipState(
+            ThetaPopulation([ThetaUnit(f_idle=1000.0, beta=1.0)]))
         with pytest.raises(ValueError):
-            tap_output(OscillatorState(0.0), 8)
+            program(chip, [(0, (8, 8), (1,) * 9)])
 
 
 class TestResetAll:
     def test_all_phases_zero_and_held(self):
-        states = [OscillatorState(0.3), OscillatorState(0.7)]
-        reset = reset_all(states)
-        assert all(s.phase == 0.0 and s.held for s in reset)
+        chip = released_chip([2000.0, 2000.0], [0.3, 0.7])
+        chip.hold()
+        assert (chip.phases == 0.0).all() and chip.held
 
     def test_deterministic_after_release(self):
         def run():
-            states = release_all(reset_all([OscillatorState(0.5)] * 4))
-            for _ in range(100):
-                states = [step(s, 2000.0, 1e-4) for s in states]
-            return [s.phase for s in states]
+            chip = released_chip([2000.0] * 4, 0.5)
+            chip.hold()
+            chip.release()
+            step(chip, 1e4, 100)
+            return chip.phases.tolist()
 
         assert run() == run()
 
     def test_reset_reads_high_on_tap_zero(self):
-        states = reset_all([OscillatorState(0.4), OscillatorState(0.9)])
-        assert all(tap_output(s, 0) == 1 for s in states)
+        chip = released_chip([2000.0, 2000.0], [0.4, 0.9])
+        chip.hold()
+        assert (step(chip, 1e4)[0] == 1).all()
 
 
 class TestDutyAndFrequency:
     FS = 27272.7
 
     def _trace(self, f, n):
-        s = OscillatorState(0.0)
-        bits = []
-        for _ in range(n):
-            bits.append(tap_output(s, 0))
-            s = step(s, f, 1.0 / self.FS)
-        return np.array(bits)
+        return step(released_chip([f]), self.FS, n)[:, 0]
 
     def test_duty_cycle_half_within_one_sample(self):
         f = 2000.0
@@ -207,12 +232,9 @@ class TestDutyAndFrequency:
 
     def test_tap_lead_shows_in_cross_correlation(self):
         f, n = 2000.0, 4000
-        s = OscillatorState(0.0)
-        taps = {k: [] for k in (0, 2, 5)}
-        for _ in range(n):
-            for k in taps:
-                taps[k].append(tap_output(s, k))
-            s = step(s, f, 1.0 / self.FS)
+        frames = step(released_chip([f], taps=(1, 0, 1, 0, 0, 1, 0, 0)),
+                      self.FS, n)
+        taps = dict(zip((0, 2, 5), frames.T))
         ref = np.array(taps[0], dtype=float) - 0.5
         for k in (2, 5):
             sig = np.array(taps[k], dtype=float) - 0.5

@@ -1,6 +1,7 @@
-"""Interference-network contracts: pairing, effective parameters, the
-digitized phase shift, lookup compilation, node filtering, the runtime
-pipeline, and the node-sharing arithmetic."""
+"""Interference-network contracts: pairing, the closed-form effective
+parameters and phase shift the compiler is checked against, lookup
+compilation, node filtering, the runtime pipeline, and the node-sharing
+arithmetic."""
 
 import itertools
 import math
@@ -10,16 +11,12 @@ import numpy as np
 import pytest
 
 from thetanav.chip_io import InsufficientUnitsError, UnitFit
-from thetanav.theta_core import OscillatorState, step, tap_output
 from thetanav.vector_net import (
     DEFAULT_FILTERS,
     FIR_LAYER1,
     FIR_LAYER2,
     CompileError,
-    EffectiveCell,
     FilterParams,
-    MuxTable,
-    NodeState,
     Pair,
     Pairing,
     PairingError,
@@ -28,16 +25,23 @@ from thetanav.vector_net import (
     circular_distance,
     compile_lookup,
     deserialize_mux,
-    effective_params,
-    node_step,
-    pair_beat_frequency,
+    filter_stage_batch,
     pair_layer1,
-    phase_shift,
-    rc_step,
     serialize_mux,
     sharable_nodes,
-    square_wave,
     total_nodes,
+)
+
+from reference_models import (
+    EffectiveCell,
+    Node,
+    advance,
+    effective_params,
+    pair_beat_frequency,
+    phase_shift,
+    rc_step,
+    run_per_sample,
+    square_wave,
 )
 
 
@@ -123,6 +127,10 @@ class TestEffectiveParams:
         b = UnitFit(1, 2010.0, 20.0, 1.0)
         with pytest.raises(PairingError):
             effective_params(a, b, (4, 0), (0, -4))
+        # The network's own pairs carry the same contract.
+        with pytest.raises(PairingError):
+            Pair(unit_a=0, unit_b=1, axis="x", code_a=(12, 8),
+                 code_b=(8, 4))
 
     def test_simulated_beat_matches_effective_parameters(self):
         # The AND-interfered envelope of two real square waves must beat
@@ -284,10 +292,10 @@ class TestCompileLookup:
                     fit = fits[unit]
                     f = fit.f_idle_hat + fit.beta_hat * (
                         v[0] * pref[0] + v[1] * pref[1])
-                    state = OscillatorState(0.0)
+                    phase = 0.0
                     for _ in range(n_ticks):
-                        state = step(state, f, 1.0 / fs)
-                    phases[unit] = state.phase
+                        phase = advance(phase, f, 1.0 / fs)
+                    phases[unit] = phase
             x_active = abs(v[0]) >= abs(v[1])
             for g in range(pairing.n_groups):
                 xp, yp = pairing.group(g)
@@ -342,9 +350,9 @@ class TestFilters:
 
     def test_rc_accumulator_stays_in_unit_interval(self):
         rng = np.random.default_rng(2)
-        node = NodeState()
+        node = Node.for_layer(1)
         for _ in range(2000):
-            node_step(node, int(rng.integers(2)), int(rng.integers(2)), 1)
+            node.step(int(rng.integers(2)), int(rng.integers(2)))
             assert 0.0 <= node.rc <= 1.0
 
 
@@ -366,40 +374,35 @@ class TestNodeStep:
                 break
         assert oracle_n is not None
 
-        node = NodeState()
-        got_n = None
-        for n in range(1, 600):
-            if node_step(node, 1, 1, layer=2) == 1:
-                got_n = n
-                break
+        out = filter_stage_batch(np.ones((600, 1)), 2)[:, 0]
+        got_n = int(np.argmax(out)) + 1 if out.any() else None
         assert got_n == oracle_n
         # RC rise only begins once the 9-tap pipeline fills, so the
         # crossing must land past the idealized fill-plus-rise bound.
         assert got_n > 9
 
     def test_zero_input_flushes_low(self):
-        node = NodeState()
-        for _ in range(200):
-            node_step(node, 1, 1, layer=1)
-        assert node.out == 1
-        for _ in range(400):
-            out = node_step(node, 0, 1, layer=1)
-        assert out == 0 and node.rc < 1e-4
+        # With the fall threshold at 1e-4, a low output means the RC
+        # accumulator has drained below it.
+        x = np.concatenate((np.ones(200), np.zeros(400))).reshape(-1, 1)
+        out = filter_stage_batch(x, 1, FilterParams(fall1=1e-4))[:, 0]
+        assert out[199] == 1
+        assert out[-1] == 0
 
     def test_beat_toggles_at_difference_frequency(self):
         fs = 27272.7
         n = int(2.0 * fs)
         wa = square_wave(2000.0, fs, n)
         wb = square_wave(2050.0, fs, n)
-        node = NodeState()
-        outs = np.array([node_step(node, int(a), int(b), layer=1)
-                         for a, b in zip(wa, wb)], dtype=np.uint8)
+        x = (wa & wb).astype(float).reshape(-1, 1)
+        outs = filter_stage_batch(x, 1)[:, 0]
         rises = int(np.count_nonzero((outs[1:] == 1) & (outs[:-1] == 0)))
         assert abs(rises / 2.0 - 50.0) <= 1.0
 
     def test_bad_layer(self):
-        with pytest.raises(ValueError):
-            node_step(NodeState(), 1, 1, layer=3)
+        for layer in (0, 3):
+            with pytest.raises(ValueError):
+                filter_stage_batch(np.ones((4, 1)), layer)
 
 
 def small_network(seed=0, n_pairs=4):
@@ -416,13 +419,13 @@ def small_network(seed=0, n_pairs=4):
 class TestVectorNetwork:
     def test_all_zero_input_outputs_zero(self):
         net, n_units = small_network()
-        frame = np.zeros(8 * n_units, dtype=np.uint8)
-        assert all(net.step(frame) == 0 for _ in range(300))
+        frames = np.zeros((300, 8 * n_units), dtype=np.uint8)
+        assert not net.run(frames).any()
 
     def test_all_one_input_rises_after_both_stages(self):
         net, n_units = small_network()
-        frame = np.ones(8 * n_units, dtype=np.uint8)
-        outs = [net.step(frame) for _ in range(400)]
+        frames = np.ones((400, 8 * n_units), dtype=np.uint8)
+        outs = net.run(frames).tolist()
         assert outs[-1] == 1
         first = outs.index(1)
         # Layer-1 rise (fill + RC to 0.22) must precede the layer-2 rise.
@@ -433,17 +436,20 @@ class TestVectorNetwork:
         net, n_units = small_network(seed=3)
         frames = rng.integers(0, 2, size=(500, 8 * n_units)).astype(np.uint8)
         batch = net.run(frames)
-        net.reset()
-        stepped = np.array([net.step(f) for f in frames], dtype=np.uint8)
-        assert np.array_equal(batch, stepped)
+        assert batch.any() and not batch.all()
+        assert np.array_equal(batch, run_per_sample(net, frames))
 
     def test_reset_clears_state(self):
+        # Every session starts from cleared filter state: a session after
+        # a saturating one reads exactly like a session on a fresh network.
         net, n_units = small_network()
-        frame = np.ones(8 * n_units, dtype=np.uint8)
-        for _ in range(300):
-            net.step(frame)
-        net.reset()
-        assert all(n.rc == 0.0 and n.out == 0 for n in net.l1 + net.l2)
+        ones = np.ones((300, 8 * n_units), dtype=np.uint8)
+        assert net.run(ones)[-1] == 1
+        rng = np.random.default_rng(8)
+        frames = rng.integers(0, 2, size=(300, 8 * n_units)).astype(np.uint8)
+        fresh, _ = small_network()
+        assert net.run(frames)[0] == 0
+        assert np.array_equal(net.run(frames), fresh.run(frames))
 
     def test_missing_phase_rejected(self):
         pairing = synthetic_pairing()
