@@ -84,7 +84,6 @@ class RunConfig:
     hold_ticks: int = 10
     settle_ticks: int = 32
     budget_factor: float = 10.0
-    periodic_reset_ticks: Optional[int] = None
     seed: Optional[int] = None
 
     def validate(self) -> None:

@@ -6,7 +6,8 @@ four cardinal vector-cell networks, then execute a path script.  Each
 segment starts from a phase reset, so segments are independent
 constant-velocity sessions; a debounced vector-cell pulse migrates the
 place-cell bump and re-arms the reset, a velocity change re-arms it
-without migrating.
+without migrating.  A re-arm inside a segment starts the same session
+again, so each segment is scanned once and replayed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .chip_io import (
 )
 from .config import PathScript, RunConfig, load_manifest, save_config
 from .place_grid import (
-    CAUSE_PERIODIC,
+    CAUSE_VECTOR_FIRE,
+    CAUSE_VELOCITY_CHANGE,
     PlaceGrid,
     PulseEvent,
     locate,
@@ -170,96 +172,84 @@ def _first_confirmed_pulse(outputs: dict[str, np.ndarray], width: int,
     return first, fired
 
 
+def _session(rig: TrackRig, velocity: VelocityVector, n: int) -> np.ndarray:
+    """Scan frames of an n-tick constant-velocity session from reset."""
+    rig.chip.hold()
+    rig.chip.release()
+    return scan_frames(rig.chip, velocity, n, rig.config.scan_clock_hz)
+
+
 def run_track(config: RunConfig, script: PathScript,
               rig: Optional[TrackRig] = None) -> TrackResult:
     """Execute a path script and integrate vector-cell pulses on the grid.
 
-    Per segment: assert the phase reset, set the commanded velocity,
-    release after the hold, and scan.  A confirmed pulse migrates the
-    bump, records the event and re-arms the reset; an until-pulse
-    segment then ends, a timed segment keeps going until its scanned
-    tick count is spent.  Until-pulse segments that exceed ten times (by
-    default) the predicted arrival time fail loudly.
+    A reset zeroes every phase and filter, so every reset inside a
+    segment starts the same session.  Each segment is scanned and
+    filtered once from reset: for its ticks when timed, or for
+    ``budget_factor`` times the predicted arrival when until-pulse,
+    failing loudly without a pulse.  That session up to its first
+    confirmed pulse is then replayed until the segment's ticks are
+    spent, or once for an until-pulse segment: each repeat holds the
+    outputs low for ``hold_ticks``, fires, and re-arms the reset.  A
+    last repeat cut short of the pulse keeps its ticks and does not fire.
     """
     script.validate()
     if rig is None:
         rig = build_rig(config)
-    chip = rig.chip
     grid = PlaceGrid(config.grid_size, config.grid_size)
     result = TrackResult()
     result.trail.append((0, "start", 0, 0))
     result.snapshots.append(grid.snapshot())
     traces: dict[str, list[np.ndarray]] = {d: [] for d in DIRECTION_ORDER}
+    hold = np.zeros(config.hold_ticks, dtype=np.uint8)
     arrival_ticks = int(math.ceil(config.cell_seconds * rig.fs))
-    budget_default = int(math.ceil(config.budget_factor * arrival_ticks))
+    budget = int(math.ceil(config.budget_factor * arrival_ticks))
 
     tick = 0
     prev_velocity = VelocityVector(0.0, 0.0)
     pulse_pending = False
     for seg_index, seg in enumerate(script.segments):
-        line = reset_controller(prev_velocity, seg.velocity, pulse_pending,
-                                trail_start=(seg_index == 0),
-                                hold_ticks=config.hold_ticks)
-        if not line.asserted:
+        cause = reset_controller(prev_velocity, seg.velocity, pulse_pending,
+                                 trail_start=(seg_index == 0))
+        if cause is None:
             # Same velocity and no pulse: still re-arm, segments are
             # defined to start from a known phase.
-            line.asserted = True
-            line.cause = "velocity_change"
+            cause = CAUSE_VELOCITY_CHANGE
             result.warnings.append(
                 f"segment {seg_index}: boundary reset without velocity change")
-        if (line.cause == "velocity_change" and seg_index > 0
-                and prev_velocity.speed > 0 and not pulse_pending):
+        if cause == CAUSE_VELOCITY_CHANGE and prev_velocity.speed > 0:
             result.warnings.append(
                 f"segment {seg_index}: sub-cell displacement discarded on "
                 f"velocity change")
-        result.resets.append((tick, line.cause))
-        pulse_pending = False
+        result.resets.append((tick, cause))
         prev_velocity = seg.velocity
 
-        remaining = seg.ticks if not seg.until_pulse else budget_default
-        scanned_in_segment = 0
+        n = budget if seg.until_pulse else seg.ticks
+        frames = _session(rig, seg.velocity, n)
+        outputs = {d: rig.networks[d].run(frames) for d in DIRECTION_ORDER}
+        start, fired = _first_confirmed_pulse(
+            outputs, config.debounce_width, config.settle_ticks)
+        if start is None and seg.until_pulse:
+            raise SegmentTimeoutError(
+                f"segment {seg_index}: no pulse within {budget} "
+                f"ticks ({config.budget_factor:g}x predicted arrival)")
+        period = n if start is None else start + config.debounce_width
+        remaining = period if seg.until_pulse else n
+        pulse_pending = False
         while remaining > 0:
-            chunk = remaining
-            if config.periodic_reset_ticks is not None:
-                chunk = min(chunk, config.periodic_reset_ticks)
-            chip.hold()
+            if pulse_pending:
+                result.resets.append((tick, CAUSE_VECTOR_FIRE))
             tick += config.hold_ticks
+            kept = min(remaining, period)
             for d in DIRECTION_ORDER:
-                traces[d].append(np.zeros(config.hold_ticks, dtype=np.uint8))
-            chip.release()
-            frames = scan_frames(chip, seg.velocity, chunk,
-                                 config.scan_clock_hz)
-            outputs = {d: rig.networks[d].run(frames) for d in DIRECTION_ORDER}
-            start, fired = _first_confirmed_pulse(
-                outputs, config.debounce_width, config.settle_ticks)
-            if start is not None:
-                consumed = start + config.debounce_width
-                for d in DIRECTION_ORDER:
-                    traces[d].append(outputs[d][:consumed])
+                traces[d].extend((hold, outputs[d][:kept]))
+            pulse_pending = start is not None and kept == period
+            if pulse_pending:
                 for d in fired:
-                    event = PulseEvent(direction=d, tick=tick + start)
-                    grid = _apply_event(grid, event, result)
-                tick += consumed
-                remaining -= consumed
-                scanned_in_segment += consumed
-                pulse_pending = True
-                if seg.until_pulse:
-                    break
-                if remaining > 0:
-                    result.resets.append((tick, "vector_fire"))
-                    pulse_pending = False
-                continue
-            for d in DIRECTION_ORDER:
-                traces[d].append(outputs[d])
-            tick += chunk
-            remaining -= chunk
-            scanned_in_segment += chunk
-            if seg.until_pulse and remaining <= 0:
-                raise SegmentTimeoutError(
-                    f"segment {seg_index}: no pulse within {budget_default} "
-                    f"ticks ({config.budget_factor:g}x predicted arrival)")
-            if (config.periodic_reset_ticks is not None and remaining > 0):
-                result.resets.append((tick, CAUSE_PERIODIC))
+                    grid = _apply_event(grid, PulseEvent(d, tick + start),
+                                        result)
+            tick += kept
+            remaining -= kept
 
     result.final = locate(grid)
     result.ticks = tick
@@ -338,10 +328,7 @@ def field_map(config: RunConfig, velocity: VelocityVector,
         session_ticks = int(math.ceil(
             1.5 * max(max_r, 1.0) * config.cell_seconds * rig.fs))
 
-    chip = rig.chip
-    chip.hold()
-    chip.release()
-    frames = scan_frames(chip, velocity, session_ticks, config.scan_clock_hz)
+    frames = _session(rig, velocity, session_ticks)
 
     result = FieldMapResult(velocity=velocity, session_ticks=session_ticks,
                             cells=list(targets), first_fire={}, events={},
@@ -417,7 +404,9 @@ def sweep_seeds(config: RunConfig, script: PathScript,
 
 def emit(result: TrackResult, outdir, config: RunConfig,
          script: PathScript) -> list[Path]:
-    """Write the run to disk: manifest, trail, traces, grid snapshots.
+    """Write the run to disk: manifest, trail, traces, grid snapshots and
+    warnings (an empty file when there are none), replacing any earlier
+    run's files in outdir.
 
     The manifest records the full configuration (seed included), the
     script and the package version; re-running from it reproduces the
@@ -442,15 +431,16 @@ def emit(result: TrackResult, outdir, config: RunConfig,
                header="tick," + ",".join(DIRECTION_ORDER))
     written.append(traces_path)
 
+    for stale in outdir.glob("grid_*.csv"):
+        stale.unlink()
     for i, snap in enumerate(result.snapshots):
         snap_path = outdir / f"grid_{i:03d}.csv"
         write_grid_csv(snap_path, snap)
         written.append(snap_path)
 
-    if result.warnings:
-        warn_path = outdir / "warnings.txt"
-        warn_path.write_text("\n".join(result.warnings) + "\n")
-        written.append(warn_path)
+    warn_path = outdir / "warnings.txt"
+    warn_path.write_text("".join(w + "\n" for w in result.warnings))
+    written.append(warn_path)
     return written
 
 

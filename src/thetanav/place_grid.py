@@ -5,7 +5,8 @@ pulse from a directional vector-cell network gates the path cell toward
 the matching neighbor: the neighbor takes the bump and every other
 active cell leaks by 5, so the previous bump location trails at 5.  A
 reset controller re-arms the oscillator phases at trail start, after
-every pulse, and on velocity changes.
+every pulse, and on velocity changes.  A re-arm zeroes every phase and
+filter, so at an unchanged velocity it replays the session before it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ DIRECTION_DELTA = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
 CAUSE_TRAIL_START = "trail_start"
 CAUSE_VECTOR_FIRE = "vector_fire"
 CAUSE_VELOCITY_CHANGE = "velocity_change"
-CAUSE_PERIODIC = "periodic"
 
 
 class OutOfBoundsError(RuntimeError):
@@ -43,13 +43,6 @@ class PulseEvent:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-
-
-@dataclass
-class ResetLine:
-    asserted: bool
-    cause: Optional[str] = None
-    hold_ticks: int = 10
 
 
 class PlaceGrid:
@@ -145,24 +138,23 @@ def debounce(bits: Sequence[int], min_width: int) -> list[int]:
     return [int(s) for s, e in zip(starts, ends) if e - s >= min_width]
 
 
-def reset_controller(prev_velocity, new_velocity,
-                     pulse_fired: bool, trail_start: bool,
-                     hold_ticks: int = 10) -> ResetLine:
-    """Decide whether the phase-reset line asserts this tick.
+def reset_controller(prev_velocity, new_velocity, pulse_fired: bool,
+                     trail_start: bool) -> Optional[str]:
+    """Why the phase-reset line asserts at a segment boundary, or None.
 
     Asserts at trail start, when any vector cell fired, or when the
     commanded velocity changed; a simultaneous pulse and velocity change
-    reports the pulse (vector_fire outranks velocity_change).  While
-    asserted, the clear line holds for hold_ticks and the vector-network
-    filter states are cleared alongside the oscillators.
+    reports the pulse (vector_fire outranks velocity_change).  A reset
+    zeroes the oscillator phases and clears the vector-network filters,
+    so what follows depends only on the displacement since the reset.
     """
     if trail_start:
-        return ResetLine(True, CAUSE_TRAIL_START, hold_ticks)
+        return CAUSE_TRAIL_START
     if pulse_fired:
-        return ResetLine(True, CAUSE_VECTOR_FIRE, hold_ticks)
+        return CAUSE_VECTOR_FIRE
     if tuple(prev_velocity) != tuple(new_velocity):
-        return ResetLine(True, CAUSE_VELOCITY_CHANGE, hold_ticks)
-    return ResetLine(False, None, hold_ticks)
+        return CAUSE_VELOCITY_CHANGE
+    return None
 
 
 def write_trail_csv(path, trail: Iterable[tuple[int, str, int, int]]) -> None:

@@ -37,7 +37,6 @@ CHANGED = RunConfig(
     hold_ticks=12,
     settle_ticks=40,
     budget_factor=8.0,
-    periodic_reset_ticks=500,
     seed=3,
 )
 
@@ -57,10 +56,9 @@ def test_every_field_changed():
     assert [k for k in default if default[k] == changed[k]] == []
 
 
-@pytest.mark.parametrize("periodic", [500, None])
 @pytest.mark.parametrize("seed", [3, None])
-def test_round_trip(tmp_path, periodic, seed):
-    config = replace(CHANGED, periodic_reset_ticks=periodic, seed=seed)
+def test_round_trip(tmp_path, seed):
+    config = replace(CHANGED, seed=seed)
     path = tmp_path / "run.ini"
     save_config(config, path)
     assert load_config(path) == config
@@ -94,6 +92,7 @@ def test_missing_keys_take_defaults(tmp_path):
     "[population]\nresponse_mode = linear\n",
     "[run]\npopulation = 3\n",
     "[meta]\nversion = 0.1.0\nauthor = x\n",
+    "[run]\nperiodic_reset_ticks = 500\n",   # a removed key
 ])
 def test_unknown_section_or_key_raises(tmp_path, text):
     path = tmp_path / "run.ini"

@@ -7,9 +7,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetanav import harness
-from thetanav.config import RunConfig, built_in_scripts, load_manifest
+from thetanav.config import (
+    PathScript,
+    RunConfig,
+    Segment,
+    built_in_scripts,
+    cardinal_velocity,
+    load_manifest,
+)
 from thetanav.theta_core import VelocityVector
 from thetanav.vector_net import TAP_STEP, TargetLocation, compile_lookup
 
@@ -29,6 +37,20 @@ GOLDEN = {
 }
 
 
+def leg(direction, ticks=None):
+    return Segment(cardinal_velocity(direction, CONFIG.speed), ticks)
+
+
+# Timed segments with pulses in mid-segment (E 900, W 476), segments that
+# end exactly on their pulse (W 238, W 476) or one tick short of it
+# (W 237), a zero-tick segment and both boundary warnings.
+TIMED = PathScript(name="timed", segments=(
+    leg("E", 900), leg("E", 100), leg("N", 0), leg("N"), leg("W", 238),
+    leg("W", 237), leg("W", 476), leg("S", 5), leg("S")))
+BOUNDARY = "segment {}: boundary reset without velocity change"
+DISCARD = "segment {}: sub-cell displacement discarded on velocity change"
+
+
 def events_of(result):
     return [(ev.direction, ev.tick) for ev in result.events]
 
@@ -40,6 +62,86 @@ def test_run_track_seed0(rig, name):
     assert events_of(result) == events
     assert result.final == final == SCRIPTS[name].expected_final
     assert result.ticks == ticks
+
+
+def test_timed_script_seed0(rig, tmp_path):
+    result = harness.run_track(CONFIG, TIMED, rig=rig)
+    assert events_of(result) == [
+        ("E", 204), ("E", 411), ("E", 618), ("E", 825), ("N", 1206),
+        ("W", 1454), ("W", 1949), ("W", 2197), ("S", 2477)]
+    assert result.final == (1, 0)
+    assert result.ticks == 2480
+    for trace in result.traces.values():
+        assert trace.size == result.ticks
+    assert all(result.traces[ev.direction][ev.tick] for ev in result.events)
+    assert result.resets == [
+        (0, "trail_start"), (207, "vector_fire"), (414, "vector_fire"),
+        (621, "vector_fire"), (828, "vector_fire"), (950, "velocity_change"),
+        (1060, "velocity_change"), (1060, "velocity_change"),
+        (1209, "vector_fire"), (1457, "vector_fire"),
+        (1704, "velocity_change"), (1952, "vector_fire"),
+        (2200, "vector_fire"), (2215, "velocity_change")]
+    assert result.warnings == [
+        BOUNDARY.format(1), DISCARD.format(1), DISCARD.format(2),
+        BOUNDARY.format(3), DISCARD.format(3), BOUNDARY.format(6),
+        DISCARD.format(6), BOUNDARY.format(8), DISCARD.format(8)]
+    harness.emit(result, tmp_path, CONFIG, TIMED)
+    assert (tmp_path / "warnings.txt").read_text().splitlines() \
+        == result.warnings
+
+
+STILL = PathScript(name="still", segments=(Segment(VelocityVector(0, 0)),))
+
+
+def test_until_pulse_segment_times_out(rig):
+    with pytest.raises(harness.SegmentTimeoutError, match=(
+            r"^segment 0: no pulse within 2670 ticks "
+            r"\(10x predicted arrival\)$")):
+        harness.run_track(CONFIG, STILL, rig=rig)
+
+
+def test_sweep_records_a_timeout():
+    (outcome,) = harness.sweep_seeds(RunConfig(seed=0), STILL, 1).outcomes
+    assert not outcome.ok and outcome.final is None
+    assert outcome.cause.startswith("SegmentTimeoutError")
+
+
+def scan_lengths(monkeypatch):
+    """Wrap the tracking scan and return the list of its lengths."""
+    lengths = []
+    original = harness.scan_frames
+
+    def counted(chip, velocity, n, *args, **kwargs):
+        lengths.append(n)
+        return original(chip, velocity, n, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "scan_frames", counted)
+    return lengths
+
+
+def test_one_scan_per_segment(rig, monkeypatch):
+    lengths = scan_lengths(monkeypatch)
+    harness.run_track(CONFIG, TIMED, rig=rig)
+    assert lengths == [900, 100, 0, 2670, 238, 237, 476, 5, 2670]
+    for name, (events, _, _) in sorted(GOLDEN.items()):
+        lengths.clear()
+        harness.run_track(CONFIG, SCRIPTS[name], rig=rig)
+        assert lengths == [2670] * len(events), name
+
+
+velocities = st.builds(VelocityVector, st.floats(-4, 4), st.floats(-4, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(v=velocities, n=st.tuples(st.integers(0, 600), st.integers(0, 600)))
+def test_session_from_reset_is_a_prefix_and_repeats(rig, v, n):
+    n1, n2 = sorted(n)
+    short = harness._session(rig, v, n1)
+    long = harness._session(rig, v, n2)
+    assert np.array_equal(short, long[:n1])
+    assert np.array_equal(harness._session(rig, v, n2), long)
+    for d, network in rig.networks.items():
+        assert np.array_equal(network.run(short), network.run(long)[:n1]), d
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -72,6 +174,22 @@ def test_emit_then_run_from_manifest_is_bit_exact(rig, tmp_path):
 
     rows = (tmp_path / "traces.csv").read_text().splitlines()
     assert len(rows) == 1 + result.ticks
+
+
+def test_emit_replaces_an_earlier_run(rig, tmp_path):
+    # Two warnings and two snapshots, then none and five, then the first
+    # again: each emit leaves exactly its own files behind.
+    warned = PathScript(name="warned", segments=(leg("E", 100), leg("E")))
+    for script, n_warnings in ((warned, 2), (SCRIPTS["path3_loop"], 0),
+                               (warned, 2)):
+        result = harness.run_track(CONFIG, script, rig=rig)
+        assert len(result.warnings) == n_warnings
+        written = harness.emit(result, tmp_path, CONFIG, script)
+        assert sorted(tmp_path.iterdir()) == sorted(written)
+        assert len((tmp_path / "warnings.txt").read_text().splitlines()) \
+            == n_warnings
+        assert len(list(tmp_path.glob("grid_*.csv"))) \
+            == len(result.snapshots)
 
 
 def test_field_map_records_compile_failures(rig, tmp_path):

@@ -135,24 +135,19 @@ class TestLocate:
 
 class TestResetController:
     def test_trail_start(self):
-        line = reset_controller((0, 0), (0.25, 0), False, True)
-        assert line.asserted and line.cause == CAUSE_TRAIL_START
+        assert reset_controller((0, 0), (0.25, 0), False, True) \
+            == CAUSE_TRAIL_START
 
     def test_quiet_tick_not_asserted(self):
-        line = reset_controller((0.25, 0), (0.25, 0), False, False)
-        assert not line.asserted and line.cause is None
+        assert reset_controller((0.25, 0), (0.25, 0), False, False) is None
 
     def test_velocity_change(self):
-        line = reset_controller((0.25, 0), (0, 0.25), False, False)
-        assert line.asserted and line.cause == CAUSE_VELOCITY_CHANGE
+        assert reset_controller((0.25, 0), (0, 0.25), False, False) \
+            == CAUSE_VELOCITY_CHANGE
 
     def test_pulse_outranks_velocity_change(self):
-        line = reset_controller((0.25, 0), (0, 0.25), True, False)
-        assert line.asserted and line.cause == CAUSE_VECTOR_FIRE
-
-    def test_hold_ticks_carried(self):
-        line = reset_controller((0, 0), (0, 0), True, False, hold_ticks=17)
-        assert line.hold_ticks == 17
+        assert reset_controller((0.25, 0), (0, 0.25), True, False) \
+            == CAUSE_VECTOR_FIRE
 
 
 class TestExports:
