@@ -9,7 +9,6 @@ and admission of well-behaved units for network construction.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -52,25 +51,18 @@ class InsufficientUnitsError(RuntimeError):
     """Fewer admitted units than the interference network requires."""
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Serial scan timing: shared clock and the enabled phase count."""
-
-    clock_hz: float = DEFAULT_SCAN_CLOCK_HZ
-    enabled_phases: int = 0
-
-    @property
-    def fs(self) -> float:
-        """Per-phase sample rate in Hz."""
-        if self.enabled_phases <= 0:
-            raise ValueError("no enabled phases")
-        return self.clock_hz / self.enabled_phases
-
-    def validate(self) -> None:
-        if self.enabled_phases > 0 and self.fs <= 2 * NYQUIST_F_MAX_HZ:
-            raise NyquistError(
-                f"per-phase rate {self.fs:.1f} Hz <= {2 * NYQUIST_F_MAX_HZ:.0f} Hz "
-                f"({self.enabled_phases} phases at {self.clock_hz:.0f} Hz clock)")
+def phase_rate(clock_hz: float, enabled_phases: int) -> float:
+    """Per-phase sample rate in Hz of a serial scan of ``enabled_phases``
+    taps on a shared ``clock_hz`` clock.  Raises NyquistError unless it
+    exceeds twice the top of the chip's frequency band."""
+    if enabled_phases <= 0:
+        raise ValueError("no enabled phases")
+    fs = clock_hz / enabled_phases
+    if fs <= 2 * NYQUIST_F_MAX_HZ:
+        raise NyquistError(
+            f"per-phase rate {fs:.1f} Hz <= {2 * NYQUIST_F_MAX_HZ:.0f} Hz "
+            f"({enabled_phases} phases at {clock_hz:.0f} Hz clock)")
+    return fs
 
 
 class UnitFit(NamedTuple):
@@ -172,16 +164,15 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     n_enabled = chip.enabled_phases
     if n_enabled == 0 or n_cycles == 0:
         return np.zeros((n_cycles, n_enabled), dtype=np.uint8)
-    cfg = ScanConfig(clock_hz=clock_hz, enabled_phases=n_enabled)
-    cfg.validate()
-    dt = 1.0 / cfg.fs
+    fs = phase_rate(clock_hz, n_enabled)
+    dt = 1.0 / fs
     freqs = chip.frequencies(v)
     if chip.held:
         freqs = np.zeros_like(freqs)
     fdt_max = float(freqs.max()) * dt
     if fdt_max >= 0.5:
         raise AliasingError(
-            f"max f*dt = {fdt_max:.3f} >= 0.5 at {cfg.fs:.1f} Hz per phase")
+            f"max f*dt = {fdt_max:.3f} >= 0.5 at {fs:.1f} Hz per phase")
 
     units, taps = np.nonzero(chip.bypass)
     tap_off = taps / 8.0
@@ -274,9 +265,8 @@ def calibrate(chip: ChipState, clock_hz: float = DEFAULT_SCAN_CLOCK_HZ,
         chip.hold()
         program(chip, [(u, codes, tap0_bypass()) for u in range(chip.n_units)])
         chip.release()
-        cfg = ScanConfig(clock_hz=clock_hz, enabled_phases=chip.enabled_phases)
-        cfg.validate()
-        n_cycles = int(np.ceil(window_s * cfg.fs))
+        fs = phase_rate(clock_hz, chip.enabled_phases)
+        n_cycles = int(np.ceil(window_s * fs))
         axis_is_x = codes[0] != 8
         pref = (codes[0] - 8, codes[1] - 8)
         for sweep_v in CAL_SWEEP:
@@ -285,7 +275,7 @@ def calibrate(chip: ChipState, clock_hz: float = DEFAULT_SCAN_CLOCK_HZ,
             traces = frames.T
             inner = v.vx * pref[0] + v.vy * pref[1]
             for u in range(chip.n_units):
-                est = estimate_frequency(traces[u], cfg.fs)
+                est = estimate_frequency(traces[u], fs)
                 samples[u].append((inner, est.hz))
     return [fit_unit(samples[u], unit=u) for u in range(chip.n_units)]
 

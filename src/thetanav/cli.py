@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .chip_io import ChipState, calibrate, write_fit_report_csv
-from .config import RunConfig, built_in_scripts, load_config
+from .config import PathScript, RunConfig, built_in_scripts, load_config
 from .harness import (
     build_rig,
     emit,
@@ -27,8 +27,15 @@ def _load_or_default(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
-    config.validate()
     return config
+
+
+def _script(args, config: RunConfig) -> PathScript:
+    scripts = built_in_scripts(config.speed)
+    if args.script not in scripts:
+        raise ValueError(f"unknown script {args.script!r}; choose from "
+                         f"{sorted(scripts)}")
+    return scripts[args.script]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -61,12 +68,7 @@ def cmd_compile(args) -> int:
 
 def cmd_track(args) -> int:
     config = _load_or_default(args)
-    scripts = built_in_scripts(config.speed)
-    if args.script not in scripts:
-        print(f"unknown script {args.script!r}; choose from "
-              f"{sorted(scripts)}", file=sys.stderr)
-        return 1
-    script = scripts[args.script]
+    script = _script(args, config)
     result = run_track(config, script)
     files = emit(result, args.out, config, script)
     print(f"final location {result.final} after {len(result.events)} events "
@@ -89,12 +91,7 @@ def cmd_field_map(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_or_default(args)
-    scripts = built_in_scripts(config.speed)
-    if args.script not in scripts:
-        print(f"unknown script {args.script!r}; choose from "
-              f"{sorted(scripts)}", file=sys.stderr)
-        return 1
-    result = sweep_seeds(config, scripts[args.script], args.seeds)
+    result = sweep_seeds(config, _script(args, config), args.seeds)
     for o in result.outcomes:
         status = "ok" if o.ok else "FAIL"
         print(f"seed {o.seed}: {status} ({o.cause}; {o.n_events} events)")

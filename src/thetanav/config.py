@@ -15,6 +15,7 @@ from typing import (Optional, Sequence, Union, get_args, get_origin,
                     get_type_hints)
 
 from . import __version__
+from .place_grid import DIRECTION_DELTA, displacement
 from .theta_core import PopulationSpec, VelocityVector
 from .vector_net import (
     DEFAULT_DRIFT_TOLERANCE,
@@ -38,13 +39,16 @@ class Segment:
     def until_pulse(self) -> bool:
         return self.ticks is None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if max(abs(self.velocity.vx), abs(self.velocity.vy)) > LINEAR_RANGE:
             raise ValueError(
                 f"segment velocity {tuple(self.velocity)} outside the "
                 f"linear range [-{LINEAR_RANGE}, {LINEAR_RANGE}]")
         if self.ticks is not None and self.ticks < 0:
             raise ValueError("segment ticks must be >= 0")
+        if self.until_pulse and self.velocity.speed == 0:
+            # Nothing moves, so no vector cell can ever fire.
+            raise ValueError("an until-pulse segment needs a non-zero velocity")
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,9 @@ class PathScript:
     segments: tuple[Segment, ...]
     expected_final: Optional[tuple[int, int]] = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.segments:
             raise ValueError("a path script needs at least one segment")
-        for seg in self.segments:
-            seg.validate()
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,7 @@ class RunConfig:
     budget_factor: float = 10.0
     seed: Optional[int] = None
 
-    def validate(self) -> None:
-        self.population.validate()
-        self.filters.validate()
+    def __post_init__(self):
         if self.pitch <= 0 or self.speed <= 0:
             raise ValueError("pitch and speed must be positive")
         if self.speed > LINEAR_RANGE:
@@ -115,19 +115,14 @@ class RunConfig:
 
 
 def cardinal_velocity(direction: str, speed: float) -> VelocityVector:
-    return {
-        "E": VelocityVector(speed, 0.0),
-        "N": VelocityVector(0.0, speed),
-        "W": VelocityVector(-speed, 0.0),
-        "S": VelocityVector(0.0, -speed),
-    }[direction]
+    dx, dy = DIRECTION_DELTA[direction]
+    return VelocityVector(speed * dx, speed * dy)
 
 
 def _steps_script(name: str, directions: Sequence[str], speed: float) -> PathScript:
     segments = tuple(Segment(cardinal_velocity(d, speed)) for d in directions)
-    dx = directions.count("E") - directions.count("W")
-    dy = directions.count("N") - directions.count("S")
-    return PathScript(name=name, segments=segments, expected_final=(dx, dy))
+    return PathScript(name=name, segments=segments,
+                      expected_final=displacement(directions))
 
 
 def built_in_scripts(speed: float) -> dict[str, PathScript]:
@@ -219,7 +214,7 @@ def save_config(config: RunConfig, path,
 
 
 def load_manifest(path) -> tuple[RunConfig, Optional[PathScript]]:
-    """Read a file written by :func:`save_config`: the validated config,
+    """Read a file written by :func:`save_config`: the config,
     plus the script when the file is a run manifest.  A missing key takes
     its default; an unknown section or key raises ValueError."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -234,7 +229,6 @@ def load_manifest(path) -> tuple[RunConfig, Optional[PathScript]]:
             kwargs.update(_fields_from(RunConfig, section))
         elif name == "script":
             script = PathScript(**_fields_from(PathScript, section))
-            script.validate()
         elif name == "meta":
             if set(section) - {"version"}:
                 raise ValueError(f"unknown key in [meta]: {sorted(section)}")
@@ -242,9 +236,7 @@ def load_manifest(path) -> tuple[RunConfig, Optional[PathScript]]:
             kwargs[name] = hints[name](**_fields_from(hints[name], section))
         else:
             raise ValueError(f"unknown section [{name}]")
-    config = RunConfig(**kwargs)
-    config.validate()
-    return config, script
+    return RunConfig(**kwargs), script
 
 
 def load_config(path) -> RunConfig:

@@ -25,6 +25,7 @@ from .chip_io import (
     ChipState,
     UnitFit,
     calibrate,
+    phase_rate,
     program,
     scan_frames,
     select_units,
@@ -34,6 +35,8 @@ from .config import PathScript, RunConfig, load_manifest, save_config
 from .place_grid import (
     CAUSE_VECTOR_FIRE,
     CAUSE_VELOCITY_CHANGE,
+    DIRECTION_DELTA,
+    DIRECTIONS,
     PlaceGrid,
     PulseEvent,
     locate,
@@ -52,8 +55,6 @@ from .vector_net import (
     pair_layer1,
 )
 
-DIRECTION_ORDER = ("E", "N", "W", "S")
-DIRECTION_THETA = {"E": 0.0, "N": math.pi / 2, "W": math.pi, "S": -math.pi / 2}
 ALL_TAPS = (1, 1, 1, 1, 1, 1, 1, 1)
 
 
@@ -92,7 +93,6 @@ def build_rig(config: RunConfig) -> TrackRig:
     routable member and tap 0 on its partner, so every cardinal lookup
     table can be served from one shared scan frame.
     """
-    config.validate()
     population = sample_population(config.resolved_population())
     chip = ChipState(population)
     fits = calibrate(chip, config.calibration_clock_hz,
@@ -107,14 +107,14 @@ def build_rig(config: RunConfig) -> TrackRig:
         configs.append((p.unit_b, p.code_b, tap0_bypass()))
     program(chip, configs)
     frame_layout = {pt: i for i, pt in enumerate(chip.enabled_taps())}
-    fs = config.scan_clock_hz / chip.enabled_phases
+    fs = phase_rate(config.scan_clock_hz, chip.enabled_phases)
 
     rig = TrackRig(config=config, chip=chip, fits=fits, admitted=admitted,
                    pairing=pairing, frame_layout=frame_layout, networks={},
                    fs=fs)
-    for direction in DIRECTION_ORDER:
+    for direction, (dx, dy) in DIRECTION_DELTA.items():
         mux = rig.compile_target(
-            TargetLocation(config.pitch, DIRECTION_THETA[direction]))
+            TargetLocation(config.pitch, math.atan2(dy, dx)))
         rig.networks[direction] = rig.network_for(mux)
     return rig
 
@@ -139,10 +139,7 @@ class TrackResult:
     diagnostics: dict = field(default_factory=dict)
 
     def check_invariants(self) -> None:
-        counts = {d: 0 for d in DIRECTION_ORDER}
-        for ev in self.events:
-            counts[ev.direction] += 1
-        expected = (counts["E"] - counts["W"], counts["N"] - counts["S"])
+        expected = place_grid.displacement(ev.direction for ev in self.events)
         if self.final != expected:
             raise AssertionError(
                 f"displacement additivity violated: final {self.final}, "
@@ -168,7 +165,7 @@ def _first_confirmed_pulse(outputs: dict[str, np.ndarray], width: int,
     if not starts:
         return None, []
     first = min(starts.values())
-    fired = [d for d in DIRECTION_ORDER if starts.get(d) == first]
+    fired = [d for d in DIRECTIONS if starts.get(d) == first]
     return first, fired
 
 
@@ -193,14 +190,13 @@ def run_track(config: RunConfig, script: PathScript,
     outputs low for ``hold_ticks``, fires, and re-arms the reset.  A
     last repeat cut short of the pulse keeps its ticks and does not fire.
     """
-    script.validate()
     if rig is None:
         rig = build_rig(config)
     grid = PlaceGrid(config.grid_size, config.grid_size)
     result = TrackResult()
     result.trail.append((0, "start", 0, 0))
     result.snapshots.append(grid.snapshot())
-    traces: dict[str, list[np.ndarray]] = {d: [] for d in DIRECTION_ORDER}
+    traces: dict[str, list[np.ndarray]] = {d: [] for d in DIRECTIONS}
     hold = np.zeros(config.hold_ticks, dtype=np.uint8)
     arrival_ticks = int(math.ceil(config.cell_seconds * rig.fs))
     budget = int(math.ceil(config.budget_factor * arrival_ticks))
@@ -226,7 +222,7 @@ def run_track(config: RunConfig, script: PathScript,
 
         n = budget if seg.until_pulse else seg.ticks
         frames = _session(rig, seg.velocity, n)
-        outputs = {d: rig.networks[d].run(frames) for d in DIRECTION_ORDER}
+        outputs = {d: rig.networks[d].run(frames) for d in DIRECTIONS}
         start, fired = _first_confirmed_pulse(
             outputs, config.debounce_width, config.settle_ticks)
         if start is None and seg.until_pulse:
@@ -241,7 +237,7 @@ def run_track(config: RunConfig, script: PathScript,
                 result.resets.append((tick, CAUSE_VECTOR_FIRE))
             tick += config.hold_ticks
             kept = min(remaining, period)
-            for d in DIRECTION_ORDER:
+            for d in DIRECTIONS:
                 traces[d].extend((hold, outputs[d][:kept]))
             pulse_pending = start is not None and kept == period
             if pulse_pending:
@@ -260,7 +256,7 @@ def run_track(config: RunConfig, script: PathScript,
     result.diagnostics = {
         "admitted_units": len(rig.admitted),
         "dropped_groups": {d: list(rig.networks[d].mux.dropped)
-                           for d in DIRECTION_ORDER},
+                           for d in DIRECTIONS},
         "fs": rig.fs,
         "arrival_ticks": arrival_ticks,
     }
@@ -316,7 +312,6 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     toward that cell; all cells then observe the same scanned input.  A
     cell whose table does not compile is recorded in ``failed``.
     """
-    config.validate()
     if rig is None:
         rig = build_rig(config)
     half = config.grid_size // 2
@@ -426,9 +421,9 @@ def emit(result: TrackResult, outdir, config: RunConfig,
 
     traces_path = outdir / "traces.csv"
     table = np.column_stack([np.arange(result.ticks)]
-                            + [result.traces[d] for d in DIRECTION_ORDER])
+                            + [result.traces[d] for d in DIRECTIONS])
     np.savetxt(traces_path, table, fmt="%d", delimiter=",", comments="",
-               header="tick," + ",".join(DIRECTION_ORDER))
+               header="tick," + ",".join(DIRECTIONS))
     written.append(traces_path)
 
     for stale in outdir.glob("grid_*.csv"):

@@ -20,8 +20,8 @@ import numpy as np
 BUMP_LEVEL = 10
 LEAK_STEP = 5
 
-DIRECTIONS = ("E", "N", "W", "S")
 DIRECTION_DELTA = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
+DIRECTIONS = tuple(DIRECTION_DELTA)
 
 CAUSE_TRAIL_START = "trail_start"
 CAUSE_VECTOR_FIRE = "vector_fire"
@@ -117,6 +117,12 @@ def apply_pulse(grid: PlaceGrid, event: PulseEvent) -> PlaceGrid:
     grid._set(target, BUMP_LEVEL)
     grid.check_invariants()
     return grid
+
+
+def displacement(directions: Iterable[str]) -> tuple[int, int]:
+    """Net cell displacement of one step per direction."""
+    deltas = [DIRECTION_DELTA[d] for d in directions]
+    return (sum(dx for dx, _ in deltas), sum(dy for _, dy in deltas))
 
 
 def debounce(bits: Sequence[int], min_width: int) -> list[int]:

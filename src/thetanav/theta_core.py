@@ -51,13 +51,6 @@ def decode_velocity_code(code: int) -> int:
     return code - ZERO_VELOCITY_CODE
 
 
-def encode_velocity(value: int) -> int:
-    """Inverse of :func:`decode_velocity_code` for values in -7..7."""
-    if not -7 <= value <= 7:
-        raise InvalidCodeError(f"velocity value must be in -7..7, got {value}")
-    return value + ZERO_VELOCITY_CODE
-
-
 @dataclass(frozen=True)
 class VelocityVector:
     """Agent velocity in DAC code units.  Components are real valued; the
@@ -121,7 +114,7 @@ class PopulationSpec:
     response: str = LINEAR
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_units < 1:
             raise ValueError("n_units must be >= 1")
         if self.f_idle_mean <= 0 or self.beta_mean <= 0:
@@ -167,7 +160,6 @@ def sample_population(spec: PopulationSpec) -> ThetaPopulation:
     plain Gaussians around zero.  Identical specs (including seed) yield
     bit-identical populations.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     f_idle = _truncated_normal(rng, spec.f_idle_mean, spec.f_idle_std,
                                F_IDLE_FLOOR_HZ, spec.n_units)

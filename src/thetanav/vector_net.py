@@ -69,7 +69,7 @@ class FilterParams:
     rise2: float = 0.55
     fall2: float = 0.45
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.alpha2 < self.alpha1 < 1:
             raise ValueError("need 0 < alpha2 < alpha1 < 1")
         for rise, fall in ((self.rise1, self.fall1), (self.rise2, self.fall2)):
@@ -299,31 +299,6 @@ def serialize_mux(mux: MuxTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def deserialize_mux(text: str) -> MuxTable:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != MUX_FORMAT_VERSION:
-        raise ValueError(f"expected header {MUX_FORMAT_VERSION!r}")
-    header: dict[str, float] = {}
-    slots: list[tuple[int, int]] = []
-    dropped: list[int] = []
-    for ln in lines[1:]:
-        if "=" in ln:
-            key, val = ln.split("=", 1)
-            header[key] = float(val)
-        elif ln.startswith("drop,"):
-            dropped.append(int(ln.split(",")[1]))
-        else:
-            slot, unit, tap = (int(x) for x in ln.split(","))
-            if slot != len(slots):
-                raise ValueError(f"slot {slot} out of order")
-            slots.append((unit, tap))
-    return MuxTable(
-        slots=slots, dropped=dropped,
-        target=TargetLocation(header["target_r"], header["target_theta"]),
-        speed=header["speed"], tolerance=header["tolerance"],
-        drift_tolerance=header["drift_tolerance"])
-
-
 def schmitt_batch(y: np.ndarray, rise: float, fall: float) -> np.ndarray:
     """Vectorized Schmitt trigger along axis 0, initial output low."""
     marks = np.zeros(y.shape, dtype=np.int8)
@@ -370,7 +345,6 @@ class VectorNetwork:
     def __init__(self, mux: MuxTable,
                  frame_layout: dict[tuple[int, int], int],
                  filters: FilterParams = DEFAULT_FILTERS):
-        filters.validate()
         self.mux = mux
         self.filters = filters
         try:

@@ -5,7 +5,9 @@
 ``filter_stage_batch``, and tap choice in ``compile_lookup``.  The models
 here state the same physics the plain way (one oscillator or one node
 stepped a sample at a time, the paper's closed-form tap shift) so the
-tests can check the vectorized and time-domain code against them.
+tests can check the vectorized and time-domain code against them.  The
+inverses of velocity decoding and lookup-table serialization live here
+too, since only the round-trip tests need them.
 """
 
 import math
@@ -13,16 +15,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from thetanav.theta_core import ZERO_VELOCITY_CODE, InvalidCodeError
 from thetanav.vector_net import (
     DEFAULT_FILTERS,
     FIR_LAYER1,
     FIR_LAYER2,
     FIR_TAPS,
+    MUX_FORMAT_VERSION,
     TAP_STEP,
     FilterParams,
+    MuxTable,
     PairingError,
+    TargetLocation,
     filter_stage_batch,
 )
+
+
+def encode_velocity(value: int) -> int:
+    """Inverse of ``decode_velocity_code`` for values in -7..7."""
+    if not -7 <= value <= 7:
+        raise InvalidCodeError(f"velocity value must be in -7..7, got {value}")
+    return value + ZERO_VELOCITY_CODE
+
+
+def deserialize_mux(text: str) -> MuxTable:
+    """Inverse of ``serialize_mux``."""
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines or lines[0] != MUX_FORMAT_VERSION:
+        raise ValueError(f"expected header {MUX_FORMAT_VERSION!r}")
+    header: dict[str, float] = {}
+    slots: list[tuple[int, int]] = []
+    dropped: list[int] = []
+    for ln in lines[1:]:
+        if "=" in ln:
+            key, val = ln.split("=", 1)
+            header[key] = float(val)
+        elif ln.startswith("drop,"):
+            dropped.append(int(ln.split(",")[1]))
+        else:
+            slot, unit, tap = (int(x) for x in ln.split(","))
+            if slot != len(slots):
+                raise ValueError(f"slot {slot} out of order")
+            slots.append((unit, tap))
+    return MuxTable(
+        slots=slots, dropped=dropped,
+        target=TargetLocation(header["target_r"], header["target_theta"]),
+        speed=header["speed"], tolerance=header["tolerance"],
+        drift_tolerance=header["drift_tolerance"])
 
 
 def advance(phase: float, f: float, dt: float) -> float:

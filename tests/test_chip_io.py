@@ -10,11 +10,11 @@ from thetanav.chip_io import (
     InsufficientUnitsError,
     NotProgrammedError,
     NyquistError,
-    ScanConfig,
     UnitFit,
     calibrate,
     estimate_frequency,
     fit_unit,
+    phase_rate,
     program,
     scan_frames,
     select_units,
@@ -41,15 +41,14 @@ def make_chip(n_units=8, f_idle=2000.0, beta=20.0, **unit_kwargs):
     return ChipState(ThetaPopulation(units))
 
 
-class TestScanConfig:
+class TestPhaseRate:
     def test_per_phase_rate(self):
-        cfg = ScanConfig(clock_hz=6e6, enabled_phases=220)
-        assert cfg.fs == pytest.approx(27272.727272, rel=1e-9)
+        assert phase_rate(6e6, 220) == pytest.approx(27272.727272, rel=1e-9)
 
     def test_nyquist_rule(self):
-        ScanConfig(clock_hz=6e6, enabled_phases=220).validate()
+        phase_rate(6e6, 220)
         with pytest.raises(NyquistError):
-            ScanConfig(clock_hz=6e6, enabled_phases=800).validate()
+            phase_rate(6e6, 800)
 
 
 class TestProgram:

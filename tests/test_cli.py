@@ -51,3 +51,20 @@ def test_nodes(capsys):
     out = capsys.readouterr().out
     assert "sharable nodes: 20" in out
     assert "total nodes for 4 network(s): 180 (vs 240 unshared)" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["track", "--out", "run"],
+    ["sweep", "--seeds", "1"],
+])
+def test_unknown_script_exits_1(command, capsys):
+    assert main(command + ["--script", "nowhere"]) == 1
+    assert "unknown script 'nowhere'" in capsys.readouterr().err
+
+
+def test_invalid_config_file_exits_1(tmp_path, capsys):
+    (tmp_path / "run.ini").write_text("[run]\npitch = -1\n")
+    assert main(["track", "--config", "run.ini", "--script", "path3_loop",
+                 "--out", "run"]) == 1
+    assert "pitch and speed must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

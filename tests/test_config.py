@@ -1,5 +1,7 @@
-"""INI round trips of run configurations and manifests."""
+"""The rules every config value checks when it is made, and INI round
+trips of run configurations and manifests."""
 
+import re
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -39,6 +41,60 @@ CHANGED = RunConfig(
     budget_factor=8.0,
     seed=3,
 )
+
+SEGMENT = Segment(VelocityVector(0.25, 0.0))
+LINEAR = "outside the linear range"
+POSITIVE = "pitch and speed must be positive"
+TICKS = "hold_ticks and settle_ticks must be >= 0"
+MEANS = "means must be positive"
+STDS = "std values must be >= 0"
+SCHMITT = "Schmitt thresholds need 0 <= fall < rise <= 1"
+
+# (valid value, fields that break one rule, the error message).
+RULES = [
+    (RunConfig(), {"pitch": 0.0}, POSITIVE),
+    (RunConfig(), {"pitch": -0.0024}, POSITIVE),
+    (RunConfig(), {"speed": 0.0}, POSITIVE),
+    (RunConfig(), {"speed": 4.5}, "speed 4.5 " + LINEAR),
+    (RunConfig(), {"grid_size": 10}, "grid_size must be odd and positive"),
+    (RunConfig(), {"debounce_width": 0}, "debounce_width must be >= 1"),
+    (RunConfig(), {"hold_ticks": -1}, TICKS),
+    (RunConfig(), {"settle_ticks": -1}, TICKS),
+    (RunConfig(), {"budget_factor": 0.0}, "budget_factor must be positive"),
+    (PopulationSpec(), {"n_units": 0}, "n_units must be >= 1"),
+    (PopulationSpec(), {"f_idle_mean": 0.0}, MEANS),
+    (PopulationSpec(), {"beta_mean": -1.0}, MEANS),
+    (PopulationSpec(), {"f_idle_std": -1.0}, STDS),
+    (PopulationSpec(), {"dac_offset_std": -0.01}, STDS),
+    (PopulationSpec(), {"response": "cubic"}, "unknown response mode 'cubic'"),
+    (FilterParams(), {"alpha2": 1 / 16}, "need 0 < alpha2 < alpha1 < 1"),
+    (FilterParams(), {"alpha1": 1.0}, "need 0 < alpha2 < alpha1 < 1"),
+    (FilterParams(), {"fall1": 0.22}, SCHMITT),
+    (FilterParams(), {"rise2": 1.5}, SCHMITT),
+    (SEGMENT, {"velocity": VelocityVector(0.0, -4.5)}, LINEAR),
+    (SEGMENT, {"ticks": -1}, "segment ticks must be >= 0"),
+    (SEGMENT, {"velocity": VelocityVector(0.0, 0.0)},
+     "an until-pulse segment needs a non-zero velocity"),
+    (PathScript("p", (SEGMENT,)), {"segments": ()},
+     "a path script needs at least one segment"),
+]
+
+
+@pytest.mark.parametrize("valid, bad, message", RULES, ids=[
+    f"{type(valid).__name__}-{bad}" for valid, bad, _ in RULES])
+def test_every_rule_raises_where_the_value_is_made(valid, bad, message):
+    kwargs = {f.name: getattr(valid, f.name) for f in fields(valid)}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        type(valid)(**{**kwargs, **bad})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(valid, **bad)
+
+
+def test_a_still_segment_must_be_timed():
+    still = VelocityVector(0.0, 0.0)
+    assert Segment(still, ticks=5).ticks == 5
+    with pytest.raises(ValueError, match="non-zero velocity"):
+        Segment(still)
 
 
 def test_every_field_changed():

@@ -90,18 +90,21 @@ def test_timed_script_seed0(rig, tmp_path):
         == result.warnings
 
 
-STILL = PathScript(name="still", segments=(Segment(VelocityVector(0, 0)),))
+# Too slow to reach a cell within the budget (a still until-pulse
+# segment is refused by Segment itself).
+CRAWL = PathScript(name="still",
+                   segments=(Segment(VelocityVector(0.01, 0)),))
 
 
 def test_until_pulse_segment_times_out(rig):
     with pytest.raises(harness.SegmentTimeoutError, match=(
             r"^segment 0: no pulse within 2670 ticks "
             r"\(10x predicted arrival\)$")):
-        harness.run_track(CONFIG, STILL, rig=rig)
+        harness.run_track(CONFIG, CRAWL, rig=rig)
 
 
 def test_sweep_records_a_timeout():
-    (outcome,) = harness.sweep_seeds(RunConfig(seed=0), STILL, 1).outcomes
+    (outcome,) = harness.sweep_seeds(RunConfig(seed=0), CRAWL, 1).outcomes
     assert not outcome.ok and outcome.final is None
     assert outcome.cause.startswith("SegmentTimeoutError")
 

@@ -14,10 +14,11 @@ from thetanav.theta_core import (
     ThetaUnit,
     VelocityVector,
     decode_velocity_code,
-    encode_velocity,
     instantaneous_frequency,
     sample_population,
 )
+
+from reference_models import encode_velocity
 
 ALL8 = (1,) * 8
 REST = VelocityVector(0, 0)

@@ -24,7 +24,6 @@ from thetanav.vector_net import (
     VectorNetwork,
     circular_distance,
     compile_lookup,
-    deserialize_mux,
     filter_stage_batch,
     pair_layer1,
     serialize_mux,
@@ -36,6 +35,7 @@ from reference_models import (
     EffectiveCell,
     Node,
     advance,
+    deserialize_mux,
     effective_params,
     pair_beat_frequency,
     phase_shift,
