@@ -15,6 +15,7 @@ from typing import (Optional, Sequence, Union, get_args, get_origin,
                     get_type_hints)
 
 from . import __version__
+from .chip_io import TAPS_PER_UNIT, phase_rate
 from .place_grid import DIRECTION_DELTA, displacement
 from .theta_core import PopulationSpec, VelocityVector
 from .vector_net import (
@@ -101,6 +102,17 @@ class RunConfig:
             raise ValueError("hold_ticks and settle_ticks must be >= 0")
         if self.budget_factor <= 0:
             raise ValueError("budget_factor must be positive")
+        if not 0 < self.network_units <= self.population.n_units \
+                or self.network_units % 4:
+            raise ValueError(
+                f"network_units must be a positive multiple of 4 and at most "
+                f"population.n_units ({self.population.n_units}), got "
+                f"{self.network_units}")
+        # Calibration scans tap 0 of every unit; tracking scans all taps of
+        # each pair's routable member and tap 0 of its partner.
+        phase_rate(self.calibration_clock_hz, self.population.n_units)
+        phase_rate(self.scan_clock_hz,
+                   (TAPS_PER_UNIT + 1) * self.network_units // 2)
 
     def resolved_population(self) -> PopulationSpec:
         """Population spec with the run-level seed override applied."""

@@ -48,6 +48,7 @@ from .theta_core import VelocityVector, sample_population
 from .vector_net import (
     CompileError,
     MuxTable,
+    NodeBank,
     Pairing,
     TargetLocation,
     VectorNetwork,
@@ -222,7 +223,8 @@ def run_track(config: RunConfig, script: PathScript,
 
         n = budget if seg.until_pulse else seg.ticks
         frames = _session(rig, seg.velocity, n)
-        outputs = {d: rig.networks[d].run(frames) for d in DIRECTIONS}
+        bank = NodeBank(frames, rig.networks.values(), rig.config.filters)
+        outputs = {d: rig.networks[d].run(frames, bank) for d in DIRECTIONS}
         start, fired = _first_confirmed_pulse(
             outputs, config.debounce_width, config.settle_ticks)
         if start is None and seg.until_pulse:
@@ -309,7 +311,8 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     each fires during a single constant-velocity session from reset.
 
     Every cell's lookup table is compiled for the configured speed
-    toward that cell; all cells then observe the same scanned input.  A
+    toward that cell; all cells then observe the same scanned input,
+    through one node bank that filters each node they share once.  A
     cell whose table does not compile is recorded in ``failed``.
     """
     if rig is None:
@@ -328,17 +331,21 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     result = FieldMapResult(velocity=velocity, session_ticks=session_ticks,
                             cells=list(targets), first_fire={}, events={},
                             outputs={}, grid_size=config.grid_size)
+    networks: dict[tuple[int, int], VectorNetwork] = {}
     for cell in targets:
         x, y = cell
         target = TargetLocation(config.pitch * math.hypot(x, y),
                                 math.atan2(y, x))
         try:
-            mux = rig.compile_target(target)
+            networks[cell] = rig.network_for(rig.compile_target(target))
         except CompileError as exc:
             result.failed[cell] = str(exc)
+    bank = NodeBank(frames, networks.values(), rig.config.filters)
+    for cell in targets:
+        if cell not in networks:
             result.first_fire[cell] = None
             continue
-        out = rig.network_for(mux).run(frames)
+        out = networks[cell].run(frames, bank)
         out[:config.settle_ticks] = 0
         result.outputs[cell] = out
         evs = place_grid.debounce(out, config.debounce_width)

@@ -12,13 +12,20 @@ Each node is an AND gate followed by a 9-tap FIR, a one-pole RC stage
 and a Schmitt trigger.  The compiler predicts every unit's phase at the
 target arrival time from calibration fits and routes phase taps so that
 the relevant pair envelopes align exactly when the agent arrives.
+
+Networks that read the same scan share their nodes, as on the chip: a
+:class:`NodeBank` filters each distinct first-layer node (two routed
+frame positions) and each distinct second-layer node of an active group
+(two first-layer nodes) once, and every network's output is the AND of
+its own second-layer nodes in the bank.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -39,6 +46,10 @@ FIR_LAYER2 = np.full(FIR_TAPS, 1.0 / FIR_TAPS)
 DEFAULT_TAP_TOLERANCE = 1.0 / 16.0
 DEFAULT_DRIFT_TOLERANCE = 0.35
 DEFAULT_MIN_ACTIVE_GROUPS = 12
+
+# A node bank filters at most this many nodes in one pass (one network's
+# first-layer width), which bounds the float work arrays of a large bank.
+NODE_BLOCK = 40
 
 MUX_FORMAT_VERSION = "muxtable-v1"
 
@@ -125,7 +136,7 @@ class Pairing:
 
     pairs: tuple[Pair, ...]
 
-    @property
+    @cached_property
     def n_x(self) -> int:
         return sum(1 for p in self.pairs if p.axis == "x")
 
@@ -337,9 +348,12 @@ class VectorNetwork:
     """Runtime instance of one compiled vector-cell network.
 
     ``frame_layout`` maps (unit, tap) to its position within each scan
-    frame; the multiplexer gathers the 80 routed inputs from there.
-    ``run`` computes an entire constant-configuration session from
-    cleared filter state in one vectorized pass per layer.
+    frame; the multiplexer gathers the 80 routed inputs from there, so
+    first-layer node j ANDs frame positions ``input_pos[2j]`` and
+    ``input_pos[2j + 1]``.  ``run`` computes an entire
+    constant-configuration session from cleared filter state, reading
+    the node bits from a :class:`NodeBank` shared with the other
+    networks on the same scan, or from a bank of its own.
     """
 
     def __init__(self, mux: MuxTable,
@@ -356,19 +370,76 @@ class VectorNetwork:
         self.n_groups = mux.n_groups
         self.active = np.array(mux.active_groups, dtype=int)
 
-    def run(self, frames: np.ndarray) -> np.ndarray:
-        """Whole-session output bits for [T, frame] input, from cleared state."""
-        if frames.shape[0] == 0:
-            return np.zeros(0, dtype=np.uint8)
-        routed = frames[:, self.input_pos]
-        x1 = (routed[:, 0::2] & routed[:, 1::2]).astype(float)
-        l1_bits = filter_stage_batch(x1, 1, self.filters)
-        half = self.n_pairs // 2
-        x2 = (l1_bits[:, :half] & l1_bits[:, half:half + self.n_groups]).astype(float)
-        l2_bits = filter_stage_batch(x2, 2, self.filters)
-        if self.active.size == 0:
-            return np.zeros(frames.shape[0], dtype=np.uint8)
-        return l2_bits[:, self.active].all(axis=1).astype(np.uint8)
+    def run(self, frames: np.ndarray,
+            bank: Optional[NodeBank] = None) -> np.ndarray:
+        """Whole-session output bits for [T, frame] input, from cleared
+        state; ``bank`` must have been built on ``frames`` with this
+        network."""
+        if bank is None:
+            bank = NodeBank(frames, [self], self.filters)
+        elif bank.frames is not frames:
+            raise ValueError("the node bank was built on other frames")
+        return bank.output(self)
+
+
+class NodeBank:
+    """Bits of every distinct node of the networks that read one scan.
+
+    A first-layer node is keyed by its two frame positions and a
+    second-layer node by its two first-layer nodes; only second-layer
+    nodes of active groups are kept, since dropped groups never reach
+    the output AND.  Each distinct node is filtered once, from cleared
+    state, in blocks of at most ``NODE_BLOCK`` nodes: the filters treat
+    every column on its own, so the bits equal those of each network
+    filtered alone.
+    """
+
+    def __init__(self, frames: np.ndarray, networks: Iterable[VectorNetwork],
+                 filters: FilterParams = DEFAULT_FILTERS):
+        networks = list(networks)
+        if any(net.filters != filters for net in networks):
+            raise ValueError("networks in one node bank must share its filters")
+        self.frames = frames
+        l1_inputs, l1_of = _distinct(
+            [net.input_pos.reshape(-1, 2) for net in networks])
+        l2_inputs, l2_of = _distinct(
+            [np.column_stack((nodes[net.active],
+                              nodes[net.n_pairs // 2 + net.active]))
+             for net, nodes in zip(networks, l1_of)])
+        self._columns = dict(zip(networks, l2_of))
+        self.layer1 = _filter_nodes(frames, l1_inputs, 1, filters)
+        self.layer2 = _filter_nodes(self.layer1, l2_inputs, 2, filters)
+
+    def output(self, network: VectorNetwork) -> np.ndarray:
+        """The AND of ``network``'s active second-layer nodes."""
+        columns = self._columns[network]
+        if columns.size == 0:
+            return np.zeros(self.frames.shape[0], dtype=np.uint8)
+        return self.layer2[:, columns].all(axis=1).astype(np.uint8)
+
+
+def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct rows of the [n, 2] arrays ``keys``, and the rows of
+    each array as indices into them."""
+    distinct, inverse = np.unique(
+        np.concatenate([np.empty((0, 2), dtype=int)] + keys), axis=0,
+        return_inverse=True)
+    ends = np.cumsum([len(k) for k in keys])
+    return distinct, np.split(inverse.reshape(-1), ends[:-1])
+
+
+def _filter_nodes(source: np.ndarray, inputs: np.ndarray, layer: int,
+                  filters: FilterParams) -> np.ndarray:
+    """[T, len(inputs)] bits of one layer's nodes, node k filtering the
+    AND of ``source`` columns ``inputs[k]``."""
+    bits = np.zeros((source.shape[0], len(inputs)), dtype=np.uint8)
+    if source.shape[0] == 0:
+        return bits   # lfilter refuses an empty signal
+    for lo in range(0, len(inputs), NODE_BLOCK):
+        a, b = inputs[lo:lo + NODE_BLOCK].T
+        x = (source[:, a] & source[:, b]).astype(float)
+        bits[:, lo:lo + NODE_BLOCK] = filter_stage_batch(x, layer, filters)
+    return bits
 
 
 def sharable_nodes(m: int, n: int) -> int:

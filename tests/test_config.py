@@ -49,6 +49,8 @@ TICKS = "hold_ticks and settle_ticks must be >= 0"
 MEANS = "means must be positive"
 STDS = "std values must be >= 0"
 SCHMITT = "Schmitt thresholds need 0 <= fall < rise <= 1"
+UNITS = "network_units must be a positive multiple of 4 and at most " \
+    "population.n_units"
 
 # (valid value, fields that break one rule, the error message).
 RULES = [
@@ -61,6 +63,18 @@ RULES = [
     (RunConfig(), {"hold_ticks": -1}, TICKS),
     (RunConfig(), {"settle_ticks": -1}, TICKS),
     (RunConfig(), {"budget_factor": 0.0}, "budget_factor must be positive"),
+    (RunConfig(), {"network_units": 0}, UNITS + " (128), got 0"),
+    (RunConfig(), {"network_units": 81}, UNITS + " (128), got 81"),
+    (RunConfig(), {"network_units": 132}, UNITS + " (128), got 132"),
+    (RunConfig(), {"population": PopulationSpec(n_units=64)},
+     UNITS + " (64), got 80"),
+    # 128 calibration phases, and 9 tracking phases per pair of units.
+    (RunConfig(), {"calibration_clock_hz": 1e6},
+     "per-phase rate 7812.5 Hz <= 8000 Hz (128 phases"),
+    (RunConfig(), {"scan_clock_hz": -1e7},
+     "per-phase rate -27777.8 Hz <= 8000 Hz (360 phases"),
+    (RunConfig(network_units=64, scan_clock_hz=2.8e6), {"network_units": 80},
+     "per-phase rate 7777.8 Hz <= 8000 Hz (360 phases"),
     (PopulationSpec(), {"n_units": 0}, "n_units must be >= 1"),
     (PopulationSpec(), {"f_idle_mean": 0.0}, MEANS),
     (PopulationSpec(), {"beta_mean": -1.0}, MEANS),
