@@ -1,7 +1,7 @@
 """Simulator of a velocity-tuned oscillator chip feeding vector-cell and
 place-cell networks for dead-reckoning localization.
 
-Subpackages follow the pipeline order: ``theta_core`` (oscillator physics),
+Modules follow the pipeline order: ``theta_core`` (oscillator physics),
 ``chip_io`` (host interface emulation and calibration), ``vector_net``
 (interference network compiler and runtime), ``place_grid`` (activity-bump
 path integration), ``harness`` (experiment orchestration) and ``cli``.

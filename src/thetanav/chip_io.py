@@ -14,11 +14,11 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .theta_core import (
-    DEFAULT_F_SWING_HZ,
     AliasingError,
     ThetaPopulation,
     VelocityVector,
-    instantaneous_frequency,
+    decode_velocity_code,
+    frequencies,
 )
 
 # The scan clock must exceed twice the top oscillation frequency times the
@@ -82,24 +82,26 @@ class FrequencyEstimate(NamedTuple):
 class ChipState:
     """Programmable chip around a sampled population.
 
-    This is the one model of oscillator phase: ``phases`` holds every
-    unit's phase in cycles [0, 1) and ``held`` the clear line.  A fresh
-    chip starts with the clear line held (all oscillators pinned at phase
-    0) and nothing programmed.  Phases advance ideally during a scan:
-    phase(c) = frac(phase0 + f * c / fs), one update per scan cycle, and
-    tap k reads high while frac(phase + k/8) < 1/2.
+    This is the one model of oscillator phase.  Per-unit state is held
+    in arrays over the population's n units: ``v_pref`` [n, 2] the
+    decoded preferred velocities last programmed (0 before any write),
+    ``bypass`` [n, 8] the enabled taps and ``phases`` [n] each phase in
+    cycles [0, 1); ``held`` is the clear line.  A fresh chip starts with
+    the clear line held (all oscillators pinned at phase 0) and nothing
+    programmed.  Phases advance ideally during a scan at the frequencies
+    ``theta_core.frequencies`` gives: phase(c) = frac(phase0 + f * c /
+    fs), one update per scan cycle, and tap k reads high while
+    frac(phase + k/8) < 1/2.
     """
 
-    def __init__(self, population: ThetaPopulation,
-                 f_swing: float = DEFAULT_F_SWING_HZ):
+    def __init__(self, population: ThetaPopulation):
         self.population = population
         self.n_units = len(population)
-        self.units = list(population.units)
+        self.v_pref = np.zeros((self.n_units, 2), dtype=int)
         self.bypass = np.zeros((self.n_units, TAPS_PER_UNIT), dtype=bool)
         self.phases = np.zeros(self.n_units)
         self.held = True
         self.programmed = False
-        self.f_swing = f_swing
 
     @property
     def enabled_phases(self) -> int:
@@ -118,17 +120,13 @@ class ChipState:
     def release(self) -> None:
         self.held = False
 
-    def frequencies(self, v: VelocityVector) -> np.ndarray:
-        return np.array([
-            instantaneous_frequency(u, v, self.f_swing) for u in self.units
-        ])
-
 
 def program(chip: ChipState,
             configs: Iterable[tuple[int, tuple[int, int], Sequence[int]]]) -> ChipState:
     """Write preferred-velocity codes and bypass bits in shift order.
 
-    Each config entry is (unit index, 4-bit code pair, 8 bypass bits).
+    Each config entry is (unit index, 4-bit code pair, 8 bypass bits);
+    a code outside 1..15 raises InvalidCodeError.
     The chip must be in reset; the reset wipes the whole register chain,
     so units absent from configs end up with no enabled phases.  Entries
     replay in order, so a duplicated unit index keeps the last write,
@@ -143,7 +141,7 @@ def program(chip: ChipState,
                 f"unit index {unit_index} outside 0..{chip.n_units - 1}")
         if len(bypass_bits) != TAPS_PER_UNIT:
             raise ValueError("bypass config must give one bit per tap (8)")
-        chip.units[unit_index] = chip.units[unit_index].with_code(codes)
+        chip.v_pref[unit_index] = [decode_velocity_code(c) for c in codes]
         chip.bypass[unit_index] = [bool(b) for b in bypass_bits]
     chip.programmed = True
     return chip
@@ -166,7 +164,7 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
         return np.zeros((n_cycles, n_enabled), dtype=np.uint8)
     fs = phase_rate(clock_hz, n_enabled)
     dt = 1.0 / fs
-    freqs = chip.frequencies(v)
+    freqs = frequencies(chip.population, chip.v_pref, v)
     if chip.held:
         freqs = np.zeros_like(freqs)
     fdt_max = float(freqs.max()) * dt

@@ -46,7 +46,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_calibrate(args) -> int:
     config = _load_or_default(args)
-    population = sample_population(config.resolved_population())
+    population = sample_population(config.population, config.seed)
     chip = ChipState(population)
     fits = calibrate(chip, config.calibration_clock_hz,
                      config.calibration_window_s)

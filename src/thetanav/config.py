@@ -10,12 +10,12 @@ pitch / speed seconds.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import (Optional, Sequence, Union, get_args, get_origin,
                     get_type_hints)
 
 from . import __version__
-from .chip_io import TAPS_PER_UNIT, phase_rate
+from .chip_io import MIN_ESTIMATE_WINDOW_S, TAPS_PER_UNIT, phase_rate
 from .place_grid import DIRECTION_DELTA, displacement
 from .theta_core import PopulationSpec, VelocityVector
 from .vector_net import (
@@ -87,7 +87,7 @@ class RunConfig:
     hold_ticks: int = 10
     settle_ticks: int = 32
     budget_factor: float = 10.0
-    seed: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.pitch <= 0 or self.speed <= 0:
@@ -102,6 +102,11 @@ class RunConfig:
             raise ValueError("hold_ticks and settle_ticks must be >= 0")
         if self.budget_factor <= 0:
             raise ValueError("budget_factor must be positive")
+        if not self.calibration_window_s >= MIN_ESTIMATE_WINDOW_S:
+            raise ValueError(
+                f"calibration_window_s must be >= {MIN_ESTIMATE_WINDOW_S} s "
+                f"(the shortest frequency estimate), got "
+                f"{self.calibration_window_s}")
         if not 0 < self.network_units <= self.population.n_units \
                 or self.network_units % 4:
             raise ValueError(
@@ -113,12 +118,6 @@ class RunConfig:
         phase_rate(self.calibration_clock_hz, self.population.n_units)
         phase_rate(self.scan_clock_hz,
                    (TAPS_PER_UNIT + 1) * self.network_units // 2)
-
-    def resolved_population(self) -> PopulationSpec:
-        """Population spec with the run-level seed override applied."""
-        if self.seed is None:
-            return self.population
-        return replace(self.population, seed=self.seed)
 
     @property
     def cell_seconds(self) -> float:

@@ -94,7 +94,7 @@ def build_rig(config: RunConfig) -> TrackRig:
     routable member and tap 0 on its partner, so every cardinal lookup
     table can be served from one shared scan frame.
     """
-    population = sample_population(config.resolved_population())
+    population = sample_population(config.population, config.seed)
     chip = ChipState(population)
     fits = calibrate(chip, config.calibration_clock_hz,
                      config.calibration_window_s)
@@ -376,15 +376,14 @@ class SweepResult:
 
 def sweep_seeds(config: RunConfig, script: PathScript,
                 n_seeds: int) -> SweepResult:
-    """Run the script over n_seeds fresh populations and score how many
-    reach the script's expected final cell.  Individual failures are
+    """Run the script over the n_seeds fresh populations of seeds
+    config.seed, config.seed + 1, ... and score how many reach the
+    script's expected final cell.  Individual failures are
     recorded per seed, never fatal."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    base = config.seed if config.seed is not None else config.population.seed
     outcomes = []
-    for i in range(n_seeds):
-        seed = base + i
+    for seed in range(config.seed, config.seed + n_seeds):
         seeded = replace(config, seed=seed)
         try:
             result = run_track(seeded, script)

@@ -3,13 +3,16 @@
 A theta cell oscillates at an idling frequency plus a gain times the inner
 product of the agent velocity with the cell's preferred velocity.  This
 module holds the static side of a population: velocity coding, parameter
-sampling with analog mismatch, and the frequency law.  Phases, the eight
-square-wave taps and the reset hold line live in ``chip_io.ChipState``.
+sampling with analog mismatch, and the frequency law.  A population is
+one set of per-unit arrays (idle frequency, gain, DAC offset) under one
+response mode, and ``frequencies`` applies the law to all units at once.
+Programmed preferred velocities, phases, the eight square-wave taps and
+the reset hold line live in ``chip_io.ChipState``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +25,10 @@ CODE_MIN, CODE_MAX = 1, 15
 # oscillates; the nominal band starts around 1.2 kHz).
 F_IDLE_FLOOR_HZ = 100.0
 
-# Default saturation half-swing for the sigmoid response mode, in Hz.  The
-# slope at zero inner product equals the unit's linear gain regardless of
-# swing; the magnitude matches the observed ~1.9 kHz full frequency range.
-DEFAULT_F_SWING_HZ = 900.0
+# Saturation half-swing of the sigmoid response mode, in Hz.  The slope at
+# zero inner product equals the unit's linear gain regardless of swing; the
+# magnitude matches the observed ~1.9 kHz full frequency range.
+F_SWING_HZ = 900.0
 
 LINEAR = "linear"
 SIGMOID = "sigmoid"
@@ -69,39 +72,6 @@ class VelocityVector:
 
 
 @dataclass(frozen=True)
-class ThetaUnit:
-    """Static parameters of one theta cell.
-
-    ``v_pref_code`` holds the two programmed 4-bit codes (x, y).
-    ``dac_offset`` models the residual zero-code error of the on-chip
-    DACs as an additive perturbation of the input velocity.
-    """
-
-    f_idle: float
-    beta: float
-    v_pref_code: tuple[int, int] = (ZERO_VELOCITY_CODE, ZERO_VELOCITY_CODE)
-    response: str = LINEAR
-    dac_offset: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.f_idle <= 0:
-            raise ValueError(f"f_idle must be positive, got {self.f_idle}")
-        for c in self.v_pref_code:
-            decode_velocity_code(c)
-        if self.response not in (LINEAR, SIGMOID):
-            raise ValueError(f"unknown response mode {self.response!r}")
-
-    @property
-    def v_pref(self) -> tuple[int, int]:
-        """Decoded preferred velocity (signed units)."""
-        return (decode_velocity_code(self.v_pref_code[0]),
-                decode_velocity_code(self.v_pref_code[1]))
-
-    def with_code(self, code: tuple[int, int]) -> "ThetaUnit":
-        return replace(self, v_pref_code=(int(code[0]), int(code[1])))
-
-
-@dataclass(frozen=True)
 class PopulationSpec:
     """Sampling spec for a mismatched population of theta units."""
 
@@ -112,7 +82,6 @@ class PopulationSpec:
     beta_std: float = 3.688
     dac_offset_std: float = 0.0
     response: str = LINEAR
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_units < 1:
@@ -141,26 +110,47 @@ def _truncated_normal(rng: np.random.Generator, mean: float, std: float,
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class ThetaPopulation:
-    """A fixed collection of theta units."""
+    """Static parameters of n theta cells, one array entry per unit.
 
-    def __init__(self, units: list[ThetaUnit]):
-        if not units:
+    ``f_idle`` [n] and ``beta`` [n] are each unit's idle frequency (Hz)
+    and gain (Hz per velocity unit).  ``dac_offset`` [n, 2] models the
+    residual zero-code error of each unit's two on-chip DACs as an
+    additive perturbation of the input velocity.  ``response`` is the
+    population's response mode.  The arrays are read-only copies.
+    """
+
+    f_idle: np.ndarray
+    beta: np.ndarray
+    dac_offset: np.ndarray
+    response: str = LINEAR
+
+    def __post_init__(self):
+        for name in ("f_idle", "beta", "dac_offset"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.f_idle.size == 0:
             raise ValueError("population needs at least one unit")
-        self.units = list(units)
+        if not (self.f_idle > 0).all():
+            raise ValueError(
+                f"f_idle must be positive, got min {self.f_idle.min()}")
+        if self.response not in (LINEAR, SIGMOID):
+            raise ValueError(f"unknown response mode {self.response!r}")
 
     def __len__(self) -> int:
-        return len(self.units)
+        return self.f_idle.size
 
 
-def sample_population(spec: PopulationSpec) -> ThetaPopulation:
+def sample_population(spec: PopulationSpec, seed: int) -> ThetaPopulation:
     """Sample a mismatched population from truncated Gaussians.
 
     Idle frequencies truncate at >100 Hz, gains at >0.  DAC offsets are
-    plain Gaussians around zero.  Identical specs (including seed) yield
+    plain Gaussians around zero.  The same spec and seed yield
     bit-identical populations.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     f_idle = _truncated_normal(rng, spec.f_idle_mean, spec.f_idle_std,
                                F_IDLE_FLOOR_HZ, spec.n_units)
     beta = _truncated_normal(rng, spec.beta_mean, spec.beta_std, 0.0,
@@ -169,30 +159,26 @@ def sample_population(spec: PopulationSpec) -> ThetaPopulation:
         dac = rng.normal(0.0, spec.dac_offset_std, size=(spec.n_units, 2))
     else:
         dac = np.zeros((spec.n_units, 2))
-    units = [
-        ThetaUnit(f_idle=float(f_idle[i]), beta=float(beta[i]),
-                  response=spec.response,
-                  dac_offset=(float(dac[i, 0]), float(dac[i, 1])))
-        for i in range(spec.n_units)
-    ]
-    return ThetaPopulation(units)
+    return ThetaPopulation(f_idle, beta, dac, spec.response)
 
 
-def instantaneous_frequency(unit: ThetaUnit, v: VelocityVector,
-                            f_swing: float = DEFAULT_F_SWING_HZ) -> float:
-    """Oscillation frequency of a unit at the given input velocity.
+def frequencies(population: ThetaPopulation, v_pref: np.ndarray,
+                v: VelocityVector) -> np.ndarray:
+    """Oscillation frequency [n] of every unit at input velocity ``v``,
+    given the units' decoded preferred velocities ``v_pref`` [n, 2].
 
     Linear mode applies the affine law directly; sigmoid mode saturates
-    the velocity term at +/- f_swing through a tanh, matching the
+    the velocity term at +/- ``F_SWING_HZ`` through a tanh, matching the
     measured response outside the linear range.  The result is clamped
     at zero so a deep negative inner product stalls rather than inverts
     the oscillator.
     """
-    px, py = unit.v_pref
-    ox, oy = unit.dac_offset
-    inner = (v.vx + ox) * px + (v.vy + oy) * py
-    if unit.response == LINEAR:
-        f = unit.f_idle + unit.beta * inner
+    offset = population.dac_offset
+    inner = ((v.vx + offset[:, 0]) * v_pref[:, 0]
+             + (v.vy + offset[:, 1]) * v_pref[:, 1])
+    if population.response == LINEAR:
+        f = population.f_idle + population.beta * inner
     else:
-        f = unit.f_idle + f_swing * float(np.tanh(unit.beta * inner / f_swing))
-    return max(f, 0.0)
+        f = population.f_idle + F_SWING_HZ * np.tanh(
+            population.beta * inner / F_SWING_HZ)
+    return np.maximum(f, 0.0)

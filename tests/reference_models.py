@@ -1,10 +1,11 @@
 """Reference models the tests compare the simulator against.
 
-``thetanav`` keeps one implementation per concept: oscillator phase in
-``ChipState``/``scan_frames``, the interference node in
-``filter_stage_batch``, and tap choice in ``compile_lookup``.  The models
-here state the same physics the plain way (one oscillator or one node
-stepped a sample at a time, the paper's closed-form tap shift) so the
+``thetanav`` keeps one implementation per concept: the frequency law in
+``theta_core.frequencies``, oscillator phase in ``ChipState``/
+``scan_frames``, the interference node in ``filter_stage_batch``, and tap
+choice in ``compile_lookup``.  The models here state the same physics the
+plain way (the law for one unit in plain numbers, one oscillator or one
+node stepped a sample at a time, the paper's closed-form tap shift) so the
 tests can check the vectorized and time-domain code against them.  The
 inverses of velocity decoding and lookup-table serialization live here
 too, since only the round-trip tests need them.
@@ -15,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from thetanav.theta_core import ZERO_VELOCITY_CODE, InvalidCodeError
+from thetanav.theta_core import (
+    F_SWING_HZ,
+    LINEAR,
+    ZERO_VELOCITY_CODE,
+    InvalidCodeError,
+    ThetaPopulation,
+)
 from thetanav.vector_net import (
     DEFAULT_FILTERS,
     FIR_LAYER1,
@@ -36,6 +43,28 @@ def encode_velocity(value: int) -> int:
     if not -7 <= value <= 7:
         raise InvalidCodeError(f"velocity value must be in -7..7, got {value}")
     return value + ZERO_VELOCITY_CODE
+
+
+def make_population(f_idle, beta=1.0, dac_offset=(0.0, 0.0),
+                    response=LINEAR) -> ThetaPopulation:
+    """Population of one unit per idle frequency in ``f_idle``, every unit
+    with gain ``beta`` and DAC offset ``dac_offset``."""
+    n = len(f_idle)
+    return ThetaPopulation(f_idle, [beta] * n, [dac_offset] * n, response)
+
+
+def instantaneous_frequency(f_idle: float, beta: float,
+                            v_pref: tuple[int, int],
+                            dac_offset: tuple[float, float], response: str,
+                            vx: float, vy: float) -> float:
+    """What ``theta_core.frequencies`` gives for one unit with decoded
+    preferred velocity ``v_pref`` at velocity (vx, vy), in plain numbers."""
+    inner = (vx + dac_offset[0]) * v_pref[0] + (vy + dac_offset[1]) * v_pref[1]
+    if response == LINEAR:
+        f = f_idle + beta * inner
+    else:
+        f = f_idle + F_SWING_HZ * float(np.tanh(beta * inner / F_SWING_HZ))
+    return max(f, 0.0)
 
 
 def deserialize_mux(text: str) -> MuxTable:

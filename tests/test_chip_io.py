@@ -22,23 +22,20 @@ from thetanav.chip_io import (
     write_fit_report_csv,
 )
 from thetanav.theta_core import (
+    InvalidCodeError,
     PopulationSpec,
-    ThetaPopulation,
-    ThetaUnit,
     VelocityVector,
-    instantaneous_frequency,
+    frequencies,
     sample_population,
 )
 
-from reference_models import tap_bit
+from reference_models import instantaneous_frequency, make_population, tap_bit
 
 ALL8 = (1,) * 8
 
 
-def make_chip(n_units=8, f_idle=2000.0, beta=20.0, **unit_kwargs):
-    units = [ThetaUnit(f_idle=f_idle, beta=beta, **unit_kwargs)
-             for _ in range(n_units)]
-    return ChipState(ThetaPopulation(units))
+def make_chip(n_units=8, f_idle=2000.0, beta=20.0):
+    return ChipState(make_population([f_idle] * n_units, beta))
 
 
 class TestPhaseRate:
@@ -72,7 +69,7 @@ class TestProgram:
         # same unit: the second shift overwrites the registers.
         chip = make_chip(2)
         program(chip, [(1, (12, 8), ALL8), (1, (4, 8), tap0_bypass())])
-        assert chip.units[1].v_pref == (-4, 0)
+        assert chip.v_pref[1].tolist() == [-4, 0]
         assert list(chip.bypass[1]) == [True] + [False] * 7
 
     def test_requires_reset(self):
@@ -90,6 +87,11 @@ class TestProgram:
         chip = make_chip(2)
         with pytest.raises(ValueError):
             program(chip, [(0, (0, 8), tap0_bypass())])
+
+    def test_code_sixteen_rejected(self):
+        chip = make_chip(2)
+        with pytest.raises(InvalidCodeError):
+            program(chip, [(0, (8, 16), tap0_bypass())])
 
     def test_reprogramming_wipes_previous_bypass(self):
         chip = make_chip(4)
@@ -141,16 +143,14 @@ class TestScan:
     def test_frames_equal_direct_tap_sampling(self):
         # Independent oracle: per enabled phase, advance a scalar
         # oscillator with the ideal phase law and read its tap.
-        units = [ThetaUnit(f_idle=f, beta=10.0, v_pref_code=(12, 8))
-                 for f in (1500.0, 2000.0, 2700.0)]
-        chip = ChipState(ThetaPopulation(units))
+        chip = ChipState(make_population([1500.0, 2000.0, 2700.0], 10.0))
         program(chip, [(0, (12, 8), ALL8), (1, (4, 8), tap0_bypass()),
                        (2, (12, 8), (1, 0, 1, 0, 1, 0, 1, 0))])
         chip.release()
         v = VelocityVector(1.5, 0.0)
         clock = 27272.7 * chip.enabled_phases
         n_cycles = 400
-        freqs = chip.frequencies(v)
+        freqs = frequencies(chip.population, chip.v_pref, v)
         enabled = chip.enabled_taps()
 
         frames = scan_frames(chip, v, n_cycles, clock_hz=clock)
@@ -247,8 +247,8 @@ class TestSelectUnits:
 
 class TestCalibratePipeline:
     def test_zero_mismatch_recovery(self):
-        spec = PopulationSpec(n_units=8, f_idle_std=0.0, beta_std=0.0, seed=0)
-        chip = ChipState(sample_population(spec))
+        spec = PopulationSpec(n_units=8, f_idle_std=0.0, beta_std=0.0)
+        chip = ChipState(sample_population(spec, 0))
         fits = calibrate(chip, clock_hz=8 * 46875.0)
         for fit in fits:
             assert abs(fit.f_idle_hat - spec.f_idle_mean) <= 0.005 * spec.f_idle_mean
@@ -256,18 +256,18 @@ class TestCalibratePipeline:
             assert fit.r2 >= 0.999
 
     def test_mismatched_recovery_within_one_percent(self):
-        spec = PopulationSpec(n_units=8, seed=11)
-        pop = sample_population(spec)
+        spec = PopulationSpec(n_units=8)
+        pop = sample_population(spec, 11)
         chip = ChipState(pop)
         fits = calibrate(chip, clock_hz=8 * 46875.0)
-        for unit, fit in zip(pop.units, fits):
-            assert abs(fit.f_idle_hat - unit.f_idle) <= 0.01 * unit.f_idle
-            assert abs(fit.beta_hat - unit.beta) <= 0.01 * unit.beta
+        for f_idle, beta, fit in zip(pop.f_idle, pop.beta, fits):
+            assert abs(fit.f_idle_hat - f_idle) <= 0.01 * f_idle
+            assert abs(fit.beta_hat - beta) <= 0.01 * beta
             assert fit.r2 >= 0.99
 
     def test_measured_frequency_tracks_law_everywhere(self):
-        spec = PopulationSpec(n_units=4, seed=5)
-        pop = sample_population(spec)
+        spec = PopulationSpec(n_units=4)
+        pop = sample_population(spec, 5)
         chip = ChipState(pop)
         program(chip, [(u, (12, 8), tap0_bypass()) for u in range(4)])
         chip.release()
@@ -278,7 +278,9 @@ class TestCalibratePipeline:
             frames = scan_frames(chip, v, int(window * fs), clock_hz=fs * 4)
             for u in range(4):
                 est = estimate_frequency(frames[:, u], fs)
-                law = instantaneous_frequency(chip.units[u], v)
+                law = instantaneous_frequency(
+                    pop.f_idle[u], pop.beta[u], tuple(chip.v_pref[u]),
+                    tuple(pop.dac_offset[u]), pop.response, v.vx, v.vy)
                 assert abs(est.hz - law) <= 2.0 / window
 
 

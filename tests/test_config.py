@@ -6,6 +6,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
+from thetanav.chip_io import MIN_ESTIMATE_WINDOW_S, ChipState, calibrate
 from thetanav.config import (
     PathScript,
     RunConfig,
@@ -15,13 +16,17 @@ from thetanav.config import (
     load_manifest,
     save_config,
 )
-from thetanav.theta_core import PopulationSpec, VelocityVector
+from thetanav.theta_core import (
+    PopulationSpec,
+    VelocityVector,
+    sample_population,
+)
 from thetanav.vector_net import FilterParams
 
 CHANGED = RunConfig(
     population=PopulationSpec(
         n_units=96, f_idle_mean=2100.5, f_idle_std=300.25, beta_mean=19.5,
-        beta_std=3.0, dac_offset_std=0.01, response="sigmoid", seed=7),
+        beta_std=3.0, dac_offset_std=0.01, response="sigmoid"),
     scan_clock_hz=9e6,
     calibration_clock_hz=5e6,
     calibration_window_s=0.15,
@@ -51,6 +56,8 @@ STDS = "std values must be >= 0"
 SCHMITT = "Schmitt thresholds need 0 <= fall < rise <= 1"
 UNITS = "network_units must be a positive multiple of 4 and at most " \
     "population.n_units"
+WINDOW = "calibration_window_s must be >= 0.1 s (the shortest frequency " \
+    "estimate)"
 
 # (valid value, fields that break one rule, the error message).
 RULES = [
@@ -75,6 +82,8 @@ RULES = [
      "per-phase rate -27777.8 Hz <= 8000 Hz (360 phases"),
     (RunConfig(network_units=64, scan_clock_hz=2.8e6), {"network_units": 80},
      "per-phase rate 7777.8 Hz <= 8000 Hz (360 phases"),
+    (RunConfig(), {"calibration_window_s": 0.05}, WINDOW + ", got 0.05"),
+    (RunConfig(), {"calibration_window_s": 0.0999}, WINDOW + ", got 0.0999"),
     (PopulationSpec(), {"n_units": 0}, "n_units must be >= 1"),
     (PopulationSpec(), {"f_idle_mean": 0.0}, MEANS),
     (PopulationSpec(), {"beta_mean": -1.0}, MEANS),
@@ -104,6 +113,14 @@ def test_every_rule_raises_where_the_value_is_made(valid, bad, message):
         replace(valid, **bad)
 
 
+def test_shortest_calibration_window_calibrates():
+    # Eight units on 8/n of the clock sample at the config's per-phase rate.
+    config = RunConfig(calibration_window_s=MIN_ESTIMATE_WINDOW_S)
+    chip = ChipState(sample_population(PopulationSpec(n_units=8), 0))
+    clock = config.calibration_clock_hz * 8 / config.population.n_units
+    assert len(calibrate(chip, clock, config.calibration_window_s)) == 8
+
+
 def test_a_still_segment_must_be_timed():
     still = VelocityVector(0.0, 0.0)
     assert Segment(still, ticks=5).ticks == 5
@@ -126,7 +143,7 @@ def test_every_field_changed():
     assert [k for k in default if default[k] == changed[k]] == []
 
 
-@pytest.mark.parametrize("seed", [3, None])
+@pytest.mark.parametrize("seed", [3, 0])
 def test_round_trip(tmp_path, seed):
     config = replace(CHANGED, seed=seed)
     path = tmp_path / "run.ini"
@@ -151,9 +168,10 @@ def test_manifest_round_trip(tmp_path):
 
 def test_missing_keys_take_defaults(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text("[run]\nspeed = 0.5\n\n[population]\nseed = 4\n")
+    path.write_text("[run]\nspeed = 0.5\nseed = 4\n\n"
+                    "[population]\nbeta_std = 3.0\n")
     assert load_config(path) == RunConfig(
-        speed=0.5, population=PopulationSpec(seed=4))
+        speed=0.5, seed=4, population=PopulationSpec(beta_std=3.0))
 
 
 @pytest.mark.parametrize("text", [
@@ -163,6 +181,7 @@ def test_missing_keys_take_defaults(tmp_path):
     "[run]\npopulation = 3\n",
     "[meta]\nversion = 0.1.0\nauthor = x\n",
     "[run]\nperiodic_reset_ticks = 500\n",   # a removed key
+    "[population]\nseed = 4\n",               # a removed key
 ])
 def test_unknown_section_or_key_raises(tmp_path, text):
     path = tmp_path / "run.ini"

@@ -3,6 +3,7 @@ tracking runs, the manifest round trip, field maps, and the compiler
 against the paper's closed-form tap shift."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -53,6 +54,17 @@ DISCARD = "segment {}: sub-cell displacement discarded on velocity change"
 
 def events_of(result):
     return [(ev.direction, ev.tick) for ev in result.events]
+
+
+# SHA-256 of the repr of the seed-0 rig's 128 UnitFits as plain tuples.
+FITS_SHA256 = \
+    "e2dfd0ea2a5fa2d4a6aa535eaf06e6a62f041f1edde99c4919173beb16f81877"
+
+
+def test_calibration_seed0_bit_for_bit(rig):
+    text = repr([tuple(fit) for fit in rig.fits])
+    assert len(rig.fits) == 128
+    assert hashlib.sha256(text.encode()).hexdigest() == FITS_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -4,21 +4,28 @@ are those of ``ChipState``, driven through ``scan_frames``."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thetanav.chip_io import ChipState, program, scan_frames, tap0_bypass
 from thetanav.theta_core import (
+    F_SWING_HZ,
+    LINEAR,
+    SIGMOID,
     AliasingError,
     InvalidCodeError,
     PopulationSpec,
     ThetaPopulation,
-    ThetaUnit,
     VelocityVector,
     decode_velocity_code,
-    instantaneous_frequency,
+    frequencies,
     sample_population,
 )
 
-from reference_models import encode_velocity
+from reference_models import (
+    encode_velocity,
+    instantaneous_frequency,
+    make_population,
+)
 
 ALL8 = (1,) * 8
 REST = VelocityVector(0, 0)
@@ -27,8 +34,7 @@ REST = VelocityVector(0, 0)
 def released_chip(f_idles, phases=0.0, taps=tap0_bypass()):
     """Chip of zero-preference units (each runs at its idle frequency),
     every unit enabling ``taps``, released with the given phases."""
-    chip = ChipState(ThetaPopulation(
-        [ThetaUnit(f_idle=f, beta=1.0) for f in f_idles]))
+    chip = ChipState(make_population(f_idles))
     program(chip, [(u, (8, 8), taps) for u in range(len(f_idles))])
     chip.release()
     chip.phases[:] = phases
@@ -64,72 +70,121 @@ class TestDecodeVelocityCode:
 class TestSamplePopulation:
     def test_zero_variance_hits_means(self):
         spec = PopulationSpec(n_units=16, f_idle_std=0.0, beta_std=0.0,
-                              dac_offset_std=0.0, seed=1)
-        pop = sample_population(spec)
-        assert all(u.f_idle == spec.f_idle_mean for u in pop.units)
-        assert all(u.beta == spec.beta_mean for u in pop.units)
-        assert all(u.dac_offset == (0.0, 0.0) for u in pop.units)
+                              dac_offset_std=0.0)
+        pop = sample_population(spec, 1)
+        assert (pop.f_idle == spec.f_idle_mean).all()
+        assert (pop.beta == spec.beta_mean).all()
+        assert (pop.dac_offset == 0.0).all()
+        assert pop.dac_offset.shape == (16, 2)
 
     def test_nominal_statistics(self):
-        spec = PopulationSpec(n_units=128, seed=42)
-        pop = sample_population(spec)
-        f = np.array([u.f_idle for u in pop.units])
+        spec = PopulationSpec(n_units=128)
+        pop = sample_population(spec, 42)
+        f = pop.f_idle
         assert abs(f.mean() - spec.f_idle_mean) < 0.10 * spec.f_idle_mean
         assert abs(f.std(ddof=1) - spec.f_idle_std) < 0.25 * spec.f_idle_std
         assert f.min() > 100.0
-        assert min(u.beta for u in pop.units) > 0.0
+        assert pop.beta.min() > 0.0
 
     def test_same_seed_bit_identical(self):
-        spec = PopulationSpec(n_units=64, seed=7)
-        a = sample_population(spec)
-        b = sample_population(spec)
-        assert [u.f_idle for u in a.units] == [u.f_idle for u in b.units]
-        assert [u.beta for u in a.units] == [u.beta for u in b.units]
-        assert [u.dac_offset for u in a.units] == [u.dac_offset for u in b.units]
+        spec = PopulationSpec(n_units=64, dac_offset_std=0.1)
+        a = sample_population(spec, 7)
+        b = sample_population(spec, 7)
+        assert a.f_idle.tolist() == b.f_idle.tolist()
+        assert a.beta.tolist() == b.beta.tolist()
+        assert a.dac_offset.tolist() == b.dac_offset.tolist()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
-            sample_population(PopulationSpec(f_idle_mean=-5.0))
+            sample_population(PopulationSpec(f_idle_mean=-5.0), 0)
         with pytest.raises(ValueError):
-            sample_population(PopulationSpec(n_units=0))
+            sample_population(PopulationSpec(n_units=0), 0)
+
+
+class TestThetaPopulation:
+    @pytest.mark.parametrize("f_idle", [0.0, -1.0])
+    def test_non_positive_idle_frequency_rejected(self, f_idle):
+        with pytest.raises(ValueError, match="f_idle must be positive"):
+            make_population([2000.0, f_idle])
+
+    def test_unknown_response_rejected(self):
+        with pytest.raises(ValueError,
+                           match="unknown response mode 'cubic'"):
+            make_population([2000.0], response="cubic")
+
+    def test_empty_population_rejected(self):
+        with pytest.raises(ValueError, match="population needs"):
+            make_population([])
+
+    def test_arrays_are_read_only(self):
+        pop = make_population([2000.0])
+        with pytest.raises(ValueError):
+            pop.f_idle[0] = 1.0
+
+
+def law(f_idle, beta, v, code=(12, 8), response=LINEAR,
+        dac_offset=(0.0, 0.0)):
+    """``frequencies`` for one unit programmed with the 4-bit code pair."""
+    pop = make_population([f_idle], beta, dac_offset, response)
+    v_pref = np.array([[decode_velocity_code(c) for c in code]])
+    return frequencies(pop, v_pref, v)[0]
 
 
 class TestInstantaneousFrequency:
     def test_orthogonal_velocity_gives_idle(self):
-        unit = ThetaUnit(f_idle=2000.0, beta=20.0, v_pref_code=(12, 8))
-        assert instantaneous_frequency(unit, VelocityVector(0, 3)) == 2000.0
+        assert law(2000.0, 20.0, VelocityVector(0, 3)) == 2000.0
 
     def test_nominal_arithmetic(self):
-        unit = ThetaUnit(f_idle=2023.771, beta=20.802, v_pref_code=(12, 8))
-        f = instantaneous_frequency(unit, VelocityVector(4, 0))
+        f = law(2023.771, 20.802, VelocityVector(4, 0))
         assert f == pytest.approx(2356.603, abs=1e-9)
 
     def test_sigmoid_saturates_above_zero(self):
-        unit = ThetaUnit(f_idle=2023.771, beta=20.802, v_pref_code=(12, 8),
-                         response="sigmoid")
-        f_swing = 900.0
-        f = instantaneous_frequency(unit, VelocityVector(-1000.0, 0), f_swing)
-        assert f == pytest.approx(2023.771 - f_swing, rel=1e-6)
+        f = law(2023.771, 20.802, VelocityVector(-1000.0, 0),
+                response=SIGMOID)
+        assert f == pytest.approx(2023.771 - F_SWING_HZ, rel=1e-6)
         assert f > 0
 
     def test_linear_mode_is_affine_in_inner_product(self):
-        unit = ThetaUnit(f_idle=1800.0, beta=17.5, v_pref_code=(12, 4))
-        f0 = instantaneous_frequency(unit, VelocityVector(0, 0))
-        f1 = instantaneous_frequency(unit, VelocityVector(1, 0))
+        f0 = law(1800.0, 17.5, VelocityVector(0, 0), code=(12, 4))
+        f1 = law(1800.0, 17.5, VelocityVector(1, 0), code=(12, 4))
         slope = f1 - f0
         for vx in (-4, -2, 1, 3):
-            f = instantaneous_frequency(unit, VelocityVector(vx, 0))
+            f = law(1800.0, 17.5, VelocityVector(vx, 0), code=(12, 4))
             assert f == f0 + slope * vx
 
     def test_clamped_at_zero(self):
-        unit = ThetaUnit(f_idle=500.0, beta=50.0, v_pref_code=(12, 8))
-        assert instantaneous_frequency(unit, VelocityVector(-4, 0)) == 0.0
+        assert law(500.0, 50.0, VelocityVector(-4, 0)) == 0.0
 
     def test_dac_offset_shifts_input(self):
-        unit = ThetaUnit(f_idle=2000.0, beta=10.0, v_pref_code=(12, 8),
-                         dac_offset=(0.5, 0.0))
-        f = instantaneous_frequency(unit, VelocityVector(0, 0))
+        f = law(2000.0, 10.0, VelocityVector(0, 0), dac_offset=(0.5, 0.0))
         assert f == pytest.approx(2000.0 + 10.0 * 0.5 * 4)
+
+
+# (f_idle, beta, x offset, y offset, x code, y code) of one unit.
+unit_params = st.tuples(st.floats(1.0, 4000.0), st.floats(0.0, 200.0),
+                        st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                        st.integers(1, 15), st.integers(1, 15))
+CLAMPS = [(500.0, 50.0, 0.0, 0.0, 12, 8), (500.0, 200.0, 0.0, 0.0, 12, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(units=st.lists(unit_params, min_size=1, max_size=8),
+       response=st.sampled_from([LINEAR, SIGMOID]),
+       vx=st.floats(-8.0, 8.0), vy=st.floats(-8.0, 8.0))
+@example(units=CLAMPS, response=LINEAR, vx=-8.0, vy=0.0)
+@example(units=CLAMPS, response=SIGMOID, vx=-8.0, vy=0.0)
+def test_frequencies_equal_the_scalar_law_bit_for_bit(units, response,
+                                                      vx, vy):
+    f_idle, beta, ox, oy, cx, cy = zip(*units)
+    pop = ThetaPopulation(f_idle, beta, list(zip(ox, oy)), response)
+    v_pref = np.array([[decode_velocity_code(x), decode_velocity_code(y)]
+                       for x, y in zip(cx, cy)])
+    got = frequencies(pop, v_pref, VelocityVector(vx, vy))
+    want = [instantaneous_frequency(f, b, (px, py), (x, y), response, vx, vy)
+            for (f, b, x, y, _, _), (px, py) in zip(units, v_pref.tolist())]
+    assert got.tolist() == want
+    if units == CLAMPS:
+        assert want == [0.0, 0.0]
 
 
 class TestStep:
@@ -179,8 +234,7 @@ class TestTapOutput:
 
     def test_tap_index_checked(self):
         # A unit has taps 0..7 only: a ninth bypass bit is refused.
-        chip = ChipState(
-            ThetaPopulation([ThetaUnit(f_idle=1000.0, beta=1.0)]))
+        chip = ChipState(make_population([1000.0]))
         with pytest.raises(ValueError):
             program(chip, [(0, (8, 8), (1,) * 9)])
 
