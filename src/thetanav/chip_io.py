@@ -34,6 +34,11 @@ CAL_PREF_CODES = ((12, 8), (4, 8), (8, 12), (8, 4))
 CAL_SWEEP = tuple(range(-4, 5))
 MIN_ESTIMATE_WINDOW_S = 0.1
 
+# A scan fills its frames in row blocks of at most this many tap samples,
+# which bounds its float and integer work arrays (0.5 MB each) whatever
+# the scan length.
+SCAN_BLOCK = 1 << 16
+
 
 class NyquistError(ValueError):
     """Per-phase sample rate too low for the chip's frequency band."""
@@ -84,14 +89,21 @@ class ChipState:
 
     This is the one model of oscillator phase.  Per-unit state is held
     in arrays over the population's n units: ``v_pref`` [n, 2] the
-    decoded preferred velocities last programmed (0 before any write),
-    ``bypass`` [n, 8] the enabled taps and ``phases`` [n] each phase in
-    cycles [0, 1); ``held`` is the clear line.  A fresh chip starts with
+    decoded preferred velocities last programmed (0 before any write
+    and for units the last write left out), ``bypass`` [n, 8] the
+    enabled taps and ``phases`` [n] each phase in cycles [0, 1);
+    ``held`` is the clear line.  A fresh chip starts with
     the clear line held (all oscillators pinned at phase 0) and nothing
     programmed.  Phases advance ideally during a scan at the frequencies
     ``theta_core.frequencies`` gives: phase(c) = frac(phase0 + f * c /
     fs), one update per scan cycle, and tap k reads high while
     frac(phase + k/8) < 1/2.
+
+    ``scan_frames`` reads that bit without taking the fractional part:
+    with x = phase0 + f * c / fs + k/8, frac(x) < 1/2 holds exactly when
+    floor(2x) is even.  x >= 0 always, since ``frequencies`` clamps at 0
+    Hz and phases and tap offsets lie in [0, 1), so floor(2x) is the
+    integer truncation of 2x.
     """
 
     def __init__(self, population: ThetaPopulation):
@@ -128,12 +140,14 @@ def program(chip: ChipState,
     Each config entry is (unit index, 4-bit code pair, 8 bypass bits);
     a code outside 1..15 raises InvalidCodeError.
     The chip must be in reset; the reset wipes the whole register chain,
-    so units absent from configs end up with no enabled phases.  Entries
+    so units absent from configs end up with zero preferred velocity and
+    no enabled phases.  Entries
     replay in order, so a duplicated unit index keeps the last write,
     matching shift-register semantics.
     """
     if not chip.held:
         raise RuntimeError("programming requires the clear line held")
+    chip.v_pref[:] = 0
     chip.bypass[:] = False
     for unit_index, codes, bypass_bits in configs:
         if not 0 <= unit_index < chip.n_units:
@@ -156,6 +170,14 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     advance by one per-phase sample interval at their current frequency.
     Returns one frame per cycle as a [n_cycles, enabled_phases] uint8
     array; column i is the i-th enabled phase in shift order.
+
+    Raises AliasingError when an enabled unit steps f*dt >= 1/2 per
+    sample; units with no enabled tap are not read and not checked.
+    Frames are filled in row blocks of at most ``SCAN_BLOCK`` samples.
+    Each tap's x = c * f*dt + phase0 + k/8 is rounded in that order, and
+    its bit is 1 - (int(2x) & 1), the parity form of frac(x) < 1/2 (see
+    ``ChipState``).  2x is exact in binary floating point, and f*dt <
+    1/2 keeps x below n_cycles + 2, so the int64 cast cannot overflow.
     """
     if not chip.programmed:
         raise NotProgrammedError("scan requires a programmed chip")
@@ -167,19 +189,26 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     freqs = frequencies(chip.population, chip.v_pref, v)
     if chip.held:
         freqs = np.zeros_like(freqs)
-    fdt_max = float(freqs.max()) * dt
+    units, taps = np.nonzero(chip.bypass)
+    fdt = freqs[units] * dt
+    fdt_max = float(fdt.max())
     if fdt_max >= 0.5:
         raise AliasingError(
             f"max f*dt = {fdt_max:.3f} >= 0.5 at {fs:.1f} Hz per phase")
 
-    units, taps = np.nonzero(chip.bypass)
+    phase0 = chip.phases[units]
     tap_off = taps / 8.0
-    cycles = np.arange(n_cycles)
-    # [n_cycles, n_enabled] phase trajectory of each enabled tap.
-    phase = (chip.phases[units][None, :]
-             + freqs[units][None, :] * dt * cycles[:, None]
-             + tap_off[None, :]) % 1.0
-    frames = (phase < 0.5).astype(np.uint8)
+    frames = np.empty((n_cycles, n_enabled), dtype=np.uint8)
+    rows = max(1, SCAN_BLOCK // n_enabled)
+    for lo in range(0, n_cycles, rows):
+        hi = min(lo + rows, n_cycles)
+        x = np.multiply.outer(np.arange(lo, hi, dtype=float), fdt)
+        x += phase0
+        x += tap_off
+        x *= 2.0
+        parity = x.astype(np.int64)
+        parity &= 1
+        np.subtract(1, parity, out=frames[lo:hi], casting="unsafe")
     if not chip.held:
         chip.phases = (chip.phases + freqs * dt * n_cycles) % 1.0
     return frames

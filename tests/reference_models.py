@@ -4,11 +4,12 @@
 ``theta_core.frequencies``, oscillator phase in ``ChipState``/
 ``scan_frames``, the interference node in ``filter_stage_batch``, and tap
 choice in ``compile_lookup``.  The models here state the same physics the
-plain way (the law for one unit in plain numbers, one oscillator or one
-node stepped a sample at a time, the paper's closed-form tap shift) so the
-tests can check the vectorized and time-domain code against them.  The
-inverses of velocity decoding and lookup-table serialization live here
-too, since only the round-trip tests need them.
+plain way (the law for one unit in plain numbers, the scan's tap bits by
+float modulo, one oscillator or one node stepped a sample at a time, the
+paper's closed-form tap shift) so the tests can check the vectorized and
+time-domain code against them.  The inverses of velocity decoding and
+lookup-table serialization live here too, since only the round-trip tests
+need them.
 """
 
 import math
@@ -16,12 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from thetanav.chip_io import ChipState, phase_rate
 from thetanav.theta_core import (
     F_SWING_HZ,
     LINEAR,
     ZERO_VELOCITY_CODE,
     InvalidCodeError,
     ThetaPopulation,
+    VelocityVector,
+    frequencies,
 )
 from thetanav.vector_net import (
     DEFAULT_FILTERS,
@@ -102,6 +106,27 @@ def tap_bit(phase: float, k: int) -> int:
     """Square-wave output of phase tap k, which leads tap 0 by k/8 cycle;
     high for the first half of each cycle."""
     return 1 if (phase + k / 8.0) % 1.0 < 0.5 else 0
+
+
+def scan_frames_mod(chip: ChipState, v: VelocityVector, n_cycles: int,
+                    clock_hz: float) -> np.ndarray:
+    """What ``chip_io.scan_frames`` returns and carries for a programmed
+    chip with at least one enabled tap, read the plain way: the whole
+    [n_cycles, enabled] phase trajectory at once, its fractional part by
+    float ``% 1.0``, and each bit as frac < 1/2.  Checks nothing."""
+    dt = 1.0 / phase_rate(clock_hz, chip.enabled_phases)
+    freqs = frequencies(chip.population, chip.v_pref, v)
+    if chip.held:
+        freqs = np.zeros_like(freqs)
+    units, taps = np.nonzero(chip.bypass)
+    cycles = np.arange(n_cycles)
+    phase = (chip.phases[units][None, :]
+             + freqs[units][None, :] * dt * cycles[:, None]
+             + taps[None, :] / 8.0) % 1.0
+    frames = (phase < 0.5).astype(np.uint8)
+    if not chip.held:
+        chip.phases = (chip.phases + freqs * dt * n_cycles) % 1.0
+    return frames
 
 
 def square_wave(f: float, fs: float, n: int,

@@ -1,10 +1,15 @@
 """Host-interface emulation: programming, the serial scan, frequency
 estimation, fits and unit admission."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thetanav.chip_io import (
+    SCAN_BLOCK,
     ChipState,
     DegenerateFitError,
     InsufficientUnitsError,
@@ -22,14 +27,23 @@ from thetanav.chip_io import (
     write_fit_report_csv,
 )
 from thetanav.theta_core import (
+    LINEAR,
+    SIGMOID,
+    AliasingError,
     InvalidCodeError,
     PopulationSpec,
+    ThetaPopulation,
     VelocityVector,
     frequencies,
     sample_population,
 )
 
-from reference_models import instantaneous_frequency, make_population, tap_bit
+from reference_models import (
+    instantaneous_frequency,
+    make_population,
+    scan_frames_mod,
+    tap_bit,
+)
 
 ALL8 = (1,) * 8
 
@@ -100,6 +114,13 @@ class TestProgram:
         program(chip, [(0, (12, 8), tap0_bypass())])
         assert chip.enabled_phases == 1
 
+    def test_reprogramming_wipes_previous_codes(self):
+        chip = make_chip(4)
+        program(chip, [(u, (15, 1), ALL8) for u in range(4)])
+        chip.hold()
+        program(chip, [(0, (12, 8), tap0_bypass())])
+        assert chip.v_pref.tolist() == [[4, 0], [0, 0], [0, 0], [0, 0]]
+
 
 class TestScan:
     def test_stream_length(self):
@@ -160,6 +181,108 @@ class TestScan:
             expected = [tap_bit((freqs[u] * dt * c) % 1.0, k)
                         for c in range(n_cycles)]
             assert np.array_equal(frames[:, col], np.array(expected)), (u, k)
+
+    def test_stale_fast_unit_does_not_raise(self):
+        # Unit 1 was programmed fast (58 kHz at vx = 4), then left out of
+        # the next write: it is neither read nor checked.
+        chip = ChipState(make_population([2000.0, 2000.0], 2000.0))
+        program(chip, [(0, (15, 8), tap0_bypass()),
+                       (1, (15, 8), tap0_bypass())])
+        chip.hold()
+        program(chip, [(0, (8, 8), tap0_bypass())])
+        chip.release()
+        frames = scan_frames(chip, VelocityVector(4, 0), 10, clock_hz=2e4)
+        assert frames.shape == (10, 1)
+
+    def test_enabled_aliasing_unit_raises(self):
+        chip = ChipState(make_population([2000.0, 10000.0]))
+        program(chip, [(0, (8, 8), tap0_bypass()),
+                       (1, (8, 8), tap0_bypass())])
+        chip.release()
+        with pytest.raises(AliasingError):
+            scan_frames(chip, VelocityVector(0, 0), 10, clock_hz=3.6e4)
+
+    def test_peak_memory_is_one_block_past_the_frames(self):
+        chip = ChipState(sample_population(PopulationSpec(), 0))
+        program(chip, [(u, (12, 8), tap0_bypass()) for u in range(128)])
+        chip.release()
+        tracemalloc.start()
+        try:
+            frames = scan_frames(chip, VelocityVector(1, 0), 20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frames.shape == (20_000, 128)
+        assert peak < frames.nbytes + 4_000_000
+
+
+# (f_idle, beta, x offset, y offset, x code, y code, bypass bits) of one
+# unit.  Gains, offsets and speeds keep every frequency below 7.2 kHz and
+# the per-phase rate is at least 16 kHz, so no draw aliases.
+scan_unit = st.tuples(st.floats(1.0, 4000.0), st.floats(0.0, 50.0),
+                      st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                      st.integers(1, 15), st.integers(1, 15),
+                      st.tuples(*[st.integers(0, 1)] * 8))
+# Rows past (or short of) one full row block of the scan.
+BLOCK_EDGE = {"block-1": -1, "block": 0, "block+1": 1}
+scan_length = st.one_of(st.sampled_from([0, 1, *BLOCK_EDGE]),
+                        st.integers(2, 1500))
+# 4096 Hz at 16384 Hz per phase steps exactly 1/4 cycle per sample, so
+# taps 0 and 4 land on exactly 1/2.
+HALF = [(4096.0, 0.0, 0.0, 0.0, 8, 8, (1, 0, 0, 0, 1, 0, 0, 0))]
+# Unit 0 clamps to 0 Hz at vx = -4.
+STOPPED = [(100.0, 50.0, 0.0, 0.0, 15, 8, ALL8),
+           (2000.0, 10.0, 0.0, 0.0, 8, 12, (0, 1, 0, 0, 1, 0, 0, 1))]
+
+
+def scan_chip(units, response: str, held: bool) -> ChipState:
+    f_idle, beta, ox, oy, cx, cy, bypass = zip(*units)
+    chip = ChipState(ThetaPopulation(f_idle, beta, list(zip(ox, oy)),
+                                     response))
+    if not any(map(any, bypass)):
+        bypass = (ALL8,) + bypass[1:]
+    program(chip, [(u, (x, y), bits)
+                   for u, (x, y, bits) in enumerate(zip(cx, cy, bypass))])
+    if not held:
+        chip.release()
+    return chip
+
+
+@settings(max_examples=150, deadline=None)
+@given(units=st.lists(scan_unit, min_size=1, max_size=16),
+       response=st.sampled_from([LINEAR, SIGMOID]),
+       v1=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       v2=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       fs=st.floats(16_000.0, 200_000.0), held=st.booleans(),
+       n1=scan_length, n2=scan_length)
+@example(units=HALF, response=LINEAR, v1=(0.0, 0.0), v2=(0.0, 0.0),
+         fs=16_384.0, held=False, n1=9, n2=9)
+@example(units=HALF, response=LINEAR, v1=(0.0, 0.0), v2=(0.0, 0.0),
+         fs=16_384.0, held=True, n1=3, n2=3)
+@example(units=STOPPED, response=SIGMOID, v1=(-4.0, 0.0), v2=(-4.0, 1.0),
+         fs=16_000.0, held=False, n1="block", n2="block+1")
+def test_scan_equals_the_modulo_oracle_bit_for_bit(units, response, v1, v2,
+                                                   fs, held, n1, n2):
+    chip = scan_chip(units, response, held)
+    oracle = copy.deepcopy(chip)
+    n_enabled = chip.enabled_phases
+    clock = fs * n_enabled
+    # Without a hold, the second scan starts where the first left the
+    # phases.
+    for (vx, vy), length in ((v1, n1), (v2, n2)):
+        v = VelocityVector(vx, vy)
+        n_cycles = (SCAN_BLOCK // n_enabled + BLOCK_EDGE[length]
+                    if length in BLOCK_EDGE else length)
+        want = scan_frames_mod(oracle, v, n_cycles, clock)
+        got = scan_frames(chip, v, n_cycles, clock)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert chip.phases.tolist() == oracle.phases.tolist()
+
+
+def test_tap_on_exact_half_reads_low():
+    chip = scan_chip(HALF, LINEAR, held=False)
+    frames = scan_frames(chip, VelocityVector(0, 0), 5, clock_hz=2 * 16_384)
+    assert frames.T.tolist() == [[1, 1, 0, 0, 1], [0, 0, 1, 1, 0]]
 
 
 class TestEstimateFrequency:
