@@ -180,7 +180,10 @@ def _decode(text: str, hint):
                              None if ticks == "pulse" else int(ticks))
                      for vx, vy, ticks in legs)
     if get_origin(hint) is tuple:
-        return tuple(t(v) for t, v in zip(get_args(hint), text.split(",")))
+        items, types = text.split(","), get_args(hint)
+        if len(items) != len(types):
+            raise ValueError(f"expected {len(types)} values, got {text!r}")
+        return tuple(t(v) for t, v in zip(types, items))
     return hint(text)
 
 

@@ -46,6 +46,7 @@ from .place_grid import (
 )
 from .theta_core import VelocityVector, sample_population
 from .vector_net import (
+    PAIR_CODES,
     CompileError,
     MuxTable,
     NodeBank,
@@ -78,7 +79,7 @@ class TrackRig:
 
     def compile_target(self, target: TargetLocation) -> MuxTable:
         return compile_lookup(
-            self.pairing, self.fits, target, self.config.speed,
+            self.pairing, target, self.config.speed,
             tolerance=self.config.tap_tolerance,
             drift_tolerance=self.config.drift_tolerance,
             min_active_groups=self.config.min_active_groups)
@@ -103,9 +104,9 @@ def build_rig(config: RunConfig) -> TrackRig:
 
     chip.hold()
     configs = []
-    for p in pairing.pairs:
-        configs.append((p.unit_a, p.code_a, ALL_TAPS))
-        configs.append((p.unit_b, p.code_b, tap0_bypass()))
+    for j, (a, b) in enumerate(pairing.unit.T.tolist()):
+        code_a, code_b = PAIR_CODES[j // pairing.n_groups]
+        configs += [(a, code_a, ALL_TAPS), (b, code_b, tap0_bypass())]
     program(chip, configs)
     frame_layout = {pt: i for i, pt in enumerate(chip.enabled_taps())}
     fs = phase_rate(config.scan_clock_hz, chip.enabled_phases)
@@ -190,9 +191,12 @@ def run_track(config: RunConfig, script: PathScript,
     spent, or once for an until-pulse segment: each repeat holds the
     outputs low for ``hold_ticks``, fires, and re-arms the reset.  A
     last repeat cut short of the pulse keeps its ticks and does not fire.
+    A ``rig`` built from another config raises ValueError.
     """
     if rig is None:
         rig = build_rig(config)
+    elif rig.config != config:
+        raise ValueError("the rig was built from another config")
     grid = PlaceGrid(config.grid_size, config.grid_size)
     result = TrackResult()
     result.trail.append((0, "start", 0, 0))
@@ -313,14 +317,20 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     Every cell's lookup table is compiled for the configured speed
     toward that cell; all cells then observe the same scanned input,
     through one node bank that filters each node they share once.  A
-    cell whose table does not compile is recorded in ``failed``.
+    cell whose table does not compile is recorded in ``failed``.  A target
+    off the grid or a ``rig`` built from another config raises ValueError.
     """
-    if rig is None:
-        rig = build_rig(config)
     half = config.grid_size // 2
     if targets is None:
         targets = [(x, y) for y in range(-half, half + 1)
                    for x in range(-half, half + 1)]
+    outside = [c for c in targets if max(map(abs, c)) > half]
+    if outside:
+        raise ValueError(f"targets {outside} lie off the grid (|x|, |y| <= {half})")
+    if rig is None:
+        rig = build_rig(config)
+    elif rig.config != config:
+        raise ValueError("the rig was built from another config")
     max_r = max((math.hypot(x, y) for x, y in targets), default=0.0)
     if session_ticks is None:
         session_ticks = int(math.ceil(

@@ -9,9 +9,11 @@ when the displacement since the last phase reset matches the designated
 target vector.
 
 Each node is an AND gate followed by a 9-tap FIR, a one-pole RC stage
-and a Schmitt trigger.  The compiler predicts every unit's phase at the
-target arrival time from calibration fits and routes phase taps so that
-the relevant pair envelopes align exactly when the agent arrives.
+and a Schmitt trigger.  The pairing holds each pair's two units and
+their calibration fits as [2, n] arrays; from them the compiler predicts
+every unit's phase at the target arrival time at once and routes one of
+eight phase taps per group, so the relevant pair envelopes align exactly
+when the agent arrives.
 
 Networks that read the same scan share their nodes, as on the chip: a
 :class:`NodeBank` filters each distinct first-layer node (two routed
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,10 +57,6 @@ MUX_FORMAT_VERSION = "muxtable-v1"
 
 class CompileError(RuntimeError):
     """Lookup compilation left fewer active groups than required."""
-
-
-class PairingError(ValueError):
-    """Pair construction violated the opposite-direction contract."""
 
 
 @dataclass(frozen=True)
@@ -105,53 +102,38 @@ class TargetLocation:
             raise ValueError(f"distance must be >= 0, got {self.r}")
 
 
-@dataclass(frozen=True)
-class Pair:
-    """One first-layer interference pair.  ``unit_a`` is the member
-    programmed along the positive axis direction and carries the
-    routable phase taps; ``unit_b`` opposes it and always uses tap 0."""
+# Programming codes (routable member, tap-0 partner) of an x pair and of
+# a y pair: decoded, (+4, 0) against (-4, 0) and (0, +4) against (0, -4).
+PAIR_CODES = (((12, 8), (4, 8)), ((8, 12), (8, 4)))
+_PAIR_PREF = np.vectorize(decode_velocity_code)(PAIR_CODES)
 
-    unit_a: int
-    unit_b: int
-    axis: str
-    code_a: tuple[int, int]
-    code_b: tuple[int, int]
+
+@dataclass(frozen=True, eq=False)
+class Pairing:
+    """First-layer pairing of n pairs as read-only [2, n] arrays.
+
+    ``unit`` holds each pair's routable member (row 0) and its tap-0
+    partner (row 1); ``f_idle`` and ``beta`` are the members' fitted idle
+    frequencies and gains.  Pairs 0..n/2-1 lie on the x axis and the rest
+    on y; second-layer group i joins pair i with pair n/2 + i.
+    """
+
+    unit: np.ndarray
+    f_idle: np.ndarray
+    beta: np.ndarray
 
     def __post_init__(self):
-        da = (decode_velocity_code(self.code_a[0]), decode_velocity_code(self.code_a[1]))
-        db = (decode_velocity_code(self.code_b[0]), decode_velocity_code(self.code_b[1]))
-        if da[0] != -db[0] or da[1] != -db[1]:
-            raise PairingError(
-                f"pair codes must decode to exact negations, got {da} vs {db}")
-
-    def pref_a(self) -> tuple[int, int]:
-        return (decode_velocity_code(self.code_a[0]),
-                decode_velocity_code(self.code_a[1]))
-
-
-@dataclass(frozen=True)
-class Pairing:
-    """First-layer pairing: x-axis pairs first, then y-axis pairs.
-    Second-layer group i joins x-pair i with y-pair i."""
-
-    pairs: tuple[Pair, ...]
-
-    @cached_property
-    def n_x(self) -> int:
-        return sum(1 for p in self.pairs if p.axis == "x")
+        for name, dtype in (("unit", int), ("f_idle", float), ("beta", float)):
+            values = np.array(getattr(self, name), dtype=dtype)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        shapes = {self.unit.shape, self.f_idle.shape, self.beta.shape}
+        if shapes != {(2, 2 * self.n_groups)} or not self.n_groups:
+            raise ValueError("unit, f_idle and beta must be [2, n], n even > 0")
 
     @property
     def n_groups(self) -> int:
-        return min(self.n_x, len(self.pairs) - self.n_x)
-
-    def group(self, i: int) -> tuple[Pair, Pair]:
-        return self.pairs[i], self.pairs[self.n_x + i]
-
-    def unit_ids(self) -> list[int]:
-        out = []
-        for p in self.pairs:
-            out.extend((p.unit_a, p.unit_b))
-        return out
+        return self.unit.shape[-1] // 2
 
 
 @dataclass
@@ -188,56 +170,39 @@ class MuxTable:
 def pair_layer1(admitted: Sequence[UnitFit], n_units: int = 80) -> Pairing:
     """Pair admitted units by closest fitted idle frequency.
 
-    Takes the n_units lowest-idle-frequency admitted units, sorts them,
-    and pairs adjacent entries so each pair's offset difference is
-    small.  The lower half of the pairs is assigned to the x axis and
-    the upper half to y, with opposite full-magnitude codes per pair.
+    Takes the n_units lowest-idle-frequency admitted units, sorts them
+    stably, and pairs adjacent entries so each pair's offset difference
+    is small; the lower entry is the routable member.  The lower half of
+    the pairs lies on the x axis and the upper half on y.
     """
     if len(admitted) < n_units:
         raise InsufficientUnitsError(
             f"pairing needs {n_units} admitted units, got {len(admitted)}")
-    if n_units % 4 != 0:
-        raise ValueError("n_units must be a multiple of 4 (pairs per axis)")
     chosen = sorted(admitted, key=lambda f: f.f_idle_hat)[:n_units]
-    n_pairs = n_units // 2
-    n_x = n_pairs // 2
-    pairs = []
-    for j in range(n_pairs):
-        a, b = chosen[2 * j], chosen[2 * j + 1]
-        if j < n_x:
-            codes = ((12, 8), (4, 8))
-            axis = "x"
-        else:
-            codes = ((8, 12), (8, 4))
-            axis = "y"
-        pairs.append(Pair(unit_a=a.unit, unit_b=b.unit, axis=axis,
-                          code_a=codes[0], code_b=codes[1]))
-    return Pairing(pairs=tuple(pairs))
+    unit, f_idle, beta, _ = (np.reshape(column, (-1, 2)).T
+                             for column in zip(*chosen))
+    return Pairing(unit=unit, f_idle=f_idle, beta=beta)
 
 
-def circular_distance(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
+def circular_distance(a, b):
+    """Elementwise distance in [0, 1/2] between phases a and b (cycles)."""
+    d = np.abs(np.subtract(a, b)) % 1.0
+    return np.minimum(d, 1.0 - d)
 
 
-def predicted_frequency(fit: UnitFit, pref: tuple[int, int],
-                        v: tuple[float, float]) -> float:
-    return fit.f_idle_hat + fit.beta_hat * (v[0] * pref[0] + v[1] * pref[1])
-
-
-def compile_lookup(pairing: Pairing, fits: Iterable[UnitFit],
-                   target: TargetLocation, speed: float,
+def compile_lookup(pairing: Pairing, target: TargetLocation, speed: float,
                    tolerance: float = DEFAULT_TAP_TOLERANCE,
                    drift_tolerance: float = DEFAULT_DRIFT_TOLERANCE,
                    min_active_groups: int = DEFAULT_MIN_ACTIVE_GROUPS) -> MuxTable:
     """Compile the phase-tap lookup table for one designated target.
 
     Works in the time domain: the arrival time is target distance over
-    speed, each unit's phase at arrival is predicted from its fitted
-    frequency under straight motion toward the target, and the group
-    whose axis matches the target bearing gets its positive member's tap
-    advanced so the pair envelope peaks exactly at arrival.  Taps
-    quantize to the nearest of eight steps, ties toward the lower index.
+    speed, and every member's phase at arrival is predicted, as one [2, n]
+    array, from its fit under straight motion toward the target.  In each
+    group the pair on the bearing's axis (x when |vx| >= |vy|) gets its
+    routable member's tap advanced so the pair envelope peaks exactly at
+    arrival: the argmin of a [groups, 8] array of circular distances to
+    the required shift, the lower tap index on a tie.
 
     The other pair in each group cannot be corrected (only one routable
     tap per group); a group is dropped when that pair's predicted
@@ -247,51 +212,36 @@ def compile_lookup(pairing: Pairing, fits: Iterable[UnitFit],
     """
     if speed <= 0:
         raise ValueError("speed must be positive")
-    fit_by_unit = {f.unit: f for f in fits}
+    groups = pairing.n_groups
     arrival_t = target.r / speed
     v = (speed * math.cos(target.theta), speed * math.sin(target.theta))
-    x_active = abs(v[0]) >= abs(v[1])
+    pref = np.repeat(_PAIR_PREF, groups, axis=0)   # [pair, member, component]
+    inner = v[0] * pref[..., 0].T + v[1] * pref[..., 1].T
+    phase = ((pairing.f_idle + pairing.beta * inner) * arrival_t) % 1.0
+    delta = ((phase[0] - phase[1]) % 1.0).reshape(2, -1)   # [axis, group]
+    on = 0 if abs(v[0]) >= abs(v[1]) else 1         # the bearing's axis
 
-    phases: dict[int, float] = {}
-    for p in pairing.pairs:
-        pref_a = p.pref_a()
-        pref_b = (-pref_a[0], -pref_a[1])
-        for unit, pref in ((p.unit_a, pref_a), (p.unit_b, pref_b)):
-            f_hat = predicted_frequency(fit_by_unit[unit], pref, v)
-            phases[unit] = (f_hat * arrival_t) % 1.0
+    required = (-delta[on]) % 1.0
+    distance = circular_distance(np.arange(TAP_COUNT) * TAP_STEP,
+                                 required[:, None])
+    best = distance.argmin(axis=1)
+    residuals = distance.min(axis=1)
+    idle_err = circular_distance(delta[1 - on], 0.0)
+    dropped = np.flatnonzero((residuals > tolerance)
+                             | (idle_err > drift_tolerance)).tolist()
 
-    taps = {unit: 0 for unit in pairing.unit_ids()}
-    dropped: list[int] = []
-    residuals: list[float] = []
-    for g in range(pairing.n_groups):
-        xp, yp = pairing.group(g)
-        active, idle = (xp, yp) if x_active else (yp, xp)
-        delta_active = (phases[active.unit_a] - phases[active.unit_b]) % 1.0
-        required = (-delta_active) % 1.0
-        best_k, best_d = 0, circular_distance(0.0, required)
-        for k in range(1, TAP_COUNT):
-            d = circular_distance(k * TAP_STEP, required)
-            if d < best_d:
-                best_k, best_d = k, d
-        taps[active.unit_a] = best_k
-        residuals.append(best_d)
-        idle_err = circular_distance(
-            (phases[idle.unit_a] - phases[idle.unit_b]) % 1.0, 0.0)
-        if best_d > tolerance or idle_err > drift_tolerance:
-            dropped.append(g)
-
-    if pairing.n_groups - len(dropped) < min_active_groups:
+    if groups - len(dropped) < min_active_groups:
         raise CompileError(
-            f"only {pairing.n_groups - len(dropped)} active groups after "
+            f"only {groups - len(dropped)} active groups after "
             f"dropping {len(dropped)}, need {min_active_groups}")
 
-    slots = []
-    for p in pairing.pairs:
-        slots.append((p.unit_a, taps[p.unit_a]))
-        slots.append((p.unit_b, 0))
+    tap = np.zeros((2, 2, groups), dtype=int)      # [member, axis, group]
+    tap[0, on] = best
+    slots = list(zip(pairing.unit.T.ravel().tolist(),
+                     tap.reshape(2, -1).T.ravel().tolist()))
     return MuxTable(slots=slots, dropped=dropped, target=target, speed=speed,
                     tolerance=tolerance, drift_tolerance=drift_tolerance,
-                    residuals=residuals)
+                    residuals=residuals.tolist())
 
 
 def serialize_mux(mux: MuxTable) -> str:

@@ -6,8 +6,9 @@
 choice in ``compile_lookup``.  The models here state the same physics the
 plain way (the law for one unit in plain numbers, the scan's tap bits by
 float modulo, one oscillator or one node stepped a sample at a time, the
-paper's closed-form tap shift) so the tests can check the vectorized and
-time-domain code against them.  The inverses of velocity decoding and
+tap compiler one group and one tap at a time, the paper's closed-form tap
+shift) so the tests can check the vectorized and time-domain code against
+them.  The inverses of velocity decoding and
 lookup-table serialization live here too, since only the round-trip tests
 need them.
 """
@@ -33,10 +34,11 @@ from thetanav.vector_net import (
     FIR_LAYER2,
     FIR_TAPS,
     MUX_FORMAT_VERSION,
+    TAP_COUNT,
     TAP_STEP,
+    CompileError,
     FilterParams,
     MuxTable,
-    PairingError,
     TargetLocation,
     filter_stage_batch,
 )
@@ -198,6 +200,64 @@ def pair_beat_frequency(bits_a: np.ndarray, bits_b: np.ndarray, fs: float,
     env = filter_stage_batch(x, 1, filters)[:, 0]
     edges = int(np.count_nonzero((env[1:] == 1) & (env[:-1] == 0)))
     return edges / (env.size / fs)
+
+
+def compile_lookup_scalar(pairs, fits, target, speed, tolerance,
+                          drift_tolerance, min_active_groups) -> MuxTable:
+    """What ``vector_net.compile_lookup`` computes, one unit, group and tap
+    at a time.  ``pairs`` lists (routable unit, tap-0 partner), the x-axis
+    half first; an x pair's members prefer (+4, 0) and (-4, 0), a y pair's
+    (0, +4) and (0, -4).  ``fits`` holds a UnitFit of every paired unit."""
+    if speed <= 0:
+        raise ValueError("speed must be positive")
+    fit_by_unit = {f.unit: f for f in fits}
+    n_x = len(pairs) // 2
+    arrival_t = target.r / speed
+    v = (speed * math.cos(target.theta), speed * math.sin(target.theta))
+    x_active = abs(v[0]) >= abs(v[1])
+
+    def circular(a, b):
+        d = abs(a - b) % 1.0
+        return min(d, 1.0 - d)
+
+    phases = {}
+    for j, (unit_a, unit_b) in enumerate(pairs):
+        pref_a = (4, 0) if j < n_x else (0, 4)
+        for unit, pref in ((unit_a, pref_a), (unit_b, (-pref_a[0], -pref_a[1]))):
+            fit = fit_by_unit[unit]
+            f_hat = fit.f_idle_hat + fit.beta_hat * (v[0] * pref[0]
+                                                     + v[1] * pref[1])
+            phases[unit] = (f_hat * arrival_t) % 1.0
+
+    taps = {unit: 0 for pair in pairs for unit in pair}
+    dropped, residuals = [], []
+    for g in range(n_x):
+        xp, yp = pairs[g], pairs[n_x + g]
+        active, idle = (xp, yp) if x_active else (yp, xp)
+        required = (-((phases[active[0]] - phases[active[1]]) % 1.0)) % 1.0
+        best_k, best_d = 0, circular(0.0, required)
+        for k in range(1, TAP_COUNT):
+            d = circular(k * TAP_STEP, required)
+            if d < best_d:
+                best_k, best_d = k, d
+        taps[active[0]] = best_k
+        residuals.append(best_d)
+        idle_err = circular((phases[idle[0]] - phases[idle[1]]) % 1.0, 0.0)
+        if best_d > tolerance or idle_err > drift_tolerance:
+            dropped.append(g)
+
+    if n_x - len(dropped) < min_active_groups:
+        raise CompileError(
+            f"only {n_x - len(dropped)} active groups after "
+            f"dropping {len(dropped)}, need {min_active_groups}")
+    slots = [(unit, taps[unit]) for pair in pairs for unit in pair]
+    return MuxTable(slots=slots, dropped=dropped, target=target, speed=speed,
+                    tolerance=tolerance, drift_tolerance=drift_tolerance,
+                    residuals=residuals)
+
+
+class PairingError(ValueError):
+    """Two units' preferred velocities do not oppose."""
 
 
 @dataclass(frozen=True)

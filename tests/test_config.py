@@ -190,6 +190,18 @@ def test_unknown_section_or_key_raises(tmp_path, text):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", ["3,-2,7", "3"])
+def test_tuple_of_the_wrong_length_raises(tmp_path, value):
+    path = tmp_path / "run.ini"
+    save_config(RunConfig(), path, built_in_scripts(0.25)["path2_detour"])
+    text = path.read_text()
+    assert "expected_final = 3,-2\n" in text
+    path.write_text(text.replace("expected_final = 3,-2\n",
+                                 f"expected_final = {value}\n"))
+    with pytest.raises(ValueError, match="expected 2 values"):
+        load_manifest(path)
+
+
 def test_invalid_value_raises(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[population]\nresponse = cubic\n")

@@ -5,6 +5,7 @@ against the paper's closed-form tap shift."""
 import csv
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,15 @@ from thetanav.config import (
     cardinal_velocity,
     load_manifest,
 )
-from thetanav.theta_core import VelocityVector
-from thetanav.vector_net import TAP_STEP, TargetLocation, compile_lookup
+from thetanav.theta_core import VelocityVector, decode_velocity_code
+from thetanav.vector_net import (
+    PAIR_CODES,
+    TAP_STEP,
+    CompileError,
+    TargetLocation,
+    compile_lookup,
+    serialize_mux,
+)
 
 from reference_models import effective_params, phase_shift
 
@@ -230,20 +238,68 @@ def test_compile_lookup_matches_closed_form_phase_shift(rig):
     # For the pair the compiler corrects, the tap rounding residual is
     # the closed-form shift's distance to the nearest tap.
     fit = {f.unit: f for f in rig.fits}
+    pairing = rig.pairing
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(200):
         target = TargetLocation(float(rng.uniform(0.0, 0.02)),
                                 float(rng.uniform(-math.pi, math.pi)))
-        mux = compile_lookup(rig.pairing, rig.fits, target, CONFIG.speed,
+        mux = compile_lookup(pairing, target, CONFIG.speed,
                              min_active_groups=0)
         x_active = abs(math.cos(target.theta)) >= abs(math.sin(target.theta))
-        for g in range(rig.pairing.n_groups):
-            pair = rig.pairing.group(g)[0 if x_active else 1]
-            pref_a = pair.pref_a()
-            cell = effective_params(fit[pair.unit_a], fit[pair.unit_b],
+        for g in range(pairing.n_groups):
+            j = g if x_active else pairing.n_groups + g
+            unit_a, unit_b = pairing.unit[:, j]
+            code_a = PAIR_CODES[j // pairing.n_groups][0]
+            pref_a = tuple(decode_velocity_code(c) for c in code_a)
+            cell = effective_params(fit[unit_a], fit[unit_b],
                                     pref_a, (-pref_a[0], -pref_a[1]))
             ps = phase_shift(target, cell, CONFIG.speed)
             worst = max(worst, abs(mux.residuals[g]
                                    - min(ps, TAP_STEP - ps)))
     assert worst <= 1e-9
+
+
+# SHA-256 of the lookup tables of the 121 default field-map cells of the
+# seed-0 rig, row by row from (-5, -5): each cell's serialize_mux text, or
+# "CompileError: <message>" and a newline for the 28 that do not compile.
+FIELD_MUX_SHA256 = \
+    "ffc49f75cb36fa0ff2dff18df3cdda3beb498a42599c236ff023e5aee78f8149"
+
+
+def test_field_map_lookup_tables_seed0_bit_for_bit(rig):
+    half = CONFIG.grid_size // 2
+    texts = []
+    for y in range(-half, half + 1):
+        for x in range(-half, half + 1):
+            target = TargetLocation(CONFIG.pitch * math.hypot(x, y),
+                                    math.atan2(y, x))
+            try:
+                texts.append(serialize_mux(rig.compile_target(target)))
+            except CompileError as exc:
+                texts.append(f"CompileError: {exc}\n")
+    assert len(texts) == 121
+    assert sum(t.startswith("CompileError") for t in texts) == 28
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == FIELD_MUX_SHA256
+
+
+def test_rig_from_another_config_raises(rig):
+    # The 0.0024-pitch rig under a 0.0048-pitch config would run the
+    # wrong networks and end at a cell the manifest does not reproduce.
+    other = replace(CONFIG, pitch=0.0048)
+    with pytest.raises(ValueError, match="another config"):
+        harness.run_track(other, SCRIPTS["path1_meander"], rig=rig)
+    with pytest.raises(ValueError, match="another config"):
+        harness.field_map(other, VelocityVector(0.25, 0.0), rig=rig)
+
+
+@pytest.mark.parametrize("cell", [(-6, 0), (6, 0), (0, 6), (0, -6), (6, 6)])
+def test_field_map_refuses_targets_off_the_grid(rig, monkeypatch, cell):
+    compiled = []
+    monkeypatch.setattr(harness, "compile_lookup",
+                        lambda *args, **kwargs: compiled.append(args))
+    with pytest.raises(ValueError, match=r"lie off the grid \(\|x\|, \|y\| <= 5\)"):
+        harness.field_map(CONFIG, VelocityVector(-0.25, 0.0),
+                          targets=[(0, 0), cell], rig=rig)
+    assert compiled == []

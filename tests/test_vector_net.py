@@ -9,17 +9,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thetanav.chip_io import InsufficientUnitsError, UnitFit
+from thetanav.theta_core import decode_velocity_code
 from thetanav.vector_net import (
     DEFAULT_FILTERS,
     FIR_LAYER1,
     FIR_LAYER2,
+    PAIR_CODES,
     CompileError,
     FilterParams,
-    Pair,
     Pairing,
-    PairingError,
     TargetLocation,
     VectorNetwork,
     circular_distance,
@@ -34,7 +35,9 @@ from thetanav.vector_net import (
 from reference_models import (
     EffectiveCell,
     Node,
+    PairingError,
     advance,
+    compile_lookup_scalar,
     deserialize_mux,
     effective_params,
     pair_beat_frequency,
@@ -57,7 +60,7 @@ class TestPairLayer1:
         f_idles = [100.0, 101.0, 200.0, 202.0]
         fits = fits_from(f_idles, [20.0] * 4)
         pairing = pair_layer1(fits, n_units=4)
-        got = {frozenset((p.unit_a, p.unit_b)) for p in pairing.pairs}
+        got = {frozenset(pair) for pair in pairing.unit.T.tolist()}
 
         best, best_cost = None, float("inf")
         units = list(range(4))
@@ -72,21 +75,32 @@ class TestPairLayer1:
     def test_identical_idles_all_zero_delta(self):
         fits = fits_from([1500.0] * 80, [20.0] * 80)
         pairing = pair_layer1(fits)
-        for p in pairing.pairs:
-            assert p.unit_a != p.unit_b
+        for unit_a, unit_b in pairing.unit.T:
+            assert unit_a != unit_b
 
     def test_structure_and_code_negation(self):
         rng = np.random.default_rng(0)
         fits = fits_from(rng.normal(2000, 300, 80).tolist(), [20.0] * 80)
         pairing = pair_layer1(fits)
-        assert len(pairing.pairs) == 40
-        assert sum(1 for p in pairing.pairs if p.axis == "x") == 20
-        assert sum(1 for p in pairing.pairs if p.axis == "y") == 20
-        used = pairing.unit_ids()
+        assert pairing.unit.shape == (2, 40)
+        assert pairing.n_groups == 20     # 20 x pairs, then 20 y pairs
+        used = pairing.unit.ravel().tolist()
         assert len(used) == len(set(used)) == 80
-        for p in pairing.pairs:
-            pa = p.pref_a()
+        for axis, (code_a, code_b) in enumerate(PAIR_CODES):
+            pa = [decode_velocity_code(c) for c in code_a]
+            pb = [decode_velocity_code(c) for c in code_b]
             assert abs(pa[0]) + abs(pa[1]) == 4
+            assert pa == ([4, 0] if axis == 0 else [0, 4])
+            assert pb == [-pa[0], -pa[1]]
+        # Each member carries its own unit's fit.
+        assert np.array_equal(
+            pairing.f_idle, [[fits[u].f_idle_hat for u in row]
+                             for row in pairing.unit])
+        assert np.array_equal(
+            pairing.beta, [[fits[u].beta_hat for u in row]
+                           for row in pairing.unit])
+        with pytest.raises(ValueError):
+            pairing.unit[0, 0] = 1
 
     def test_adjacent_sorted_pairing_minimizes_offsets(self):
         rng = np.random.default_rng(3)
@@ -94,15 +108,23 @@ class TestPairLayer1:
         fits = fits_from(f_idles.tolist(), [20.0] * 80)
         pairing = pair_layer1(fits)
         sorted_f = np.sort(f_idles)
-        for j, p in enumerate(pairing.pairs):
-            fa = fits[p.unit_a].f_idle_hat
-            fb = fits[p.unit_b].f_idle_hat
+        for j, (unit_a, unit_b) in enumerate(pairing.unit.T):
+            fa = fits[unit_a].f_idle_hat
+            fb = fits[unit_b].f_idle_hat
             assert {fa, fb} == {sorted_f[2 * j], sorted_f[2 * j + 1]}
 
     def test_insufficient_units(self):
         fits = fits_from([2000.0] * 79, [20.0] * 79)
         with pytest.raises(InsufficientUnitsError):
             pair_layer1(fits)
+
+    @pytest.mark.parametrize("shape", [(2, 0), (2, 3), (1, 4), (4,),
+                                       (2, 2, 2)])
+    def test_pairing_needs_two_rows_of_whole_groups(self, shape):
+        with pytest.raises(ValueError):
+            Pairing(np.zeros(shape), np.ones(shape), np.ones(shape))
+        with pytest.raises(ValueError):
+            Pairing(np.zeros((2, 4)), np.ones(shape), np.ones((2, 4)))
 
 
 class TestEffectiveParams:
@@ -127,10 +149,6 @@ class TestEffectiveParams:
         b = UnitFit(1, 2010.0, 20.0, 1.0)
         with pytest.raises(PairingError):
             effective_params(a, b, (4, 0), (0, -4))
-        # The network's own pairs carry the same contract.
-        with pytest.raises(PairingError):
-            Pair(unit_a=0, unit_b=1, axis="x", code_a=(12, 8),
-                 code_b=(8, 4))
 
     def test_simulated_beat_matches_effective_parameters(self):
         # The AND-interfered envelope of two real square waves must beat
@@ -186,24 +204,19 @@ class TestPhaseShift:
             phase_shift(TargetLocation(1.0, 0.0), self.CELL, 0.0)
 
 
-def synthetic_pairing(n_pairs=4):
-    """Minimal pairing: n_pairs/2 x-pairs then n_pairs/2 y-pairs over
-    units 0..2*n_pairs-1."""
-    pairs = []
-    for j in range(n_pairs):
-        axis = "x" if j < n_pairs // 2 else "y"
-        codes = ((12, 8), (4, 8)) if axis == "x" else ((8, 12), (8, 4))
-        pairs.append(Pair(unit_a=2 * j, unit_b=2 * j + 1, axis=axis,
-                          code_a=codes[0], code_b=codes[1]))
-    return Pairing(pairs=tuple(pairs))
+def synthetic_pairing(f_idles, betas):
+    """Pairing of units 0..len(f_idles)-1: pair j joins unit 2j (routable)
+    with unit 2j+1, the first half of the pairs on x, the rest on y."""
+    return Pairing(unit=np.arange(len(f_idles)).reshape(-1, 2).T,
+                   f_idle=np.reshape(f_idles, (-1, 2)).T,
+                   beta=np.reshape(betas, (-1, 2)).T)
 
 
 class TestCompileLookup:
     def test_zero_distance_all_taps_zero(self):
-        pairing = synthetic_pairing()
-        fits = fits_from([2000, 2010, 1990, 2005, 2020, 1985, 2001, 1999],
-                         [20.0] * 8)
-        mux = compile_lookup(pairing, fits, TargetLocation(0.0, 0.0), 0.25,
+        pairing = synthetic_pairing(
+            [2000, 2010, 1990, 2005, 2020, 1985, 2001, 1999], [20.0] * 8)
+        mux = compile_lookup(pairing, TargetLocation(0.0, 0.0), 0.25,
                              min_active_groups=1)
         assert all(tap == 0 for _, tap in mux.slots)
         assert mux.dropped == []
@@ -211,12 +224,11 @@ class TestCompileLookup:
     def test_integer_accumulation_zero_residual(self):
         # Zero mismatch with the pair beat accumulating whole cycles by
         # arrival: every required shift is 0, every residual 0.
-        pairing = synthetic_pairing()
         beta = 64.0
-        fits = fits_from([2000.0] * 8, [beta] * 8)
+        pairing = synthetic_pairing([2000.0] * 8, [beta] * 8)
         # x-pair beat = 2*beta*(4*speed) = 128 Hz at speed 0.25;
         # arrival time r/speed = 1/128 s gives exactly one beat cycle.
-        mux = compile_lookup(pairing, fits,
+        mux = compile_lookup(pairing,
                              TargetLocation(0.25 / 128.0, 0.0), 0.25,
                              min_active_groups=1)
         assert all(tap == 0 for _, tap in mux.slots)
@@ -224,16 +236,12 @@ class TestCompileLookup:
         assert mux.dropped == []
 
     def test_tie_at_half_tap_prefers_lower_index(self):
-        pairing = synthetic_pairing()
         # Group 0's x-pair accumulates 15/16 of a cycle by arrival, so
         # the required shift is exactly 1/16: equidistant from taps 0 and
         # 1; the lower index wins and the group stays at tolerance.
-        f_idles = [2040.0, 2000.0, 2000.0, 2000.0,
-                   2000.0, 2000.0, 2000.0, 2000.0]
-        betas = [40.0, 40.0, 64.0, 64.0, 64.0, 64.0, 64.0, 64.0]
-        fits = fits_from(f_idles, betas)
+        pairing = synthetic_pairing(TIE_F_IDLES, TIE_BETAS)
         speed, r = 0.25, 0.25 / 128.0
-        mux = compile_lookup(pairing, fits, TargetLocation(r, 0.0), speed,
+        mux = compile_lookup(pairing, TargetLocation(r, 0.0), speed,
                              min_active_groups=1)
         taps = dict(mux.slots)
         assert taps[0] == 0
@@ -242,77 +250,137 @@ class TestCompileLookup:
 
     def test_recompilation_bit_identical(self):
         rng = np.random.default_rng(9)
-        pairing = synthetic_pairing(8)
-        fits = fits_from(rng.normal(2000, 300, 16).tolist(),
-                         rng.uniform(15, 25, 16).tolist())
+        pairing = synthetic_pairing(rng.normal(2000, 300, 16),
+                                    rng.uniform(15, 25, 16))
         target = TargetLocation(0.012, 0.7)
-        a = compile_lookup(pairing, fits, target, 0.25, min_active_groups=1)
-        b = compile_lookup(pairing, fits, target, 0.25, min_active_groups=1)
+        a = compile_lookup(pairing, target, 0.25, min_active_groups=1)
+        b = compile_lookup(pairing, target, 0.25, min_active_groups=1)
         assert a.slots == b.slots
         assert a.dropped == b.dropped
         assert a.residuals == b.residuals
 
     def test_drift_drop_and_group_floor(self):
-        pairing = synthetic_pairing()
         # A big y-pair offset leaves the idle side misaligned at arrival
         # (300 Hz over 9.6 ms accumulates 2.88 cycles, 0.12 off a whole).
-        fits = fits_from([2000.0, 2000.0, 2000.0, 2000.0,
-                          2300.0, 2000.0, 2000.0, 2000.0], [20.0] * 8)
+        pairing = synthetic_pairing([2000.0, 2000.0, 2000.0, 2000.0,
+                                     2300.0, 2000.0, 2000.0, 2000.0],
+                                    [20.0] * 8)
         target = TargetLocation(0.0024, 0.0)
-        mux = compile_lookup(pairing, fits, target, 0.25,
+        mux = compile_lookup(pairing, target, 0.25,
                              drift_tolerance=0.05, min_active_groups=1)
         assert mux.dropped == [0]
         with pytest.raises(CompileError):
-            compile_lookup(pairing, fits, target, 0.25,
+            compile_lookup(pairing, target, 0.25,
                            drift_tolerance=0.05, min_active_groups=2)
 
     def test_matches_waveform_oracle(self):
         # Brute-force oracle: step every unit's oscillator to the arrival
         # tick, read its phase, and re-derive the tap choice.
         rng = np.random.default_rng(17)
-        pairing = synthetic_pairing(8)
-        fits = fits_from(rng.normal(2000, 200, 16).tolist(),
-                         rng.uniform(18, 24, 16).tolist())
+        f_idles = rng.normal(2000, 200, 16)
+        betas = rng.uniform(18, 24, 16)
+        pairing = synthetic_pairing(f_idles, betas)
         fs = 27777.0
         speed = 0.25
         for trial in range(6):
             r = float(rng.uniform(0.0005, 0.005))
             theta = float(rng.uniform(-math.pi, math.pi))
-            mux = compile_lookup(pairing, fits, TargetLocation(r, theta),
+            mux = compile_lookup(pairing, TargetLocation(r, theta),
                                  speed, min_active_groups=1)
             taps = dict(mux.slots)
 
             v = (speed * math.cos(theta), speed * math.sin(theta))
             n_ticks = round(r / speed * fs)
             phases = {}
-            for p in pairing.pairs:
-                pref_a = p.pref_a()
-                for unit, pref in ((p.unit_a, pref_a),
-                                   (p.unit_b, (-pref_a[0], -pref_a[1]))):
-                    fit = fits[unit]
-                    f = fit.f_idle_hat + fit.beta_hat * (
-                        v[0] * pref[0] + v[1] * pref[1])
-                    phase = 0.0
-                    for _ in range(n_ticks):
-                        phase = advance(phase, f, 1.0 / fs)
-                    phases[unit] = phase
+            for unit in range(16):
+                code = PAIR_CODES[unit // 2 // pairing.n_groups][unit % 2]
+                pref = [decode_velocity_code(c) for c in code]
+                f = f_idles[unit] + betas[unit] * (
+                    v[0] * pref[0] + v[1] * pref[1])
+                phase = 0.0
+                for _ in range(n_ticks):
+                    phase = advance(phase, f, 1.0 / fs)
+                phases[unit] = phase
             x_active = abs(v[0]) >= abs(v[1])
             for g in range(pairing.n_groups):
-                xp, yp = pairing.group(g)
-                active = xp if x_active else yp
-                delta = (phases[active.unit_a] - phases[active.unit_b]) % 1.0
+                j = g if x_active else pairing.n_groups + g
+                unit_a, unit_b = pairing.unit[:, j]
+                delta = (phases[unit_a] - phases[unit_b]) % 1.0
                 required = (-delta) % 1.0
-                compiled_phase = taps[active.unit_a] / 8.0
+                compiled_phase = taps[unit_a] / 8.0
                 assert circular_distance(compiled_phase, required) \
                     <= 1.0 / 16.0 + 1e-6, (trial, g)
 
 
+TIE_F_IDLES = [2040.0, 2000.0, 2000.0, 2000.0, 2000.0, 2000.0, 2000.0, 2000.0]
+TIE_BETAS = [40.0, 40.0, 64.0, 64.0, 64.0, 64.0, 64.0, 64.0]
+
+
+@st.composite
+def compile_cases(draw):
+    """A pairing of 1-20 groups over distinct unit ids with random fits
+    (from a drawn seed), a target at distance 0 about one time in ten,
+    and a drawn bearing, speed, tolerances and group floor (sometimes
+    unreachable)."""
+    groups = draw(st.integers(1, 20))
+    n_units = 4 * groups
+    units = draw(st.permutations(range(2 * n_units)))[:n_units]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f_idles = np.maximum(rng.normal(2000.0, 400.0, n_units), 100.0).tolist()
+    betas = rng.uniform(0.0, 60.0, n_units).tolist()
+    r = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 0.05))
+    theta = draw(st.floats(-math.pi, math.pi, exclude_min=True))
+    return (units, f_idles, betas, TargetLocation(r, theta),
+            draw(st.floats(0.01, 4.0)), draw(st.floats(0.0, 0.2)),
+            draw(st.floats(0.0, 0.5)), draw(st.integers(0, groups + 1)))
+
+
+def tie_case(theta=0.0, r=0.25 / 128.0, speed=0.25):
+    return (list(range(8)), TIE_F_IDLES, TIE_BETAS,
+            TargetLocation(r, theta), speed, 1.0 / 16.0, 0.35, 0)
+
+
+# At this speed and bearing pi/4, |vx| == |vy| exactly: the x pairs win.
+AXIS_TIE_SPEED = 1.7870949042786577
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=compile_cases())
+@example(case=tie_case())
+@example(case=tie_case(math.pi / 4))
+@example(case=tie_case(-math.pi / 4))
+@example(case=tie_case(3 * math.pi / 4))
+@example(case=tie_case(-3 * math.pi / 4))
+@example(case=tie_case(math.pi))
+@example(case=tie_case(1.0, r=0.0))
+@example(case=tie_case(math.pi / 4, r=0.003, speed=AXIS_TIE_SPEED))
+def test_compile_equals_the_scalar_oracle_bit_for_bit(case):
+    units, f_idles, betas, target, speed, tol, drift, floor = case
+    pairs = list(zip(units[0::2], units[1::2]))
+    fits = [UnitFit(u, f, b, 1.0) for u, f, b in zip(units, f_idles, betas)]
+    pairing = Pairing(unit=np.transpose(pairs), f_idle=np.reshape(
+        f_idles, (-1, 2)).T, beta=np.reshape(betas, (-1, 2)).T)
+    try:
+        want = compile_lookup_scalar(pairs, fits, target, speed, tol, drift,
+                                     floor)
+    except CompileError as exc:
+        with pytest.raises(CompileError) as got:
+            compile_lookup(pairing, target, speed, tol, drift, floor)
+        assert str(got.value) == str(exc)
+        return
+    got = compile_lookup(pairing, target, speed, tol, drift, floor)
+    assert got.slots == want.slots
+    assert got.dropped == want.dropped
+    assert got.residuals == want.residuals
+    assert all(type(t) is int for slot in got.slots for t in slot)
+    assert serialize_mux(got) == serialize_mux(want)
+
+
 class TestMuxSerialization:
     def test_round_trip(self):
-        pairing = synthetic_pairing()
-        fits = fits_from([2000, 2011, 1990, 2005, 2020, 1985, 2001, 1999],
-                         [20.0] * 8)
-        mux = compile_lookup(pairing, fits, TargetLocation(0.003, 1.1), 0.25,
+        pairing = synthetic_pairing(
+            [2000, 2011, 1990, 2005, 2020, 1985, 2001, 1999], [20.0] * 8)
+        mux = compile_lookup(pairing, TargetLocation(0.003, 1.1), 0.25,
                              min_active_groups=1)
         text = serialize_mux(mux)
         back = deserialize_mux(text)
@@ -407,10 +475,9 @@ class TestNodeStep:
 
 def small_network(seed=0, n_pairs=4):
     rng = np.random.default_rng(seed)
-    pairing = synthetic_pairing(n_pairs)
-    fits = fits_from(rng.normal(2000, 150, 2 * n_pairs).tolist(),
-                     rng.uniform(18, 24, 2 * n_pairs).tolist())
-    mux = compile_lookup(pairing, fits, TargetLocation(0.002, 0.3), 0.25,
+    pairing = synthetic_pairing(rng.normal(2000, 150, 2 * n_pairs),
+                                rng.uniform(18, 24, 2 * n_pairs))
+    mux = compile_lookup(pairing, TargetLocation(0.002, 0.3), 0.25,
                          min_active_groups=1)
     layout = {(u, t): 8 * u + t for u in range(2 * n_pairs) for t in range(8)}
     return VectorNetwork(mux, layout, DEFAULT_FILTERS), 2 * n_pairs
@@ -452,9 +519,8 @@ class TestVectorNetwork:
         assert np.array_equal(net.run(frames), fresh.run(frames))
 
     def test_missing_phase_rejected(self):
-        pairing = synthetic_pairing()
-        fits = fits_from([2000.0] * 8, [20.0] * 8)
-        mux = compile_lookup(pairing, fits, TargetLocation(0.002, 0.0), 0.25,
+        pairing = synthetic_pairing([2000.0] * 8, [20.0] * 8)
+        mux = compile_lookup(pairing, TargetLocation(0.002, 0.0), 0.25,
                              min_active_groups=1)
         layout = {(u, 0): u for u in range(8)}  # tap-0 only
         if any(t != 0 for _, t in mux.slots):
