@@ -28,9 +28,11 @@ NYQUIST_F_MAX_HZ = 4000.0
 DEFAULT_SCAN_CLOCK_HZ = 6_000_000.0
 TAPS_PER_UNIT = 8
 
-# Calibration sweeps program each axis at full linear magnitude and sweep
-# the matching velocity component over the linear range in unit steps.
-CAL_PREF_CODES = ((12, 8), (4, 8), (8, 12), (8, 4))
+# Programming codes (routable member, tap-0 partner) of an x pair and of
+# a y pair: decoded, (+4, 0) against (-4, 0) and (0, +4) against (0, -4).
+# Calibration programs all units with each in this order and sweeps the
+# matching velocity component over the linear range in unit steps.
+PAIR_CODES = (((12, 8), (4, 8)), ((8, 12), (8, 4)))
 CAL_SWEEP = tuple(range(-4, 5))
 MIN_ESTIMATE_WINDOW_S = 0.1
 
@@ -288,16 +290,15 @@ def calibrate(chip: ChipState, clock_hz: float = DEFAULT_SCAN_CLOCK_HZ,
     samples: dict[int, list[tuple[float, float]]] = {
         u: [] for u in range(chip.n_units)
     }
-    for codes in CAL_PREF_CODES:
+    for codes in (member for pair in PAIR_CODES for member in pair):
         chip.hold()
         program(chip, [(u, codes, tap0_bypass()) for u in range(chip.n_units)])
         chip.release()
         fs = phase_rate(clock_hz, chip.enabled_phases)
         n_cycles = int(np.ceil(window_s * fs))
-        axis_is_x = codes[0] != 8
-        pref = (codes[0] - 8, codes[1] - 8)
+        pref = tuple(decode_velocity_code(c) for c in codes)
         for sweep_v in CAL_SWEEP:
-            v = VelocityVector(sweep_v, 0.0) if axis_is_x else VelocityVector(0.0, sweep_v)
+            v = VelocityVector(sweep_v, 0.0) if pref[0] else VelocityVector(0.0, sweep_v)
             frames = scan_frames(chip, v, n_cycles, clock_hz)
             traces = frames.T
             inner = v.vx * pref[0] + v.vy * pref[1]

@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--velocity", required=True, help="input velocity 'vx,vy'")
     p.add_argument("--session-ticks", type=int, default=None)
     p.add_argument("--stride", type=int, default=64,
-                   help="ticks between occupancy snapshots")
+                   help="ticks between occupancy matrices")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_field_map)
 

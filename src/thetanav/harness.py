@@ -22,6 +22,7 @@ import numpy as np
 
 from . import place_grid
 from .chip_io import (
+    PAIR_CODES,
     ChipState,
     UnitFit,
     calibrate,
@@ -37,16 +38,11 @@ from .place_grid import (
     CAUSE_VELOCITY_CHANGE,
     DIRECTION_DELTA,
     DIRECTIONS,
-    PlaceGrid,
     PulseEvent,
-    locate,
     reset_controller,
-    write_grid_csv,
-    write_trail_csv,
 )
 from .theta_core import VelocityVector, sample_population
 from .vector_net import (
-    PAIR_CODES,
     CompileError,
     MuxTable,
     NodeBank,
@@ -114,9 +110,8 @@ def build_rig(config: RunConfig) -> TrackRig:
     rig = TrackRig(config=config, chip=chip, fits=fits, admitted=admitted,
                    pairing=pairing, frame_layout=frame_layout, networks={},
                    fs=fs)
-    for direction, (dx, dy) in DIRECTION_DELTA.items():
-        mux = rig.compile_target(
-            TargetLocation(config.pitch, math.atan2(dy, dx)))
+    for direction, delta in DIRECTION_DELTA.items():
+        mux = rig.compile_target(TargetLocation.of_cell(delta, config.pitch))
         rig.networks[direction] = rig.network_for(mux)
     return rig
 
@@ -125,27 +120,29 @@ def build_rig(config: RunConfig) -> TrackRig:
 class TrackResult:
     """Everything a tracking run produced.
 
+    ``trail`` is the one record of the bump's path: a (0, "start", 0, 0)
+    row, then a (tick, direction, x, y) row per pulse with the bump's new
+    cell; ``events``, ``final`` and the emitted grids are read from it.
     ``traces`` holds each direction's network output on the trail tick
     axis: reset holds read 0, so ``traces[d][tick]`` is the output at
     ``tick`` and every trace is ``ticks`` long.
     """
 
-    events: list[PulseEvent] = field(default_factory=list)
-    trail: list[tuple[int, str, int, int]] = field(default_factory=list)
+    trail: list[tuple[int, str, int, int]] = field(
+        default_factory=lambda: [(0, "start", 0, 0)])
     traces: dict[str, np.ndarray] = field(default_factory=dict)
     resets: list[tuple[int, str]] = field(default_factory=list)
-    snapshots: list[np.ndarray] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    final: tuple[int, int] = (0, 0)
     ticks: int = 0
     diagnostics: dict = field(default_factory=dict)
 
-    def check_invariants(self) -> None:
-        expected = place_grid.displacement(ev.direction for ev in self.events)
-        if self.final != expected:
-            raise AssertionError(
-                f"displacement additivity violated: final {self.final}, "
-                f"event counts give {expected}")
+    @property
+    def events(self) -> list[PulseEvent]:
+        return [PulseEvent(d, tick) for tick, d, _, _ in self.trail[1:]]
+
+    @property
+    def final(self) -> tuple[int, int]:
+        return self.trail[-1][2:]
 
 
 def _first_confirmed_pulse(outputs: dict[str, np.ndarray], width: int,
@@ -180,7 +177,8 @@ def _session(rig: TrackRig, velocity: VelocityVector, n: int) -> np.ndarray:
 
 def run_track(config: RunConfig, script: PathScript,
               rig: Optional[TrackRig] = None) -> TrackResult:
-    """Execute a path script and integrate vector-cell pulses on the grid.
+    """Execute a path script and move the place-cell bump one cell per
+    vector-cell pulse, recording each move in the trail.
 
     A reset zeroes every phase and filter, so every reset inside a
     segment starts the same session.  Each segment is scanned and
@@ -197,10 +195,7 @@ def run_track(config: RunConfig, script: PathScript,
         rig = build_rig(config)
     elif rig.config != config:
         raise ValueError("the rig was built from another config")
-    grid = PlaceGrid(config.grid_size, config.grid_size)
     result = TrackResult()
-    result.trail.append((0, "start", 0, 0))
-    result.snapshots.append(grid.snapshot())
     traces: dict[str, list[np.ndarray]] = {d: [] for d in DIRECTIONS}
     hold = np.zeros(config.hold_ticks, dtype=np.uint8)
     arrival_ticks = int(math.ceil(config.cell_seconds * rig.fs))
@@ -248,17 +243,16 @@ def run_track(config: RunConfig, script: PathScript,
             pulse_pending = start is not None and kept == period
             if pulse_pending:
                 for d in fired:
-                    grid = _apply_event(grid, PulseEvent(d, tick + start),
-                                        result)
+                    cell = place_grid.apply_pulse(
+                        result.final, PulseEvent(d, tick + start),
+                        config.grid_size)
+                    result.trail.append((tick + start, d, *cell))
             tick += kept
             remaining -= kept
 
-    result.final = locate(grid)
     result.ticks = tick
-    result.traces = {
-        d: (np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8))
-        for d, chunks in traces.items()
-    }
+    result.traces = {d: np.concatenate([np.zeros(0, np.uint8), *chunks])
+                     for d, chunks in traces.items()}
     result.diagnostics = {
         "admitted_units": len(rig.admitted),
         "dropped_groups": {d: list(rig.networks[d].mux.dropped)
@@ -266,18 +260,7 @@ def run_track(config: RunConfig, script: PathScript,
         "fs": rig.fs,
         "arrival_ticks": arrival_ticks,
     }
-    result.check_invariants()
     return result
-
-
-def _apply_event(grid: PlaceGrid, event: PulseEvent,
-                 result: TrackResult) -> PlaceGrid:
-    grid = place_grid.apply_pulse(grid, event)
-    result.events.append(event)
-    x, y = locate(grid)
-    result.trail.append((event.tick, event.direction, x, y))
-    result.snapshots.append(grid.snapshot())
-    return grid
 
 
 @dataclass
@@ -299,12 +282,9 @@ class FieldMapResult:
 
     def occupancy(self, tick: int) -> np.ndarray:
         """Grid snapshot of which designated cells read high at a tick."""
-        half = self.grid_size // 2
-        occ = np.zeros((self.grid_size, self.grid_size), dtype=np.uint8)
-        for (x, y), bits in self.outputs.items():
-            if tick < bits.size and bits[tick]:
-                occ[half - y, x + half] = 1
-        return occ
+        return place_grid.grid_matrix(
+            ((cell, 1) for cell, bits in self.outputs.items()
+             if tick < bits.size and bits[tick]), self.grid_size)
 
 
 def field_map(config: RunConfig, velocity: VelocityVector,
@@ -318,8 +298,11 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     toward that cell; all cells then observe the same scanned input,
     through one node bank that filters each node they share once.  A
     cell whose table does not compile is recorded in ``failed``.  A target
-    off the grid or a ``rig`` built from another config raises ValueError.
+    off the grid, a negative ``session_ticks`` or a ``rig`` built from
+    another config raises ValueError.
     """
+    if session_ticks is not None and session_ticks < 0:
+        raise ValueError(f"session_ticks must be >= 0, got {session_ticks}")
     half = config.grid_size // 2
     if targets is None:
         targets = [(x, y) for y in range(-half, half + 1)
@@ -339,23 +322,19 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     frames = _session(rig, velocity, session_ticks)
 
     result = FieldMapResult(velocity=velocity, session_ticks=session_ticks,
-                            cells=list(targets), first_fire={}, events={},
+                            cells=list(targets),
+                            first_fire=dict.fromkeys(targets), events={},
                             outputs={}, grid_size=config.grid_size)
     networks: dict[tuple[int, int], VectorNetwork] = {}
     for cell in targets:
-        x, y = cell
-        target = TargetLocation(config.pitch * math.hypot(x, y),
-                                math.atan2(y, x))
+        target = TargetLocation.of_cell(cell, config.pitch)
         try:
             networks[cell] = rig.network_for(rig.compile_target(target))
         except CompileError as exc:
             result.failed[cell] = str(exc)
     bank = NodeBank(frames, networks.values(), rig.config.filters)
-    for cell in targets:
-        if cell not in networks:
-            result.first_fire[cell] = None
-            continue
-        out = networks[cell].run(frames, bank)
+    for cell, network in networks.items():
+        out = network.run(frames, bank)
         out[:config.settle_ticks] = 0
         result.outputs[cell] = out
         evs = place_grid.debounce(out, config.debounce_width)
@@ -415,9 +394,10 @@ def sweep_seeds(config: RunConfig, script: PathScript,
 
 def emit(result: TrackResult, outdir, config: RunConfig,
          script: PathScript) -> list[Path]:
-    """Write the run to disk: manifest, trail, traces, grid snapshots and
+    """Write the run to disk: manifest, trail, traces, grid matrices and
     warnings (an empty file when there are none), replacing any earlier
-    run's files in outdir.
+    run's files in outdir.  ``grid_<i>.csv`` is the activity matrix after
+    the trail's first i moves, rebuilt from the trail.
 
     The manifest records the full configuration (seed included), the
     script and the package version; re-running from it reproduces the
@@ -432,7 +412,7 @@ def emit(result: TrackResult, outdir, config: RunConfig,
     written.append(manifest)
 
     trail_path = outdir / "trail.csv"
-    write_trail_csv(trail_path, result.trail)
+    place_grid.write_trail_csv(trail_path, result.trail)
     written.append(trail_path)
 
     traces_path = outdir / "traces.csv"
@@ -444,9 +424,11 @@ def emit(result: TrackResult, outdir, config: RunConfig,
 
     for stale in outdir.glob("grid_*.csv"):
         stale.unlink()
-    for i, snap in enumerate(result.snapshots):
+    path = [(x, y) for _, _, x, y in result.trail]
+    for i in range(len(path)):
         snap_path = outdir / f"grid_{i:03d}.csv"
-        write_grid_csv(snap_path, snap)
+        place_grid.write_grid_csv(
+            snap_path, place_grid.snapshot(path[:i + 1], config.grid_size))
         written.append(snap_path)
 
     warn_path = outdir / "warnings.txt"
@@ -466,7 +448,10 @@ def run_from_manifest(path) -> TrackResult:
 def write_field_map_csv(result: FieldMapResult, outdir,
                         stride: int = 64) -> list[Path]:
     """Occupancy matrices every ``stride`` ticks plus first-fire times,
-    with the compile failure of each failed cell."""
+    with the compile failure of each failed cell.  A ``stride`` below 1
+    raises ValueError before any file is written."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -481,6 +466,6 @@ def write_field_map_csv(result: FieldMapResult, outdir,
     written.append(ff_path)
     for tick in range(0, result.session_ticks, stride):
         occ_path = outdir / f"occupancy_{tick:06d}.csv"
-        write_grid_csv(occ_path, result.occupancy(tick))
+        place_grid.write_grid_csv(occ_path, result.occupancy(tick))
         written.append(occ_path)
     return written

@@ -3,8 +3,11 @@
 The grid keeps exactly one cell at full activity (10).  A debounced
 pulse from a directional vector-cell network gates the path cell toward
 the matching neighbor: the neighbor takes the bump and every other
-active cell leaks by 5, so the previous bump location trails at 5.  A
-reset controller re-arms the oscillator phases at trail start, after
+active cell leaks by 5, so the previous bump location trails at 5 and
+the one before is back at 0: :func:`snapshot` rebuilds the grid from
+the bump's path, whose next cell :func:`apply_pulse` gives.
+
+A reset controller re-arms the oscillator phases at trail start, after
 every pulse, and on velocity changes.  A re-arm zeroes every phase and
 filter, so at an unchanged velocity it replays the session before it.
 """
@@ -45,78 +48,36 @@ class PulseEvent:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
 
 
-class PlaceGrid:
-    """Center-origin activity grid with a unique bump.
-
-    Coordinates run -half..+half on both axes (11x11 by default).
-    Activity levels live in {0, 5, 10}; exactly one cell holds 10.
-    """
-
-    def __init__(self, width: int = 11, height: int = 11):
-        if width < 1 or height < 1 or width % 2 == 0 or height % 2 == 0:
-            raise ValueError("grid dimensions must be odd and positive")
-        self.width = width
-        self.height = height
-        self.activity = np.zeros((height, width), dtype=int)
-        self.bump = (0, 0)
-        self._set(self.bump, BUMP_LEVEL)
-
-    def _index(self, pos: tuple[int, int]) -> tuple[int, int]:
-        x, y = pos
-        col = x + self.width // 2
-        row = y + self.height // 2
-        if not (0 <= col < self.width and 0 <= row < self.height):
-            raise OutOfBoundsError(f"cell {pos} outside the grid")
-        return row, col
-
-    def _set(self, pos: tuple[int, int], level: int) -> None:
-        self.activity[self._index(pos)] = level
-
-    def level(self, pos: tuple[int, int]) -> int:
-        return int(self.activity[self._index(pos)])
-
-    def in_bounds(self, pos: tuple[int, int]) -> bool:
-        x, y = pos
-        return abs(x) <= self.width // 2 and abs(y) <= self.height // 2
-
-    def check_invariants(self) -> None:
-        levels = set(np.unique(self.activity).tolist())
-        if not levels <= {0, LEAK_STEP, BUMP_LEVEL}:
-            raise AssertionError(f"activity alphabet violated: {levels}")
-        if int((self.activity == BUMP_LEVEL).sum()) != 1:
-            raise AssertionError("unique-bump invariant violated")
-        if self.level(self.bump) != BUMP_LEVEL:
-            raise AssertionError("bump coordinate out of sync with activity")
-
-    def snapshot(self) -> np.ndarray:
-        """Activity matrix with row 0 at the top (positive y)."""
-        return np.flipud(self.activity.copy())
-
-
-def locate(grid: PlaceGrid) -> tuple[int, int]:
-    """Coordinates of the unique fully active cell."""
-    return grid.bump
-
-
-def apply_pulse(grid: PlaceGrid, event: PulseEvent) -> PlaceGrid:
-    """Migrate the bump one cell in the pulse direction.
-
-    The target neighbor takes level 10; every other active cell leaks by
-    5 with a floor of 0, so the vacated cell reads 5 right after.  A
-    migration off the grid raises with a diagnostic instead of clamping.
-    """
+def apply_pulse(bump: tuple[int, int], event: PulseEvent,
+                grid_size: int) -> tuple[int, int]:
+    """The cell the bump moves to: one step from ``bump`` in the pulse
+    direction.  A migration off the grid_size x grid_size grid raises
+    with a diagnostic instead of clamping."""
     dx, dy = DIRECTION_DELTA[event.direction]
-    target = (grid.bump[0] + dx, grid.bump[1] + dy)
-    if not grid.in_bounds(target):
+    target = (bump[0] + dx, bump[1] + dy)
+    if max(map(abs, target)) > grid_size // 2:
         raise OutOfBoundsError(
             f"pulse {event.direction} at tick {event.tick} would move the "
-            f"bump from {grid.bump} to {target}, outside the "
-            f"{grid.width}x{grid.height} grid")
-    grid.activity = np.maximum(grid.activity - LEAK_STEP, 0)
-    grid.bump = target
-    grid._set(target, BUMP_LEVEL)
-    grid.check_invariants()
-    return grid
+            f"bump from {bump} to {target}, outside the "
+            f"{grid_size}x{grid_size} grid")
+    return target
+
+
+def grid_matrix(levels: Iterable[tuple[tuple[int, int], int]],
+                grid_size: int) -> np.ndarray:
+    """Grid matrix with row 0 at the top (positive y): cell (x, y) sits at
+    row half - y, column x + half; cells not in ``levels`` read 0."""
+    half = grid_size // 2
+    matrix = np.zeros((grid_size, grid_size), dtype=int)
+    for (x, y), level in levels:
+        matrix[half - y, x + half] = level
+    return matrix
+
+
+def snapshot(path: Sequence[tuple[int, int]], grid_size: int) -> np.ndarray:
+    """Activity matrix after the bump walked ``path`` (its cells from the
+    origin on): the bump reads 10, the cell it just left 5."""
+    return grid_matrix(zip(reversed(path), (BUMP_LEVEL, LEAK_STEP)), grid_size)
 
 
 def displacement(directions: Iterable[str]) -> tuple[int, int]:
@@ -168,13 +129,10 @@ def write_trail_csv(path, trail: Iterable[tuple[int, str, int, int]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "direction", "bump_x", "bump_y"])
-        for tick, direction, x, y in trail:
-            writer.writerow([tick, direction, x, y])
+        writer.writerows(trail)
 
 
-def write_grid_csv(path, snapshot: np.ndarray) -> None:
-    """One grid snapshot as a CSV matrix, top row first."""
+def write_grid_csv(path, matrix: np.ndarray) -> None:
+    """One integer grid matrix as CSV, top row first."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in snapshot:
-            writer.writerow([int(v) for v in row])
+        csv.writer(fh).writerows(matrix.tolist())

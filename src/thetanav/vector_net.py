@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .chip_io import InsufficientUnitsError, UnitFit
+from .chip_io import PAIR_CODES, InsufficientUnitsError, UnitFit
 from .theta_core import decode_velocity_code
 
 TAP_COUNT = 8
@@ -101,10 +101,14 @@ class TargetLocation:
         if self.r < 0:
             raise ValueError(f"distance must be >= 0, got {self.r}")
 
+    @classmethod
+    def of_cell(cls, cell: tuple[int, int], pitch: float) -> TargetLocation:
+        """The displacement to grid cell (x, y), cells ``pitch`` apart."""
+        x, y = cell
+        return cls(pitch * math.hypot(x, y), math.atan2(y, x))
 
-# Programming codes (routable member, tap-0 partner) of an x pair and of
-# a y pair: decoded, (+4, 0) against (-4, 0) and (0, +4) against (0, -4).
-PAIR_CODES = (((12, 8), (4, 8)), ((8, 12), (8, 4)))
+
+# The decoded chip_io.PAIR_CODES as [axis, member, component].
 _PAIR_PREF = np.vectorize(decode_velocity_code)(PAIR_CODES)
 
 

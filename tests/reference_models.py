@@ -2,15 +2,17 @@
 
 ``thetanav`` keeps one implementation per concept: the frequency law in
 ``theta_core.frequencies``, oscillator phase in ``ChipState``/
-``scan_frames``, the interference node in ``filter_stage_batch``, and tap
-choice in ``compile_lookup``.  The models here state the same physics the
-plain way (the law for one unit in plain numbers, the scan's tap bits by
-float modulo, one oscillator or one node stepped a sample at a time, the
-tap compiler one group and one tap at a time, the paper's closed-form tap
-shift) so the tests can check the vectorized and time-domain code against
-them.  The inverses of velocity decoding and
-lookup-table serialization live here too, since only the round-trip tests
-need them.
+``scan_frames``, the interference node in ``filter_stage_batch``, tap
+choice in ``compile_lookup``, and the place grid in the bump's path
+(``place_grid.apply_pulse`` and ``snapshot``).  The models here state
+the same physics the plain way (the law for one unit in plain numbers,
+the scan's tap bits by float modulo, one oscillator or one node stepped
+a sample at a time, the tap compiler one group and one tap at a time,
+the paper's closed-form tap shift, the place grid as an activity matrix
+that every pulse leaks) so the tests can check the vectorized and
+time-domain code against them.  The inverses of velocity decoding and
+lookup-table serialization live here too, since only the round-trip
+tests need them.
 """
 
 import math
@@ -19,6 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from thetanav.chip_io import ChipState, phase_rate
+from thetanav.place_grid import (
+    BUMP_LEVEL,
+    DIRECTION_DELTA,
+    LEAK_STEP,
+    OutOfBoundsError,
+    PulseEvent,
+)
 from thetanav.theta_core import (
     F_SWING_HZ,
     LINEAR,
@@ -302,3 +311,73 @@ def phase_shift(loc, cell: EffectiveCell, speed: float) -> float:
     acc = loc.r * (math.cos(loc.theta - cell.theta_p) * gain_spatial
                    + cell.f_off_eff / speed)
     return ((1.0 - (acc % 1.0)) % 1.0) % TAP_STEP
+
+
+class PlaceGrid:
+    """Center-origin activity grid with a unique bump, stepped one pulse
+    at a time: what ``place_grid.snapshot`` rebuilds from the bump's path.
+
+    Coordinates run -half..+half on both axes (11x11 by default).
+    Activity levels live in {0, 5, 10}; exactly one cell holds 10.
+    """
+
+    def __init__(self, width: int = 11, height: int = 11):
+        if width < 1 or height < 1 or width % 2 == 0 or height % 2 == 0:
+            raise ValueError("grid dimensions must be odd and positive")
+        self.width = width
+        self.height = height
+        self.activity = np.zeros((height, width), dtype=int)
+        self.bump = (0, 0)
+        self._set(self.bump, BUMP_LEVEL)
+
+    def _index(self, pos: tuple[int, int]) -> tuple[int, int]:
+        x, y = pos
+        col = x + self.width // 2
+        row = y + self.height // 2
+        if not (0 <= col < self.width and 0 <= row < self.height):
+            raise OutOfBoundsError(f"cell {pos} outside the grid")
+        return row, col
+
+    def _set(self, pos: tuple[int, int], level: int) -> None:
+        self.activity[self._index(pos)] = level
+
+    def level(self, pos: tuple[int, int]) -> int:
+        return int(self.activity[self._index(pos)])
+
+    def in_bounds(self, pos: tuple[int, int]) -> bool:
+        x, y = pos
+        return abs(x) <= self.width // 2 and abs(y) <= self.height // 2
+
+    def check_invariants(self) -> None:
+        levels = set(np.unique(self.activity).tolist())
+        if not levels <= {0, LEAK_STEP, BUMP_LEVEL}:
+            raise AssertionError(f"activity alphabet violated: {levels}")
+        if int((self.activity == BUMP_LEVEL).sum()) != 1:
+            raise AssertionError("unique-bump invariant violated")
+        if self.level(self.bump) != BUMP_LEVEL:
+            raise AssertionError("bump coordinate out of sync with activity")
+
+    def snapshot(self) -> np.ndarray:
+        """Activity matrix with row 0 at the top (positive y)."""
+        return np.flipud(self.activity.copy())
+
+
+def apply_pulse_to_grid(grid: PlaceGrid, event: PulseEvent) -> PlaceGrid:
+    """Migrate the bump one cell in the pulse direction.
+
+    The target neighbor takes level 10; every other active cell leaks by
+    5 with a floor of 0, so the vacated cell reads 5 right after.  A
+    migration off the grid raises with a diagnostic instead of clamping.
+    """
+    dx, dy = DIRECTION_DELTA[event.direction]
+    target = (grid.bump[0] + dx, grid.bump[1] + dy)
+    if not grid.in_bounds(target):
+        raise OutOfBoundsError(
+            f"pulse {event.direction} at tick {event.tick} would move the "
+            f"bump from {grid.bump} to {target}, outside the "
+            f"{grid.width}x{grid.height} grid")
+    grid.activity = np.maximum(grid.activity - LEAK_STEP, 0)
+    grid.bump = target
+    grid._set(target, BUMP_LEVEL)
+    grid.check_invariants()
+    return grid

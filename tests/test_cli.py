@@ -68,3 +68,15 @@ def test_invalid_config_file_exits_1(tmp_path, capsys):
                  "--out", "run"]) == 1
     assert "pitch and speed must be positive" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--stride", "-5"], "stride must be >= 1, got -5"),
+    (["--stride", "0"], "stride must be >= 1, got 0"),
+    (["--session-ticks", "-3"], "session_ticks must be >= 0, got -3"),
+])
+def test_field_map_bad_lengths_exit_1(tmp_path, capsys, flags, message):
+    assert main(["field-map", "--velocity", "0.25,0", "--out", "map"]
+                + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "map").exists()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetanav import harness
+from thetanav.chip_io import PAIR_CODES
 from thetanav.config import (
     PathScript,
     RunConfig,
@@ -22,7 +23,6 @@ from thetanav.config import (
 )
 from thetanav.theta_core import VelocityVector, decode_velocity_code
 from thetanav.vector_net import (
-    PAIR_CODES,
     TAP_STEP,
     CompileError,
     TargetLocation,
@@ -200,8 +200,8 @@ def test_emit_then_run_from_manifest_is_bit_exact(rig, tmp_path):
 
 
 def test_emit_replaces_an_earlier_run(rig, tmp_path):
-    # Two warnings and two snapshots, then none and five, then the first
-    # again: each emit leaves exactly its own files behind.
+    # Two warnings and two grid snapshots, then none and five, then the
+    # first again: each emit leaves exactly its own files behind.
     warned = PathScript(name="warned", segments=(leg("E", 100), leg("E")))
     for script, n_warnings in ((warned, 2), (SCRIPTS["path3_loop"], 0),
                                (warned, 2)):
@@ -211,8 +211,38 @@ def test_emit_replaces_an_earlier_run(rig, tmp_path):
         assert sorted(tmp_path.iterdir()) == sorted(written)
         assert len((tmp_path / "warnings.txt").read_text().splitlines()) \
             == n_warnings
-        assert len(list(tmp_path.glob("grid_*.csv"))) \
-            == len(result.snapshots)
+        assert len(list(tmp_path.glob("grid_*.csv"))) == len(result.trail)
+
+
+# SHA-256 of the seed-0 path1_meander grid_000.csv .. grid_005.csv,
+# concatenated in name order.
+MEANDER_GRIDS_SHA256 = \
+    "0e38ab46faa3e641a31c0b2c43c236caa7f669c333dad92c885d8c7520dc002e"
+
+
+def test_emitted_grids_seed0_bit_for_bit(rig, tmp_path):
+    script = SCRIPTS["path1_meander"]
+    result = harness.run_track(CONFIG, script, rig=rig)
+    harness.emit(result, tmp_path, CONFIG, script)
+    grids = sorted(tmp_path.glob("grid_*.csv"))
+    assert [g.name for g in grids] == [f"grid_{i:03d}.csv" for i in range(6)]
+    digest = hashlib.sha256(b"".join(g.read_bytes() for g in grids))
+    assert digest.hexdigest() == MEANDER_GRIDS_SHA256
+
+
+def test_occupancy_puts_cell_x_y_at_row_half_minus_y_column_x_plus_half():
+    bits = np.zeros(4, dtype=np.uint8)
+    bits[2] = 1
+    result = harness.FieldMapResult(
+        velocity=VelocityVector(0.25, 0.0), session_ticks=4,
+        cells=[(2, -1), (-1, 0)], first_fire={}, events={},
+        outputs={(2, -1): bits, (-1, 0): np.zeros(4, dtype=np.uint8)},
+        grid_size=5)
+    expected = np.zeros((5, 5), dtype=int)
+    expected[2 - (-1), 2 + 2] = 1
+    assert np.array_equal(result.occupancy(2), expected)
+    assert not result.occupancy(1).any()
+    assert not result.occupancy(4).any()   # past the end of the session
 
 
 def test_field_map_records_compile_failures(rig, tmp_path):
@@ -272,8 +302,7 @@ def test_field_map_lookup_tables_seed0_bit_for_bit(rig):
     texts = []
     for y in range(-half, half + 1):
         for x in range(-half, half + 1):
-            target = TargetLocation(CONFIG.pitch * math.hypot(x, y),
-                                    math.atan2(y, x))
+            target = TargetLocation.of_cell((x, y), CONFIG.pitch)
             try:
                 texts.append(serialize_mux(rig.compile_target(target)))
             except CompileError as exc:

@@ -29,8 +29,7 @@ def field_networks(rig):
     networks = []
     for y in range(-half, half + 1):
         for x in range(-half, half + 1):
-            target = TargetLocation(CONFIG.pitch * math.hypot(x, y),
-                                    math.atan2(y, x))
+            target = TargetLocation.of_cell((x, y), CONFIG.pitch)
             try:
                 networks.append(rig.network_for(rig.compile_target(target)))
             except CompileError:

@@ -1,23 +1,27 @@
 """Place-grid contracts: debouncing, bump migration, leakage, readout
-and the reset controller."""
+and the reset controller, with the grid rebuilt from the bump's path
+checked against the activity-matrix model."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetanav.place_grid import (
     CAUSE_TRAIL_START,
     CAUSE_VECTOR_FIRE,
     CAUSE_VELOCITY_CHANGE,
+    DIRECTIONS,
     OutOfBoundsError,
-    PlaceGrid,
     PulseEvent,
     apply_pulse,
     debounce,
-    locate,
     reset_controller,
+    snapshot,
     write_grid_csv,
     write_trail_csv,
 )
+
+from reference_models import PlaceGrid, apply_pulse_to_grid
 
 
 class TestDebounce:
@@ -55,82 +59,124 @@ class TestDebounce:
         assert debounce([0, 0, 1, 1, 1], 3) == [2]
 
 
+def walk(directions, size=11):
+    """The bump's path (origin first) after one pulse per direction."""
+    path = [(0, 0)]
+    for tick, d in enumerate(directions):
+        path.append(apply_pulse(path[-1], PulseEvent(d, tick), size))
+    return path
+
+
+def level(matrix, cell):
+    """Activity of cell (x, y) in a top-row-first grid matrix."""
+    half = matrix.shape[0] // 2
+    return int(matrix[half - cell[1], cell[0] + half])
+
+
+def locate(matrix):
+    """Coordinates of the unique fully active cell."""
+    (row,), (col,) = np.nonzero(matrix == 10)
+    half = matrix.shape[0] // 2
+    return (int(col) - half, half - int(row))
+
+
 class TestApplyPulse:
     def test_east_leaves_trailing_five(self):
-        grid = PlaceGrid()
-        apply_pulse(grid, PulseEvent("E", 0))
+        path = walk("E")
+        assert path[-1] == (1, 0)
+        grid = snapshot(path, 11)
         assert locate(grid) == (1, 0)
-        assert grid.level((1, 0)) == 10
-        assert grid.level((0, 0)) == 5
+        assert level(grid, (1, 0)) == 10
+        assert level(grid, (0, 0)) == 5
 
     def test_closed_loop_returns_home(self):
-        grid = PlaceGrid()
-        for i, d in enumerate(("N", "E", "S", "W")):
-            apply_pulse(grid, PulseEvent(d, i))
-        assert locate(grid) == (0, 0)
+        path = walk("NESW")
+        assert path[-1] == (0, 0)
+        assert locate(snapshot(path, 11)) == (0, 0)
 
     def test_boundary_raises(self):
-        grid = PlaceGrid()
-        for i in range(5):
-            apply_pulse(grid, PulseEvent("E", i))
-        assert locate(grid) == (5, 0)
-        with pytest.raises(OutOfBoundsError):
-            apply_pulse(grid, PulseEvent("E", 5))
+        path = walk("EEEEE")
+        assert locate(snapshot(path, 11)) == (5, 0)
+        with pytest.raises(OutOfBoundsError, match=(
+                r"^pulse E at tick 5 would move the bump from \(5, 0\) to "
+                r"\(6, 0\), outside the 11x11 grid$")):
+            apply_pulse(path[-1], PulseEvent("E", 5), 11)
 
     def test_tail_decays_to_zero_after_two_steps(self):
-        grid = PlaceGrid()
-        apply_pulse(grid, PulseEvent("E", 0))
-        apply_pulse(grid, PulseEvent("E", 1))
-        assert grid.level((0, 0)) == 0
-        assert grid.level((1, 0)) == 5
-        assert grid.level((2, 0)) == 10
+        grid = snapshot(walk("EE"), 11)
+        assert level(grid, (0, 0)) == 0
+        assert level(grid, (1, 0)) == 5
+        assert level(grid, (2, 0)) == 10
 
     def test_invariants_under_random_walks(self):
         rng = np.random.default_rng(11)
-        grid = PlaceGrid()
         dirs = np.array(["E", "N", "W", "S"])
-        pos = (0, 0)
+        path = [(0, 0)]
         counts = {d: 0 for d in dirs}
         for i in range(300):
             d = str(rng.choice(dirs))
             delta = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}[d]
-            target = (pos[0] + delta[0], pos[1] + delta[1])
-            if not grid.in_bounds(target):
+            target = (path[-1][0] + delta[0], path[-1][1] + delta[1])
+            if max(map(abs, target)) > 5:
                 continue
-            before = {c: grid.level(c) for c in
-                      [(x, y) for x in range(-5, 6) for y in range(-5, 6)]}
-            apply_pulse(grid, PulseEvent(d, i))
-            grid.check_invariants()
-            pos = target
+            before = snapshot(path, 11)
+            path.append(apply_pulse(path[-1], PulseEvent(d, i), 11))
+            assert path[-1] == target
             counts[d] += 1
+            grid = snapshot(path, 11)
+            # Activity alphabet, unique bump, bump at the path's end.
+            assert set(np.unique(grid).tolist()) <= {0, 5, 10}
+            assert int((grid == 10).sum()) == 1
+            assert level(grid, target) == 10
             # Decay monotonicity: no cell gains activity except the bump.
-            for c, lv in before.items():
-                if c != pos:
-                    assert grid.level(c) <= lv
+            gained = grid > before
+            gained[5 - target[1], target[0] + 5] = False
+            assert not gained.any()
         # Displacement additivity over the whole walk.
-        assert locate(grid) == (counts["E"] - counts["W"],
-                                counts["N"] - counts["S"])
+        assert locate(snapshot(path, 11)) == (counts["E"] - counts["W"],
+                                              counts["N"] - counts["S"])
 
     def test_direction_validated(self):
         with pytest.raises(ValueError):
             PulseEvent("X", 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(size=st.sampled_from([1, 3, 5, 7, 9, 11]),
+       directions=st.lists(st.sampled_from(DIRECTIONS), max_size=40))
+def test_snapshot_matches_the_activity_matrix_model(size, directions):
+    # At every step the grid rebuilt from the path equals the matrix that
+    # leaks every pulse, and an off-grid pulse raises the same message
+    # in both and moves neither.
+    grid = PlaceGrid(size, size)
+    path = [(0, 0)]
+    assert np.array_equal(snapshot(path, size), grid.snapshot())
+    for tick, d in enumerate(directions):
+        event = PulseEvent(d, tick)
+        try:
+            cell = apply_pulse(path[-1], event, size)
+        except OutOfBoundsError as exc:
+            with pytest.raises(OutOfBoundsError) as ref:
+                apply_pulse_to_grid(grid, event)
+            assert str(ref.value) == str(exc)
+        else:
+            apply_pulse_to_grid(grid, event)
+            path.append(cell)
+        assert grid.bump == path[-1]
+        assert np.array_equal(snapshot(path, size), grid.snapshot())
+
+
 class TestLocate:
     def test_fresh_grid_at_origin(self):
-        assert locate(PlaceGrid()) == (0, 0)
+        assert locate(snapshot(walk(""), 11)) == (0, 0)
 
     def test_pulse_accounting(self):
-        grid = PlaceGrid()
-        for i, d in enumerate(("E", "E", "N")):
-            apply_pulse(grid, PulseEvent(d, i))
-        assert locate(grid) == (2, 1)
+        path = walk("EEN")
+        assert path[-1] == locate(snapshot(path, 11)) == (2, 1)
 
     def test_detour_sequence_endpoint(self):
-        grid = PlaceGrid()
-        for i, d in enumerate(("E", "E", "S", "E", "S")):
-            apply_pulse(grid, PulseEvent(d, i))
-        assert locate(grid) == (3, -2)
+        path = walk("EESES")
+        assert path[-1] == locate(snapshot(path, 11)) == (3, -2)
 
 
 class TestResetController:
@@ -160,10 +206,8 @@ class TestExports:
         assert lines[2] == "42,E,1,0"
 
     def test_grid_csv_top_row_first(self, tmp_path):
-        grid = PlaceGrid(5, 5)
-        apply_pulse(grid, PulseEvent("N", 0))
         path = tmp_path / "grid.csv"
-        write_grid_csv(path, grid.snapshot())
+        write_grid_csv(path, snapshot(walk("N", 5), 5))
         rows = [r.split(",") for r in path.read_text().strip().splitlines()]
         # Bump at (0, 1): row index 1 from the top in a 5x5 grid.
         assert rows[1][2] == "10"

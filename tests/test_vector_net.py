@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thetanav.chip_io import InsufficientUnitsError, UnitFit
+from thetanav.chip_io import PAIR_CODES, InsufficientUnitsError, UnitFit
 from thetanav.theta_core import decode_velocity_code
 from thetanav.vector_net import (
     DEFAULT_FILTERS,
     FIR_LAYER1,
     FIR_LAYER2,
-    PAIR_CODES,
     CompileError,
     FilterParams,
     Pairing,
@@ -202,6 +201,13 @@ class TestPhaseShift:
     def test_zero_speed_rejected(self):
         with pytest.raises(ValueError):
             phase_shift(TargetLocation(1.0, 0.0), self.CELL, 0.0)
+
+
+@pytest.mark.parametrize("cell, r, theta", [
+    ((0, 0), 0.0, 0.0), ((1, 0), 0.5, 0.0), ((0, -1), 0.5, -math.pi / 2),
+    ((-2, 0), 1.0, math.pi), ((3, 4), 2.5, math.atan2(4, 3))])
+def test_target_of_cell(cell, r, theta):
+    assert TargetLocation.of_cell(cell, 0.5) == TargetLocation(r, theta)
 
 
 def synthetic_pairing(f_idles, betas):
