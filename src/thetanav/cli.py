@@ -79,6 +79,8 @@ def cmd_track(args) -> int:
 def cmd_field_map(args) -> int:
     config = _load_or_default(args)
     vx, vy = (float(x) for x in args.velocity.split(","))
+    if args.stride < 1:   # before the rig is built and the session run
+        raise ValueError(f"stride must be >= 1, got {args.stride}")
     result = field_map(config, VelocityVector(vx, vy),
                        session_ticks=args.session_ticks)
     files = write_field_map_csv(result, args.out, stride=args.stride)

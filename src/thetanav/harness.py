@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -80,8 +81,10 @@ class TrackRig:
             drift_tolerance=self.config.drift_tolerance,
             min_active_groups=self.config.min_active_groups)
 
-    def network_for(self, mux: MuxTable) -> VectorNetwork:
-        return VectorNetwork(mux, self.frame_layout, self.config.filters)
+    def network(self, cell: tuple[int, int]) -> VectorNetwork:
+        """Grid cell ``cell``'s network; CompileError if it does not compile."""
+        target = TargetLocation.of_cell(cell, self.config.pitch)
+        return VectorNetwork(self.compile_target(target), self.frame_layout)
 
 
 def build_rig(config: RunConfig) -> TrackRig:
@@ -110,9 +113,7 @@ def build_rig(config: RunConfig) -> TrackRig:
     rig = TrackRig(config=config, chip=chip, fits=fits, admitted=admitted,
                    pairing=pairing, frame_layout=frame_layout, networks={},
                    fs=fs)
-    for direction, delta in DIRECTION_DELTA.items():
-        mux = rig.compile_target(TargetLocation.of_cell(delta, config.pitch))
-        rig.networks[direction] = rig.network_for(mux)
+    rig.networks = {d: rig.network(delta) for d, delta in DIRECTION_DELTA.items()}
     return rig
 
 
@@ -124,8 +125,9 @@ class TrackResult:
     row, then a (tick, direction, x, y) row per pulse with the bump's new
     cell; ``events``, ``final`` and the emitted grids are read from it.
     ``traces`` holds each direction's network output on the trail tick
-    axis: reset holds read 0, so ``traces[d][tick]`` is the output at
-    ``tick`` and every trace is ``ticks`` long.
+    axis: reset holds and the settle window after each release read 0,
+    so ``traces[d][tick]`` is the output at ``tick`` and every trace is
+    ``ticks`` long.
     """
 
     trail: list[tuple[int, str, int, int]] = field(
@@ -145,34 +147,26 @@ class TrackResult:
         return self.trail[-1][2:]
 
 
-def _first_confirmed_pulse(outputs: dict[str, np.ndarray], width: int,
-                           settle: int) -> tuple[Optional[int], list[str]]:
-    """Earliest debounce-confirmed pulse across networks.
-
-    Returns (run start tick, directions whose runs start there).  Output
-    during the settle window after a reset release is ignored.  A run
-    confirms at its width-th consecutive high sample, so runs starting
-    later than the winner never reach confirmation before the reset.
-    """
-    starts: dict[str, int] = {}
-    for direction, bits in outputs.items():
-        masked = bits.copy()
-        masked[:settle] = 0
-        events = place_grid.debounce(masked, width)
-        if events:
-            starts[direction] = events[0]
-    if not starts:
-        return None, []
-    first = min(starts.values())
-    fired = [d for d in DIRECTIONS if starts.get(d) == first]
-    return first, fired
-
-
 def _session(rig: TrackRig, velocity: VelocityVector, n: int) -> np.ndarray:
     """Scan frames of an n-tick constant-velocity session from reset."""
     rig.chip.hold()
     rig.chip.release()
     return scan_frames(rig.chip, velocity, n, rig.config.scan_clock_hz)
+
+
+def _observe(rig: TrackRig, velocity: VelocityVector, n: int,
+             networks: dict) -> tuple[dict, dict]:
+    """Each network's output bits over one n-tick session from reset, read
+    through one node bank and held low for ``settle_ticks`` after the
+    release, and the start ticks of its debounced pulses."""
+    frames = _session(rig, velocity, n)
+    bank = NodeBank(frames, networks.values(), rig.config.filters)
+    outputs, events = {}, {}
+    for key, network in networks.items():
+        out = outputs[key] = network.run(frames, bank)
+        out[:rig.config.settle_ticks] = 0
+        events[key] = place_grid.debounce(out, rig.config.debounce_width)
+    return outputs, events
 
 
 def run_track(config: RunConfig, script: PathScript,
@@ -181,15 +175,18 @@ def run_track(config: RunConfig, script: PathScript,
     vector-cell pulse, recording each move in the trail.
 
     A reset zeroes every phase and filter, so every reset inside a
-    segment starts the same session.  Each segment is scanned and
-    filtered once from reset: for its ticks when timed, or for
-    ``budget_factor`` times the predicted arrival when until-pulse,
-    failing loudly without a pulse.  That session up to its first
-    confirmed pulse is then replayed until the segment's ticks are
-    spent, or once for an until-pulse segment: each repeat holds the
-    outputs low for ``hold_ticks``, fires, and re-arms the reset.  A
-    last repeat cut short of the pulse keeps its ticks and does not fire.
-    A ``rig`` built from another config raises ValueError.
+    segment starts the same session.  The four cardinal networks observe
+    each segment's session once from reset: for its ticks when timed, or
+    for ``budget_factor`` times the predicted arrival when until-pulse,
+    failing loudly without a pulse.  The earliest debounced run start is
+    the pulse, fired by every direction whose run starts there (a run
+    confirms at its ``debounce_width``-th high sample, so later runs
+    never confirm before the reset).  The session up to that pulse is
+    replayed until the segment's ticks are spent, or once for an
+    until-pulse segment: each repeat holds the outputs low for
+    ``hold_ticks``, fires, and re-arms the reset.  A last repeat cut
+    short of the pulse keeps its ticks and does not fire.  A ``rig``
+    built from another config raises ValueError.
     """
     if rig is None:
         rig = build_rig(config)
@@ -221,11 +218,9 @@ def run_track(config: RunConfig, script: PathScript,
         prev_velocity = seg.velocity
 
         n = budget if seg.until_pulse else seg.ticks
-        frames = _session(rig, seg.velocity, n)
-        bank = NodeBank(frames, rig.networks.values(), rig.config.filters)
-        outputs = {d: rig.networks[d].run(frames, bank) for d in DIRECTIONS}
-        start, fired = _first_confirmed_pulse(
-            outputs, config.debounce_width, config.settle_ticks)
+        outputs, events = _observe(rig, seg.velocity, n, rig.networks)
+        start = min((ev[0] for ev in events.values() if ev), default=None)
+        fired = [d for d in DIRECTIONS if events[d][:1] == [start]]
         if start is None and seg.until_pulse:
             raise SegmentTimeoutError(
                 f"segment {seg_index}: no pulse within {budget} "
@@ -268,17 +263,21 @@ class FieldMapResult:
     """Per-cell vector-cell responses under one shared input.
 
     ``failed`` maps each cell whose lookup table did not compile to the
-    cause; such a cell has ``first_fire`` None and no events or outputs.
+    cause; such a cell has no events or outputs.
     """
 
     velocity: VelocityVector
     session_ticks: int
     cells: list[tuple[int, int]]
-    first_fire: dict[tuple[int, int], Optional[int]]
     events: dict[tuple[int, int], list[int]]
     outputs: dict[tuple[int, int], np.ndarray]
     grid_size: int
     failed: dict[tuple[int, int], str] = field(default_factory=dict)
+
+    @cached_property
+    def first_fire(self) -> dict[tuple[int, int], Optional[int]]:
+        """Each cell's first pulse tick, None if it failed or never fired."""
+        return {c: (self.events.get(c) or [None])[0] for c in self.cells}
 
     def occupancy(self, tick: int) -> np.ndarray:
         """Grid snapshot of which designated cells read high at a tick."""
@@ -295,11 +294,12 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     each fires during a single constant-velocity session from reset.
 
     Every cell's lookup table is compiled for the configured speed
-    toward that cell; all cells then observe the same scanned input,
-    through one node bank that filters each node they share once.  A
-    cell whose table does not compile is recorded in ``failed``.  A target
-    off the grid, a negative ``session_ticks`` or a ``rig`` built from
-    another config raises ValueError.
+    toward that cell; all compiled cells then observe one session, as
+    the cardinal networks do in :func:`run_track`, through one node bank
+    that filters each node they share once.  A cell whose table does not
+    compile is recorded in ``failed``.  A target off the grid, a
+    negative ``session_ticks`` or a ``rig`` built from another config
+    raises ValueError.
     """
     if session_ticks is not None and session_ticks < 0:
         raise ValueError(f"session_ticks must be >= 0, got {session_ticks}")
@@ -319,28 +319,16 @@ def field_map(config: RunConfig, velocity: VelocityVector,
         session_ticks = int(math.ceil(
             1.5 * max(max_r, 1.0) * config.cell_seconds * rig.fs))
 
-    frames = _session(rig, velocity, session_ticks)
-
-    result = FieldMapResult(velocity=velocity, session_ticks=session_ticks,
-                            cells=list(targets),
-                            first_fire=dict.fromkeys(targets), events={},
-                            outputs={}, grid_size=config.grid_size)
-    networks: dict[tuple[int, int], VectorNetwork] = {}
+    networks, failed = {}, {}
     for cell in targets:
-        target = TargetLocation.of_cell(cell, config.pitch)
         try:
-            networks[cell] = rig.network_for(rig.compile_target(target))
+            networks[cell] = rig.network(cell)
         except CompileError as exc:
-            result.failed[cell] = str(exc)
-    bank = NodeBank(frames, networks.values(), rig.config.filters)
-    for cell, network in networks.items():
-        out = network.run(frames, bank)
-        out[:config.settle_ticks] = 0
-        result.outputs[cell] = out
-        evs = place_grid.debounce(out, config.debounce_width)
-        result.events[cell] = evs
-        result.first_fire[cell] = evs[0] if evs else None
-    return result
+            failed[cell] = str(exc)
+    outputs, events = _observe(rig, velocity, session_ticks, networks)
+    return FieldMapResult(velocity=velocity, session_ticks=session_ticks,
+                          cells=list(targets), events=events, outputs=outputs,
+                          grid_size=config.grid_size, failed=failed)
 
 
 @dataclass
@@ -448,12 +436,15 @@ def run_from_manifest(path) -> TrackResult:
 def write_field_map_csv(result: FieldMapResult, outdir,
                         stride: int = 64) -> list[Path]:
     """Occupancy matrices every ``stride`` ticks plus first-fire times,
-    with the compile failure of each failed cell.  A ``stride`` below 1
-    raises ValueError before any file is written."""
+    with the compile failure of each failed cell, replacing any earlier
+    map's occupancy files in outdir.  A ``stride`` below 1 raises
+    ValueError before any file is written."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    for stale in outdir.glob("occupancy_*.csv"):
+        stale.unlink()
     written = []
     ff_path = outdir / "first_fire.csv"
     with open(ff_path, "w", newline="") as fh:

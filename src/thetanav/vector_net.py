@@ -15,18 +15,19 @@ every unit's phase at the target arrival time at once and routes one of
 eight phase taps per group, so the relevant pair envelopes align exactly
 when the agent arrives.
 
-Networks that read the same scan share their nodes, as on the chip: a
-:class:`NodeBank` filters each distinct first-layer node (two routed
-frame positions) and each distinct second-layer node of an active group
-(two first-layer nodes) once, and every network's output is the AND of
-its own second-layer nodes in the bank.
+A network runs only from a :class:`NodeBank` over one scan, shared by
+every network that reads that scan, as the chip shares its nodes: the
+bank filters each distinct first-layer node (two routed frame
+positions) and each distinct second-layer node of an active group (two
+first-layer nodes) once, and a network's output is the AND of its own
+second-layer nodes in the bank.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -161,14 +162,6 @@ class MuxTable:
     @property
     def n_pairs(self) -> int:
         return len(self.slots) // 2
-
-    @property
-    def n_groups(self) -> int:
-        return self.n_pairs // 2
-
-    @property
-    def active_groups(self) -> list[int]:
-        return [g for g in range(self.n_groups) if g not in self.dropped]
 
 
 def pair_layer1(admitted: Sequence[UnitFit], n_units: int = 80) -> Pairing:
@@ -307,33 +300,31 @@ class VectorNetwork:
     ``input_pos[2j + 1]``.  ``run`` computes an entire
     constant-configuration session from cleared filter state, reading
     the node bits from a :class:`NodeBank` shared with the other
-    networks on the same scan, or from a bank of its own.
+    networks on the same scan.
     """
 
     def __init__(self, mux: MuxTable,
-                 frame_layout: dict[tuple[int, int], int],
-                 filters: FilterParams = DEFAULT_FILTERS):
+                 frame_layout: dict[tuple[int, int], int]):
         self.mux = mux
-        self.filters = filters
         try:
             self.input_pos = np.array([frame_layout[slot] for slot in mux.slots])
         except KeyError as exc:
             raise CompileError(
                 f"mux routes phase {exc.args[0]} that the scan does not output")
         self.n_pairs = mux.n_pairs
-        self.n_groups = mux.n_groups
-        self.active = np.array(mux.active_groups, dtype=int)
+        self.active = np.array([g for g in range(self.n_pairs // 2)
+                                if g not in mux.dropped], dtype=int)
 
-    def run(self, frames: np.ndarray,
-            bank: Optional[NodeBank] = None) -> np.ndarray:
+    def run(self, frames: np.ndarray, bank: NodeBank) -> np.ndarray:
         """Whole-session output bits for [T, frame] input, from cleared
-        state; ``bank`` must have been built on ``frames`` with this
-        network."""
-        if bank is None:
-            bank = NodeBank(frames, [self], self.filters)
-        elif bank.frames is not frames:
+        state: the AND of this network's active second-layer nodes in
+        ``bank``, which must have been built on ``frames`` with it."""
+        if bank.frames is not frames:
             raise ValueError("the node bank was built on other frames")
-        return bank.output(self)
+        columns = bank._columns[self]
+        if columns.size == 0:
+            return np.zeros(frames.shape[0], dtype=np.uint8)
+        return bank.layer2[:, columns].all(axis=1).astype(np.uint8)
 
 
 class NodeBank:
@@ -351,8 +342,6 @@ class NodeBank:
     def __init__(self, frames: np.ndarray, networks: Iterable[VectorNetwork],
                  filters: FilterParams = DEFAULT_FILTERS):
         networks = list(networks)
-        if any(net.filters != filters for net in networks):
-            raise ValueError("networks in one node bank must share its filters")
         self.frames = frames
         l1_inputs, l1_of = _distinct(
             [net.input_pos.reshape(-1, 2) for net in networks])
@@ -363,13 +352,6 @@ class NodeBank:
         self._columns = dict(zip(networks, l2_of))
         self.layer1 = _filter_nodes(frames, l1_inputs, 1, filters)
         self.layer2 = _filter_nodes(self.layer1, l2_inputs, 2, filters)
-
-    def output(self, network: VectorNetwork) -> np.ndarray:
-        """The AND of ``network``'s active second-layer nodes."""
-        columns = self._columns[network]
-        if columns.size == 0:
-            return np.zeros(self.frames.shape[0], dtype=np.uint8)
-        return self.layer2[:, columns].all(axis=1).astype(np.uint8)
 
 
 def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

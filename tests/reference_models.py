@@ -185,12 +185,14 @@ class Node:
         return self.out
 
 
-def run_per_sample(net, frames: np.ndarray) -> np.ndarray:
-    """What ``VectorNetwork.run`` computes, with every node of ``net``
-    stepped one sample at a time from cleared state."""
-    l1 = [Node.for_layer(1, net.filters) for _ in range(net.n_pairs)]
-    l2 = [Node.for_layer(2, net.filters) for _ in range(net.n_groups)]
+def run_per_sample(net, frames: np.ndarray,
+                   filters: FilterParams = DEFAULT_FILTERS) -> np.ndarray:
+    """What ``VectorNetwork.run`` computes from a node bank with
+    ``filters``, with every node of ``net`` stepped one sample at a time
+    from cleared state."""
     half = net.n_pairs // 2
+    l1 = [Node.for_layer(1, filters) for _ in range(net.n_pairs)]
+    l2 = [Node.for_layer(2, filters) for _ in range(half)]
     out = []
     for frame in frames:
         bits = frame[net.input_pos]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from thetanav import cli
 from thetanav.cli import main
 from thetanav.config import RunConfig, save_config
 
@@ -80,3 +81,15 @@ def test_field_map_bad_lengths_exit_1(tmp_path, capsys, flags, message):
                 + flags) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "map").exists()
+
+
+@pytest.mark.parametrize("stride", ["0", "-5"])
+def test_field_map_bad_stride_fails_before_the_run(monkeypatch, capsys,
+                                                    stride):
+    calls = []
+    monkeypatch.setattr(cli, "field_map",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["field-map", "--velocity", "0.25,0", "--stride", stride,
+                 "--out", "map"]) == 1
+    assert f"stride must be >= 1, got {stride}" in capsys.readouterr().err
+    assert calls == []

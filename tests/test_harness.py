@@ -21,10 +21,12 @@ from thetanav.config import (
     cardinal_velocity,
     load_manifest,
 )
+from thetanav.place_grid import DIRECTION_DELTA
 from thetanav.theta_core import VelocityVector, decode_velocity_code
 from thetanav.vector_net import (
     TAP_STEP,
     CompileError,
+    NodeBank,
     TargetLocation,
     compile_lookup,
     serialize_mux,
@@ -163,8 +165,9 @@ def test_session_from_reset_is_a_prefix_and_repeats(rig, v, n):
     long = harness._session(rig, v, n2)
     assert np.array_equal(short, long[:n1])
     assert np.array_equal(harness._session(rig, v, n2), long)
-    for d, network in rig.networks.items():
-        assert np.array_equal(network.run(short), network.run(long)[:n1]), d
+    for d, net in rig.networks.items():
+        assert np.array_equal(net.run(short, NodeBank(short, [net])),
+                              net.run(long, NodeBank(long, [net]))[:n1]), d
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -235,7 +238,7 @@ def test_occupancy_puts_cell_x_y_at_row_half_minus_y_column_x_plus_half():
     bits[2] = 1
     result = harness.FieldMapResult(
         velocity=VelocityVector(0.25, 0.0), session_ticks=4,
-        cells=[(2, -1), (-1, 0)], first_fire={}, events={},
+        cells=[(2, -1), (-1, 0)], events={},
         outputs={(2, -1): bits, (-1, 0): np.zeros(4, dtype=np.uint8)},
         grid_size=5)
     expected = np.zeros((5, 5), dtype=int)
@@ -262,6 +265,40 @@ def test_field_map_records_compile_failures(rig, tmp_path):
     assert rows[0] == ["x", "y", "first_fire_tick", "compile_error"]
     failed = {(int(x), int(y)): cause for x, y, _, cause in rows[1:] if cause}
     assert failed == result.failed
+
+
+def test_write_field_map_csv_replaces_an_earlier_map(tmp_path):
+    result = harness.FieldMapResult(
+        velocity=VelocityVector(0.25, 0.0), session_ticks=256,
+        cells=[(0, 0)], events={(0, 0): []},
+        outputs={(0, 0): np.zeros(256, dtype=np.uint8)}, grid_size=3)
+    harness.write_field_map_csv(result, tmp_path, stride=64)
+    written = harness.write_field_map_csv(result, tmp_path, stride=128)
+    assert sorted(tmp_path.iterdir()) == sorted(written)
+    assert sorted(p.name for p in tmp_path.glob("occupancy_*.csv")) == [
+        "occupancy_000000.csv", "occupancy_000128.csv"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_field_map_and_run_track_agree_on_the_first_pulse(rig, seed):
+    # A one-cell field map over an until-pulse segment's session fires at
+    # the tick the tracking run reports, less the hold that opens its trail.
+    config = replace(CONFIG, seed=seed)
+    if seed:
+        rig = harness.build_rig(config)
+    budget = math.ceil(config.budget_factor
+                       * math.ceil(config.cell_seconds * rig.fs))
+    ticks = {}
+    for d, delta in DIRECTION_DELTA.items():
+        mapped = harness.field_map(config, cardinal_velocity(d, config.speed),
+                                   targets=[delta], session_ticks=budget,
+                                   rig=rig)
+        script = PathScript(name=d, segments=(leg(d),))
+        tracked = harness.run_track(config, script, rig=rig)
+        ticks[d] = mapped.first_fire[delta]
+        assert events_of(tracked) == [(d, ticks[d] + config.hold_ticks)]
+    if seed == 0:
+        assert ticks["E"] == 194
 
 
 def test_compile_lookup_matches_closed_form_phase_shift(rig):

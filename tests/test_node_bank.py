@@ -10,12 +10,7 @@ import pytest
 from thetanav import harness, vector_net
 from thetanav.config import RunConfig, cardinal_velocity
 from thetanav.theta_core import VelocityVector
-from thetanav.vector_net import (
-    CompileError,
-    FilterParams,
-    NodeBank,
-    TargetLocation,
-)
+from thetanav.vector_net import CompileError, NodeBank
 
 from reference_models import run_per_sample
 
@@ -29,9 +24,8 @@ def field_networks(rig):
     networks = []
     for y in range(-half, half + 1):
         for x in range(-half, half + 1):
-            target = TargetLocation.of_cell((x, y), CONFIG.pitch)
             try:
-                networks.append(rig.network_for(rig.compile_target(target)))
+                networks.append(rig.network((x, y)))
             except CompileError:
                 pass
     return networks
@@ -41,7 +35,7 @@ def assert_bank_matches_each_network_alone(frames, networks):
     bank = NodeBank(frames, networks, CONFIG.filters)
     for net in networks:
         shared = net.run(frames, bank)
-        alone = net.run(frames)
+        alone = net.run(frames, NodeBank(frames, [net], CONFIG.filters))
         assert shared.dtype == alone.dtype == np.uint8
         assert shared.tobytes() == alone.tobytes()
     return bank
@@ -69,9 +63,9 @@ def test_field_map_bank_matches_each_network_alone(rig):
 def test_one_network_matches_the_per_sample_reference(rig):
     frames = harness._session(rig, cardinal_velocity("E", CONFIG.speed), 400)
     net = rig.networks["E"]
-    out = net.run(frames)
+    out = net.run(frames, NodeBank(frames, [net], CONFIG.filters))
     assert out.any() and not out.all()
-    assert np.array_equal(out, run_per_sample(net, frames))
+    assert np.array_equal(out, run_per_sample(net, frames, CONFIG.filters))
 
 
 def test_field_map_filters_each_distinct_node_once(rig, monkeypatch):
@@ -102,7 +96,7 @@ def test_field_map_filters_each_distinct_node_once(rig, monkeypatch):
     for net in field_networks(rig):
         inputs = net.input_pos.reshape(-1, 2)
         half = net.n_pairs // 2
-        for g in range(net.n_groups):
+        for g in range(half):
             key = (tuple(inputs[g]), tuple(inputs[half + g]))
             every.add(key)
             if g in net.active:
@@ -115,14 +109,12 @@ def test_field_map_filters_each_distinct_node_once(rig, monkeypatch):
     assert list(result.outputs) == list(result.events) == compiled
 
 
-def test_bank_refuses_other_frames_and_filters(rig):
+def test_bank_refuses_other_frames(rig):
     frames = harness._session(rig, FIELD_VELOCITY, 50)
     net = rig.networks["E"]
     bank = NodeBank(frames, [net], CONFIG.filters)
     with pytest.raises(ValueError, match="other frames"):
         net.run(frames.copy(), bank)
-    with pytest.raises(ValueError, match="share its filters"):
-        NodeBank(frames, [net], FilterParams(rise1=0.3))
 
 
 def test_bank_of_no_ticks_or_no_networks(rig):

@@ -19,6 +19,7 @@ from thetanav.vector_net import (
     FIR_LAYER2,
     CompileError,
     FilterParams,
+    NodeBank,
     Pairing,
     TargetLocation,
     VectorNetwork,
@@ -486,19 +487,24 @@ def small_network(seed=0, n_pairs=4):
     mux = compile_lookup(pairing, TargetLocation(0.002, 0.3), 0.25,
                          min_active_groups=1)
     layout = {(u, t): 8 * u + t for u in range(2 * n_pairs) for t in range(8)}
-    return VectorNetwork(mux, layout, DEFAULT_FILTERS), 2 * n_pairs
+    return VectorNetwork(mux, layout), 2 * n_pairs
+
+
+def run_alone(net, frames):
+    """``net``'s output from a node bank of its own on ``frames``."""
+    return net.run(frames, NodeBank(frames, [net]))
 
 
 class TestVectorNetwork:
     def test_all_zero_input_outputs_zero(self):
         net, n_units = small_network()
         frames = np.zeros((300, 8 * n_units), dtype=np.uint8)
-        assert not net.run(frames).any()
+        assert not run_alone(net, frames).any()
 
     def test_all_one_input_rises_after_both_stages(self):
         net, n_units = small_network()
         frames = np.ones((400, 8 * n_units), dtype=np.uint8)
-        outs = net.run(frames).tolist()
+        outs = run_alone(net, frames).tolist()
         assert outs[-1] == 1
         first = outs.index(1)
         # Layer-1 rise (fill + RC to 0.22) must precede the layer-2 rise.
@@ -508,21 +514,22 @@ class TestVectorNetwork:
         rng = np.random.default_rng(5)
         net, n_units = small_network(seed=3)
         frames = rng.integers(0, 2, size=(500, 8 * n_units)).astype(np.uint8)
-        batch = net.run(frames)
+        batch = run_alone(net, frames)
         assert batch.any() and not batch.all()
-        assert np.array_equal(batch, run_per_sample(net, frames))
+        assert np.array_equal(batch,
+                              run_per_sample(net, frames, DEFAULT_FILTERS))
 
     def test_reset_clears_state(self):
         # Every session starts from cleared filter state: a session after
         # a saturating one reads exactly like a session on a fresh network.
         net, n_units = small_network()
         ones = np.ones((300, 8 * n_units), dtype=np.uint8)
-        assert net.run(ones)[-1] == 1
+        assert run_alone(net, ones)[-1] == 1
         rng = np.random.default_rng(8)
         frames = rng.integers(0, 2, size=(300, 8 * n_units)).astype(np.uint8)
         fresh, _ = small_network()
-        assert net.run(frames)[0] == 0
-        assert np.array_equal(net.run(frames), fresh.run(frames))
+        assert run_alone(net, frames)[0] == 0
+        assert np.array_equal(run_alone(net, frames), run_alone(fresh, frames))
 
     def test_missing_phase_rejected(self):
         pairing = synthetic_pairing([2000.0] * 8, [20.0] * 8)
