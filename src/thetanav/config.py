@@ -14,6 +14,9 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import (Optional, Sequence, Union, get_args, get_origin,
                     get_type_hints)
 
+import numpy as np
+import scipy
+
 from . import __version__
 from .chip_io import MIN_ESTIMATE_WINDOW_S, TAPS_PER_UNIT, phase_rate
 from .place_grid import DIRECTION_DELTA, displacement
@@ -27,11 +30,17 @@ from .vector_net import (
 
 LINEAR_RANGE = 4.0
 
+# The [meta] keys of a run manifest.  Bit-for-bit replay rests on the
+# float libraries as well as on the package.
+META_KEYS = ("version", "numpy", "scipy")
+
 
 @dataclass(frozen=True)
 class Segment:
     """One scripted leg: a commanded velocity held either for a fixed
-    number of scanned ticks or until the first vector-cell pulse."""
+    number of scanned ticks or until the first vector-cell pulse.  The
+    velocity lies on an axis: every pulse resets all phases, so the four
+    cardinal networks lose any motion across the axis they fire on."""
 
     velocity: VelocityVector
     ticks: Optional[int] = None
@@ -45,6 +54,10 @@ class Segment:
             raise ValueError(
                 f"segment velocity {tuple(self.velocity)} outside the "
                 f"linear range [-{LINEAR_RANGE}, {LINEAR_RANGE}]")
+        if self.velocity.vx != 0 and self.velocity.vy != 0:
+            raise ValueError(
+                f"segment velocity {tuple(self.velocity)} is off-axis: the "
+                f"cardinal networks track axis-aligned motion only")
         if self.ticks is not None and self.ticks < 0:
             raise ValueError("segment ticks must be >= 0")
         if self.until_pulse and self.velocity.speed == 0:
@@ -214,7 +227,8 @@ def save_config(config: RunConfig, path,
     """Write ``config`` as INI: one section per nested spec (``population``,
     ``filters``) and ``[run]`` for the remaining fields; unset optional
     fields are left out.  With a script, the file is a run manifest and
-    also gets ``[script]`` and ``[meta]`` (the package version)."""
+    also gets ``[script]`` and ``[meta]`` (the package, numpy and scipy
+    versions)."""
     parser = configparser.ConfigParser(interpolation=None)
     for f in fields(config):
         if is_dataclass(getattr(config, f.name)):
@@ -222,7 +236,8 @@ def save_config(config: RunConfig, path,
     parser["run"] = _section(config)
     if script is not None:
         parser["script"] = _section(script)
-        parser["meta"] = {"version": __version__}
+        parser["meta"] = dict(zip(META_KEYS, (
+            __version__, np.__version__, scipy.__version__)))
     with open(path, "w") as fh:
         parser.write(fh)
 
@@ -244,7 +259,7 @@ def load_manifest(path) -> tuple[RunConfig, Optional[PathScript]]:
         elif name == "script":
             script = PathScript(**_fields_from(PathScript, section))
         elif name == "meta":
-            if set(section) - {"version"}:
+            if set(section) - set(META_KEYS):
                 raise ValueError(f"unknown key in [meta]: {sorted(section)}")
         elif is_dataclass(hints.get(name)):
             kwargs[name] = hints[name](**_fields_from(hints[name], section))

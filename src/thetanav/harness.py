@@ -25,6 +25,7 @@ from . import place_grid
 from .chip_io import (
     PAIR_CODES,
     ChipState,
+    InsufficientUnitsError,
     UnitFit,
     calibrate,
     phase_rate,
@@ -39,10 +40,11 @@ from .place_grid import (
     CAUSE_VELOCITY_CHANGE,
     DIRECTION_DELTA,
     DIRECTIONS,
+    OutOfBoundsError,
     PulseEvent,
     reset_controller,
 )
-from .theta_core import VelocityVector, sample_population
+from .theta_core import AliasingError, VelocityVector, sample_population
 from .vector_net import (
     CompileError,
     MuxTable,
@@ -59,6 +61,12 @@ ALL_TAPS = (1, 1, 1, 1, 1, 1, 1, 1)
 
 class SegmentTimeoutError(RuntimeError):
     """No vector cell fired within the segment's tick budget."""
+
+
+# The errors a run raises when a population or a script cannot be tracked,
+# which a seed sweep records as that seed's failure.
+RUN_FAILURES = (SegmentTimeoutError, OutOfBoundsError, CompileError,
+                InsufficientUnitsError, AliasingError)
 
 
 @dataclass
@@ -355,8 +363,8 @@ def sweep_seeds(config: RunConfig, script: PathScript,
                 n_seeds: int) -> SweepResult:
     """Run the script over the n_seeds fresh populations of seeds
     config.seed, config.seed + 1, ... and score how many reach the
-    script's expected final cell.  Individual failures are
-    recorded per seed, never fatal."""
+    script's expected final cell.  A seed whose run raises one of
+    ``RUN_FAILURES`` is recorded as failed; any other error propagates."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     outcomes = []
@@ -364,7 +372,7 @@ def sweep_seeds(config: RunConfig, script: PathScript,
         seeded = replace(config, seed=seed)
         try:
             result = run_track(seeded, script)
-        except Exception as exc:
+        except RUN_FAILURES as exc:
             outcomes.append(SeedOutcome(seed=seed, ok=False, final=None,
                                         cause=f"{type(exc).__name__}: {exc}",
                                         n_events=0))
@@ -388,8 +396,8 @@ def emit(result: TrackResult, outdir, config: RunConfig,
     the trail's first i moves, rebuilt from the trail.
 
     The manifest records the full configuration (seed included), the
-    script and the package version; re-running from it reproduces the
-    result bit for bit.
+    script and the package, numpy and scipy versions; re-running from it
+    with those versions reproduces the result bit for bit.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -68,7 +68,8 @@ class FilterParams:
     layer-1 Schmitt thresholds bracket half the filtered AND plateau of
     two square waves (which tops out at 0.5 before attenuation); layer 2
     sees already-binarized envelopes with a full 0..1 swing, so its
-    thresholds straddle 0.5.
+    thresholds straddle 0.5.  ``fall < rise`` in each layer is what
+    :func:`schmitt_batch` relies on to be exact.
     """
 
     alpha1: float = 1.0 / 16.0
@@ -258,16 +259,22 @@ def serialize_mux(mux: MuxTable) -> str:
 
 
 def schmitt_batch(y: np.ndarray, rise: float, fall: float) -> np.ndarray:
-    """Vectorized Schmitt trigger along axis 0, initial output low."""
-    marks = np.zeros(y.shape, dtype=np.int8)
-    marks[y >= rise] = 1
-    marks[y <= fall] = -1
-    idx = np.arange(y.shape[0]).reshape((-1,) + (1,) * (y.ndim - 1))
-    nonzero = marks != 0
-    last = np.maximum.accumulate(np.where(nonzero, idx, -1), axis=0)
-    filled = np.take_along_axis(marks, np.maximum(last, 0), axis=0)
-    filled = np.where(last >= 0, filled, -1)
-    return (filled == 1).astype(np.uint8)
+    """Vectorized Schmitt trigger along axis 0, initial output low.
+
+    The output at sample t is high when the last sample at or above
+    ``rise`` up to t is later than the last sample at or below ``fall``.
+    ``up`` and ``down`` hold those last sample indices, counted from 1
+    so that 0 means "none yet", as running maxima of the marked indices.
+    The form is exact because ``fall < rise`` (which :class:`FilterParams`
+    enforces): no sample is marked both ways, so the two indices are
+    equal only while both read 0, before the first mark, where the
+    output is low.  int32 indices hold for sessions below 2**31 samples.
+    """
+    idx = np.arange(1, y.shape[0] + 1, dtype=np.int32)
+    idx = idx.reshape((-1,) + (1,) * (y.ndim - 1))
+    up = np.maximum.accumulate((y >= rise) * idx, axis=0)
+    down = np.maximum.accumulate((y <= fall) * idx, axis=0)
+    return (up > down).astype(np.uint8)
 
 
 def _stage(layer: int, filters: FilterParams) -> tuple:

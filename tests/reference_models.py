@@ -9,10 +9,11 @@ the same physics the plain way (the law for one unit in plain numbers,
 the scan's tap bits by float modulo, one oscillator or one node stepped
 a sample at a time, the tap compiler one group and one tap at a time,
 the paper's closed-form tap shift, the place grid as an activity matrix
-that every pulse leaks) so the tests can check the vectorized and
-time-domain code against them.  The inverses of velocity decoding and
-lookup-table serialization live here too, since only the round-trip
-tests need them.
+that every pulse leaks, the Schmitt trigger as a forward fill of its
++/-1 threshold marks in ``schmitt_forward_fill``) so the tests can
+check the vectorized and time-domain code against them.  The inverses
+of velocity decoding and lookup-table serialization live here too,
+since only the round-trip tests need them.
 """
 
 import math
@@ -151,6 +152,22 @@ def square_wave(f: float, fs: float, n: int,
 def rc_step(y, x, alpha):
     """One leaky-accumulator update; exact for rational inputs."""
     return y + alpha * (x - y)
+
+
+def schmitt_forward_fill(y: np.ndarray, rise: float,
+                         fall: float) -> np.ndarray:
+    """Schmitt trigger along axis 0, initial output low: each sample is
+    marked +1 at or above ``rise`` and -1 at or below ``fall`` (the fall
+    mark wins), and the last mark so far is carried forward."""
+    marks = np.zeros(y.shape, dtype=np.int8)
+    marks[y >= rise] = 1
+    marks[y <= fall] = -1
+    idx = np.arange(y.shape[0]).reshape((-1,) + (1,) * (y.ndim - 1))
+    nonzero = marks != 0
+    last = np.maximum.accumulate(np.where(nonzero, idx, -1), axis=0)
+    filled = np.take_along_axis(marks, np.maximum(last, 0), axis=0)
+    filled = np.where(last >= 0, filled, -1)
+    return (filled == 1).astype(np.uint8)
 
 
 @dataclass

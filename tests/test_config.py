@@ -4,8 +4,11 @@ trips of run configurations and manifests."""
 import re
 from dataclasses import fields, is_dataclass, replace
 
+import numpy
 import pytest
+import scipy
 
+from thetanav import __version__
 from thetanav.chip_io import MIN_ESTIMATE_WINDOW_S, ChipState, calibrate
 from thetanav.config import (
     PathScript,
@@ -49,6 +52,7 @@ CHANGED = RunConfig(
 
 SEGMENT = Segment(VelocityVector(0.25, 0.0))
 LINEAR = "outside the linear range"
+OFF_AXIS = "is off-axis: the cardinal networks track axis-aligned motion only"
 POSITIVE = "pitch and speed must be positive"
 TICKS = "hold_ticks and settle_ticks must be >= 0"
 MEANS = "means must be positive"
@@ -96,6 +100,9 @@ RULES = [
     (FilterParams(), {"rise2": 1.5}, SCHMITT),
     (SEGMENT, {"velocity": VelocityVector(0.0, -4.5)}, LINEAR),
     (SEGMENT, {"ticks": -1}, "segment ticks must be >= 0"),
+    (SEGMENT, {"velocity": VelocityVector(0.1, -0.2)},
+     "segment velocity (0.1, -0.2) " + OFF_AXIS),
+    (SEGMENT, {"velocity": VelocityVector(-1e-9, 0.25)}, OFF_AXIS),
     (SEGMENT, {"velocity": VelocityVector(0.0, 0.0)},
      "an until-pulse segment needs a non-zero velocity"),
     (PathScript("p", (SEGMENT,)), {"segments": ()},
@@ -156,7 +163,7 @@ def test_manifest_round_trip(tmp_path):
     scripts = list(built_in_scripts(0.25).values())
     scripts.append(PathScript(
         name="timed", expected_final=None,
-        segments=(Segment(VelocityVector(0.1, -0.2), ticks=100),
+        segments=(Segment(VelocityVector(0.0, -0.2), ticks=100),
                   Segment(VelocityVector(-0.3, 0.0)))))
     for script in scripts:
         path = tmp_path / f"{script.name}.ini"
@@ -164,6 +171,21 @@ def test_manifest_round_trip(tmp_path):
         assert load_manifest(path) == (CHANGED, script)
         assert load_config(path) == CHANGED
         assert "[meta]" in path.read_text()
+        assert path.read_text().endswith(
+            f"[meta]\nversion = {__version__}\nnumpy = {numpy.__version__}"
+            f"\nscipy = {scipy.__version__}\n\n")
+
+
+def test_an_off_axis_segment_in_a_manifest_raises(tmp_path):
+    path = tmp_path / "run.ini"
+    save_config(RunConfig(), path, built_in_scripts(0.25)["path2_detour"])
+    text = path.read_text()
+    assert "segments = 0.25:0.0:pulse;" in text
+    path.write_text(text.replace("segments = 0.25:0.0:pulse;",
+                                 "segments = 0.25:0.1:pulse;"))
+    with pytest.raises(ValueError, match=re.escape(
+            "segment velocity (0.25, 0.1) " + OFF_AXIS)):
+        load_manifest(path)
 
 
 def test_missing_keys_take_defaults(tmp_path):

@@ -131,6 +131,27 @@ def test_sweep_records_a_timeout():
     assert outcome.cause.startswith("SegmentTimeoutError")
 
 
+def raising_run_track(monkeypatch, exc):
+    def run_track(config, script):
+        raise exc
+    monkeypatch.setattr(harness, "run_track", run_track)
+
+
+def test_sweep_records_a_domain_error_as_a_failed_seed(monkeypatch):
+    raising_run_track(monkeypatch, harness.SegmentTimeoutError("too slow"))
+    outcomes = harness.sweep_seeds(RunConfig(seed=5), CRAWL, 2).outcomes
+    assert outcomes == [
+        harness.SeedOutcome(seed=s, ok=False, final=None,
+                            cause="SegmentTimeoutError: too slow", n_events=0)
+        for s in (5, 6)]
+
+
+def test_sweep_propagates_a_programming_error(monkeypatch):
+    raising_run_track(monkeypatch, TypeError("a bug"))
+    with pytest.raises(TypeError, match="a bug"):
+        harness.sweep_seeds(RunConfig(seed=0), CRAWL, 1)
+
+
 def scan_lengths(monkeypatch):
     """Wrap the tracking scan and return the list of its lengths."""
     lengths = []
@@ -348,6 +369,22 @@ def test_field_map_lookup_tables_seed0_bit_for_bit(rig):
     assert sum(t.startswith("CompileError") for t in texts) == 28
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == FIELD_MUX_SHA256
+
+
+# SHA-256 of the seed-0 full field map at velocity (0.25, 0): the output
+# bits (uint8, one byte a tick) of each of the 93 compiled cells over the
+# 2,829-tick session, concatenated in ``cells`` order.  It pins both node
+# layers of the shared bank.
+FIELD_MAP_BITS_SHA256 = \
+    "fba772ad8e8eb4e77b1fe98578ea1c6ef30a1604c498d8fd636b786d5cfc3e53"
+
+
+def test_field_map_output_bits_seed0_bit_for_bit(rig):
+    result = harness.field_map(CONFIG, VelocityVector(0.25, 0.0), rig=rig)
+    compiled = [c for c in result.cells if c in result.outputs]
+    assert len(compiled) == 93 and result.session_ticks == 2829
+    bits = b"".join(result.outputs[c].tobytes() for c in compiled)
+    assert hashlib.sha256(bits).hexdigest() == FIELD_MAP_BITS_SHA256
 
 
 def test_rig_from_another_config_raises(rig):

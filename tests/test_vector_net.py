@@ -27,6 +27,7 @@ from thetanav.vector_net import (
     compile_lookup,
     filter_stage_batch,
     pair_layer1,
+    schmitt_batch,
     serialize_mux,
     sharable_nodes,
     total_nodes,
@@ -44,6 +45,7 @@ from reference_models import (
     phase_shift,
     rc_step,
     run_per_sample,
+    schmitt_forward_fill,
     square_wave,
 )
 
@@ -429,6 +431,50 @@ class TestFilters:
         for _ in range(2000):
             node.step(int(rng.integers(2)), int(rng.integers(2)))
             assert 0.0 <= node.rc <= 1.0
+
+
+@st.composite
+def schmitt_cases(draw):
+    """A [T] or [T, n] block, T from 0, with thresholds fall < rise drawn
+    freely and many samples exactly at one of them."""
+    fall, rise = sorted(draw(st.lists(
+        st.floats(-2.0, 2.0, allow_nan=False), min_size=2, max_size=2,
+        unique=True)))
+    shape = draw(st.sampled_from([(), (1,), (3,)]))
+    n = draw(st.integers(0, 40))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from([rise, fall]),
+                  st.floats(-3.0, 3.0, allow_nan=False)),
+        min_size=n * math.prod(shape), max_size=n * math.prod(shape)))
+    return np.reshape(np.array(values, dtype=float), (n,) + shape), rise, fall
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=schmitt_cases())
+@example(case=(np.zeros(0), 0.6, 0.4))
+@example(case=(np.zeros((0, 2)), 0.6, 0.4))
+@example(case=(np.full(1, 0.6), 0.6, 0.4))
+@example(case=(np.full((1, 2), 0.4), 0.6, 0.4))
+@example(case=(np.array([[0.6, 0.5], [0.5, 0.6], [0.4, 0.4]]), 0.6, 0.4))
+@example(case=(np.tile([0.7, 0.5, 0.3, 0.5], 20_000), 0.6, 0.4))  # T > 2**16
+def test_schmitt_equals_the_forward_fill_oracle(case):
+    y, rise, fall = case
+    got = schmitt_batch(y, rise, fall)
+    want = schmitt_forward_fill(y, rise, fall)
+    assert got.dtype == want.dtype == np.uint8
+    assert got.shape == want.shape == y.shape
+    assert np.array_equal(got, want)
+
+
+def test_schmitt_starts_low_and_holds_between_thresholds():
+    y = np.array([0.5, 0.5, 0.6, 0.5, 0.41, 0.4, 0.5, 0.59, 0.6])
+    want = np.array([0, 0, 1, 1, 1, 0, 0, 0, 1], dtype=np.uint8)
+    assert np.array_equal(schmitt_batch(y, 0.6, 0.4), want)
+    # Each column of a block is triggered on its own.
+    block = np.column_stack((y, y[::-1]))
+    assert np.array_equal(schmitt_batch(block, 0.6, 0.4)[:, 0], want)
+    assert np.array_equal(schmitt_batch(block, 0.6, 0.4)[:, 1],
+                          [1, 1, 1, 0, 0, 0, 1, 1, 1])
 
 
 class TestNodeStep:
