@@ -25,7 +25,11 @@ from .theta_core import (
 # number of enabled phases; the chip's usable band tops out near 4 kHz.
 NYQUIST_F_MAX_HZ = 4000.0
 
-DEFAULT_SCAN_CLOCK_HZ = 6_000_000.0
+# Calibration scans tap 0 of every unit on this clock for this long per
+# sweep velocity.  A vector-cell network reads 40 pairs of units.
+CALIBRATION_CLOCK_HZ = 6_000_000.0
+CALIBRATION_WINDOW_S = 0.12
+NETWORK_UNITS = 80
 TAPS_PER_UNIT = 8
 
 # Programming codes (routable member, tap-0 partner) of an x pair and of
@@ -156,7 +160,7 @@ def program(chip: ChipState,
             raise IndexError(
                 f"unit index {unit_index} outside 0..{chip.n_units - 1}")
         if len(bypass_bits) != TAPS_PER_UNIT:
-            raise ValueError("bypass config must give one bit per tap (8)")
+            raise ValueError(f"bypass config needs {TAPS_PER_UNIT} bits")
         chip.v_pref[unit_index] = [decode_velocity_code(c) for c in codes]
         chip.bypass[unit_index] = [bool(b) for b in bypass_bits]
     chip.programmed = True
@@ -164,7 +168,7 @@ def program(chip: ChipState,
 
 
 def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
-                clock_hz: float = DEFAULT_SCAN_CLOCK_HZ) -> np.ndarray:
+                clock_hz: float = CALIBRATION_CLOCK_HZ) -> np.ndarray:
     """Serial scan of the enabled phases for n_cycles scan cycles.
 
     Within a cycle, bits appear in unit-major tap-minor shift order and
@@ -199,7 +203,7 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
             f"max f*dt = {fdt_max:.3f} >= 0.5 at {fs:.1f} Hz per phase")
 
     phase0 = chip.phases[units]
-    tap_off = taps / 8.0
+    tap_off = taps / TAPS_PER_UNIT
     frames = np.empty((n_cycles, n_enabled), dtype=np.uint8)
     rows = max(1, SCAN_BLOCK // n_enabled)
     for lo in range(0, n_cycles, rows):
@@ -259,7 +263,7 @@ def fit_unit(samples: Sequence[tuple[float, float]], unit: int = 0) -> UnitFit:
 
 
 def select_units(fits: Iterable[UnitFit], r2_threshold: float = 0.9,
-                 min_units: int = 80) -> list[UnitFit]:
+                 min_units: int = NETWORK_UNITS) -> list[UnitFit]:
     """Admit units with r2 above threshold and positive fitted gain.
 
     Returns admitted fits sorted by fitted idle frequency.  Raises when
@@ -275,11 +279,11 @@ def select_units(fits: Iterable[UnitFit], r2_threshold: float = 0.9,
 
 
 def tap0_bypass() -> tuple[int, ...]:
-    return (1, 0, 0, 0, 0, 0, 0, 0)
+    return (1,) + (0,) * (TAPS_PER_UNIT - 1)
 
 
-def calibrate(chip: ChipState, clock_hz: float = DEFAULT_SCAN_CLOCK_HZ,
-              window_s: float = 0.12) -> list[UnitFit]:
+def calibrate(chip: ChipState, clock_hz: float = CALIBRATION_CLOCK_HZ,
+              window_s: float = CALIBRATION_WINDOW_S) -> list[UnitFit]:
     """Full calibration pipeline: program, scan, estimate, fit.
 
     Programs every unit's preferred velocity to each axis extreme in

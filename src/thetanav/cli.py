@@ -48,8 +48,7 @@ def cmd_calibrate(args) -> int:
     config = _load_or_default(args)
     population = sample_population(config.population, config.seed)
     chip = ChipState(population)
-    fits = calibrate(chip, config.calibration_clock_hz,
-                     config.calibration_window_s)
+    fits = calibrate(chip)
     write_fit_report_csv(args.out, fits)
     print(f"wrote {len(fits)} unit fits to {args.out}")
     return 0
@@ -57,9 +56,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_compile(args) -> int:
     config = _load_or_default(args)
-    rig = build_rig(config)
     r, theta = (float(x) for x in args.target.split(","))
-    mux = rig.compile_target(TargetLocation(r, theta))
+    target = TargetLocation(r, theta)   # before the rig is built
+    mux = build_rig(config).compile_target(target)
     Path(args.out).write_text(serialize_mux(mux))
     print(f"wrote lookup table for target (r={r}, theta={theta}) to "
           f"{args.out}; dropped groups: {mux.dropped}")

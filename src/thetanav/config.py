@@ -1,15 +1,18 @@
 """Run configuration and path scripts, with INI-file round-tripping.
 
-A RunConfig fully determines a tracking run: population statistics and
-seed, scan clocks, filter constants, compile tolerances, debounce width,
-grid geometry, pitch and speed.  One velocity code unit equals one
-spatial unit per second, so the time to cross one grid cell is
-pitch / speed seconds.
+A RunConfig holds what varies from run to run: the population's
+mismatch statistics and seed, the grid size and pitch, the speed and the
+reset hold.  Module constants fix the rest: scan clocks and calibration
+window (``chip_io``, ``harness``), filter stages and compile tolerances
+(``vector_net``), debounce, settle and segment budget (``harness``).
+One velocity code unit equals one spatial unit per second, so the time
+to cross one grid cell is pitch / speed seconds.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import (Optional, Sequence, Union, get_args, get_origin,
                     get_type_hints)
@@ -18,15 +21,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chip_io import MIN_ESTIMATE_WINDOW_S, TAPS_PER_UNIT, phase_rate
+from .chip_io import CALIBRATION_CLOCK_HZ, NETWORK_UNITS, phase_rate
 from .place_grid import DIRECTION_DELTA, displacement
 from .theta_core import PopulationSpec, VelocityVector
-from .vector_net import (
-    DEFAULT_DRIFT_TOLERANCE,
-    DEFAULT_MIN_ACTIVE_GROUPS,
-    DEFAULT_TAP_TOLERANCE,
-    FilterParams,
-)
 
 LINEAR_RANGE = 4.0
 
@@ -81,56 +78,29 @@ class PathScript:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run, including the seed."""
+    """What a run varies, including the seed.  Every check fails on NaN."""
 
     population: PopulationSpec = field(default_factory=PopulationSpec)
-    scan_clock_hz: float = 10_000_000.0
-    calibration_clock_hz: float = 6_000_000.0
-    calibration_window_s: float = 0.12
-    filters: FilterParams = field(default_factory=FilterParams)
-    tap_tolerance: float = DEFAULT_TAP_TOLERANCE
-    drift_tolerance: float = DEFAULT_DRIFT_TOLERANCE
-    min_active_groups: int = DEFAULT_MIN_ACTIVE_GROUPS
-    admission_r2: float = 0.9
-    network_units: int = 80
-    debounce_width: int = 3
     grid_size: int = 11
     pitch: float = 0.0024
     speed: float = 0.25
     hold_ticks: int = 10
-    settle_ticks: int = 32
-    budget_factor: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.pitch <= 0 or self.speed <= 0:
-            raise ValueError("pitch and speed must be positive")
+        if not (0 < self.pitch < math.inf and self.speed > 0):
+            raise ValueError("pitch and speed must be positive and finite")
         if self.speed > LINEAR_RANGE:
             raise ValueError(f"speed {self.speed} outside the linear range")
-        if self.grid_size < 1 or self.grid_size % 2 == 0:
+        if not (self.grid_size >= 1 and self.grid_size % 2 == 1):
             raise ValueError("grid_size must be odd and positive")
-        if self.debounce_width < 1:
-            raise ValueError("debounce_width must be >= 1")
-        if min(self.hold_ticks, self.settle_ticks) < 0:
-            raise ValueError("hold_ticks and settle_ticks must be >= 0")
-        if self.budget_factor <= 0:
-            raise ValueError("budget_factor must be positive")
-        if not self.calibration_window_s >= MIN_ESTIMATE_WINDOW_S:
+        if not self.hold_ticks >= 0:
+            raise ValueError("hold_ticks must be >= 0")
+        if self.population.n_units < NETWORK_UNITS:
             raise ValueError(
-                f"calibration_window_s must be >= {MIN_ESTIMATE_WINDOW_S} s "
-                f"(the shortest frequency estimate), got "
-                f"{self.calibration_window_s}")
-        if not 0 < self.network_units <= self.population.n_units \
-                or self.network_units % 4:
-            raise ValueError(
-                f"network_units must be a positive multiple of 4 and at most "
-                f"population.n_units ({self.population.n_units}), got "
-                f"{self.network_units}")
-        # Calibration scans tap 0 of every unit; tracking scans all taps of
-        # each pair's routable member and tap 0 of its partner.
-        phase_rate(self.calibration_clock_hz, self.population.n_units)
-        phase_rate(self.scan_clock_hz,
-                   (TAPS_PER_UNIT + 1) * self.network_units // 2)
+                f"population.n_units must be >= {NETWORK_UNITS} (the "
+                f"network's units), got {self.population.n_units}")
+        phase_rate(CALIBRATION_CLOCK_HZ, self.population.n_units)  # tap-0 scan
 
     @property
     def cell_seconds(self) -> float:
@@ -224,15 +194,13 @@ def _fields_from(cls, section) -> dict:
 
 def save_config(config: RunConfig, path,
                 script: Optional[PathScript] = None) -> None:
-    """Write ``config`` as INI: one section per nested spec (``population``,
-    ``filters``) and ``[run]`` for the remaining fields; unset optional
-    fields are left out.  With a script, the file is a run manifest and
+    """Write ``config`` as INI: ``[population]`` for its population spec
+    and ``[run]`` for the remaining fields; unset optional fields are
+    left out.  With a script, the file is a run manifest and
     also gets ``[script]`` and ``[meta]`` (the package, numpy and scipy
     versions)."""
     parser = configparser.ConfigParser(interpolation=None)
-    for f in fields(config):
-        if is_dataclass(getattr(config, f.name)):
-            parser[f.name] = _section(getattr(config, f.name))
+    parser["population"] = _section(config.population)
     parser["run"] = _section(config)
     if script is not None:
         parser["script"] = _section(script)
@@ -249,7 +217,6 @@ def load_manifest(path) -> tuple[RunConfig, Optional[PathScript]]:
     parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         parser.read_file(fh)
-    hints = get_type_hints(RunConfig)
     kwargs: dict = {}
     script = None
     for name in parser.sections():
@@ -261,8 +228,9 @@ def load_manifest(path) -> tuple[RunConfig, Optional[PathScript]]:
         elif name == "meta":
             if set(section) - set(META_KEYS):
                 raise ValueError(f"unknown key in [meta]: {sorted(section)}")
-        elif is_dataclass(hints.get(name)):
-            kwargs[name] = hints[name](**_fields_from(hints[name], section))
+        elif name == "population":
+            kwargs[name] = PopulationSpec(**_fields_from(PopulationSpec,
+                                                         section))
         else:
             raise ValueError(f"unknown section [{name}]")
     return RunConfig(**kwargs), script

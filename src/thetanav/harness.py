@@ -24,6 +24,7 @@ import numpy as np
 from . import place_grid
 from .chip_io import (
     PAIR_CODES,
+    TAPS_PER_UNIT,
     ChipState,
     InsufficientUnitsError,
     UnitFit,
@@ -56,7 +57,16 @@ from .vector_net import (
     pair_layer1,
 )
 
-ALL_TAPS = (1, 1, 1, 1, 1, 1, 1, 1)
+ALL_TAPS = (1,) * TAPS_PER_UNIT
+
+# The tracking scan's clock (its 360 phases: each pair's routable member
+# on all taps, the partner on tap 0), the high samples that confirm a
+# pulse, the ticks every output reads low after a release, and the
+# predicted arrivals an until-pulse segment waits before it fails.
+TRACK_CLOCK_HZ = 10_000_000.0
+DEBOUNCE_WIDTH = 3
+SETTLE_TICKS = 32
+BUDGET_FACTOR = 10.0
 
 
 class SegmentTimeoutError(RuntimeError):
@@ -83,11 +93,7 @@ class TrackRig:
     fs: float
 
     def compile_target(self, target: TargetLocation) -> MuxTable:
-        return compile_lookup(
-            self.pairing, target, self.config.speed,
-            tolerance=self.config.tap_tolerance,
-            drift_tolerance=self.config.drift_tolerance,
-            min_active_groups=self.config.min_active_groups)
+        return compile_lookup(self.pairing, target, self.config.speed)
 
     def network(self, cell: tuple[int, int]) -> VectorNetwork:
         """Grid cell ``cell``'s network; CompileError if it does not compile."""
@@ -104,10 +110,9 @@ def build_rig(config: RunConfig) -> TrackRig:
     """
     population = sample_population(config.population, config.seed)
     chip = ChipState(population)
-    fits = calibrate(chip, config.calibration_clock_hz,
-                     config.calibration_window_s)
-    admitted = select_units(fits, config.admission_r2, config.network_units)
-    pairing = pair_layer1(admitted, config.network_units)
+    fits = calibrate(chip)
+    admitted = select_units(fits)
+    pairing = pair_layer1(admitted)
 
     chip.hold()
     configs = []
@@ -116,7 +121,7 @@ def build_rig(config: RunConfig) -> TrackRig:
         configs += [(a, code_a, ALL_TAPS), (b, code_b, tap0_bypass())]
     program(chip, configs)
     frame_layout = {pt: i for i, pt in enumerate(chip.enabled_taps())}
-    fs = phase_rate(config.scan_clock_hz, chip.enabled_phases)
+    fs = phase_rate(TRACK_CLOCK_HZ, chip.enabled_phases)
 
     rig = TrackRig(config=config, chip=chip, fits=fits, admitted=admitted,
                    pairing=pairing, frame_layout=frame_layout, networks={},
@@ -159,21 +164,21 @@ def _session(rig: TrackRig, velocity: VelocityVector, n: int) -> np.ndarray:
     """Scan frames of an n-tick constant-velocity session from reset."""
     rig.chip.hold()
     rig.chip.release()
-    return scan_frames(rig.chip, velocity, n, rig.config.scan_clock_hz)
+    return scan_frames(rig.chip, velocity, n, TRACK_CLOCK_HZ)
 
 
 def _observe(rig: TrackRig, velocity: VelocityVector, n: int,
              networks: dict) -> tuple[dict, dict]:
     """Each network's output bits over one n-tick session from reset, read
-    through one node bank and held low for ``settle_ticks`` after the
-    release, and the start ticks of its debounced pulses."""
+    through one node bank and held low for ``SETTLE_TICKS`` after the
+    release, and the start ticks of its ``DEBOUNCE_WIDTH`` debounced runs."""
     frames = _session(rig, velocity, n)
-    bank = NodeBank(frames, networks.values(), rig.config.filters)
+    bank = NodeBank(frames, networks.values())
     outputs, events = {}, {}
     for key, network in networks.items():
         out = outputs[key] = network.run(frames, bank)
-        out[:rig.config.settle_ticks] = 0
-        events[key] = place_grid.debounce(out, rig.config.debounce_width)
+        out[:SETTLE_TICKS] = 0
+        events[key] = place_grid.debounce(out, DEBOUNCE_WIDTH)
     return outputs, events
 
 
@@ -185,10 +190,10 @@ def run_track(config: RunConfig, script: PathScript,
     A reset zeroes every phase and filter, so every reset inside a
     segment starts the same session.  The four cardinal networks observe
     each segment's session once from reset: for its ticks when timed, or
-    for ``budget_factor`` times the predicted arrival when until-pulse,
+    for ``BUDGET_FACTOR`` times the predicted arrival when until-pulse,
     failing loudly without a pulse.  The earliest debounced run start is
     the pulse, fired by every direction whose run starts there (a run
-    confirms at its ``debounce_width``-th high sample, so later runs
+    confirms at its ``DEBOUNCE_WIDTH``-th high sample, so later runs
     never confirm before the reset).  The session up to that pulse is
     replayed until the segment's ticks are spent, or once for an
     until-pulse segment: each repeat holds the outputs low for
@@ -204,7 +209,7 @@ def run_track(config: RunConfig, script: PathScript,
     traces: dict[str, list[np.ndarray]] = {d: [] for d in DIRECTIONS}
     hold = np.zeros(config.hold_ticks, dtype=np.uint8)
     arrival_ticks = int(math.ceil(config.cell_seconds * rig.fs))
-    budget = int(math.ceil(config.budget_factor * arrival_ticks))
+    budget = int(math.ceil(BUDGET_FACTOR * arrival_ticks))
 
     tick = 0
     prev_velocity = VelocityVector(0.0, 0.0)
@@ -232,8 +237,8 @@ def run_track(config: RunConfig, script: PathScript,
         if start is None and seg.until_pulse:
             raise SegmentTimeoutError(
                 f"segment {seg_index}: no pulse within {budget} "
-                f"ticks ({config.budget_factor:g}x predicted arrival)")
-        period = n if start is None else start + config.debounce_width
+                f"ticks ({BUDGET_FACTOR:g}x predicted arrival)")
+        period = n if start is None else start + DEBOUNCE_WIDTH
         remaining = period if seg.until_pulse else n
         pulse_pending = False
         while remaining > 0:

@@ -12,6 +12,7 @@ the reset hold line live in ``chip_io.ChipState``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ class VelocityVector:
     vx: float
     vy: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.vx) and math.isfinite(self.vy)):
+            raise ValueError(f"velocity ({self.vx}, {self.vy}) is not finite")
+
     def __iter__(self):
         return iter((self.vx, self.vy))
 
@@ -86,10 +91,13 @@ class PopulationSpec:
     def __post_init__(self):
         if self.n_units < 1:
             raise ValueError("n_units must be >= 1")
-        if self.f_idle_mean <= 0 or self.beta_mean <= 0:
-            raise ValueError("means must be positive")
-        if min(self.f_idle_std, self.beta_std, self.dac_offset_std) < 0:
-            raise ValueError("std values must be >= 0")
+        # Written so that a NaN fails each comparison.
+        if not (0 < self.f_idle_mean < math.inf
+                and 0 < self.beta_mean < math.inf):
+            raise ValueError("means must be positive and finite")
+        if not all(0 <= std < math.inf for std in (
+                self.f_idle_std, self.beta_std, self.dac_offset_std)):
+            raise ValueError("std values must be >= 0 and finite")
         if self.response not in (LINEAR, SIGMOID):
             raise ValueError(f"unknown response mode {self.response!r}")
 

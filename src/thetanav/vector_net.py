@@ -32,11 +32,11 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .chip_io import PAIR_CODES, InsufficientUnitsError, UnitFit
+from .chip_io import (NETWORK_UNITS, PAIR_CODES, TAPS_PER_UNIT,
+                      InsufficientUnitsError, UnitFit)
 from .theta_core import decode_velocity_code
 
-TAP_COUNT = 8
-TAP_STEP = 1.0 / TAP_COUNT
+TAP_STEP = 1.0 / TAPS_PER_UNIT
 
 # 9-tap window FIR per layer, both normalized to unit DC gain.  Layer 1
 # uses a raised-cosine window for stronger carrier rejection; layer 2 a
@@ -44,6 +44,16 @@ TAP_STEP = 1.0 / TAP_COUNT
 FIR_TAPS = 9
 FIR_LAYER1 = (np.hamming(FIR_TAPS) / np.hamming(FIR_TAPS).sum())
 FIR_LAYER2 = np.full(FIR_TAPS, 1.0 / FIR_TAPS)
+
+# (FIR taps, RC alpha, Schmitt rise, Schmitt fall) of each layer, with
+# layer 2's RC pole below layer 1's.  The layer-1 thresholds bracket half
+# the filtered AND plateau of two square waves (0.5 before attenuation);
+# layer 2 sees binarized envelopes with a full 0..1 swing, so its
+# thresholds straddle 0.5.  :func:`schmitt_batch` is exact as fall < rise.
+STAGES = {
+    1: (FIR_LAYER1, 1.0 / 16.0, 0.22, 0.08),
+    2: (FIR_LAYER2, 1.0 / 64.0, 0.55, 0.45),
+}
 
 DEFAULT_TAP_TOLERANCE = 1.0 / 16.0
 DEFAULT_DRIFT_TOLERANCE = 0.35
@@ -61,36 +71,6 @@ class CompileError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FilterParams:
-    """Per-layer filter and binarization constants.
-
-    The RC pole of layer 2 sits below layer 1's (alpha1 > alpha2).  The
-    layer-1 Schmitt thresholds bracket half the filtered AND plateau of
-    two square waves (which tops out at 0.5 before attenuation); layer 2
-    sees already-binarized envelopes with a full 0..1 swing, so its
-    thresholds straddle 0.5.  ``fall < rise`` in each layer is what
-    :func:`schmitt_batch` relies on to be exact.
-    """
-
-    alpha1: float = 1.0 / 16.0
-    alpha2: float = 1.0 / 64.0
-    rise1: float = 0.22
-    fall1: float = 0.08
-    rise2: float = 0.55
-    fall2: float = 0.45
-
-    def __post_init__(self):
-        if not 0 < self.alpha2 < self.alpha1 < 1:
-            raise ValueError("need 0 < alpha2 < alpha1 < 1")
-        for rise, fall in ((self.rise1, self.fall1), (self.rise2, self.fall2)):
-            if not 0 <= fall < rise <= 1:
-                raise ValueError("Schmitt thresholds need 0 <= fall < rise <= 1")
-
-
-DEFAULT_FILTERS = FilterParams()
-
-
-@dataclass(frozen=True)
 class TargetLocation:
     """Designated displacement in polar form: distance in spatial units
     and bearing in radians.  One spatial unit is the distance covered in
@@ -100,6 +80,8 @@ class TargetLocation:
     theta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
+            raise ValueError(f"target ({self.r}, {self.theta}) is not finite")
         if self.r < 0:
             raise ValueError(f"distance must be >= 0, got {self.r}")
 
@@ -165,7 +147,8 @@ class MuxTable:
         return len(self.slots) // 2
 
 
-def pair_layer1(admitted: Sequence[UnitFit], n_units: int = 80) -> Pairing:
+def pair_layer1(admitted: Sequence[UnitFit],
+                n_units: int = NETWORK_UNITS) -> Pairing:
     """Pair admitted units by closest fitted idle frequency.
 
     Takes the n_units lowest-idle-frequency admitted units, sorts them
@@ -220,7 +203,7 @@ def compile_lookup(pairing: Pairing, target: TargetLocation, speed: float,
     on = 0 if abs(v[0]) >= abs(v[1]) else 1         # the bearing's axis
 
     required = (-delta[on]) % 1.0
-    distance = circular_distance(np.arange(TAP_COUNT) * TAP_STEP,
+    distance = circular_distance(np.arange(TAPS_PER_UNIT) * TAP_STEP,
                                  required[:, None])
     best = distance.argmin(axis=1)
     residuals = distance.min(axis=1)
@@ -265,8 +248,8 @@ def schmitt_batch(y: np.ndarray, rise: float, fall: float) -> np.ndarray:
     ``rise`` up to t is later than the last sample at or below ``fall``.
     ``up`` and ``down`` hold those last sample indices, counted from 1
     so that 0 means "none yet", as running maxima of the marked indices.
-    The form is exact because ``fall < rise`` (which :class:`FilterParams`
-    enforces): no sample is marked both ways, so the two indices are
+    The form is exact because ``fall < rise`` in every layer of
+    ``STAGES``: no sample is marked both ways, so the two indices are
     equal only while both read 0, before the first mark, where the
     output is low.  int32 indices hold for sessions below 2**31 samples.
     """
@@ -277,22 +260,15 @@ def schmitt_batch(y: np.ndarray, rise: float, fall: float) -> np.ndarray:
     return (up > down).astype(np.uint8)
 
 
-def _stage(layer: int, filters: FilterParams) -> tuple:
-    """(FIR taps, RC alpha, Schmitt rise, Schmitt fall) of one layer."""
-    if layer == 1:
-        return FIR_LAYER1, filters.alpha1, filters.rise1, filters.fall1
-    if layer == 2:
-        return FIR_LAYER2, filters.alpha2, filters.rise2, filters.fall2
-    raise ValueError(f"layer must be 1 or 2, got {layer}")
-
-
-def filter_stage_batch(x: np.ndarray, layer: int,
-                       filters: FilterParams = DEFAULT_FILTERS) -> np.ndarray:
+def filter_stage_batch(x: np.ndarray, layer: int) -> np.ndarray:
     """One layer's nodes over a whole [T, nodes] block of AND outputs,
-    from cleared state: the layer's 9-tap FIR, the leaky RC accumulator
-    y += alpha * (fir - y), and the Schmitt trigger (rises at the rise
-    threshold, falls at the fall threshold, starts low)."""
-    coeffs, alpha, rise, fall = _stage(layer, filters)
+    from cleared state, with the layer's ``STAGES`` constants: the 9-tap
+    FIR, the leaky RC accumulator y += alpha * (fir - y), and the Schmitt
+    trigger (rises at the rise threshold, falls at the fall threshold,
+    starts low)."""
+    if layer not in STAGES:
+        raise ValueError(f"layer must be 1 or 2, got {layer}")
+    coeffs, alpha, rise, fall = STAGES[layer]
     fir = lfilter(coeffs, [1.0], x, axis=0)
     rc = lfilter([alpha], [1.0, alpha - 1.0], fir, axis=0)
     return schmitt_batch(rc, rise, fall)
@@ -346,8 +322,7 @@ class NodeBank:
     filtered alone.
     """
 
-    def __init__(self, frames: np.ndarray, networks: Iterable[VectorNetwork],
-                 filters: FilterParams = DEFAULT_FILTERS):
+    def __init__(self, frames: np.ndarray, networks: Iterable[VectorNetwork]):
         networks = list(networks)
         self.frames = frames
         l1_inputs, l1_of = _distinct(
@@ -357,8 +332,8 @@ class NodeBank:
                               nodes[net.n_pairs // 2 + net.active]))
              for net, nodes in zip(networks, l1_of)])
         self._columns = dict(zip(networks, l2_of))
-        self.layer1 = _filter_nodes(frames, l1_inputs, 1, filters)
-        self.layer2 = _filter_nodes(self.layer1, l2_inputs, 2, filters)
+        self.layer1 = _filter_nodes(frames, l1_inputs, 1)
+        self.layer2 = _filter_nodes(self.layer1, l2_inputs, 2)
 
 
 def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -371,8 +346,8 @@ def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return distinct, np.split(inverse.reshape(-1), ends[:-1])
 
 
-def _filter_nodes(source: np.ndarray, inputs: np.ndarray, layer: int,
-                  filters: FilterParams) -> np.ndarray:
+def _filter_nodes(source: np.ndarray, inputs: np.ndarray,
+                  layer: int) -> np.ndarray:
     """[T, len(inputs)] bits of one layer's nodes, node k filtering the
     AND of ``source`` columns ``inputs[k]``."""
     bits = np.zeros((source.shape[0], len(inputs)), dtype=np.uint8)
@@ -381,7 +356,7 @@ def _filter_nodes(source: np.ndarray, inputs: np.ndarray, layer: int,
     for lo in range(0, len(inputs), NODE_BLOCK):
         a, b = inputs[lo:lo + NODE_BLOCK].T
         x = (source[:, a] & source[:, b]).astype(float)
-        bits[:, lo:lo + NODE_BLOCK] = filter_stage_batch(x, layer, filters)
+        bits[:, lo:lo + NODE_BLOCK] = filter_stage_batch(x, layer)
     return bits
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from thetanav.chip_io import ChipState, phase_rate
+from thetanav.chip_io import TAPS_PER_UNIT, ChipState, phase_rate
 from thetanav.place_grid import (
     BUMP_LEVEL,
     DIRECTION_DELTA,
@@ -39,15 +39,11 @@ from thetanav.theta_core import (
     frequencies,
 )
 from thetanav.vector_net import (
-    DEFAULT_FILTERS,
-    FIR_LAYER1,
-    FIR_LAYER2,
     FIR_TAPS,
     MUX_FORMAT_VERSION,
-    TAP_COUNT,
+    STAGES,
     TAP_STEP,
     CompileError,
-    FilterParams,
     MuxTable,
     TargetLocation,
     filter_stage_batch,
@@ -184,12 +180,8 @@ class Node:
     out: int = 0
 
     @classmethod
-    def for_layer(cls, layer: int,
-                  filters: FilterParams = DEFAULT_FILTERS) -> "Node":
-        if layer == 1:
-            return cls(FIR_LAYER1, filters.alpha1, filters.rise1,
-                       filters.fall1)
-        return cls(FIR_LAYER2, filters.alpha2, filters.rise2, filters.fall2)
+    def for_layer(cls, layer: int) -> "Node":
+        return cls(*STAGES[layer])
 
     def step(self, a: int, b: int) -> int:
         self.hist[1:] = self.hist[:-1]
@@ -202,14 +194,12 @@ class Node:
         return self.out
 
 
-def run_per_sample(net, frames: np.ndarray,
-                   filters: FilterParams = DEFAULT_FILTERS) -> np.ndarray:
-    """What ``VectorNetwork.run`` computes from a node bank with
-    ``filters``, with every node of ``net`` stepped one sample at a time
-    from cleared state."""
+def run_per_sample(net, frames: np.ndarray) -> np.ndarray:
+    """What ``VectorNetwork.run`` computes from a node bank, with every
+    node of ``net`` stepped one sample at a time from cleared state."""
     half = net.n_pairs // 2
-    l1 = [Node.for_layer(1, filters) for _ in range(net.n_pairs)]
-    l2 = [Node.for_layer(2, filters) for _ in range(half)]
+    l1 = [Node.for_layer(1) for _ in range(net.n_pairs)]
+    l2 = [Node.for_layer(2) for _ in range(half)]
     out = []
     for frame in frames:
         bits = frame[net.input_pos]
@@ -220,12 +210,12 @@ def run_per_sample(net, frames: np.ndarray,
     return np.array(out, dtype=np.uint8)
 
 
-def pair_beat_frequency(bits_a: np.ndarray, bits_b: np.ndarray, fs: float,
-                        filters: FilterParams = DEFAULT_FILTERS) -> float:
+def pair_beat_frequency(bits_a: np.ndarray, bits_b: np.ndarray,
+                        fs: float) -> float:
     """Measured envelope frequency of an AND-interfered pair: the two bit
     streams through one first-layer node, rising edges per second."""
     x = (np.asarray(bits_a) & np.asarray(bits_b)).astype(float).reshape(-1, 1)
-    env = filter_stage_batch(x, 1, filters)[:, 0]
+    env = filter_stage_batch(x, 1)[:, 0]
     edges = int(np.count_nonzero((env[1:] == 1) & (env[:-1] == 0)))
     return edges / (env.size / fs)
 
@@ -264,7 +254,7 @@ def compile_lookup_scalar(pairs, fits, target, speed, tolerance,
         active, idle = (xp, yp) if x_active else (yp, xp)
         required = (-((phases[active[0]] - phases[active[1]]) % 1.0)) % 1.0
         best_k, best_d = 0, circular(0.0, required)
-        for k in range(1, TAP_COUNT):
+        for k in range(1, TAPS_PER_UNIT):
             d = circular(k * TAP_STEP, required)
             if d < best_d:
                 best_k, best_d = k, d

@@ -1,4 +1,5 @@
-"""One smoke test per CLI subcommand under the default config."""
+"""One smoke test per CLI subcommand under the default config, read
+from an INI file where the subcommand takes one."""
 
 import pytest
 
@@ -9,17 +10,18 @@ from thetanav.config import RunConfig, save_config
 
 @pytest.fixture(autouse=True)
 def in_tmp(tmp_path, monkeypatch):
+    """Run in ``tmp_path``, which holds the default config as run.ini."""
     monkeypatch.chdir(tmp_path)
+    save_config(RunConfig(), tmp_path / "run.ini")
 
 
 def test_calibrate(tmp_path, capsys):
-    assert main(["calibrate", "--out", "fits.csv"]) == 0
+    assert main(["calibrate", "--config", "run.ini", "--out", "fits.csv"]) == 0
     assert len((tmp_path / "fits.csv").read_text().splitlines()) == 129
     assert "wrote 128 unit fits" in capsys.readouterr().out
 
 
 def test_compile_with_config_file(tmp_path, capsys):
-    save_config(RunConfig(), tmp_path / "run.ini")
     assert main(["compile", "--config", "run.ini",
                  "--target", "0.0024,0", "--out", "mux.txt"]) == 0
     assert (tmp_path / "mux.txt").read_text().startswith("muxtable-v1\n")
@@ -27,21 +29,22 @@ def test_compile_with_config_file(tmp_path, capsys):
 
 
 def test_track(tmp_path, capsys):
-    assert main(["track", "--script", "path1_meander", "--out", "run"]) == 0
+    assert main(["track", "--config", "run.ini", "--script", "path1_meander",
+                 "--out", "run"]) == 0
     assert (tmp_path / "run" / "manifest.ini").is_file()
     assert "final location (0, -3) after 5 events" in capsys.readouterr().out
 
 
 def test_field_map(tmp_path, capsys):
-    assert main(["field-map", "--velocity", "0.25,0", "--stride", "1024",
-                 "--out", "map"]) == 0
+    assert main(["field-map", "--config", "run.ini", "--velocity", "0.25,0",
+                 "--stride", "1024", "--out", "map"]) == 0
     assert (tmp_path / "map" / "first_fire.csv").is_file()
     assert "28 failed to compile" in capsys.readouterr().out
 
 
 def test_sweep(tmp_path, capsys):
-    assert main(["sweep", "--script", "path3_loop", "--seeds", "1",
-                 "--out", "sweep.csv"]) == 0
+    assert main(["sweep", "--config", "run.ini", "--script", "path3_loop",
+                 "--seeds", "1", "--out", "sweep.csv"]) == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[1].startswith("0,1,0,0,4,")
     assert "success fraction: 1.00" in capsys.readouterr().out
@@ -93,3 +96,19 @@ def test_field_map_bad_stride_fails_before_the_run(monkeypatch, capsys,
                  "--out", "map"]) == 1
     assert f"stride must be >= 1, got {stride}" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("command, stage, message", [
+    (["field-map", "--velocity", "nan,0", "--out", "map"], "field_map",
+     "velocity (nan, 0.0) is not finite"),
+    (["compile", "--target", "0.0024,nan", "--out", "mux.txt"], "build_rig",
+     "target (0.0024, nan) is not finite"),
+])
+def test_a_nan_input_exits_1_before_the_run(tmp_path, monkeypatch, capsys,
+                                           command, stage, message):
+    calls = []
+    monkeypatch.setattr(cli, stage, lambda *args, **kwargs: calls.append(args))
+    assert main(command) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / command[-1]).exists()

@@ -1,6 +1,7 @@
 """The rules every config value checks when it is made, and INI round
 trips of run configurations and manifests."""
 
+import math
 import re
 from dataclasses import fields, is_dataclass, replace
 
@@ -9,7 +10,17 @@ import pytest
 import scipy
 
 from thetanav import __version__
-from thetanav.chip_io import MIN_ESTIMATE_WINDOW_S, ChipState, calibrate
+from thetanav import harness
+from thetanav.chip_io import (
+    CALIBRATION_CLOCK_HZ,
+    CALIBRATION_WINDOW_S,
+    MIN_ESTIMATE_WINDOW_S,
+    NETWORK_UNITS,
+    TAPS_PER_UNIT,
+    ChipState,
+    calibrate,
+    phase_rate,
+)
 from thetanav.config import (
     PathScript,
     RunConfig,
@@ -24,80 +35,61 @@ from thetanav.theta_core import (
     VelocityVector,
     sample_population,
 )
-from thetanav.vector_net import FilterParams
+from thetanav.vector_net import STAGES, TargetLocation
 
 CHANGED = RunConfig(
     population=PopulationSpec(
         n_units=96, f_idle_mean=2100.5, f_idle_std=300.25, beta_mean=19.5,
         beta_std=3.0, dac_offset_std=0.01, response="sigmoid"),
-    scan_clock_hz=9e6,
-    calibration_clock_hz=5e6,
-    calibration_window_s=0.15,
-    filters=FilterParams(alpha1=1 / 8, alpha2=1 / 32, rise1=0.25, fall1=0.1,
-                         rise2=0.6, fall2=0.4),
-    tap_tolerance=0.05,
-    drift_tolerance=0.3,
-    min_active_groups=10,
-    admission_r2=0.85,
-    network_units=64,
-    debounce_width=4,
     grid_size=13,
     pitch=0.003,
     speed=0.5,
     hold_ticks=12,
-    settle_ticks=40,
-    budget_factor=8.0,
     seed=3,
 )
 
 SEGMENT = Segment(VelocityVector(0.25, 0.0))
 LINEAR = "outside the linear range"
 OFF_AXIS = "is off-axis: the cardinal networks track axis-aligned motion only"
-POSITIVE = "pitch and speed must be positive"
-TICKS = "hold_ticks and settle_ticks must be >= 0"
-MEANS = "means must be positive"
-STDS = "std values must be >= 0"
-SCHMITT = "Schmitt thresholds need 0 <= fall < rise <= 1"
-UNITS = "network_units must be a positive multiple of 4 and at most " \
-    "population.n_units"
-WINDOW = "calibration_window_s must be >= 0.1 s (the shortest frequency " \
-    "estimate)"
+POSITIVE = "pitch and speed must be positive and finite"
+MEANS = "means must be positive and finite"
+STDS = "std values must be >= 0 and finite"
+UNITS = "population.n_units must be >= 80 (the network's units), got"
+NAN, INF = math.nan, math.inf
 
 # (valid value, fields that break one rule, the error message).
 RULES = [
     (RunConfig(), {"pitch": 0.0}, POSITIVE),
     (RunConfig(), {"pitch": -0.0024}, POSITIVE),
     (RunConfig(), {"speed": 0.0}, POSITIVE),
+    (RunConfig(), {"pitch": NAN}, POSITIVE),
+    (RunConfig(), {"pitch": INF}, POSITIVE),
+    (RunConfig(), {"speed": NAN}, POSITIVE),
     (RunConfig(), {"speed": 4.5}, "speed 4.5 " + LINEAR),
+    (RunConfig(), {"speed": INF}, "speed inf " + LINEAR),
     (RunConfig(), {"grid_size": 10}, "grid_size must be odd and positive"),
-    (RunConfig(), {"debounce_width": 0}, "debounce_width must be >= 1"),
-    (RunConfig(), {"hold_ticks": -1}, TICKS),
-    (RunConfig(), {"settle_ticks": -1}, TICKS),
-    (RunConfig(), {"budget_factor": 0.0}, "budget_factor must be positive"),
-    (RunConfig(), {"network_units": 0}, UNITS + " (128), got 0"),
-    (RunConfig(), {"network_units": 81}, UNITS + " (128), got 81"),
-    (RunConfig(), {"network_units": 132}, UNITS + " (128), got 132"),
+    (RunConfig(), {"hold_ticks": -1}, "hold_ticks must be >= 0"),
     (RunConfig(), {"population": PopulationSpec(n_units=64)},
-     UNITS + " (64), got 80"),
-    # 128 calibration phases, and 9 tracking phases per pair of units.
-    (RunConfig(), {"calibration_clock_hz": 1e6},
-     "per-phase rate 7812.5 Hz <= 8000 Hz (128 phases"),
-    (RunConfig(), {"scan_clock_hz": -1e7},
-     "per-phase rate -27777.8 Hz <= 8000 Hz (360 phases"),
-    (RunConfig(network_units=64, scan_clock_hz=2.8e6), {"network_units": 80},
-     "per-phase rate 7777.8 Hz <= 8000 Hz (360 phases"),
-    (RunConfig(), {"calibration_window_s": 0.05}, WINDOW + ", got 0.05"),
-    (RunConfig(), {"calibration_window_s": 0.0999}, WINDOW + ", got 0.0999"),
+     UNITS + " 64"),
+    # Calibration scans 768 phases, one tap of each unit.
+    (RunConfig(), {"population": PopulationSpec(n_units=768)},
+     "per-phase rate 7812.5 Hz <= 8000 Hz (768 phases"),
     (PopulationSpec(), {"n_units": 0}, "n_units must be >= 1"),
     (PopulationSpec(), {"f_idle_mean": 0.0}, MEANS),
     (PopulationSpec(), {"beta_mean": -1.0}, MEANS),
+    (PopulationSpec(), {"f_idle_mean": NAN}, MEANS),
+    (PopulationSpec(), {"beta_mean": INF}, MEANS),
     (PopulationSpec(), {"f_idle_std": -1.0}, STDS),
     (PopulationSpec(), {"dac_offset_std": -0.01}, STDS),
+    (PopulationSpec(), {"beta_std": NAN}, STDS),
+    (PopulationSpec(), {"f_idle_std": INF}, STDS),
     (PopulationSpec(), {"response": "cubic"}, "unknown response mode 'cubic'"),
-    (FilterParams(), {"alpha2": 1 / 16}, "need 0 < alpha2 < alpha1 < 1"),
-    (FilterParams(), {"alpha1": 1.0}, "need 0 < alpha2 < alpha1 < 1"),
-    (FilterParams(), {"fall1": 0.22}, SCHMITT),
-    (FilterParams(), {"rise2": 1.5}, SCHMITT),
+    (VelocityVector(0.25, 0.0), {"vx": NAN},
+     "velocity (nan, 0.0) is not finite"),
+    (VelocityVector(0.25, 0.0), {"vy": -INF}, "velocity (0.25, -inf) is not"),
+    (TargetLocation(0.0024, 0.0), {"theta": NAN},
+     "target (0.0024, nan) is not finite"),
+    (TargetLocation(0.0024, 0.0), {"r": INF}, "target (inf, 0.0) is not"),
     (SEGMENT, {"velocity": VelocityVector(0.0, -4.5)}, LINEAR),
     (SEGMENT, {"ticks": -1}, "segment ticks must be >= 0"),
     (SEGMENT, {"velocity": VelocityVector(0.1, -0.2)},
@@ -121,11 +113,44 @@ def test_every_rule_raises_where_the_value_is_made(valid, bad, message):
 
 
 def test_shortest_calibration_window_calibrates():
-    # Eight units on 8/n of the clock sample at the config's per-phase rate.
-    config = RunConfig(calibration_window_s=MIN_ESTIMATE_WINDOW_S)
+    # Eight units on 8/128 of the clock sample at the default per-phase rate.
     chip = ChipState(sample_population(PopulationSpec(n_units=8), 0))
-    clock = config.calibration_clock_hz * 8 / config.population.n_units
-    assert len(calibrate(chip, clock, config.calibration_window_s)) == 8
+    clock = CALIBRATION_CLOCK_HZ * 8 / PopulationSpec().n_units
+    assert len(calibrate(chip, clock, MIN_ESTIMATE_WINDOW_S)) == 8
+
+
+# Each fixed value keeps the rule a config check enforced when it was a
+# setting.
+def test_each_stage_keeps_the_schmitt_trigger_exact():
+    for _, _, rise, fall in STAGES.values():
+        assert 0 <= fall < rise <= 1
+
+
+def test_layer2_rc_pole_sits_below_layer1():
+    assert 0 < STAGES[2][1] < STAGES[1][1] < 1
+
+
+def test_calibration_window_allows_a_frequency_estimate():
+    assert CALIBRATION_WINDOW_S >= MIN_ESTIMATE_WINDOW_S
+
+
+def test_network_units_fit_the_default_population():
+    # Pairs of units, split evenly between the x and y axes.
+    assert NETWORK_UNITS % 4 == 0
+    assert 0 < NETWORK_UNITS <= PopulationSpec().n_units
+
+
+def test_tracking_scan_meets_nyquist():
+    # All taps of each pair's routable member and tap 0 of its partner.
+    phases = (TAPS_PER_UNIT + 1) * NETWORK_UNITS // 2
+    assert phases == 360
+    assert phase_rate(harness.TRACK_CLOCK_HZ, phases) > 27_000
+
+
+def test_session_constants_keep_their_ranges():
+    assert harness.DEBOUNCE_WIDTH >= 1
+    assert harness.SETTLE_TICKS >= 0
+    assert harness.BUDGET_FACTOR > 0
 
 
 def test_a_still_segment_must_be_timed():
@@ -147,6 +172,7 @@ def test_every_field_changed():
     default = dict(leaves(RunConfig()))
     changed = dict(leaves(CHANGED))
     assert default.keys() == changed.keys()
+    assert len(default) == 12
     assert [k for k in default if default[k] == changed[k]] == []
 
 
@@ -204,6 +230,8 @@ def test_missing_keys_take_defaults(tmp_path):
     "[meta]\nversion = 0.1.0\nauthor = x\n",
     "[run]\nperiodic_reset_ticks = 500\n",   # a removed key
     "[population]\nseed = 4\n",               # a removed key
+    "[run]\ntap_tolerance = 0.0625\n",        # a removed key
+    "[filters]\nalpha1 = 0.0625\n",           # a removed section
 ])
 def test_unknown_section_or_key_raises(tmp_path, text):
     path = tmp_path / "run.ini"
@@ -221,6 +249,18 @@ def test_tuple_of_the_wrong_length_raises(tmp_path, value):
     path.write_text(text.replace("expected_final = 3,-2\n",
                                  f"expected_final = {value}\n"))
     with pytest.raises(ValueError, match="expected 2 values"):
+        load_manifest(path)
+
+
+def test_a_nan_segment_in_a_manifest_raises(tmp_path):
+    path = tmp_path / "run.ini"
+    save_config(RunConfig(), path, built_in_scripts(0.25)["path3_loop"])
+    text = path.read_text()
+    assert "segments = 0.25:0.0:pulse;" in text
+    path.write_text(text.replace("segments = 0.25:0.0:pulse;",
+                                 "segments = nan:0.0:pulse;"))
+    with pytest.raises(ValueError, match=re.escape(
+            "velocity (nan, 0.0) is not finite")):
         load_manifest(path)
 
 

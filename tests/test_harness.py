@@ -307,7 +307,7 @@ def test_field_map_and_run_track_agree_on_the_first_pulse(rig, seed):
     config = replace(CONFIG, seed=seed)
     if seed:
         rig = harness.build_rig(config)
-    budget = math.ceil(config.budget_factor
+    budget = math.ceil(harness.BUDGET_FACTOR
                        * math.ceil(config.cell_seconds * rig.fs))
     ticks = {}
     for d, delta in DIRECTION_DELTA.items():

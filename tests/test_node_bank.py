@@ -32,10 +32,10 @@ def field_networks(rig):
 
 
 def assert_bank_matches_each_network_alone(frames, networks):
-    bank = NodeBank(frames, networks, CONFIG.filters)
+    bank = NodeBank(frames, networks)
     for net in networks:
         shared = net.run(frames, bank)
-        alone = net.run(frames, NodeBank(frames, [net], CONFIG.filters))
+        alone = net.run(frames, NodeBank(frames, [net]))
         assert shared.dtype == alone.dtype == np.uint8
         assert shared.tobytes() == alone.tobytes()
     return bank
@@ -63,18 +63,18 @@ def test_field_map_bank_matches_each_network_alone(rig):
 def test_one_network_matches_the_per_sample_reference(rig):
     frames = harness._session(rig, cardinal_velocity("E", CONFIG.speed), 400)
     net = rig.networks["E"]
-    out = net.run(frames, NodeBank(frames, [net], CONFIG.filters))
+    out = net.run(frames, NodeBank(frames, [net]))
     assert out.any() and not out.all()
-    assert np.array_equal(out, run_per_sample(net, frames, CONFIG.filters))
+    assert np.array_equal(out, run_per_sample(net, frames))
 
 
 def test_field_map_filters_each_distinct_node_once(rig, monkeypatch):
     stages = []
     original = vector_net.filter_stage_batch
 
-    def recorded(x, layer, filters):
+    def recorded(x, layer):
         stages.append((layer, x.shape))
-        return original(x, layer, filters)
+        return original(x, layer)
 
     monkeypatch.setattr(vector_net, "filter_stage_batch", recorded)
     targets = [(x, y) for x in range(5, -6, -1) for y in range(-5, 6)]
@@ -112,7 +112,7 @@ def test_field_map_filters_each_distinct_node_once(rig, monkeypatch):
 def test_bank_refuses_other_frames(rig):
     frames = harness._session(rig, FIELD_VELOCITY, 50)
     net = rig.networks["E"]
-    bank = NodeBank(frames, [net], CONFIG.filters)
+    bank = NodeBank(frames, [net])
     with pytest.raises(ValueError, match="other frames"):
         net.run(frames.copy(), bank)
 

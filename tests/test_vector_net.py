@@ -13,12 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from thetanav.chip_io import PAIR_CODES, InsufficientUnitsError, UnitFit
 from thetanav.theta_core import decode_velocity_code
+from thetanav import vector_net
 from thetanav.vector_net import (
-    DEFAULT_FILTERS,
     FIR_LAYER1,
     FIR_LAYER2,
+    STAGES,
     CompileError,
-    FilterParams,
     NodeBank,
     Pairing,
     TargetLocation,
@@ -502,11 +502,12 @@ class TestNodeStep:
         # crossing must land past the idealized fill-plus-rise bound.
         assert got_n > 9
 
-    def test_zero_input_flushes_low(self):
+    def test_zero_input_flushes_low(self, monkeypatch):
         # With the fall threshold at 1e-4, a low output means the RC
         # accumulator has drained below it.
+        monkeypatch.setitem(vector_net.STAGES, 1, STAGES[1][:3] + (1e-4,))
         x = np.concatenate((np.ones(200), np.zeros(400))).reshape(-1, 1)
-        out = filter_stage_batch(x, 1, FilterParams(fall1=1e-4))[:, 0]
+        out = filter_stage_batch(x, 1)[:, 0]
         assert out[199] == 1
         assert out[-1] == 0
 
@@ -563,7 +564,7 @@ class TestVectorNetwork:
         batch = run_alone(net, frames)
         assert batch.any() and not batch.all()
         assert np.array_equal(batch,
-                              run_per_sample(net, frames, DEFAULT_FILTERS))
+                              run_per_sample(net, frames))
 
     def test_reset_clears_state(self):
         # Every session starts from cleared filter state: a session after
