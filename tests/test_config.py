@@ -102,13 +102,87 @@ RULES = [
 ]
 
 
-@pytest.mark.parametrize("valid, bad, message", RULES, ids=[
-    f"{type(valid).__name__}-{bad}" for valid, bad, _ in RULES])
-def test_every_rule_raises_where_the_value_is_made(valid, bad, message):
+# The rules the fixed values keep, which config checks enforced when they
+# were settings.
+def stages_keep_the_schmitt_trigger_exact():
+    return all(0 <= fall < rise <= 1 for _, _, rise, fall in STAGES.values())
+
+
+def layer2_rc_pole_sits_below_layer1():
+    return 0 < STAGES[2][1] < STAGES[1][1] < 1
+
+
+def network_units_fit_the_default_population():
+    # Pairs of units, split evenly between the x and y axes.
+    return NETWORK_UNITS % 4 == 0 and \
+        0 < NETWORK_UNITS <= PopulationSpec().n_units
+
+
+def calibration_scan_meets_nyquist():
+    # One tap of each unit.
+    return phase_rate(CALIBRATION_CLOCK_HZ, PopulationSpec().n_units) > 8000
+
+
+def tracking_scan_meets_nyquist():
+    # All taps of each pair's routable member and tap 0 of its partner.
+    phases = (TAPS_PER_UNIT + 1) * NETWORK_UNITS // 2
+    return phases == 360 and \
+        phase_rate(harness.TRACK_CLOCK_HZ, phases) > 27_000
+
+
+def calibration_window_allows_a_frequency_estimate():
+    return CALIBRATION_WINDOW_S >= MIN_ESTIMATE_WINDOW_S
+
+
+# (the type that held a setting now fixed, a value its check refused, the
+# rule its constant keeps).  A file that sets the key is refused where the
+# value used to be made.
+FIXED = [
+    ("RunConfig", {"debounce_width": 0}, lambda: harness.DEBOUNCE_WIDTH >= 1),
+    ("RunConfig", {"settle_ticks": -1}, lambda: harness.SETTLE_TICKS >= 0),
+    ("RunConfig", {"budget_factor": 0.0}, lambda: harness.BUDGET_FACTOR > 0),
+    ("RunConfig", {"network_units": 0},
+     network_units_fit_the_default_population),
+    ("RunConfig", {"network_units": 81},
+     network_units_fit_the_default_population),
+    ("RunConfig", {"network_units": 132},
+     network_units_fit_the_default_population),
+    ("RunConfig", {"calibration_clock_hz": 1e6},
+     calibration_scan_meets_nyquist),
+    ("RunConfig", {"scan_clock_hz": -1e7}, tracking_scan_meets_nyquist),
+    ("RunConfig", {"network_units": 80}, tracking_scan_meets_nyquist),
+    ("RunConfig", {"calibration_window_s": 0.05},
+     calibration_window_allows_a_frequency_estimate),
+    ("RunConfig", {"calibration_window_s": 0.0999},
+     calibration_window_allows_a_frequency_estimate),
+    ("FilterParams", {"alpha2": 1 / 16}, layer2_rc_pole_sits_below_layer1),
+    ("FilterParams", {"alpha1": 1.0}, layer2_rc_pole_sits_below_layer1),
+    ("FilterParams", {"fall1": 0.22}, stages_keep_the_schmitt_trigger_exact),
+    ("FilterParams", {"rise2": 1.5}, stages_keep_the_schmitt_trigger_exact),
+]
+SECTION = {"RunConfig": "run", "FilterParams": "filters"}
+REFUSAL = {"RunConfig": "unknown key '{key}' in [run]",
+           "FilterParams": "unknown section [filters]"}
+
+
+@pytest.mark.parametrize("valid, bad, expected", RULES + FIXED, ids=[
+    f"{valid if isinstance(valid, str) else type(valid).__name__}-{bad}"
+    for valid, bad, _ in RULES + FIXED])
+def test_every_rule_raises_where_the_value_is_made(tmp_path, valid, bad,
+                                                   expected):
+    if isinstance(valid, str):
+        (key, value), = bad.items()
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{SECTION[valid]}]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                REFUSAL[valid].format(key=key))):
+            load_config(path)
+        assert expected()
+        return
     kwargs = {f.name: getattr(valid, f.name) for f in fields(valid)}
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(expected)):
         type(valid)(**{**kwargs, **bad})
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(expected)):
         replace(valid, **bad)
 
 
@@ -117,40 +191,6 @@ def test_shortest_calibration_window_calibrates():
     chip = ChipState(sample_population(PopulationSpec(n_units=8), 0))
     clock = CALIBRATION_CLOCK_HZ * 8 / PopulationSpec().n_units
     assert len(calibrate(chip, clock, MIN_ESTIMATE_WINDOW_S)) == 8
-
-
-# Each fixed value keeps the rule a config check enforced when it was a
-# setting.
-def test_each_stage_keeps_the_schmitt_trigger_exact():
-    for _, _, rise, fall in STAGES.values():
-        assert 0 <= fall < rise <= 1
-
-
-def test_layer2_rc_pole_sits_below_layer1():
-    assert 0 < STAGES[2][1] < STAGES[1][1] < 1
-
-
-def test_calibration_window_allows_a_frequency_estimate():
-    assert CALIBRATION_WINDOW_S >= MIN_ESTIMATE_WINDOW_S
-
-
-def test_network_units_fit_the_default_population():
-    # Pairs of units, split evenly between the x and y axes.
-    assert NETWORK_UNITS % 4 == 0
-    assert 0 < NETWORK_UNITS <= PopulationSpec().n_units
-
-
-def test_tracking_scan_meets_nyquist():
-    # All taps of each pair's routable member and tap 0 of its partner.
-    phases = (TAPS_PER_UNIT + 1) * NETWORK_UNITS // 2
-    assert phases == 360
-    assert phase_rate(harness.TRACK_CLOCK_HZ, phases) > 27_000
-
-
-def test_session_constants_keep_their_ranges():
-    assert harness.DEBOUNCE_WIDTH >= 1
-    assert harness.SETTLE_TICKS >= 0
-    assert harness.BUDGET_FACTOR > 0
 
 
 def test_a_still_segment_must_be_timed():
