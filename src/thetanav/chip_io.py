@@ -178,7 +178,8 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     array; column i is the i-th enabled phase in shift order.
 
     Raises AliasingError when an enabled unit steps f*dt >= 1/2 per
-    sample; units with no enabled tap are not read and not checked.
+    sample or its f*dt is NaN; units with no enabled tap are not read
+    and not checked.
     Frames are filled in row blocks of at most ``SCAN_BLOCK`` samples.
     Each tap's x = c * f*dt + phase0 + k/8 is rounded in that order, and
     its bit is 1 - (int(2x) & 1), the parity form of frac(x) < 1/2 (see
@@ -198,9 +199,10 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     units, taps = np.nonzero(chip.bypass)
     fdt = freqs[units] * dt
     fdt_max = float(fdt.max())
-    if fdt_max >= 0.5:
+    if not fdt_max < 0.5:   # a NaN fails the comparison too
         raise AliasingError(
-            f"max f*dt = {fdt_max:.3f} >= 0.5 at {fs:.1f} Hz per phase")
+            f"max f*dt = {fdt_max:.3f} is not below 0.5 at {fs:.1f} Hz "
+            f"per phase")
 
     phase0 = chip.phases[units]
     tap_off = taps / TAPS_PER_UNIT

@@ -7,7 +7,9 @@ segment starts from a phase reset, so segments are independent
 constant-velocity sessions; a debounced vector-cell pulse migrates the
 place-cell bump and re-arms the reset, a velocity change re-arms it
 without migrating.  A re-arm inside a segment starts the same session
-again, so each segment is scanned once and replayed.
+again, so each segment's scan covers its tick budget once and is
+replayed.  The causal filters read doubling prefixes of that scan and
+stop at the first prefix that holds a confirmed pulse.
 """
 
 from __future__ import annotations
@@ -167,12 +169,13 @@ def _session(rig: TrackRig, velocity: VelocityVector, n: int) -> np.ndarray:
     return scan_frames(rig.chip, velocity, n, TRACK_CLOCK_HZ)
 
 
-def _observe(rig: TrackRig, velocity: VelocityVector, n: int,
-             networks: dict) -> tuple[dict, dict]:
-    """Each network's output bits over one n-tick session from reset, read
-    through one node bank and held low for ``SETTLE_TICKS`` after the
-    release, and the start ticks of its ``DEBOUNCE_WIDTH`` debounced runs."""
-    frames = _session(rig, velocity, n)
+def _observe(frames: np.ndarray, networks: dict) -> tuple[dict, dict]:
+    """Each network's output bits over ``frames``, a session from reset,
+    read through one node bank and held low for ``SETTLE_TICKS`` after
+    the release, and the start ticks of its ``DEBOUNCE_WIDTH`` debounced
+    runs.  The filters are causal and start cleared, so over a prefix
+    ``frames[:m]`` the bits are the session's first m, and the runs are
+    the session's runs with ``start + DEBOUNCE_WIDTH <= m``."""
     bank = NodeBank(frames, networks.values())
     outputs, events = {}, {}
     for key, network in networks.items():
@@ -188,10 +191,14 @@ def run_track(config: RunConfig, script: PathScript,
     vector-cell pulse, recording each move in the trail.
 
     A reset zeroes every phase and filter, so every reset inside a
-    segment starts the same session.  The four cardinal networks observe
-    each segment's session once from reset: for its ticks when timed, or
-    for ``BUDGET_FACTOR`` times the predicted arrival when until-pulse,
-    failing loudly without a pulse.  The earliest debounced run start is
+    segment starts the same session.  Each segment's session is scanned
+    once from reset: for its ticks when timed, or for ``BUDGET_FACTOR``
+    times the predicted arrival when until-pulse, failing loudly without
+    a pulse.  The four cardinal networks filter prefixes of that scan,
+    the predicted arrival first and then twice the last prefix, and stop
+    at the first prefix that holds a confirmed pulse or at the whole
+    scan; a prefix's bits and confirmed runs are the whole scan's, so
+    this changes no output.  The earliest debounced run start is
     the pulse, fired by every direction whose run starts there (a run
     confirms at its ``DEBOUNCE_WIDTH``-th high sample, so later runs
     never confirm before the reset).  The session up to that pulse is
@@ -231,7 +238,13 @@ def run_track(config: RunConfig, script: PathScript,
         prev_velocity = seg.velocity
 
         n = budget if seg.until_pulse else seg.ticks
-        outputs, events = _observe(rig, seg.velocity, n, rig.networks)
+        frames = _session(rig, seg.velocity, n)
+        m = min(n, arrival_ticks)
+        while True:
+            outputs, events = _observe(frames[:m], rig.networks)
+            if m == n or any(events.values()):
+                break
+            m = min(2 * m, n)
         start = min((ev[0] for ev in events.values() if ev), default=None)
         fired = [d for d in DIRECTIONS if events[d][:1] == [start]]
         if start is None and seg.until_pulse:
@@ -338,7 +351,8 @@ def field_map(config: RunConfig, velocity: VelocityVector,
             networks[cell] = rig.network(cell)
         except CompileError as exc:
             failed[cell] = str(exc)
-    outputs, events = _observe(rig, velocity, session_ticks, networks)
+    frames = _session(rig, velocity, session_ticks)
+    outputs, events = _observe(frames, networks)
     return FieldMapResult(velocity=velocity, session_ticks=session_ticks,
                           cells=list(targets), events=events, outputs=outputs,
                           grid_size=config.grid_size, failed=failed)

@@ -126,7 +126,9 @@ class ThetaPopulation:
     and gain (Hz per velocity unit).  ``dac_offset`` [n, 2] models the
     residual zero-code error of each unit's two on-chip DACs as an
     additive perturbation of the input velocity.  ``response`` is the
-    population's response mode.  The arrays are read-only copies.
+    population's response mode.  The arrays are read-only copies; an
+    array of another shape or with a non-finite entry, or an idle
+    frequency at or below zero, raises ValueError.
     """
 
     f_idle: np.ndarray
@@ -135,12 +137,19 @@ class ThetaPopulation:
     response: str = LINEAR
 
     def __post_init__(self):
-        for name in ("f_idle", "beta", "dac_offset"):
+        n = np.size(self.f_idle)
+        if n == 0:
+            raise ValueError("population needs at least one unit")
+        for name, shape in (("f_idle", (n,)), ("beta", (n,)),
+                            ("dac_offset", (n, 2))):
             values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        if self.f_idle.size == 0:
-            raise ValueError("population needs at least one unit")
+            if values.shape != shape:
+                raise ValueError(f"{name} must have shape {shape} for {n} "
+                                 f"units, got {values.shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if not (self.f_idle > 0).all():
             raise ValueError(
                 f"f_idle must be positive, got min {self.f_idle.min()}")

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thetanav import harness
 from thetanav.chip_io import PAIR_CODES
@@ -175,11 +175,78 @@ def test_one_scan_per_segment(rig, monkeypatch):
         assert lengths == [2670] * len(events), name
 
 
+def observed_lengths(monkeypatch):
+    """Wrap the node-bank pass and return the list of its frame lengths."""
+    lengths = []
+    original = harness._observe
+
+    def counted(frames, networks):
+        lengths.append(len(frames))
+        return original(frames, networks)
+
+    monkeypatch.setattr(harness, "_observe", counted)
+    return lengths
+
+
+def test_filtering_stops_at_the_first_prefix_with_a_pulse(rig, monkeypatch):
+    lengths = observed_lengths(monkeypatch)
+    harness.run_track(CONFIG, TIMED, rig=rig)
+    assert lengths == [267, 100, 0, 267, 238, 237, 267, 5, 267]
+    for name, script in sorted(SCRIPTS.items()):
+        lengths.clear()
+        result = harness.run_track(CONFIG, script, rig=rig)
+        arrival = result.diagnostics["arrival_ticks"]
+        assert lengths[0] == arrival, name
+        passes = []
+        for m in lengths:
+            if m == arrival:
+                passes.append([m])
+            else:
+                passes[-1].append(m)
+        assert len(passes) == len(script.segments), name
+        for p in passes:
+            assert p in ([arrival], [arrival, 2 * arrival]), name
+
+
+def test_a_late_pulse_is_found_in_a_doubled_prefix(rig, monkeypatch):
+    # At half speed southward the seed-0 pulse comes after the predicted
+    # arrival: the first prefix has none, the doubled one has it, and the
+    # run keeps what observing the whole scan at once gives.
+    slow = cardinal_velocity("S", CONFIG.speed / 2)
+    outputs, events = harness._observe(harness._session(rig, slow, 2670),
+                                       rig.networks)
+    start = min(ev[0] for ev in events.values() if ev)
+    assert 267 < start + harness.DEBOUNCE_WIDTH <= 534
+    lengths = observed_lengths(monkeypatch)
+    result = harness.run_track(
+        CONFIG, PathScript(name="slow", segments=(Segment(slow),)), rig=rig)
+    assert lengths == [267, 534]
+    assert events_of(result) == [(d, CONFIG.hold_ticks + start)
+                                 for d in DIRECTION_DELTA
+                                 if events[d][:1] == [start]]
+    hold = np.zeros(CONFIG.hold_ticks, np.uint8)
+    for d, trace in result.traces.items():
+        kept = outputs[d][:start + harness.DEBOUNCE_WIDTH]
+        assert np.array_equal(trace, np.concatenate((hold, kept))), d
+
+
+def test_a_segment_without_a_pulse_filters_its_whole_scan_last(
+        rig, monkeypatch):
+    lengths = observed_lengths(monkeypatch)
+    with pytest.raises(harness.SegmentTimeoutError):
+        harness.run_track(CONFIG, CRAWL, rig=rig)
+    assert lengths == [267, 534, 1068, 2136, 2670]
+
+
 velocities = st.builds(VelocityVector, st.floats(-4, 4), st.floats(-4, 4))
 
 
 @settings(max_examples=25, deadline=None)
 @given(v=velocities, n=st.tuples(st.integers(0, 600), st.integers(0, 600)))
+# Eastward at the configured speed the seed-0 E run starts at tick 194:
+# a 196-tick prefix holds two of its samples, a 197-tick prefix confirms it.
+@example(v=VelocityVector(0.25, 0.0), n=(196, 600))
+@example(v=VelocityVector(0.25, 0.0), n=(197, 600))
 def test_session_from_reset_is_a_prefix_and_repeats(rig, v, n):
     n1, n2 = sorted(n)
     short = harness._session(rig, v, n1)
@@ -189,6 +256,15 @@ def test_session_from_reset_is_a_prefix_and_repeats(rig, v, n):
     for d, net in rig.networks.items():
         assert np.array_equal(net.run(short, NodeBank(short, [net])),
                               net.run(long, NodeBank(long, [net]))[:n1]), d
+    # Observing a prefix gives the whole session's bits up to its end and
+    # the whole session's runs that confirm within it.
+    short_out, short_events = harness._observe(short, rig.networks)
+    long_out, long_events = harness._observe(long, rig.networks)
+    for d in rig.networks:
+        assert np.array_equal(short_out[d], long_out[d][:n1]), d
+        assert short_events[d] == [
+            s for s in long_events[d]
+            if s + harness.DEBOUNCE_WIDTH <= n1], d
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

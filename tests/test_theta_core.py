@@ -107,6 +107,23 @@ class TestThetaPopulation:
         with pytest.raises(ValueError, match="f_idle must be positive"):
             make_population([2000.0, f_idle])
 
+    @pytest.mark.parametrize("f_idle, beta, dac_offset, match", [
+        ([2000.0, 2000.0], [np.nan, 20.0], [[0.0, 0.0]] * 2,
+         "beta must be finite"),
+        ([2000.0, 2000.0], [20.0, 20.0], [[0.0, 0.0], [np.nan, 0.0]],
+         "dac_offset must be finite"),
+        ([2000.0, np.inf], [20.0, 20.0], [[0.0, 0.0]] * 2,
+         "f_idle must be finite"),
+        ([2000.0, 2000.0], [20.0], [[0.0, 0.0]] * 2,
+         r"beta must have shape \(2,\) for 2 units, got \(1,\)"),
+        ([2000.0, 2000.0], [20.0, 20.0], [[0.0, 0.0]],
+         r"dac_offset must have shape \(2, 2\) for 2 units, got \(1, 2\)"),
+    ], ids=["nan_beta", "nan_dac_offset", "inf_f_idle", "short_beta",
+            "short_dac_offset"])
+    def test_bad_array_rejected(self, f_idle, beta, dac_offset, match):
+        with pytest.raises(ValueError, match=match):
+            ThetaPopulation(f_idle, beta, dac_offset)
+
     def test_unknown_response_rejected(self):
         with pytest.raises(ValueError,
                            match="unknown response mode 'cubic'"):
@@ -207,6 +224,16 @@ class TestStep:
     def test_aliasing_rejected(self):
         with pytest.raises(AliasingError):
             step(released_chip([5000.0]), 9000.0)
+
+    def test_nan_frequency_rejected_as_aliasing(self):
+        # DAC offsets that overflow with opposite signs make the inner
+        # product inf - inf, so the unit's frequency is NaN.
+        chip = ChipState(make_population([2000.0], 20.0, (1e308, -1e308)))
+        program(chip, [(0, (15, 15), tap0_bypass())])
+        chip.release()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(AliasingError, match=r"f\*dt = nan"):
+            step(chip, 1e5)
 
     def test_phase_stays_in_unit_interval(self):
         rng = np.random.default_rng(3)
