@@ -85,11 +85,6 @@ class UnitFit(NamedTuple):
     r2: float
 
 
-class FrequencyEstimate(NamedTuple):
-    hz: float
-    flatline: bool
-
-
 class ChipState:
     """Programmable chip around a sampled population.
 
@@ -222,23 +217,19 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     return frames
 
 
-def estimate_frequency(trace: np.ndarray, fs: float) -> FrequencyEstimate:
-    """Estimate square-wave frequency by rising-edge counting.
+def estimate_frequency(trace: np.ndarray, fs: float) -> float:
+    """Frequency in Hz of a 0/1 square-wave trace by rising-edge counting.
 
     Exact for clean square waves and free of spectral leakage.  Requires
-    at least 100 ms of samples.  A constant trace estimates 0 Hz and is
-    flagged as flatline.
+    at least 100 ms of samples.  A constant trace has no rising edge and
+    reads 0 Hz.
     """
-    trace = np.asarray(trace).astype(np.uint8)
     if trace.size < fs * MIN_ESTIMATE_WINDOW_S:
         raise ValueError(
             f"trace of {trace.size} samples is shorter than "
             f"{MIN_ESTIMATE_WINDOW_S * 1e3:.0f} ms at fs={fs:.1f} Hz")
-    if trace.min() == trace.max():
-        return FrequencyEstimate(0.0, True)
-    edges = int(np.count_nonzero((trace[1:] == 1) & (trace[:-1] == 0)))
-    window = trace.size / fs
-    return FrequencyEstimate(edges / window, False)
+    edges = np.count_nonzero(trace[1:] > trace[:-1])
+    return edges / (trace.size / fs)
 
 
 def fit_unit(samples: Sequence[tuple[float, float]], unit: int = 0) -> UnitFit:
@@ -309,8 +300,7 @@ def calibrate(chip: ChipState, clock_hz: float = CALIBRATION_CLOCK_HZ,
             traces = frames.T
             inner = v.vx * pref[0] + v.vy * pref[1]
             for u in range(chip.n_units):
-                est = estimate_frequency(traces[u], fs)
-                samples[u].append((inner, est.hz))
+                samples[u].append((inner, estimate_frequency(traces[u], fs)))
     return [fit_unit(samples[u], unit=u) for u in range(chip.n_units)]
 
 

@@ -55,6 +55,9 @@ class Segment:
             raise ValueError(
                 f"segment velocity {tuple(self.velocity)} is off-axis: the "
                 f"cardinal networks track axis-aligned motion only")
+        if self.ticks is not None and type(self.ticks) is not int:
+            raise ValueError(
+                f"segment ticks must be an int, got {self.ticks!r}")
         if self.ticks is not None and self.ticks < 0:
             raise ValueError("segment ticks must be >= 0")
         if self.until_pulse and self.velocity.speed == 0:
@@ -65,15 +68,24 @@ class Segment:
 @dataclass(frozen=True)
 class PathScript:
     """Named sequence of velocity segments, with the intended final grid
-    cell when known (used by seed sweeps to score success)."""
+    cell when known (used by seed sweeps to score success).  Both are
+    stored as tuples, whatever sequence they are given as."""
 
     name: str
     segments: tuple[Segment, ...]
     expected_final: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("a path script needs at least one segment")
+        final = self.expected_final
+        if final is not None:
+            if not (isinstance(final, (tuple, list)) and len(final) == 2
+                    and all(type(v) is int for v in final)):
+                raise ValueError(
+                    f"expected_final must be None or two ints, got {final!r}")
+            object.__setattr__(self, "expected_final", tuple(final))
 
 
 @dataclass(frozen=True)

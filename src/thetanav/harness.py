@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,13 +38,13 @@ from .chip_io import (
 )
 from .config import PathScript, RunConfig, load_manifest, save_config
 from .place_grid import (
+    CAUSE_TRAIL_START,
     CAUSE_VECTOR_FIRE,
     CAUSE_VELOCITY_CHANGE,
     DIRECTION_DELTA,
     DIRECTIONS,
     OutOfBoundsError,
     PulseEvent,
-    reset_controller,
 )
 from .theta_core import AliasingError, VelocityVector, sample_population
 from .vector_net import (
@@ -172,17 +171,18 @@ def _session(rig: TrackRig, velocity: VelocityVector, n: int) -> np.ndarray:
 def _observe(frames: np.ndarray, networks: dict) -> tuple[dict, dict]:
     """Each network's output bits over ``frames``, a session from reset,
     read through one node bank and held low for ``SETTLE_TICKS`` after
-    the release, and the start ticks of its ``DEBOUNCE_WIDTH`` debounced
-    runs.  The filters are causal and start cleared, so over a prefix
-    ``frames[:m]`` the bits are the session's first m, and the runs are
-    the session's runs with ``start + DEBOUNCE_WIDTH <= m``."""
+    the release, and the start tick of its first ``DEBOUNCE_WIDTH``
+    debounced run, None without one.  The filters are causal and start
+    cleared, so over a prefix ``frames[:m]`` the bits are the session's
+    first m, and the first run is the session's first run when
+    ``start + DEBOUNCE_WIDTH <= m``, else None."""
     bank = NodeBank(frames, networks.values())
-    outputs, events = {}, {}
+    outputs, starts = {}, {}
     for key, network in networks.items():
         out = outputs[key] = network.run(frames, bank)
         out[:SETTLE_TICKS] = 0
-        events[key] = place_grid.debounce(out, DEBOUNCE_WIDTH)
-    return outputs, events
+        starts[key] = place_grid.debounce(out, DEBOUNCE_WIDTH)
+    return outputs, starts
 
 
 def run_track(config: RunConfig, script: PathScript,
@@ -198,8 +198,8 @@ def run_track(config: RunConfig, script: PathScript,
     the predicted arrival first and then twice the last prefix, and stop
     at the first prefix that holds a confirmed pulse or at the whole
     scan; a prefix's bits and confirmed runs are the whole scan's, so
-    this changes no output.  The earliest debounced run start is
-    the pulse, fired by every direction whose run starts there (a run
+    this changes no output.  The earliest first-run start is the
+    pulse, fired by every direction whose first run starts there (a run
     confirms at its ``DEBOUNCE_WIDTH``-th high sample, so later runs
     never confirm before the reset).  The session up to that pulse is
     replayed until the segment's ticks are spent, or once for an
@@ -207,6 +207,11 @@ def run_track(config: RunConfig, script: PathScript,
     ``hold_ticks``, fires, and re-arms the reset.  A last repeat cut
     short of the pulse keeps its ticks and does not fire.  A ``rig``
     built from another config raises ValueError.
+
+    Each segment opens with a reset: ``trail_start`` first, then
+    ``vector_fire`` after a pulse, else ``velocity_change``, which warns
+    when the velocity is unchanged or a moving segment's sub-cell
+    displacement is discarded.
     """
     if rig is None:
         rig = build_rig(config)
@@ -222,18 +227,19 @@ def run_track(config: RunConfig, script: PathScript,
     prev_velocity = VelocityVector(0.0, 0.0)
     pulse_pending = False
     for seg_index, seg in enumerate(script.segments):
-        cause = reset_controller(prev_velocity, seg.velocity, pulse_pending,
-                                 trail_start=(seg_index == 0))
-        if cause is None:
-            # Same velocity and no pulse: still re-arm, segments are
-            # defined to start from a known phase.
+        if seg_index == 0:
+            cause = CAUSE_TRAIL_START
+        elif pulse_pending:
+            cause = CAUSE_VECTOR_FIRE
+        else:
             cause = CAUSE_VELOCITY_CHANGE
-            result.warnings.append(
-                f"segment {seg_index}: boundary reset without velocity change")
-        if cause == CAUSE_VELOCITY_CHANGE and prev_velocity.speed > 0:
-            result.warnings.append(
-                f"segment {seg_index}: sub-cell displacement discarded on "
-                f"velocity change")
+            if seg.velocity == prev_velocity:
+                result.warnings.append(f"segment {seg_index}: boundary "
+                                       f"reset without velocity change")
+            if prev_velocity.speed > 0:
+                result.warnings.append(
+                    f"segment {seg_index}: sub-cell displacement discarded "
+                    f"on velocity change")
         result.resets.append((tick, cause))
         prev_velocity = seg.velocity
 
@@ -241,12 +247,13 @@ def run_track(config: RunConfig, script: PathScript,
         frames = _session(rig, seg.velocity, n)
         m = min(n, arrival_ticks)
         while True:
-            outputs, events = _observe(frames[:m], rig.networks)
-            if m == n or any(events.values()):
+            outputs, starts = _observe(frames[:m], rig.networks)
+            if m == n or any(s is not None for s in starts.values()):
                 break
             m = min(2 * m, n)
-        start = min((ev[0] for ev in events.values() if ev), default=None)
-        fired = [d for d in DIRECTIONS if events[d][:1] == [start]]
+        start = min((s for s in starts.values() if s is not None),
+                    default=None)
+        fired = [d for d in DIRECTIONS if starts[d] == start]
         if start is None and seg.until_pulse:
             raise SegmentTimeoutError(
                 f"segment {seg_index}: no pulse within {budget} "
@@ -288,22 +295,19 @@ def run_track(config: RunConfig, script: PathScript,
 class FieldMapResult:
     """Per-cell vector-cell responses under one shared input.
 
-    ``failed`` maps each cell whose lookup table did not compile to the
-    cause; such a cell has no events or outputs.
+    ``first_fire`` holds every requested cell's first debounced pulse
+    tick, None if it never fired or did not compile.  ``failed`` maps
+    each cell whose lookup table did not compile to the cause; such a
+    cell has no outputs.
     """
 
     velocity: VelocityVector
     session_ticks: int
     cells: list[tuple[int, int]]
-    events: dict[tuple[int, int], list[int]]
+    first_fire: dict[tuple[int, int], Optional[int]]
     outputs: dict[tuple[int, int], np.ndarray]
     grid_size: int
     failed: dict[tuple[int, int], str] = field(default_factory=dict)
-
-    @cached_property
-    def first_fire(self) -> dict[tuple[int, int], Optional[int]]:
-        """Each cell's first pulse tick, None if it failed or never fired."""
-        return {c: (self.events.get(c) or [None])[0] for c in self.cells}
 
     def occupancy(self, tick: int) -> np.ndarray:
         """Grid snapshot of which designated cells read high at a tick."""
@@ -352,10 +356,12 @@ def field_map(config: RunConfig, velocity: VelocityVector,
         except CompileError as exc:
             failed[cell] = str(exc)
     frames = _session(rig, velocity, session_ticks)
-    outputs, events = _observe(frames, networks)
+    outputs, starts = _observe(frames, networks)
     return FieldMapResult(velocity=velocity, session_ticks=session_ticks,
-                          cells=list(targets), events=events, outputs=outputs,
-                          grid_size=config.grid_size, failed=failed)
+                          cells=list(targets),
+                          first_fire={c: starts.get(c) for c in targets},
+                          outputs=outputs, grid_size=config.grid_size,
+                          failed=failed)
 
 
 @dataclass

@@ -7,9 +7,10 @@ active cell leaks by 5, so the previous bump location trails at 5 and
 the one before is back at 0: :func:`snapshot` rebuilds the grid from
 the bump's path, whose next cell :func:`apply_pulse` gives.
 
-A reset controller re-arms the oscillator phases at trail start, after
-every pulse, and on velocity changes.  A re-arm zeroes every phase and
-filter, so at an unchanged velocity it replays the session before it.
+The phases re-arm at trail start, after every pulse and at every other
+segment boundary, each with one of the ``CAUSE_*`` reasons below (see
+``harness.run_track``).  A re-arm zeroes every phase and filter, so at
+an unchanged velocity it replays the session before it.
 """
 
 from __future__ import annotations
@@ -86,42 +87,23 @@ def displacement(directions: Iterable[str]) -> tuple[int, int]:
     return (sum(dx for dx, _ in deltas), sum(dy for _, dy in deltas))
 
 
-def debounce(bits: Sequence[int], min_width: int) -> list[int]:
-    """Start ticks of every maximal high run of at least min_width samples.
+def debounce(bits: Sequence[int], min_width: int) -> Optional[int]:
+    """Start tick of the first high run of at least min_width samples, or
+    None when there is none.
 
     Shorter runs are artifacts and are discarded.  Debouncing a stream
-    rebuilt from the returned events (as min_width-wide pulses) returns
-    the same events.
+    rebuilt from the returned start (as one min_width-wide pulse) returns
+    the same start.
     """
     if min_width < 1:
         raise ValueError("min_width must be >= 1")
     bits = np.asarray(bits).astype(bool)
-    if bits.size == 0:
-        return []
     padded = np.concatenate(([False], bits, [False])).astype(np.int8)
     diff = np.diff(padded)
     starts = np.nonzero(diff == 1)[0]
     ends = np.nonzero(diff == -1)[0]
-    return [int(s) for s, e in zip(starts, ends) if e - s >= min_width]
-
-
-def reset_controller(prev_velocity, new_velocity, pulse_fired: bool,
-                     trail_start: bool) -> Optional[str]:
-    """Why the phase-reset line asserts at a segment boundary, or None.
-
-    Asserts at trail start, when any vector cell fired, or when the
-    commanded velocity changed; a simultaneous pulse and velocity change
-    reports the pulse (vector_fire outranks velocity_change).  A reset
-    zeroes the oscillator phases and clears the vector-network filters,
-    so what follows depends only on the displacement since the reset.
-    """
-    if trail_start:
-        return CAUSE_TRAIL_START
-    if pulse_fired:
-        return CAUSE_VECTOR_FIRE
-    if tuple(prev_velocity) != tuple(new_velocity):
-        return CAUSE_VELOCITY_CHANGE
-    return None
+    wide = np.nonzero(ends - starts >= min_width)[0]
+    return int(starts[wide[0]]) if wide.size else None
 
 
 def write_trail_csv(path, trail: Iterable[tuple[int, str, int, int]]) -> None:

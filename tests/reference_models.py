@@ -6,7 +6,8 @@
 choice in ``compile_lookup``, and the place grid in the bump's path
 (``place_grid.apply_pulse`` and ``snapshot``).  The models here state
 the same physics the plain way (the law for one unit in plain numbers,
-the scan's tap bits by float modulo, one oscillator or one node stepped
+the scan's tap bits by float modulo, a trace's rising edges as matched
+0 -> 1 sample pairs, one oscillator or one node stepped
 a sample at a time, the tap compiler one group and one tap at a time,
 the paper's closed-form tap shift, the place grid as an activity matrix
 that every pulse leaks, the Schmitt trigger as a forward fill of its
@@ -135,6 +136,14 @@ def scan_frames_mod(chip: ChipState, v: VelocityVector, n_cycles: int,
     if not chip.held:
         chip.phases = (chip.phases + freqs * dt * n_cycles) % 1.0
     return frames
+
+
+def edge_count_frequency(trace: np.ndarray, fs: float) -> float:
+    """Square-wave frequency of a 0/1 trace: its 0 -> 1 steps, matched
+    sample by sample, over the trace's length in seconds."""
+    t = np.asarray(trace).astype(np.uint8)
+    edges = int(np.count_nonzero((t[1:] == 1) & (t[:-1] == 0)))
+    return edges / (t.size / fs)
 
 
 def square_wave(f: float, fs: float, n: int,

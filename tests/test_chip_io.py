@@ -9,6 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thetanav.chip_io import (
+    CAL_SWEEP,
+    CALIBRATION_CLOCK_HZ,
+    CALIBRATION_WINDOW_S,
+    PAIR_CODES,
     SCAN_BLOCK,
     ChipState,
     DegenerateFitError,
@@ -39,6 +43,7 @@ from thetanav.theta_core import (
 )
 
 from reference_models import (
+    edge_count_frequency,
     instantaneous_frequency,
     make_population,
     scan_frames_mod,
@@ -293,21 +298,62 @@ class TestEstimateFrequency:
         return ((f * np.arange(n) / self.FS) % 1.0 < 0.5).astype(np.uint8)
 
     def test_nominal(self):
-        est = estimate_frequency(self._wave(2000.0, 1.0), self.FS)
-        assert not est.flatline
-        assert abs(est.hz - 2000.0) <= 1.0
+        hz = estimate_frequency(self._wave(2000.0, 1.0), self.FS)
+        assert abs(hz - 2000.0) <= 1.0
 
     def test_flatline_flagged(self):
-        est = estimate_frequency(np.zeros(4000, dtype=np.uint8), self.FS)
-        assert est.hz == 0.0 and est.flatline
+        # A constant trace has no rising edge and reads 0 Hz.
+        for level in (0, 1):
+            trace = np.full(4000, level, dtype=np.uint8)
+            assert estimate_frequency(trace, self.FS) == 0.0
 
     def test_top_of_band(self):
-        est = estimate_frequency(self._wave(3000.0, 1.0), self.FS)
-        assert abs(est.hz - 3000.0) <= 1.0
+        hz = estimate_frequency(self._wave(3000.0, 1.0), self.FS)
+        assert abs(hz - 3000.0) <= 1.0
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
             estimate_frequency(np.zeros(100, dtype=np.uint8), self.FS)
+
+
+@st.composite
+def zero_one_traces(draw):
+    """A uint8 or bool 0/1 trace, as a row or as a column of a 2-D array,
+    with a sample rate that leaves it at least 100 ms long."""
+    bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=400))
+    trace = np.array(bits, dtype=draw(st.sampled_from([np.uint8, np.bool_])))
+    if draw(st.booleans()):
+        trace = np.stack([trace] * 3, axis=1)[:, 1]
+    return trace, draw(st.floats(1.0, 9.0 * trace.size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(traced=zero_one_traces())
+def test_estimate_frequency_equals_the_edge_count_oracle(traced):
+    trace, fs = traced
+    assert estimate_frequency(trace, fs) == edge_count_frequency(trace, fs)
+    assert estimate_frequency(np.full_like(trace, trace[0]), fs) == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), code=st.sampled_from(
+    [member for pair in PAIR_CODES for member in pair]),
+    sweep_v=st.sampled_from(CAL_SWEEP))
+def test_calibration_scan_columns_equal_the_oracle(seed, code, sweep_v):
+    # Eight units on 8/128 of the clock, tap 0 each, as calibrate scans
+    # them; every column of the frames is a strided view.
+    chip = ChipState(sample_population(PopulationSpec(n_units=8), seed))
+    program(chip, [(u, code, tap0_bypass()) for u in range(8)])
+    chip.release()
+    clock = CALIBRATION_CLOCK_HZ * 8 / PopulationSpec().n_units
+    fs = phase_rate(clock, 8)
+    v = VelocityVector(sweep_v, 0.0) if code in PAIR_CODES[0] \
+        else VelocityVector(0.0, sweep_v)
+    frames = scan_frames(chip, v, int(np.ceil(CALIBRATION_WINDOW_S * fs)),
+                         clock)
+    for trace in frames.T:
+        assert not trace.flags.contiguous
+        assert estimate_frequency(trace, fs) == edge_count_frequency(trace, fs)
 
 
 class TestFitUnit:
@@ -400,11 +446,11 @@ class TestCalibratePipeline:
             v = VelocityVector(vx, 0.0)
             frames = scan_frames(chip, v, int(window * fs), clock_hz=fs * 4)
             for u in range(4):
-                est = estimate_frequency(frames[:, u], fs)
+                hz = estimate_frequency(frames[:, u], fs)
                 law = instantaneous_frequency(
                     pop.f_idle[u], pop.beta[u], tuple(chip.v_pref[u]),
                     tuple(pop.dac_offset[u]), pop.response, v.vx, v.vy)
-                assert abs(est.hz - law) <= 2.0 / window
+                assert abs(hz - law) <= 2.0 / window
 
 
 class TestCsvExports:

@@ -92,6 +92,8 @@ RULES = [
     (TargetLocation(0.0024, 0.0), {"r": INF}, "target (inf, 0.0) is not"),
     (SEGMENT, {"velocity": VelocityVector(0.0, -4.5)}, LINEAR),
     (SEGMENT, {"ticks": -1}, "segment ticks must be >= 0"),
+    (SEGMENT, {"ticks": 300.0}, "segment ticks must be an int, got 300.0"),
+    (SEGMENT, {"ticks": True}, "segment ticks must be an int, got True"),
     (SEGMENT, {"velocity": VelocityVector(0.1, -0.2)},
      "segment velocity (0.1, -0.2) " + OFF_AXIS),
     (SEGMENT, {"velocity": VelocityVector(-1e-9, 0.25)}, OFF_AXIS),
@@ -99,6 +101,14 @@ RULES = [
      "an until-pulse segment needs a non-zero velocity"),
     (PathScript("p", (SEGMENT,)), {"segments": ()},
      "a path script needs at least one segment"),
+    (PathScript("p", (SEGMENT,)), {"expected_final": (0, 0, 0)},
+     "expected_final must be None or two ints, got (0, 0, 0)"),
+    (PathScript("p", (SEGMENT,)), {"expected_final": (1.0, 0)},
+     "expected_final must be None or two ints"),
+    (PathScript("p", (SEGMENT,)), {"expected_final": (True, False)},
+     "expected_final must be None or two ints"),
+    (PathScript("p", (SEGMENT,)), {"expected_final": "10"},
+     "expected_final must be None or two ints"),
 ]
 
 
@@ -198,6 +208,22 @@ def test_a_still_segment_must_be_timed():
     assert Segment(still, ticks=5).ticks == 5
     with pytest.raises(ValueError, match="non-zero velocity"):
         Segment(still)
+
+
+def test_a_script_built_from_lists_is_stored_as_tuples(tmp_path,
+                                                      monkeypatch):
+    script = PathScript("p", [SEGMENT, Segment(VelocityVector(0.0, 0.0), 5)],
+                        expected_final=[0, 0])
+    assert script == PathScript("p", (SEGMENT, Segment(
+        VelocityVector(0.0, 0.0), 5)), (0, 0))
+    path = tmp_path / "manifest.ini"
+    save_config(RunConfig(), path, script)
+    assert load_manifest(path) == (RunConfig(), script)
+    # A run that ends on the expected cell scores as reached.
+    monkeypatch.setattr(harness, "run_track",
+                        lambda config, script: harness.TrackResult())
+    (outcome,) = harness.sweep_seeds(RunConfig(), script, 1).outcomes
+    assert outcome.ok and outcome.cause == "reached target"
 
 
 def test_every_field_changed():

@@ -213,9 +213,9 @@ def test_a_late_pulse_is_found_in_a_doubled_prefix(rig, monkeypatch):
     # arrival: the first prefix has none, the doubled one has it, and the
     # run keeps what observing the whole scan at once gives.
     slow = cardinal_velocity("S", CONFIG.speed / 2)
-    outputs, events = harness._observe(harness._session(rig, slow, 2670),
+    outputs, starts = harness._observe(harness._session(rig, slow, 2670),
                                        rig.networks)
-    start = min(ev[0] for ev in events.values() if ev)
+    start = min(s for s in starts.values() if s is not None)
     assert 267 < start + harness.DEBOUNCE_WIDTH <= 534
     lengths = observed_lengths(monkeypatch)
     result = harness.run_track(
@@ -223,7 +223,7 @@ def test_a_late_pulse_is_found_in_a_doubled_prefix(rig, monkeypatch):
     assert lengths == [267, 534]
     assert events_of(result) == [(d, CONFIG.hold_ticks + start)
                                  for d in DIRECTION_DELTA
-                                 if events[d][:1] == [start]]
+                                 if starts[d] == start]
     hold = np.zeros(CONFIG.hold_ticks, np.uint8)
     for d, trace in result.traces.items():
         kept = outputs[d][:start + harness.DEBOUNCE_WIDTH]
@@ -257,14 +257,14 @@ def test_session_from_reset_is_a_prefix_and_repeats(rig, v, n):
         assert np.array_equal(net.run(short, NodeBank(short, [net])),
                               net.run(long, NodeBank(long, [net]))[:n1]), d
     # Observing a prefix gives the whole session's bits up to its end and
-    # the whole session's runs that confirm within it.
-    short_out, short_events = harness._observe(short, rig.networks)
-    long_out, long_events = harness._observe(long, rig.networks)
+    # the whole session's first run if it confirms within it.
+    short_out, short_starts = harness._observe(short, rig.networks)
+    long_out, long_starts = harness._observe(long, rig.networks)
     for d in rig.networks:
         assert np.array_equal(short_out[d], long_out[d][:n1]), d
-        assert short_events[d] == [
-            s for s in long_events[d]
-            if s + harness.DEBOUNCE_WIDTH <= n1], d
+        first = long_starts[d]
+        confirmed = first is not None and first + harness.DEBOUNCE_WIDTH <= n1
+        assert short_starts[d] == (first if confirmed else None), d
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -330,12 +330,34 @@ def test_emitted_grids_seed0_bit_for_bit(rig, tmp_path):
     assert digest.hexdigest() == MEANDER_GRIDS_SHA256
 
 
+# SHA-256 of the seed-0 TIMED run's emitted files but the manifest
+# (grid_000.csv .. grid_009.csv, traces.csv, trail.csv, warnings.txt, in
+# name order) followed by the first_fire.csv of the seed-0 full field map
+# at velocity (0.25, 0).
+EMITTED_SHA256 = \
+    "5a6c6bdc6922fc5d9d6d8705b3f9cd62fc4dbfd9062271a8bce64d25b62b4564"
+
+
+def test_emitted_files_seed0_bit_for_bit(rig, tmp_path):
+    result = harness.run_track(CONFIG, TIMED, rig=rig)
+    written = harness.emit(result, tmp_path / "timed", CONFIG, TIMED)
+    files = sorted(p for p in written if p.name != "manifest.ini")
+    grids = [f"grid_{i:03d}.csv" for i in range(10)]
+    assert [p.name for p in files] == grids + [
+        "traces.csv", "trail.csv", "warnings.txt"]
+    mapped = harness.field_map(CONFIG, VelocityVector(0.25, 0.0), rig=rig)
+    harness.write_field_map_csv(mapped, tmp_path / "map", stride=4096)
+    files.append(tmp_path / "map" / "first_fire.csv")
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in files))
+    assert digest.hexdigest() == EMITTED_SHA256
+
+
 def test_occupancy_puts_cell_x_y_at_row_half_minus_y_column_x_plus_half():
     bits = np.zeros(4, dtype=np.uint8)
     bits[2] = 1
     result = harness.FieldMapResult(
         velocity=VelocityVector(0.25, 0.0), session_ticks=4,
-        cells=[(2, -1), (-1, 0)], events={},
+        cells=[(2, -1), (-1, 0)], first_fire={(2, -1): 2, (-1, 0): None},
         outputs={(2, -1): bits, (-1, 0): np.zeros(4, dtype=np.uint8)},
         grid_size=5)
     expected = np.zeros((5, 5), dtype=int)
@@ -367,7 +389,7 @@ def test_field_map_records_compile_failures(rig, tmp_path):
 def test_write_field_map_csv_replaces_an_earlier_map(tmp_path):
     result = harness.FieldMapResult(
         velocity=VelocityVector(0.25, 0.0), session_ticks=256,
-        cells=[(0, 0)], events={(0, 0): []},
+        cells=[(0, 0)], first_fire={(0, 0): None},
         outputs={(0, 0): np.zeros(256, dtype=np.uint8)}, grid_size=3)
     harness.write_field_map_csv(result, tmp_path, stride=64)
     written = harness.write_field_map_csv(result, tmp_path, stride=128)

@@ -1,21 +1,17 @@
-"""Place-grid contracts: debouncing, bump migration, leakage, readout
-and the reset controller, with the grid rebuilt from the bump's path
-checked against the activity-matrix model."""
+"""Place-grid contracts: debouncing, bump migration, leakage and
+readout, with the grid rebuilt from the bump's path checked against the
+activity-matrix model."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetanav.place_grid import (
-    CAUSE_TRAIL_START,
-    CAUSE_VECTOR_FIRE,
-    CAUSE_VELOCITY_CHANGE,
     DIRECTIONS,
     OutOfBoundsError,
     PulseEvent,
     apply_pulse,
     debounce,
-    reset_controller,
     snapshot,
     write_grid_csv,
     write_trail_csv,
@@ -27,11 +23,11 @@ from reference_models import PlaceGrid, apply_pulse_to_grid
 class TestDebounce:
     def test_run_below_width_discarded(self):
         bits = [0, 1, 1, 0, 0]
-        assert debounce(bits, 3) == []
+        assert debounce(bits, 3) is None
 
     def test_run_at_width_fires_once_at_start(self):
         bits = [0, 0, 1, 1, 1, 0]
-        assert debounce(bits, 3) == [2]
+        assert debounce(bits, 3) == 2
 
     def test_glitch_then_pulse(self):
         # Hand enumeration: a 2-sample glitch at tick 1, then a 50-sample
@@ -39,24 +35,24 @@ class TestDebounce:
         bits = np.zeros(80, dtype=np.uint8)
         bits[1:3] = 1
         bits[10:60] = 1
-        assert debounce(bits, 3) == [10]
+        assert debounce(bits, 3) == 10
 
     def test_idempotent_on_rerendered_events(self):
         rng = np.random.default_rng(8)
         width = 3
         bits = (rng.random(400) < 0.3).astype(np.uint8)
-        events = debounce(bits, width)
+        start = debounce(bits, width)
+        assert start is not None
         rendered = np.zeros_like(bits)
-        for start in events:
-            rendered[start:start + width] = 1
-        assert debounce(rendered, width) == events
+        rendered[start:start + width] = 1
+        assert debounce(rendered, width) == start
 
     def test_width_validated(self):
         with pytest.raises(ValueError):
             debounce([1, 0], 0)
 
     def test_run_touching_end_counts(self):
-        assert debounce([0, 0, 1, 1, 1], 3) == [2]
+        assert debounce([0, 0, 1, 1, 1], 3) == 2
 
 
 def walk(directions, size=11):
@@ -177,23 +173,6 @@ class TestLocate:
     def test_detour_sequence_endpoint(self):
         path = walk("EESES")
         assert path[-1] == locate(snapshot(path, 11)) == (3, -2)
-
-
-class TestResetController:
-    def test_trail_start(self):
-        assert reset_controller((0, 0), (0.25, 0), False, True) \
-            == CAUSE_TRAIL_START
-
-    def test_quiet_tick_not_asserted(self):
-        assert reset_controller((0.25, 0), (0.25, 0), False, False) is None
-
-    def test_velocity_change(self):
-        assert reset_controller((0.25, 0), (0, 0.25), False, False) \
-            == CAUSE_VELOCITY_CHANGE
-
-    def test_pulse_outranks_velocity_change(self):
-        assert reset_controller((0.25, 0), (0, 0.25), True, False) \
-            == CAUSE_VECTOR_FIRE
 
 
 class TestExports:
