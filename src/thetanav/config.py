@@ -4,9 +4,9 @@ A RunConfig holds what varies from run to run: the population's
 mismatch statistics and seed, the grid size and pitch, the speed and the
 reset hold.  Module constants fix the rest: scan clocks and calibration
 window (``chip_io``, ``harness``), filter stages and compile tolerances
-(``vector_net``), debounce, settle and segment budget (``harness``).
-One velocity code unit equals one spatial unit per second, so the time
-to cross one grid cell is pitch / speed seconds.
+(``vector_net``), debounce and segment budget (``harness``).  One
+velocity code unit equals one spatial unit per second, so the time to
+cross one grid cell is pitch / speed seconds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import scipy
 from . import __version__
 from .chip_io import CALIBRATION_CLOCK_HZ, NETWORK_UNITS, phase_rate
 from .place_grid import DIRECTION_DELTA, displacement
-from .theta_core import PopulationSpec, VelocityVector
+from .theta_core import PopulationSpec, VelocityVector, require_int
 
 LINEAR_RANGE = 4.0
 
@@ -55,11 +55,10 @@ class Segment:
             raise ValueError(
                 f"segment velocity {tuple(self.velocity)} is off-axis: the "
                 f"cardinal networks track axis-aligned motion only")
-        if self.ticks is not None and type(self.ticks) is not int:
-            raise ValueError(
-                f"segment ticks must be an int, got {self.ticks!r}")
-        if self.ticks is not None and self.ticks < 0:
-            raise ValueError("segment ticks must be >= 0")
+        if self.ticks is not None:
+            require_int("segment ticks", self.ticks)
+            if self.ticks < 0:
+                raise ValueError("segment ticks must be >= 0")
         if self.until_pulse and self.velocity.speed == 0:
             # Nothing moves, so no vector cell can ever fire.
             raise ValueError("an until-pulse segment needs a non-zero velocity")
@@ -90,7 +89,8 @@ class PathScript:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """What a run varies, including the seed.  Every check fails on NaN."""
+    """What a run varies, including the seed.  Every check fails on NaN,
+    and the integer fields refuse any other type, bools included."""
 
     population: PopulationSpec = field(default_factory=PopulationSpec)
     grid_size: int = 11
@@ -100,6 +100,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("grid_size", "hold_ticks", "seed"):
+            require_int(name, getattr(self, name))
         if not (0 < self.pitch < math.inf and self.speed > 0):
             raise ValueError("pitch and speed must be positive and finite")
         if self.speed > LINEAR_RANGE:

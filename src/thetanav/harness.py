@@ -62,11 +62,10 @@ ALL_TAPS = (1,) * TAPS_PER_UNIT
 
 # The tracking scan's clock (its 360 phases: each pair's routable member
 # on all taps, the partner on tap 0), the high samples that confirm a
-# pulse, the ticks every output reads low after a release, and the
-# predicted arrivals an until-pulse segment waits before it fails.
+# pulse, and the predicted arrivals an until-pulse segment waits before
+# it fails.
 TRACK_CLOCK_HZ = 10_000_000.0
 DEBOUNCE_WIDTH = 3
-SETTLE_TICKS = 32
 BUDGET_FACTOR = 10.0
 
 
@@ -87,7 +86,6 @@ class TrackRig:
     config: RunConfig
     chip: ChipState
     fits: list[UnitFit]
-    admitted: list[UnitFit]
     pairing: Pairing
     frame_layout: dict[tuple[int, int], int]
     networks: dict[str, VectorNetwork]
@@ -112,8 +110,7 @@ def build_rig(config: RunConfig) -> TrackRig:
     population = sample_population(config.population, config.seed)
     chip = ChipState(population)
     fits = calibrate(chip)
-    admitted = select_units(fits)
-    pairing = pair_layer1(admitted)
+    pairing = pair_layer1(select_units(fits))
 
     chip.hold()
     configs = []
@@ -124,9 +121,8 @@ def build_rig(config: RunConfig) -> TrackRig:
     frame_layout = {pt: i for i, pt in enumerate(chip.enabled_taps())}
     fs = phase_rate(TRACK_CLOCK_HZ, chip.enabled_phases)
 
-    rig = TrackRig(config=config, chip=chip, fits=fits, admitted=admitted,
-                   pairing=pairing, frame_layout=frame_layout, networks={},
-                   fs=fs)
+    rig = TrackRig(config=config, chip=chip, fits=fits, pairing=pairing,
+                   frame_layout=frame_layout, networks={}, fs=fs)
     rig.networks = {d: rig.network(delta) for d, delta in DIRECTION_DELTA.items()}
     return rig
 
@@ -139,9 +135,9 @@ class TrackResult:
     row, then a (tick, direction, x, y) row per pulse with the bump's new
     cell; ``events``, ``final`` and the emitted grids are read from it.
     ``traces`` holds each direction's network output on the trail tick
-    axis: reset holds and the settle window after each release read 0,
-    so ``traces[d][tick]`` is the output at ``tick`` and every trace is
-    ``ticks`` long.
+    axis, with the reset holds read as 0, so ``traces[d][tick]`` is the
+    output at ``tick`` and every trace is ``ticks`` long.
+    ``diagnostics["arrival_ticks"]`` is the predicted ticks to cross a cell.
     """
 
     trail: list[tuple[int, str, int, int]] = field(
@@ -170,18 +166,16 @@ def _session(rig: TrackRig, velocity: VelocityVector, n: int) -> np.ndarray:
 
 def _observe(frames: np.ndarray, networks: dict) -> tuple[dict, dict]:
     """Each network's output bits over ``frames``, a session from reset,
-    read through one node bank and held low for ``SETTLE_TICKS`` after
-    the release, and the start tick of its first ``DEBOUNCE_WIDTH``
-    debounced run, None without one.  The filters are causal and start
-    cleared, so over a prefix ``frames[:m]`` the bits are the session's
-    first m, and the first run is the session's first run when
-    ``start + DEBOUNCE_WIDTH <= m``, else None."""
+    through one node bank, and the start tick of its first
+    ``DEBOUNCE_WIDTH`` debounced run, or None.  The filters are causal
+    and start cleared, so over a prefix ``frames[:m]`` the bits are the
+    session's first m, and the first run is the session's when it
+    confirms within m ticks, else None.  No output rises before tick 61,
+    where all-ones frames first do: every filter weight is >= 0."""
     bank = NodeBank(frames, networks.values())
-    outputs, starts = {}, {}
-    for key, network in networks.items():
-        out = outputs[key] = network.run(frames, bank)
-        out[:SETTLE_TICKS] = 0
-        starts[key] = place_grid.debounce(out, DEBOUNCE_WIDTH)
+    outputs = {key: net.run(frames, bank) for key, net in networks.items()}
+    starts = {key: place_grid.debounce(out, DEBOUNCE_WIDTH)
+              for key, out in outputs.items()}
     return outputs, starts
 
 
@@ -208,10 +202,11 @@ def run_track(config: RunConfig, script: PathScript,
     short of the pulse keeps its ticks and does not fire.  A ``rig``
     built from another config raises ValueError.
 
-    Each segment opens with a reset: ``trail_start`` first, then
-    ``vector_fire`` after a pulse, else ``velocity_change``, which warns
-    when the velocity is unchanged or a moving segment's sub-cell
-    displacement is discarded.
+    Every reset is recorded with its cause: ``trail_start`` for the
+    first, ``vector_fire`` for one a pulse re-arms, else
+    ``velocity_change``, which opens a segment after one that did not
+    end on a pulse and warns when the velocity is unchanged or a moving
+    segment's sub-cell displacement is discarded.
     """
     if rig is None:
         rig = build_rig(config)
@@ -224,15 +219,10 @@ def run_track(config: RunConfig, script: PathScript,
     budget = int(math.ceil(BUDGET_FACTOR * arrival_ticks))
 
     tick = 0
+    cause = CAUSE_TRAIL_START
     prev_velocity = VelocityVector(0.0, 0.0)
-    pulse_pending = False
     for seg_index, seg in enumerate(script.segments):
-        if seg_index == 0:
-            cause = CAUSE_TRAIL_START
-        elif pulse_pending:
-            cause = CAUSE_VECTOR_FIRE
-        else:
-            cause = CAUSE_VELOCITY_CHANGE
+        if cause == CAUSE_VELOCITY_CHANGE:
             if seg.velocity == prev_velocity:
                 result.warnings.append(f"segment {seg_index}: boundary "
                                        f"reset without velocity change")
@@ -241,6 +231,7 @@ def run_track(config: RunConfig, script: PathScript,
                     f"segment {seg_index}: sub-cell displacement discarded "
                     f"on velocity change")
         result.resets.append((tick, cause))
+        cause = CAUSE_VELOCITY_CHANGE
         prev_velocity = seg.velocity
 
         n = budget if seg.until_pulse else seg.ticks
@@ -248,46 +239,40 @@ def run_track(config: RunConfig, script: PathScript,
         m = min(n, arrival_ticks)
         while True:
             outputs, starts = _observe(frames[:m], rig.networks)
-            if m == n or any(s is not None for s in starts.values()):
+            start = min((s for s in starts.values() if s is not None),
+                        default=None)
+            if m == n or start is not None:
                 break
             m = min(2 * m, n)
-        start = min((s for s in starts.values() if s is not None),
-                    default=None)
-        fired = [d for d in DIRECTIONS if starts[d] == start]
         if start is None and seg.until_pulse:
             raise SegmentTimeoutError(
                 f"segment {seg_index}: no pulse within {budget} "
                 f"ticks ({BUDGET_FACTOR:g}x predicted arrival)")
         period = n if start is None else start + DEBOUNCE_WIDTH
         remaining = period if seg.until_pulse else n
-        pulse_pending = False
         while remaining > 0:
-            if pulse_pending:
-                result.resets.append((tick, CAUSE_VECTOR_FIRE))
+            if cause == CAUSE_VECTOR_FIRE:
+                result.resets.append((tick, cause))
+                cause = CAUSE_VELOCITY_CHANGE
             tick += config.hold_ticks
             kept = min(remaining, period)
             for d in DIRECTIONS:
                 traces[d].extend((hold, outputs[d][:kept]))
-            pulse_pending = start is not None and kept == period
-            if pulse_pending:
-                for d in fired:
-                    cell = place_grid.apply_pulse(
-                        result.final, PulseEvent(d, tick + start),
-                        config.grid_size)
-                    result.trail.append((tick + start, d, *cell))
+            if start is not None and kept == period:
+                cause = CAUSE_VECTOR_FIRE
+                for d in DIRECTIONS:
+                    if starts[d] == start:
+                        cell = place_grid.apply_pulse(
+                            result.final, PulseEvent(d, tick + start),
+                            config.grid_size)
+                        result.trail.append((tick + start, d, *cell))
             tick += kept
             remaining -= kept
 
     result.ticks = tick
     result.traces = {d: np.concatenate([np.zeros(0, np.uint8), *chunks])
                      for d, chunks in traces.items()}
-    result.diagnostics = {
-        "admitted_units": len(rig.admitted),
-        "dropped_groups": {d: list(rig.networks[d].mux.dropped)
-                           for d in DIRECTIONS},
-        "fs": rig.fs,
-        "arrival_ticks": arrival_ticks,
-    }
+    result.diagnostics = {"arrival_ticks": arrival_ticks}
     return result
 
 
@@ -295,19 +280,21 @@ def run_track(config: RunConfig, script: PathScript,
 class FieldMapResult:
     """Per-cell vector-cell responses under one shared input.
 
-    ``first_fire`` holds every requested cell's first debounced pulse
-    tick, None if it never fired or did not compile.  ``failed`` maps
-    each cell whose lookup table did not compile to the cause; such a
-    cell has no outputs.
+    ``first_fire`` holds each distinct requested cell, in request order,
+    with its first debounced pulse tick, None if it never fired or did
+    not compile.  ``failed`` maps each cell whose lookup table did not
+    compile to the cause; such a cell has no outputs.
     """
 
-    velocity: VelocityVector
     session_ticks: int
-    cells: list[tuple[int, int]]
     first_fire: dict[tuple[int, int], Optional[int]]
     outputs: dict[tuple[int, int], np.ndarray]
     grid_size: int
     failed: dict[tuple[int, int], str] = field(default_factory=dict)
+
+    @property
+    def cells(self) -> list[tuple[int, int]]:
+        return list(self.first_fire)
 
     def occupancy(self, tick: int) -> np.ndarray:
         """Grid snapshot of which designated cells read high at a tick."""
@@ -323,13 +310,13 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     """Recompile one network per designated grid cell and record when
     each fires during a single constant-velocity session from reset.
 
-    Every cell's lookup table is compiled for the configured speed
-    toward that cell; all compiled cells then observe one session, as
-    the cardinal networks do in :func:`run_track`, through one node bank
-    that filters each node they share once.  A cell whose table does not
-    compile is recorded in ``failed``.  A target off the grid, a
-    negative ``session_ticks`` or a ``rig`` built from another config
-    raises ValueError.
+    Each distinct cell's lookup table is compiled once, for the
+    configured speed toward that cell; all compiled cells then observe
+    one session, as the cardinal networks do in :func:`run_track`,
+    through one node bank that filters each node they share once.  A
+    cell whose table does not compile is recorded in ``failed``.  A
+    target off the grid, a negative ``session_ticks`` or a ``rig`` built
+    from another config raises ValueError.
     """
     if session_ticks is not None and session_ticks < 0:
         raise ValueError(f"session_ticks must be >= 0, got {session_ticks}")
@@ -337,6 +324,7 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     if targets is None:
         targets = [(x, y) for y in range(-half, half + 1)
                    for x in range(-half, half + 1)]
+    targets = dict.fromkeys(targets)
     outside = [c for c in targets if max(map(abs, c)) > half]
     if outside:
         raise ValueError(f"targets {outside} lie off the grid (|x|, |y| <= {half})")
@@ -357,8 +345,7 @@ def field_map(config: RunConfig, velocity: VelocityVector,
             failed[cell] = str(exc)
     frames = _session(rig, velocity, session_ticks)
     outputs, starts = _observe(frames, networks)
-    return FieldMapResult(velocity=velocity, session_ticks=session_ticks,
-                          cells=list(targets),
+    return FieldMapResult(session_ticks=session_ticks,
                           first_fire={c: starts.get(c) for c in targets},
                           outputs=outputs, grid_size=config.grid_size,
                           failed=failed)

@@ -43,6 +43,13 @@ class AliasingError(ValueError):
     """Phase step f*dt at or above half a cycle per sample."""
 
 
+def require_int(name: str, value) -> None:
+    """Refuse a value that is not exactly an int: a float, a bool or a
+    numpy integer would pass a range check and fail later."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def decode_velocity_code(code: int) -> int:
     """Decode a 4-bit preferred-velocity code to a signed velocity unit.
 
@@ -89,6 +96,7 @@ class PopulationSpec:
     response: str = LINEAR
 
     def __post_init__(self):
+        require_int("n_units", self.n_units)
         if self.n_units < 1:
             raise ValueError("n_units must be >= 1")
         # Written so that a NaN fails each comparison.

@@ -35,7 +35,7 @@ from thetanav.theta_core import (
     VelocityVector,
     sample_population,
 )
-from thetanav.vector_net import STAGES, TargetLocation
+from thetanav.vector_net import STAGES, TargetLocation, filter_stage_batch
 
 CHANGED = RunConfig(
     population=PopulationSpec(
@@ -69,12 +69,23 @@ RULES = [
     (RunConfig(), {"speed": INF}, "speed inf " + LINEAR),
     (RunConfig(), {"grid_size": 10}, "grid_size must be odd and positive"),
     (RunConfig(), {"hold_ticks": -1}, "hold_ticks must be >= 0"),
+    # Integer values refuse floats and bools where they are made, before
+    # a run or a manifest can carry them.
+    (RunConfig(), {"grid_size": 11.0}, "grid_size must be an int, got 11.0"),
+    (RunConfig(), {"grid_size": True}, "grid_size must be an int, got True"),
+    (RunConfig(), {"hold_ticks": 2.5}, "hold_ticks must be an int, got 2.5"),
+    (RunConfig(), {"hold_ticks": True}, "hold_ticks must be an int, got True"),
+    (RunConfig(), {"seed": 1.5}, "seed must be an int, got 1.5"),
+    (RunConfig(), {"seed": True}, "seed must be an int, got True"),
     (RunConfig(), {"population": PopulationSpec(n_units=64)},
      UNITS + " 64"),
     # Calibration scans 768 phases, one tap of each unit.
     (RunConfig(), {"population": PopulationSpec(n_units=768)},
      "per-phase rate 7812.5 Hz <= 8000 Hz (768 phases"),
     (PopulationSpec(), {"n_units": 0}, "n_units must be >= 1"),
+    (PopulationSpec(), {"n_units": 128.0},
+     "n_units must be an int, got 128.0"),
+    (PopulationSpec(), {"n_units": True}, "n_units must be an int, got True"),
     (PopulationSpec(), {"f_idle_mean": 0.0}, MEANS),
     (PopulationSpec(), {"beta_mean": -1.0}, MEANS),
     (PopulationSpec(), {"f_idle_mean": NAN}, MEANS),
@@ -118,6 +129,14 @@ def stages_keep_the_schmitt_trigger_exact():
     return all(0 <= fall < rise <= 1 for _, _, rise, fall in STAGES.values())
 
 
+def no_output_rises_before_tick_61():
+    # All-ones frames raise a node first, since every filter weight is
+    # >= 0; the settle window masked ticks 0..31, below both layers' rise.
+    layer1 = filter_stage_batch(numpy.ones(100), 1)
+    layer2 = filter_stage_batch(layer1.astype(float), 2)
+    return layer1.argmax() == 7 and layer2.argmax() == 61
+
+
 def layer2_rc_pole_sits_below_layer1():
     return 0 < STAGES[2][1] < STAGES[1][1] < 1
 
@@ -149,7 +168,7 @@ def calibration_window_allows_a_frequency_estimate():
 # value used to be made.
 FIXED = [
     ("RunConfig", {"debounce_width": 0}, lambda: harness.DEBOUNCE_WIDTH >= 1),
-    ("RunConfig", {"settle_ticks": -1}, lambda: harness.SETTLE_TICKS >= 0),
+    ("RunConfig", {"settle_ticks": -1}, no_output_rises_before_tick_61),
     ("RunConfig", {"budget_factor": 0.0}, lambda: harness.BUDGET_FACTOR > 0),
     ("RunConfig", {"network_units": 0},
      network_units_fit_the_default_population),

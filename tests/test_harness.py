@@ -5,6 +5,7 @@ against the paper's closed-form tap shift."""
 import csv
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from thetanav.config import (
     built_in_scripts,
     cardinal_velocity,
     load_manifest,
+    save_config,
 )
 from thetanav.place_grid import DIRECTION_DELTA
 from thetanav.theta_core import VelocityVector, decode_velocity_code
@@ -28,6 +30,7 @@ from thetanav.vector_net import (
     CompileError,
     NodeBank,
     TargetLocation,
+    VectorNetwork,
     compile_lookup,
     serialize_mux,
 )
@@ -116,6 +119,16 @@ def test_timed_script_seed0(rig, tmp_path):
 # segment is refused by Segment itself).
 CRAWL = PathScript(name="still",
                    segments=(Segment(VelocityVector(0.01, 0)),))
+
+
+def test_all_ones_frames_first_raise_each_network_at_tick_61(rig):
+    # No input rises earlier, so no output is high before tick 61 of a
+    # session from reset.
+    frames = np.ones((200, len(rig.frame_layout)), dtype=np.uint8)
+    outputs, starts = harness._observe(frames, rig.networks)
+    for d, out in outputs.items():
+        assert out.argmax() == 61 and out[61:].all(), d
+        assert starts[d] == 61, d
 
 
 def test_until_pulse_segment_times_out(rig):
@@ -299,6 +312,14 @@ def test_emit_then_run_from_manifest_is_bit_exact(rig, tmp_path):
     assert len(rows) == 1 + result.ticks
 
 
+def test_run_from_a_config_without_a_script_raises(tmp_path):
+    path = tmp_path / "run.ini"
+    save_config(CONFIG, path)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path} has no [script] section")):
+        harness.run_from_manifest(path)
+
+
 def test_emit_replaces_an_earlier_run(rig, tmp_path):
     # Two warnings and two grid snapshots, then none and five, then the
     # first again: each emit leaves exactly its own files behind.
@@ -356,8 +377,7 @@ def test_occupancy_puts_cell_x_y_at_row_half_minus_y_column_x_plus_half():
     bits = np.zeros(4, dtype=np.uint8)
     bits[2] = 1
     result = harness.FieldMapResult(
-        velocity=VelocityVector(0.25, 0.0), session_ticks=4,
-        cells=[(2, -1), (-1, 0)], first_fire={(2, -1): 2, (-1, 0): None},
+        session_ticks=4, first_fire={(2, -1): 2, (-1, 0): None},
         outputs={(2, -1): bits, (-1, 0): np.zeros(4, dtype=np.uint8)},
         grid_size=5)
     expected = np.zeros((5, 5), dtype=int)
@@ -386,10 +406,31 @@ def test_field_map_records_compile_failures(rig, tmp_path):
     assert failed == result.failed
 
 
+def test_field_map_compiles_each_repeated_target_once(rig, monkeypatch,
+                                                    tmp_path):
+    compiled = []
+    original = harness.compile_lookup
+
+    def counted(pairing, target, *args, **kwargs):
+        compiled.append(target)
+        return original(pairing, target, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "compile_lookup", counted)
+    result = harness.field_map(CONFIG, VelocityVector(0.25, 0.0),
+                               targets=[(1, 0), (1, 0), (0, 1), (1, 0)],
+                               session_ticks=400, rig=rig)
+    assert len(compiled) == 2
+    assert result.cells == [(1, 0), (0, 1)]
+    assert result.first_fire[(1, 0)] == 194
+    harness.write_field_map_csv(result, tmp_path, stride=4096)
+    with open(tmp_path / "first_fire.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [(int(x), int(y)) for x, y, _, _ in rows[1:]] == [(1, 0), (0, 1)]
+
+
 def test_write_field_map_csv_replaces_an_earlier_map(tmp_path):
     result = harness.FieldMapResult(
-        velocity=VelocityVector(0.25, 0.0), session_ticks=256,
-        cells=[(0, 0)], first_fire={(0, 0): None},
+        session_ticks=256, first_fire={(0, 0): None},
         outputs={(0, 0): np.zeros(256, dtype=np.uint8)}, grid_size=3)
     harness.write_field_map_csv(result, tmp_path, stride=64)
     written = harness.write_field_map_csv(result, tmp_path, stride=128)
@@ -483,6 +524,18 @@ def test_field_map_output_bits_seed0_bit_for_bit(rig):
     assert len(compiled) == 93 and result.session_ticks == 2829
     bits = b"".join(result.outputs[c].tobytes() for c in compiled)
     assert hashlib.sha256(bits).hexdigest() == FIELD_MAP_BITS_SHA256
+
+
+def test_a_mux_routing_an_unscanned_partner_tap_does_not_compile(rig):
+    # The tracking scan outputs only tap 0 of each pair's partner.
+    mux = rig.networks["E"].mux
+    partner, tap = mux.slots[1]
+    assert tap == 0
+    slots = list(mux.slots)
+    slots[1] = (partner, 3)
+    with pytest.raises(CompileError, match=re.escape(
+            f"mux routes phase ({partner}, 3) that the scan does not output")):
+        VectorNetwork(replace(mux, slots=slots), rig.frame_layout)
 
 
 def test_rig_from_another_config_raises(rig):
