@@ -102,9 +102,10 @@ class ChipState:
 
     ``scan_frames`` reads that bit without taking the fractional part:
     with x = phase0 + f * c / fs + k/8, frac(x) < 1/2 holds exactly when
-    floor(2x) is even.  x >= 0 always, since ``frequencies`` clamps at 0
-    Hz and phases and tap offsets lie in [0, 1), so floor(2x) is the
-    integer truncation of 2x.
+    floor(2x) is even.  It sums 2x from the doubled terms, each exactly
+    twice the rounded term of x.  x >= 0 always, since ``frequencies``
+    clamps at 0 Hz and phases and tap offsets lie in [0, 1), so floor(2x)
+    is the integer truncation of 2x.
     """
 
     def __init__(self, population: ThetaPopulation):
@@ -176,10 +177,14 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     sample or its f*dt is NaN; units with no enabled tap are not read
     and not checked.
     Frames are filled in row blocks of at most ``SCAN_BLOCK`` samples.
-    Each tap's x = c * f*dt + phase0 + k/8 is rounded in that order, and
-    its bit is 1 - (int(2x) & 1), the parity form of frac(x) < 1/2 (see
-    ``ChipState``).  2x is exact in binary floating point, and f*dt <
-    1/2 keeps x below n_cycles + 2, so the int64 cast cannot overflow.
+    Each tap's 2x = c * 2f*dt + 2phase0 + 2k/8 is rounded in that
+    order.  Doubling is exact in binary floating point, so every rounded
+    term and sum is exactly twice that of x = c * f*dt + phase0 + k/8.
+    The phase term is skipped when every enabled phase is 0, as in a
+    session from reset, since y + 0.0 == y for y >= 0.  The bit is 1 -
+    (int(2x) & 1), the parity form of frac(x) < 1/2 (see ``ChipState``),
+    and f*dt < 1/2 keeps 2x below n_cycles + 4, so the int64 cast cannot
+    overflow.
     """
     if not chip.programmed:
         raise NotProgrammedError("scan requires a programmed chip")
@@ -199,17 +204,19 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
             f"max f*dt = {fdt_max:.3f} is not below 0.5 at {fs:.1f} Hz "
             f"per phase")
 
-    phase0 = chip.phases[units]
-    tap_off = taps / TAPS_PER_UNIT
+    fdt2 = 2.0 * fdt
+    phase0 = 2.0 * chip.phases[units]
+    phased = bool(phase0.any())
+    tap_off = 2.0 * (taps / TAPS_PER_UNIT)
     frames = np.empty((n_cycles, n_enabled), dtype=np.uint8)
     rows = max(1, SCAN_BLOCK // n_enabled)
     for lo in range(0, n_cycles, rows):
         hi = min(lo + rows, n_cycles)
-        x = np.multiply.outer(np.arange(lo, hi, dtype=float), fdt)
-        x += phase0
-        x += tap_off
-        x *= 2.0
-        parity = x.astype(np.int64)
+        x2 = np.multiply.outer(np.arange(lo, hi, dtype=float), fdt2)
+        if phased:
+            x2 += phase0
+        x2 += tap_off
+        parity = x2.astype(np.int64)
         parity &= 1
         np.subtract(1, parity, out=frames[lo:hi], casting="unsafe")
     if not chip.held:

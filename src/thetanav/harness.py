@@ -6,10 +6,12 @@ four cardinal vector-cell networks, then execute a path script.  Each
 segment starts from a phase reset, so segments are independent
 constant-velocity sessions; a debounced vector-cell pulse migrates the
 place-cell bump and re-arms the reset, a velocity change re-arms it
-without migrating.  A re-arm inside a segment starts the same session
-again, so each segment's scan covers its tick budget once and is
-replayed.  The causal filters read doubling prefixes of that scan and
-stop at the first prefix that holds a confirmed pulse.
+without migrating.  A session from reset depends only on the rig, the
+velocity and its length, so each distinct (velocity, ticks) session is
+scanned and filtered once per run and replayed, by re-arms inside a
+segment and by later segments alike.  The causal filters read doubling
+prefixes of that scan and stop at the first prefix that holds a
+confirmed pulse.
 """
 
 from __future__ import annotations
@@ -179,16 +181,37 @@ def _observe(frames: np.ndarray, networks: dict) -> tuple[dict, dict]:
     return outputs, starts
 
 
+def _first_pulse(rig: TrackRig, velocity: VelocityVector, n: int,
+                 arrival_ticks: int) -> tuple[dict, dict, Optional[int]]:
+    """Scan an n-tick session from reset and filter doubling prefixes of
+    it, the first ``arrival_ticks`` long, through the cardinal networks
+    until one holds a confirmed run or the prefix is the whole scan.
+    Returns that prefix's outputs and first-run starts and the earliest
+    start, or None."""
+    frames = _session(rig, velocity, n)
+    m = min(n, arrival_ticks)
+    while True:
+        outputs, starts = _observe(frames[:m], rig.networks)
+        start = min((s for s in starts.values() if s is not None),
+                    default=None)
+        if m == n or start is not None:
+            return outputs, starts, start
+        m = min(2 * m, n)
+
+
 def run_track(config: RunConfig, script: PathScript,
               rig: Optional[TrackRig] = None) -> TrackResult:
     """Execute a path script and move the place-cell bump one cell per
     vector-cell pulse, recording each move in the trail.
 
-    A reset zeroes every phase and filter, so every reset inside a
-    segment starts the same session.  Each segment's session is scanned
-    once from reset: for its ticks when timed, or for ``BUDGET_FACTOR``
-    times the predicted arrival when until-pulse, failing loudly without
-    a pulse.  The four cardinal networks filter prefixes of that scan,
+    A reset zeroes every phase and filter, so a session from reset
+    depends only on the rig, the velocity and its length, and each
+    distinct (velocity, ticks) session is scanned and filtered once per
+    run: for its ticks when timed, or for ``BUDGET_FACTOR`` times the
+    predicted arrival when until-pulse, failing loudly without a pulse.
+    A later segment with the same velocity and ticks reuses that
+    outcome; nothing is kept from one run to the next.  The four
+    cardinal networks filter prefixes of that scan,
     the predicted arrival first and then twice the last prefix, and stop
     at the first prefix that holds a confirmed pulse or at the whole
     scan; a prefix's bits and confirmed runs are the whole scan's, so
@@ -218,6 +241,9 @@ def run_track(config: RunConfig, script: PathScript,
     arrival_ticks = int(math.ceil(config.cell_seconds * rig.fs))
     budget = int(math.ceil(BUDGET_FACTOR * arrival_ticks))
 
+    # Each distinct (velocity, n) session's outcome, kept for this run.
+    observed: dict[tuple[VelocityVector, int], tuple] = {}
+
     tick = 0
     cause = CAUSE_TRAIL_START
     prev_velocity = VelocityVector(0.0, 0.0)
@@ -235,15 +261,10 @@ def run_track(config: RunConfig, script: PathScript,
         prev_velocity = seg.velocity
 
         n = budget if seg.until_pulse else seg.ticks
-        frames = _session(rig, seg.velocity, n)
-        m = min(n, arrival_ticks)
-        while True:
-            outputs, starts = _observe(frames[:m], rig.networks)
-            start = min((s for s in starts.values() if s is not None),
-                        default=None)
-            if m == n or start is not None:
-                break
-            m = min(2 * m, n)
+        key = (seg.velocity, n)
+        if key not in observed:
+            observed[key] = _first_pulse(rig, seg.velocity, n, arrival_ticks)
+        outputs, starts, start = observed[key]
         if start is None and seg.until_pulse:
             raise SegmentTimeoutError(
                 f"segment {seg_index}: no pulse within {budget} "
@@ -424,10 +445,10 @@ def emit(result: TrackResult, outdir, config: RunConfig,
     written.append(trail_path)
 
     traces_path = outdir / "traces.csv"
-    table = np.column_stack([np.arange(result.ticks)]
-                            + [result.traces[d] for d in DIRECTIONS])
-    np.savetxt(traces_path, table, fmt="%d", delimiter=",", comments="",
-               header="tick," + ",".join(DIRECTIONS))
+    row = "%d," * len(DIRECTIONS) + "%d\n"
+    columns = [result.traces[d].tolist() for d in DIRECTIONS]
+    traces_path.write_text("tick," + ",".join(DIRECTIONS) + "\n" + "".join(
+        row % r for r in zip(range(result.ticks), *columns)))
     written.append(traces_path)
 
     for stale in outdir.glob("grid_*.csv"):

@@ -272,8 +272,9 @@ def test_scan_equals_the_modulo_oracle_bit_for_bit(units, response, v1, v2,
     oracle = copy.deepcopy(chip)
     n_enabled = chip.enabled_phases
     clock = fs * n_enabled
-    # Without a hold, the second scan starts where the first left the
-    # phases.
+    # The first scan starts from zero phases, where the scan skips its
+    # phase term; without a hold, the second starts where the first left
+    # the phases, which the HALF and STOPPED examples leave nonzero.
     for (vx, vy), length in ((v1, n1), (v2, n2)):
         v = VelocityVector(vx, vy)
         n_cycles = (SCAN_BLOCK // n_enabled + BLOCK_EDGE[length]

@@ -65,6 +65,14 @@ BOUNDARY = "segment {}: boundary reset without velocity change"
 DISCARD = "segment {}: sub-cell displacement discarded on velocity change"
 
 
+# Repeats of one heading: timed with the same ticks (E 300, E 300) and
+# with other ticks (E 100 without a pulse, E 450), until-pulse after timed
+# legs (E), and until-pulse after a timed leg without a pulse (N 50, N).
+REPEATS = PathScript(name="repeats", segments=(
+    leg("E", 100), leg("N"), leg("E", 300), leg("E", 300), leg("E", 450),
+    leg("E"), leg("N", 50), leg("N")))
+
+
 def events_of(result):
     return [(ev.direction, ev.tick) for ev in result.events]
 
@@ -182,10 +190,14 @@ def test_one_scan_per_segment(rig, monkeypatch):
     lengths = scan_lengths(monkeypatch)
     harness.run_track(CONFIG, TIMED, rig=rig)
     assert lengths == [900, 100, 0, 2670, 238, 237, 476, 5, 2670]
-    for name, (events, _, _) in sorted(GOLDEN.items()):
+    # One scan per distinct session: the meander's S,E,S,W,S and the
+    # detour's E,E,S,E,S replay their repeated headings.
+    for name, scanned in (("path1_meander", [2670] * 3),
+                          ("path2_detour", [2670] * 2),
+                          ("path3_loop", [2670] * 4)):
         lengths.clear()
         harness.run_track(CONFIG, SCRIPTS[name], rig=rig)
-        assert lengths == [2670] * len(events), name
+        assert lengths == scanned, name
 
 
 def observed_lengths(monkeypatch):
@@ -205,20 +217,45 @@ def test_filtering_stops_at_the_first_prefix_with_a_pulse(rig, monkeypatch):
     lengths = observed_lengths(monkeypatch)
     harness.run_track(CONFIG, TIMED, rig=rig)
     assert lengths == [267, 100, 0, 267, 238, 237, 267, 5, 267]
-    for name, script in sorted(SCRIPTS.items()):
+    # One prefix loop per distinct session, each ending at the predicted
+    # arrival.
+    for name, filtered in (("path1_meander", [267] * 3),
+                           ("path2_detour", [267] * 2),
+                           ("path3_loop", [267] * 4)):
         lengths.clear()
-        result = harness.run_track(CONFIG, script, rig=rig)
-        arrival = result.diagnostics["arrival_ticks"]
-        assert lengths[0] == arrival, name
-        passes = []
-        for m in lengths:
-            if m == arrival:
-                passes.append([m])
-            else:
-                passes[-1].append(m)
-        assert len(passes) == len(script.segments), name
-        for p in passes:
-            assert p in ([arrival], [arrival, 2 * arrival]), name
+        result = harness.run_track(CONFIG, SCRIPTS[name], rig=rig)
+        assert result.diagnostics["arrival_ticks"] == 267
+        assert lengths == filtered, name
+
+
+def test_repeated_sessions_are_scanned_and_filtered_once(rig, monkeypatch):
+    # The second E 300 and the last N (after the pulseless N 50) replay
+    # stored sessions; E 100, E 300, E 450 and E differ in ticks, so each
+    # is scanned and filtered.
+    scanned = scan_lengths(monkeypatch)
+    filtered = observed_lengths(monkeypatch)
+    harness.run_track(CONFIG, REPEATS, rig=rig)
+    assert scanned == [100, 2670, 300, 450, 2670, 50]
+    assert filtered == [100, 267, 267, 267, 267, 50]
+
+
+def test_runs_share_nothing_through_the_rig(rig, monkeypatch):
+    # A field map between two runs leaves the rig's chip at other phases;
+    # the second run scans its sessions again and gives every record the
+    # first gave.
+    def records(result):
+        return (result.trail, result.resets, result.warnings, result.ticks,
+                {d: t.tolist() for d, t in result.traces.items()})
+
+    scanned = scan_lengths(monkeypatch)
+    first = harness.run_track(CONFIG, REPEATS, rig=rig)
+    harness.field_map(CONFIG, VelocityVector(0.0, -0.25),
+                      targets=[(0, -1), (2, 3)], rig=rig)
+    assert rig.chip.phases.any()
+    scanned.clear()
+    second = harness.run_track(CONFIG, REPEATS, rig=rig)
+    assert scanned == [100, 2670, 300, 450, 2670, 50]
+    assert records(second) == records(first)
 
 
 def test_a_late_pulse_is_found_in_a_doubled_prefix(rig, monkeypatch):
@@ -371,6 +408,34 @@ def test_emitted_files_seed0_bit_for_bit(rig, tmp_path):
     files.append(tmp_path / "map" / "first_fire.csv")
     digest = hashlib.sha256(b"".join(p.read_bytes() for p in files))
     assert digest.hexdigest() == EMITTED_SHA256
+
+
+def emitted_digest(scripts, rig, outdir):
+    """SHA-256 of the seed-0 emitted files but the manifest of each script
+    in turn, in name order within each."""
+    files = []
+    for script in scripts:
+        result = harness.run_track(CONFIG, script, rig=rig)
+        written = harness.emit(result, outdir / script.name, CONFIG, script)
+        files += sorted(p for p in written if p.name != "manifest.ini")
+    return hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+
+
+# emitted_digest of the three built-in scripts in name order, and of
+# REPEATS.
+BUILT_IN_EMITTED_SHA256 = \
+    "89a0aecb33d6d8ff19647e67d14225247a1a6778b697eb708c3d39f0e8c33e83"
+REPEATS_EMITTED_SHA256 = \
+    "001faa3fcf1bfb5c7e0babb81490387bec373d68af263e87f28a111e6638976a"
+
+
+def test_emitted_built_in_scripts_seed0_bit_for_bit(rig, tmp_path):
+    scripts = [SCRIPTS[name] for name in sorted(SCRIPTS)]
+    assert emitted_digest(scripts, rig, tmp_path) == BUILT_IN_EMITTED_SHA256
+
+
+def test_emitted_repeated_headings_seed0_bit_for_bit(rig, tmp_path):
+    assert emitted_digest([REPEATS], rig, tmp_path) == REPEATS_EMITTED_SHA256
 
 
 def test_occupancy_puts_cell_x_y_at_row_half_minus_y_column_x_plus_half():
