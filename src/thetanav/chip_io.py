@@ -41,8 +41,8 @@ CAL_SWEEP = tuple(range(-4, 5))
 MIN_ESTIMATE_WINDOW_S = 0.1
 
 # A scan fills its frames in row blocks of at most this many tap samples,
-# which bounds its float and integer work arrays (0.5 MB each) whatever
-# the scan length.
+# which bounds its float and int32 block buffers (0.5 MB and 0.25 MB)
+# whatever the scan length.
 SCAN_BLOCK = 1 << 16
 
 
@@ -103,9 +103,12 @@ class ChipState:
     ``scan_frames`` reads that bit without taking the fractional part:
     with x = phase0 + f * c / fs + k/8, frac(x) < 1/2 holds exactly when
     floor(2x) is even.  It sums 2x from the doubled terms, each exactly
-    twice the rounded term of x.  x >= 0 always, since ``frequencies``
-    clamps at 0 Hz and phases and tap offsets lie in [0, 1), so floor(2x)
-    is the integer truncation of 2x.
+    twice the rounded term of x, and skips a phase or tap term that is 0
+    for every enabled tap, since y + 0.0 == y.  x >= 0 always, since
+    ``frequencies`` clamps at 0 Hz and phases and tap offsets lie in
+    [0, 1), so floor(2x) is the integer truncation of 2x; and f * dt <
+    1/2 keeps 2x below n_cycles + 4, so a scan shorter than 2**31 - 4
+    cycles truncates into int32.
     """
 
     def __init__(self, population: ThetaPopulation):
@@ -176,15 +179,18 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     Raises AliasingError when an enabled unit steps f*dt >= 1/2 per
     sample or its f*dt is NaN; units with no enabled tap are not read
     and not checked.
-    Frames are filled in row blocks of at most ``SCAN_BLOCK`` samples.
-    Each tap's 2x = c * 2f*dt + 2phase0 + 2k/8 is rounded in that
-    order.  Doubling is exact in binary floating point, so every rounded
-    term and sum is exactly twice that of x = c * f*dt + phase0 + k/8.
-    The phase term is skipped when every enabled phase is 0, as in a
-    session from reset, since y + 0.0 == y for y >= 0.  The bit is 1 -
-    (int(2x) & 1), the parity form of frac(x) < 1/2 (see ``ChipState``),
-    and f*dt < 1/2 keeps 2x below n_cycles + 4, so the int64 cast cannot
-    overflow.
+    Frames are filled in row blocks of at most ``SCAN_BLOCK`` samples,
+    through one float and one integer block buffer allocated per scan
+    and filled in place.  Each tap's 2x = c * 2f*dt + 2phase0 + 2k/8 is
+    rounded in that order.  Doubling is exact in binary floating point,
+    so every rounded term and sum is exactly twice that of x = c * f*dt
+    + phase0 + k/8.  The phase term is skipped when every enabled phase
+    is 0, as in a session from reset, and the tap term when every
+    enabled tap is tap 0, as in a calibration scan, since y + 0.0 == y
+    for y >= 0.  The bit is ~int(2x) & 1, the parity form of frac(x) <
+    1/2 (see ``ChipState``), written straight into the frames.  f*dt <
+    1/2 keeps 2x below n_cycles + 4, so the cast is to int32 for any
+    scan shorter than 2**31 - 4 cycles and to int64 beyond.
     """
     if not chip.programmed:
         raise NotProgrammedError("scan requires a programmed chip")
@@ -207,18 +213,24 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     fdt2 = 2.0 * fdt
     phase0 = 2.0 * chip.phases[units]
     phased = bool(phase0.any())
+    tapped = bool(taps.any())
     tap_off = 2.0 * (taps / TAPS_PER_UNIT)
     frames = np.empty((n_cycles, n_enabled), dtype=np.uint8)
     rows = max(1, SCAN_BLOCK // n_enabled)
+    x2_block = np.empty((min(rows, n_cycles), n_enabled))
+    int_block = np.empty(x2_block.shape,
+                         np.int32 if n_cycles < 2**31 - 4 else np.int64)
     for lo in range(0, n_cycles, rows):
         hi = min(lo + rows, n_cycles)
-        x2 = np.multiply.outer(np.arange(lo, hi, dtype=float), fdt2)
+        x2, parity = x2_block[:hi - lo], int_block[:hi - lo]
+        np.multiply.outer(np.arange(lo, hi, dtype=float), fdt2, out=x2)
         if phased:
             x2 += phase0
-        x2 += tap_off
-        parity = x2.astype(np.int64)
-        parity &= 1
-        np.subtract(1, parity, out=frames[lo:hi], casting="unsafe")
+        if tapped:
+            x2 += tap_off
+        np.copyto(parity, x2, casting="unsafe")
+        np.invert(parity, out=parity)
+        np.bitwise_and(parity, 1, out=frames[lo:hi], casting="unsafe")
     if not chip.held:
         chip.phases = (chip.phases + freqs * dt * n_cycles) % 1.0
     return frames

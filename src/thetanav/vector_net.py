@@ -25,6 +25,7 @@ second-layer nodes in the bank.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -261,7 +262,7 @@ def schmitt_batch(y: np.ndarray, rise: float, fall: float) -> np.ndarray:
 
 
 def filter_stage_batch(x: np.ndarray, layer: int) -> np.ndarray:
-    """One layer's nodes over a whole [T, nodes] block of AND outputs,
+    """One layer's nodes over a whole [T, nodes] block of 0/1 AND bits,
     from cleared state, with the layer's ``STAGES`` constants: the 9-tap
     FIR, the leaky RC accumulator y += alpha * (fir - y), and the Schmitt
     trigger (rises at the rise threshold, falls at the fall threshold,
@@ -269,9 +270,41 @@ def filter_stage_batch(x: np.ndarray, layer: int) -> np.ndarray:
     if layer not in STAGES:
         raise ValueError(f"layer must be 1 or 2, got {layer}")
     coeffs, alpha, rise, fall = STAGES[layer]
-    fir = lfilter(coeffs, [1.0], x, axis=0)
-    rc = lfilter([alpha], [1.0, alpha - 1.0], fir, axis=0)
+    rc = lfilter([alpha], [1.0, alpha - 1.0], _fir(x, coeffs), axis=0)
     return schmitt_batch(rc, rise, fall)
+
+
+def _fir(bits: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The 9-tap FIR ``coeffs`` along axis 0 of 0/1 ``bits``, from
+    cleared state, bit for bit what ``lfilter(coeffs, [1.0], bits,
+    axis=0)`` gives.  Each sample's last 9 bits form a code, bit i the
+    sample i ticks back (0 before the first sample), that indexes a
+    512-entry table of tap sums added in ``np.convolve``'s order, which
+    ``lfilter`` runs for a FIR: oldest sample first when T >= 10 and
+    newest first when T <= 9, where ``np.convolve`` swaps its operands.
+    The codes of 0/1 bits lie below 512, so clipping never binds; it
+    only spares ``np.take`` its bounds check."""
+    window = bits.astype(np.uint16)
+    code = window.copy()
+    for shift in (1, 2, 4):   # code then holds the last 2 * shift samples
+        code[shift:] |= code[:-shift] << shift
+    code[8:] |= window[:-8] << 8
+    table = _fir_table(tuple(coeffs), bits.shape[0] <= FIR_TAPS)
+    return np.take(table, code, mode="clip")
+
+
+@functools.cache
+def _fir_table(coeffs: tuple[float, ...], newest_first: bool) -> np.ndarray:
+    """The FIR output of every window code, its taps summed one at a time
+    from the newest sample or from the oldest.  A 0 bit adds 0.0, which
+    leaves a sum unchanged, so each entry is the sum of its taps in that
+    order."""
+    codes = np.arange(1 << FIR_TAPS)
+    table = np.zeros(codes.size)
+    for i in range(FIR_TAPS) if newest_first else reversed(range(FIR_TAPS)):
+        table = table + ((codes >> i) & 1) * coeffs[i]
+    table.flags.writeable = False
+    return table
 
 
 class VectorNetwork:
@@ -337,13 +370,17 @@ class NodeBank:
 
 
 def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The distinct rows of the [n, 2] arrays ``keys``, and the rows of
-    each array as indices into them."""
-    distinct, inverse = np.unique(
-        np.concatenate([np.empty((0, 2), dtype=int)] + keys), axis=0,
-        return_inverse=True)
+    """The distinct rows of the [n, 2] arrays ``keys`` of indices >= 0, in
+    lexicographic order, and the rows of each array as indices into them.
+    Each row (a, b) is keyed as a * (max + 1) + b, which orders rows as
+    ``np.unique(axis=0)`` does, at the cost of a 1-D ``np.unique``."""
+    rows = np.concatenate([np.empty((0, 2), dtype=np.int64)] + keys)
+    base = int(rows.max(initial=0)) + 1
+    codes, inverse = np.unique(rows[:, 0] * base + rows[:, 1],
+                               return_inverse=True)
     ends = np.cumsum([len(k) for k in keys])
-    return distinct, np.split(inverse.reshape(-1), ends[:-1])
+    return (np.column_stack(np.divmod(codes, base)),
+            np.split(inverse, ends[:-1]))
 
 
 def _filter_nodes(source: np.ndarray, inputs: np.ndarray,
@@ -355,8 +392,8 @@ def _filter_nodes(source: np.ndarray, inputs: np.ndarray,
         return bits   # lfilter refuses an empty signal
     for lo in range(0, len(inputs), NODE_BLOCK):
         a, b = inputs[lo:lo + NODE_BLOCK].T
-        x = (source[:, a] & source[:, b]).astype(float)
-        bits[:, lo:lo + NODE_BLOCK] = filter_stage_batch(x, layer)
+        bits[:, lo:lo + NODE_BLOCK] = filter_stage_batch(
+            source[:, a] & source[:, b], layer)
     return bits
 
 

@@ -8,7 +8,8 @@ choice in ``compile_lookup``, and the place grid in the bump's path
 the same physics the plain way (the law for one unit in plain numbers,
 the scan's tap bits by float modulo, a trace's rising edges as matched
 0 -> 1 sample pairs, one oscillator or one node stepped
-a sample at a time, the tap compiler one group and one tap at a time,
+a sample at a time, the 9-tap FIR as ``lfilter`` runs it in
+``fir_lfilter``, the tap compiler one group and one tap at a time,
 the paper's closed-form tap shift, the place grid as an activity matrix
 that every pulse leaks, the Schmitt trigger as a forward fill of its
 +/-1 threshold marks in ``schmitt_forward_fill``) so the tests can
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import lfilter
 
 from thetanav.chip_io import TAPS_PER_UNIT, ChipState, phase_rate
 from thetanav.place_grid import (
@@ -157,6 +159,12 @@ def square_wave(f: float, fs: float, n: int,
 def rc_step(y, x, alpha):
     """One leaky-accumulator update; exact for rational inputs."""
     return y + alpha * (x - y)
+
+
+def fir_lfilter(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The FIR ``coeffs`` along axis 0 of ``x`` from cleared state, as
+    scipy's ``lfilter`` computes it."""
+    return lfilter(coeffs, [1.0], x, axis=0)
 
 
 def schmitt_forward_fill(y: np.ndarray, rise: float,

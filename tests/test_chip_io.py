@@ -235,6 +235,10 @@ scan_length = st.one_of(st.sampled_from([0, 1, *BLOCK_EDGE]),
 # 4096 Hz at 16384 Hz per phase steps exactly 1/4 cycle per sample, so
 # taps 0 and 4 land on exactly 1/2.
 HALF = [(4096.0, 0.0, 0.0, 0.0, 8, 8, (1, 0, 0, 0, 1, 0, 0, 0))]
+# Tap 0 alone on every unit, as in a calibration scan, where the scan
+# skips its tap term.
+TAP0 = [(2000.0, 20.0, 0.0, 0.0, 12, 8, (1, 0, 0, 0, 0, 0, 0, 0)),
+        (3100.0, 35.0, 0.2, -0.1, 8, 4, (1, 0, 0, 0, 0, 0, 0, 0))]
 # Unit 0 clamps to 0 Hz at vx = -4.
 STOPPED = [(100.0, 50.0, 0.0, 0.0, 15, 8, ALL8),
            (2000.0, 10.0, 0.0, 0.0, 8, 12, (0, 1, 0, 0, 1, 0, 0, 1))]
@@ -266,6 +270,10 @@ def scan_chip(units, response: str, held: bool) -> ChipState:
          fs=16_384.0, held=True, n1=3, n2=3)
 @example(units=STOPPED, response=SIGMOID, v1=(-4.0, 0.0), v2=(-4.0, 1.0),
          fs=16_000.0, held=False, n1="block", n2="block+1")
+@example(units=TAP0, response=LINEAR, v1=(1.0, 0.0), v2=(-2.5, 3.0),
+         fs=46_875.0, held=False, n1=1500, n2=1500)
+@example(units=TAP0, response=SIGMOID, v1=(4.0, 0.0), v2=(0.0, -4.0),
+         fs=46_875.0, held=False, n1="block+1", n2="block+1")
 def test_scan_equals_the_modulo_oracle_bit_for_bit(units, response, v1, v2,
                                                    fs, held, n1, n2):
     chip = scan_chip(units, response, held)
@@ -274,7 +282,9 @@ def test_scan_equals_the_modulo_oracle_bit_for_bit(units, response, v1, v2,
     clock = fs * n_enabled
     # The first scan starts from zero phases, where the scan skips its
     # phase term; without a hold, the second starts where the first left
-    # the phases, which the HALF and STOPPED examples leave nonzero.
+    # the phases, which the HALF, STOPPED and TAP0 examples leave
+    # nonzero.  A block+1 scan ends on a one-row block in the reused
+    # buffers.
     for (vx, vy), length in ((v1, n1), (v2, n2)):
         v = VelocityVector(vx, vy)
         n_cycles = (SCAN_BLOCK // n_enabled + BLOCK_EDGE[length]

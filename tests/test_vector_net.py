@@ -41,6 +41,7 @@ from reference_models import (
     compile_lookup_scalar,
     deserialize_mux,
     effective_params,
+    fir_lfilter,
     pair_beat_frequency,
     phase_shift,
     rc_step,
@@ -431,6 +432,63 @@ class TestFilters:
         for _ in range(2000):
             node.step(int(rng.integers(2)), int(rng.integers(2)))
             assert 0.0 <= node.rc <= 1.0
+
+
+def every_bit_sequence(t):
+    """All 2**t 0/1 sequences of length t as the columns of a [t, 2**t]
+    uint8 block."""
+    return np.array(list(itertools.product((0, 1), repeat=t)),
+                    dtype=np.uint8).T
+
+
+@pytest.mark.parametrize("layer", sorted(STAGES))
+def test_fir_equals_lfilter_on_every_short_sequence(layer):
+    # Up to T = 9 np.convolve sums newest sample first, from T = 10 oldest
+    # first; lengths 1-13 cover both orders and the switch between them.
+    coeffs = STAGES[layer][0]
+    for t in range(1, 14):
+        bits = every_bit_sequence(t)
+        got = vector_net._fir(bits, coeffs)
+        want = fir_lfilter(bits.astype(float), coeffs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(layer=st.sampled_from(sorted(STAGES)), t=st.integers(1, 3000),
+       n=st.integers(1, 6), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(layer=1, t=3000, n=6, density=0.5, seed=0)
+@example(layer=2, t=9, n=1, density=1.0, seed=0)
+@example(layer=2, t=10, n=1, density=1.0, seed=0)
+def test_fir_equals_lfilter_on_random_blocks(layer, t, n, density, seed):
+    bits = (np.random.default_rng(seed).random((t, n)) < density
+            ).astype(np.uint8)
+    coeffs = STAGES[layer][0]
+    got = vector_net._fir(bits, coeffs)
+    assert got.tobytes() == fir_lfilter(bits.astype(float), coeffs).tobytes()
+
+
+@st.composite
+def index_row_lists(draw):
+    """A few [n, 2] arrays of indices >= 0, n from 0, with repeated rows."""
+    rows = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    return [np.array(draw(st.lists(rows, max_size=12)),
+                     dtype=np.int64).reshape(-1, 2)
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=index_row_lists())
+@example(keys=[np.empty((0, 2), dtype=np.int64)])
+@example(keys=[np.array([[0, 9], [1, 0]]), np.array([[1, 0], [0, 0]])])
+def test_distinct_equals_unique_rows(keys):
+    distinct, of = vector_net._distinct(keys)
+    want, inverse = np.unique(np.concatenate(keys), axis=0,
+                              return_inverse=True)
+    assert distinct.tolist() == want.tolist()
+    assert np.concatenate(of).tolist() == inverse.reshape(-1).tolist()
+    assert [len(k) for k in of] == [len(k) for k in keys]
 
 
 @st.composite
