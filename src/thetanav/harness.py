@@ -7,11 +7,11 @@ segment starts from a phase reset, so segments are independent
 constant-velocity sessions; a debounced vector-cell pulse migrates the
 place-cell bump and re-arms the reset, a velocity change re-arms it
 without migrating.  A session from reset depends only on the rig, the
-velocity and its length, and its first n ticks depend on nothing
-later, so a session is scanned and filtered once per run and replayed,
-by re-arms inside a segment and by later segments of its velocity whose
-ticks its outcome decides.  The causal filters read doubling prefixes of
-that scan and stop at the first prefix that holds a confirmed pulse.
+velocity and its length, so each distinct (velocity, ticks) session is
+scanned and filtered once per run and replayed, by re-arms inside a
+segment and by later segments alike.  The causal filters read doubling
+prefixes of that scan and stop at the first prefix that holds a
+confirmed pulse.
 """
 
 from __future__ import annotations
@@ -205,15 +205,13 @@ def run_track(config: RunConfig, script: PathScript,
     vector-cell pulse, recording each move in the trail.
 
     A reset zeroes every phase and filter, so a session from reset
-    depends only on the rig and the velocity, and its first n ticks on
-    nothing later.  A segment's session is n ticks: its ticks when
-    timed, or ``BUDGET_FACTOR`` times the predicted arrival when
-    until-pulse, failing loudly without a pulse.  A segment reuses a
-    stored outcome of its velocity that decides n ticks, one whose pulse
-    confirms within n (start + ``DEBOUNCE_WIDTH`` <= n) or one with no
-    pulse over at least n ticks; else its session is scanned and
-    filtered and its outcome stored.  Nothing is kept from one run to
-    the next.  The four cardinal networks filter prefixes of that scan,
+    depends only on the rig, the velocity and its length, and each
+    distinct (velocity, ticks) session is scanned and filtered once per
+    run: for its ticks when timed, or for ``BUDGET_FACTOR`` times the
+    predicted arrival when until-pulse, failing loudly without a pulse.
+    A later segment with the same velocity and ticks reuses that
+    outcome; nothing is kept from one run to the next.  The four
+    cardinal networks filter prefixes of that scan,
     the predicted arrival first and then twice the last prefix, and stop
     at the first prefix that holds a confirmed pulse or at the whole
     scan; a prefix's bits and confirmed runs are the whole scan's, so
@@ -243,9 +241,8 @@ def run_track(config: RunConfig, script: PathScript,
     arrival_ticks = int(math.ceil(config.cell_seconds * rig.fs))
     budget = int(math.ceil(BUDGET_FACTOR * arrival_ticks))
 
-    # Each velocity's scanned session outcomes (n, outputs, starts,
-    # start), kept for this run.
-    observed: dict[VelocityVector, list[tuple]] = {}
+    # Each distinct (velocity, n) session's outcome, kept for this run.
+    observed: dict[tuple[VelocityVector, int], tuple] = {}
 
     tick = 0
     cause = CAUSE_TRAIL_START
@@ -264,15 +261,10 @@ def run_track(config: RunConfig, script: PathScript,
         prev_velocity = seg.velocity
 
         n = budget if seg.until_pulse else seg.ticks
-        sessions = observed.setdefault(seg.velocity, [])
-        for scanned, outputs, starts, start in sessions:
-            if (start + DEBOUNCE_WIDTH <= n if start is not None
-                    else scanned >= n):
-                break   # this outcome decides the session's first n ticks
-        else:
-            outputs, starts, start = _first_pulse(rig, seg.velocity, n,
-                                                  arrival_ticks)
-            sessions.append((n, outputs, starts, start))
+        key = (seg.velocity, n)
+        if key not in observed:
+            observed[key] = _first_pulse(rig, seg.velocity, n, arrival_ticks)
+        outputs, starts, start = observed[key]
         if start is None and seg.until_pulse:
             raise SegmentTimeoutError(
                 f"segment {seg_index}: no pulse within {budget} "

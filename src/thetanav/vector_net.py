@@ -276,32 +276,32 @@ def filter_stage_batch(x: np.ndarray, layer: int) -> np.ndarray:
 
 def _fir(bits: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The 9-tap FIR ``coeffs`` along axis 0 of 0/1 ``bits``, from
-    cleared state, bit for bit what ``lfilter(coeffs, [1.0], bits,
-    axis=0)`` gives.  Each sample's last 9 bits form a code, bit i the
+    cleared state.  Each sample's last 9 bits form a code, bit i the
     sample i ticks back (0 before the first sample), that indexes a
-    512-entry table of tap sums added in ``np.convolve``'s order, which
-    ``lfilter`` runs for a FIR: oldest sample first when T >= 10 and
-    newest first when T <= 9, where ``np.convolve`` swaps its operands.
-    The codes of 0/1 bits lie below 512, so clipping never binds; it
-    only spares ``np.take`` its bounds check."""
+    512-entry table of tap sums added oldest sample first, the order
+    ``np.convolve`` (which ``lfilter`` runs for a FIR) uses from T = 10,
+    so from there the floats are ``lfilter``'s bit for bit.  Below
+    T = 10 ``np.convolve`` sums newest first, which can differ in the
+    last bit, but on no 0/1 block that short does a node of either
+    layer give another output.  The codes of
+    0/1 bits lie below 512, so clipping never binds; it only spares
+    ``np.take`` its bounds check."""
     window = bits.astype(np.uint16)
     code = window.copy()
     for shift in (1, 2, 4):   # code then holds the last 2 * shift samples
         code[shift:] |= code[:-shift] << shift
     code[8:] |= window[:-8] << 8
-    table = _fir_table(tuple(coeffs), bits.shape[0] <= FIR_TAPS)
-    return np.take(table, code, mode="clip")
+    return np.take(_fir_table(tuple(coeffs)), code, mode="clip")
 
 
 @functools.cache
-def _fir_table(coeffs: tuple[float, ...], newest_first: bool) -> np.ndarray:
+def _fir_table(coeffs: tuple[float, ...]) -> np.ndarray:
     """The FIR output of every window code, its taps summed one at a time
-    from the newest sample or from the oldest.  A 0 bit adds 0.0, which
-    leaves a sum unchanged, so each entry is the sum of its taps in that
-    order."""
+    from the oldest sample.  A 0 bit adds 0.0, which leaves a sum
+    unchanged, so each entry is the sum of its taps in that order."""
     codes = np.arange(1 << FIR_TAPS)
     table = np.zeros(codes.size)
-    for i in range(FIR_TAPS) if newest_first else reversed(range(FIR_TAPS)):
+    for i in reversed(range(FIR_TAPS)):
         table = table + ((codes >> i) & 1) * coeffs[i]
     table.flags.writeable = False
     return table

@@ -189,8 +189,7 @@ def scan_lengths(monkeypatch):
 def test_one_scan_per_segment(rig, monkeypatch):
     lengths = scan_lengths(monkeypatch)
     harness.run_track(CONFIG, TIMED, rig=rig)
-    # W 476 replays W 238, whose pulse confirms at its last tick.
-    assert lengths == [900, 100, 0, 2670, 238, 237, 5, 2670]
+    assert lengths == [900, 100, 0, 2670, 238, 237, 476, 5, 2670]
     # One scan per distinct session: the meander's S,E,S,W,S and the
     # detour's E,E,S,E,S replay their repeated headings.
     for name, scanned in (("path1_meander", [2670] * 3),
@@ -217,7 +216,7 @@ def observed_lengths(monkeypatch):
 def test_filtering_stops_at_the_first_prefix_with_a_pulse(rig, monkeypatch):
     lengths = observed_lengths(monkeypatch)
     harness.run_track(CONFIG, TIMED, rig=rig)
-    assert lengths == [267, 100, 0, 267, 238, 237, 5, 267]
+    assert lengths == [267, 100, 0, 267, 238, 237, 267, 5, 267]
     # One prefix loop per distinct session, each ending at the predicted
     # arrival.
     for name, filtered in (("path1_meander", [267] * 3),
@@ -230,35 +229,14 @@ def test_filtering_stops_at_the_first_prefix_with_a_pulse(rig, monkeypatch):
 
 
 def test_repeated_sessions_are_scanned_and_filtered_once(rig, monkeypatch):
-    # E 300's pulse confirms at tick 207, so its outcome serves the second
-    # E 300, E 450 and E; N's confirms after tick 50, so N 50 is scanned,
-    # and the last N replays N's.  The pulseless E 100 serves none of the
-    # longer E legs.
+    # The second E 300 and the last N (after the pulseless N 50) replay
+    # stored sessions; E 100, E 300, E 450 and E differ in ticks, so each
+    # is scanned and filtered.
     scanned = scan_lengths(monkeypatch)
     filtered = observed_lengths(monkeypatch)
     harness.run_track(CONFIG, REPEATS, rig=rig)
-    assert scanned == [100, 2670, 300, 50]
-    assert filtered == [100, 267, 267, 50]
-
-
-def test_a_pulseless_session_serves_shorter_segments(rig, monkeypatch):
-    # The seed-0 E run starts at tick 194 and confirms at 197, so E 196
-    # holds no pulse but reads high at its end: its outcome decides E 195
-    # and E 196 but not E 250.  Each served segment's trace is what
-    # scanning and filtering it alone gives.
-    script = PathScript(name="short", segments=(
-        leg("E", 196), leg("E", 195), leg("E", 196), leg("E", 250)))
-    scanned = scan_lengths(monkeypatch)
-    result = harness.run_track(CONFIG, script, rig=rig)
-    assert scanned == [196, 250]
-    assert events_of(result) == [("E", 821)]
-    hold = np.zeros(CONFIG.hold_ticks, dtype=np.uint8)
-    alone = [harness._observe(harness._session(rig, leg("E").velocity, n),
-                              rig.networks)[0] for n in (196, 195, 196)]
-    for d in DIRECTION_DELTA:
-        assert np.array_equal(result.traces[d][:617], np.concatenate(
-            [np.concatenate((hold, outputs[d])) for outputs in alone]))
-    assert result.traces["E"][:617].sum() == 2 + 1 + 2
+    assert scanned == [100, 2670, 300, 450, 2670, 50]
+    assert filtered == [100, 267, 267, 267, 267, 50]
 
 
 def test_runs_share_nothing_through_the_rig(rig, monkeypatch):
@@ -276,7 +254,7 @@ def test_runs_share_nothing_through_the_rig(rig, monkeypatch):
     assert rig.chip.phases.any()
     scanned.clear()
     second = harness.run_track(CONFIG, REPEATS, rig=rig)
-    assert scanned == [100, 2670, 300, 50]
+    assert scanned == [100, 2670, 300, 450, 2670, 50]
     assert records(second) == records(first)
 
 
