@@ -9,7 +9,7 @@ and admission of well-behaved units for network construction.
 from __future__ import annotations
 
 import csv
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class ChipState:
     with x = phase0 + f * c / fs + k/8, frac(x) < 1/2 holds exactly when
     floor(2x) is even.  It sums 2x from the doubled terms, each exactly
     twice the rounded term of x, and skips a phase or tap term that is 0
-    for every enabled tap, since y + 0.0 == y.  x >= 0 always, since
+    for every decoded tap, since y + 0.0 == y.  x >= 0 always, since
     ``frequencies`` clamps at 0 Hz and phases and tap offsets lie in
     [0, 1), so floor(2x) is the integer truncation of 2x; and f * dt <
     1/2 keeps 2x below n_cycles + 4, so a scan shorter than 2**31 - 4
@@ -167,36 +167,54 @@ def program(chip: ChipState,
 
 
 def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
-                clock_hz: float = CALIBRATION_CLOCK_HZ) -> np.ndarray:
+                clock_hz: float = CALIBRATION_CLOCK_HZ,
+                columns: Optional[Sequence[int]] = None) -> np.ndarray:
     """Serial scan of the enabled phases for n_cycles scan cycles.
 
     Within a cycle, bits appear in unit-major tap-minor shift order and
     sample every enabled tap at the cycle instant; all oscillators then
     advance by one per-phase sample interval at their current frequency.
-    Returns one frame per cycle as a [n_cycles, enabled_phases] uint8
-    array; column i is the i-th enabled phase in shift order.
+    Frame position i is the i-th enabled phase in shift order.  The host
+    decodes only ``columns``, strictly increasing frame positions (every
+    enabled tap by default), and returns one frame per cycle as a
+    [n_cycles, len(columns)] uint8 array whose bits equal the full
+    frames' ``[:, columns]``.  The chip still shifts every enabled tap
+    out, so the per-phase rate fs, the aliasing check and the phase
+    advance cover all enabled taps whatever ``columns`` holds, an empty
+    list included.
 
     Raises AliasingError when an enabled unit steps f*dt >= 1/2 per
     sample or its f*dt is NaN; units with no enabled tap are not read
-    and not checked.
+    and not checked.  ``columns`` out of order or outside the frame
+    raises ValueError.
+
     Frames are filled in row blocks of at most ``SCAN_BLOCK`` samples,
     through one float and one integer block buffer allocated per scan
-    and filled in place.  Each tap's 2x = c * 2f*dt + 2phase0 + 2k/8 is
-    rounded in that order.  Doubling is exact in binary floating point,
-    so every rounded term and sum is exactly twice that of x = c * f*dt
-    + phase0 + k/8.  The phase term is skipped when every enabled phase
-    is 0, as in a session from reset, and the tap term when every
-    enabled tap is tap 0, as in a calibration scan, since y + 0.0 == y
-    for y >= 0.  The bit is ~int(2x) & 1, the parity form of frac(x) <
-    1/2 (see ``ChipState``), written straight into the frames.  f*dt <
-    1/2 keeps 2x below n_cycles + 4, so the cast is to int32 for any
-    scan shorter than 2**31 - 4 cycles and to int64 beyond.
+    and filled in place.  Each decoded tap's 2x = c * 2f*dt + 2phase0 +
+    2k/8 is rounded in that order.  Doubling is exact in binary floating
+    point, so every rounded term and sum is exactly twice that of x =
+    c * f*dt + phase0 + k/8.  The phase term is skipped when every
+    decoded phase is 0, as in a session from reset, and the tap term
+    when every decoded tap is tap 0, as in a calibration scan, since
+    y + 0.0 == y for y >= 0; so a column's bits depend on its own terms
+    alone, whichever other columns are decoded.  The bit is ~int(2x) &
+    1, the parity form of frac(x) < 1/2 (see ``ChipState``), written
+    straight into the frames.  f*dt < 1/2 keeps 2x below n_cycles + 4,
+    so the cast is to int32 for any scan shorter than 2**31 - 4 cycles
+    and to int64 beyond.
     """
     if not chip.programmed:
         raise NotProgrammedError("scan requires a programmed chip")
     n_enabled = chip.enabled_phases
+    if columns is None:
+        columns = np.arange(n_enabled)
+    columns = np.asarray(columns, dtype=np.intp)
+    if columns.ndim != 1 or (
+            np.diff(columns, prepend=-1, append=n_enabled) <= 0).any():
+        raise ValueError(f"columns must be increasing positions in a "
+                         f"{n_enabled}-phase frame")
     if n_enabled == 0 or n_cycles == 0:
-        return np.zeros((n_cycles, n_enabled), dtype=np.uint8)
+        return np.zeros((n_cycles, columns.size), dtype=np.uint8)
     fs = phase_rate(clock_hz, n_enabled)
     dt = 1.0 / fs
     freqs = frequencies(chip.population, chip.v_pref, v)
@@ -210,14 +228,15 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
             f"max f*dt = {fdt_max:.3f} is not below 0.5 at {fs:.1f} Hz "
             f"per phase")
 
-    fdt2 = 2.0 * fdt
+    units, taps = units[columns], taps[columns]
+    fdt2 = 2.0 * fdt[columns]
     phase0 = 2.0 * chip.phases[units]
     phased = bool(phase0.any())
     tapped = bool(taps.any())
     tap_off = 2.0 * (taps / TAPS_PER_UNIT)
-    frames = np.empty((n_cycles, n_enabled), dtype=np.uint8)
-    rows = max(1, SCAN_BLOCK // n_enabled)
-    x2_block = np.empty((min(rows, n_cycles), n_enabled))
+    frames = np.empty((n_cycles, columns.size), dtype=np.uint8)
+    rows = max(1, SCAN_BLOCK // max(1, columns.size))
+    x2_block = np.empty((min(rows, n_cycles), columns.size))
     int_block = np.empty(x2_block.shape,
                          np.int32 if n_cycles < 2**31 - 4 else np.int64)
     for lo in range(0, n_cycles, rows):

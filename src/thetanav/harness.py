@@ -11,7 +11,10 @@ velocity and its length, so each distinct (velocity, ticks) session is
 scanned and filtered once per run and replayed, by re-arms inside a
 segment and by later segments alike.  The causal filters read doubling
 prefixes of that scan and stop at the first prefix that holds a
-confirmed pulse.
+confirmed pulse.  The chip shifts out every enabled tap, which sets the
+per-phase rate fs and the aliasing check, but the host decodes only the
+frame positions that some network routes, as the paper's lookup-table
+mux reads only those.
 """
 
 from __future__ import annotations
@@ -159,22 +162,33 @@ class TrackResult:
         return self.trail[-1][2:]
 
 
-def _session(rig: TrackRig, velocity: VelocityVector, n: int) -> np.ndarray:
-    """Scan frames of an n-tick constant-velocity session from reset."""
+def _session(rig: TrackRig, velocity: VelocityVector, n: int,
+             columns: Optional[np.ndarray] = None) -> np.ndarray:
+    """Scan frames of an n-tick constant-velocity session from reset,
+    decoding only the frame positions ``columns`` (every enabled tap by
+    default)."""
     rig.chip.hold()
     rig.chip.release()
-    return scan_frames(rig.chip, velocity, n, TRACK_CLOCK_HZ)
+    return scan_frames(rig.chip, velocity, n, TRACK_CLOCK_HZ, columns)
 
 
-def _observe(frames: np.ndarray, networks: dict) -> tuple[dict, dict]:
-    """Each network's output bits over ``frames``, a session from reset,
-    through one node bank, and the start tick of its first
+def _routed_columns(networks) -> np.ndarray:
+    """The sorted frame positions that some of ``networks`` reads."""
+    return np.unique(np.concatenate(
+        [np.zeros(0, dtype=int)] + [net.input_pos for net in networks]))
+
+
+def _observe(frames: np.ndarray, networks: dict,
+             columns: Optional[np.ndarray] = None) -> tuple[dict, dict]:
+    """Each network's output bits over ``frames``, a session from reset
+    whose columns hold the frame positions ``columns`` (all of them by
+    default), through one node bank, and the start tick of its first
     ``DEBOUNCE_WIDTH`` debounced run, or None.  The filters are causal
     and start cleared, so over a prefix ``frames[:m]`` the bits are the
     session's first m, and the first run is the session's when it
     confirms within m ticks, else None.  No output rises before tick 61,
     where all-ones frames first do: every filter weight is >= 0."""
-    bank = NodeBank(frames, networks.values())
+    bank = NodeBank(frames, networks.values(), columns)
     outputs = {key: net.run(frames, bank) for key, net in networks.items()}
     starts = {key: place_grid.debounce(out, DEBOUNCE_WIDTH)
               for key, out in outputs.items()}
@@ -186,12 +200,15 @@ def _first_pulse(rig: TrackRig, velocity: VelocityVector, n: int,
     """Scan an n-tick session from reset and filter doubling prefixes of
     it, the first ``arrival_ticks`` long, through the cardinal networks
     until one holds a confirmed run or the prefix is the whole scan.
+    The host decodes only the frame positions the cardinal networks
+    read; fs and the aliasing check still follow every enabled tap.
     Returns that prefix's outputs and first-run starts and the earliest
     start, or None."""
-    frames = _session(rig, velocity, n)
+    columns = _routed_columns(rig.networks.values())
+    frames = _session(rig, velocity, n, columns)
     m = min(n, arrival_ticks)
     while True:
-        outputs, starts = _observe(frames[:m], rig.networks)
+        outputs, starts = _observe(frames[:m], rig.networks, columns)
         start = min((s for s in starts.values() if s is not None),
                     default=None)
         if m == n or start is not None:
@@ -334,8 +351,11 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     Each distinct cell's lookup table is compiled once, for the
     configured speed toward that cell; all compiled cells then observe
     one session, as the cardinal networks do in :func:`run_track`,
-    through one node bank that filters each node they share once.  A
-    cell whose table does not compile is recorded in ``failed``.  A
+    through one node bank that filters each node they share once.  The
+    host decodes only the frame positions the compiled cells read, none
+    when no cell compiles; fs and the aliasing check still follow every
+    enabled tap.  A cell whose table does not compile is recorded in
+    ``failed``.  A
     target off the grid, a negative ``session_ticks`` or a ``rig`` built
     from another config raises ValueError.
     """
@@ -364,8 +384,9 @@ def field_map(config: RunConfig, velocity: VelocityVector,
             networks[cell] = rig.network(cell)
         except CompileError as exc:
             failed[cell] = str(exc)
-    frames = _session(rig, velocity, session_ticks)
-    outputs, starts = _observe(frames, networks)
+    columns = _routed_columns(networks.values())
+    frames = _session(rig, velocity, session_ticks, columns)
+    outputs, starts = _observe(frames, networks, columns)
     return FieldMapResult(session_ticks=session_ticks,
                           first_fire={c: starts.get(c) for c in targets},
                           outputs=outputs, grid_size=config.grid_size,

@@ -20,7 +20,8 @@ every network that reads that scan, as the chip shares its nodes: the
 bank filters each distinct first-layer node (two routed frame
 positions) and each distinct second-layer node of an active group (two
 first-layer nodes) once, and a network's output is the AND of its own
-second-layer nodes in the bank.
+second-layer nodes in the bank.  The scan's frames may hold only the
+routed positions, since the host decodes no others.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -60,9 +61,11 @@ DEFAULT_TAP_TOLERANCE = 1.0 / 16.0
 DEFAULT_DRIFT_TOLERANCE = 0.35
 DEFAULT_MIN_ACTIVE_GROUPS = 12
 
-# A node bank filters at most this many nodes in one pass (one network's
-# first-layer width), which bounds the float work arrays of a large bank.
-NODE_BLOCK = 40
+# A node bank filters at most this many node-ticks in one pass: one
+# network's 40 first-layer nodes over the default field map's 2,829-tick
+# session.  That bounds the float work arrays of a large bank, and a
+# short session filters a whole layer in one pass.
+NODE_TICK_BLOCK = 40 * 2829
 
 MUX_FORMAT_VERSION = "muxtable-v1"
 
@@ -245,20 +248,23 @@ def serialize_mux(mux: MuxTable) -> str:
 def schmitt_batch(y: np.ndarray, rise: float, fall: float) -> np.ndarray:
     """Vectorized Schmitt trigger along axis 0, initial output low.
 
-    The output at sample t is high when the last sample at or above
-    ``rise`` up to t is later than the last sample at or below ``fall``.
-    ``up`` and ``down`` hold those last sample indices, counted from 1
-    so that 0 means "none yet", as running maxima of the marked indices.
-    The form is exact because ``fall < rise`` in every layer of
-    ``STAGES``: no sample is marked both ways, so the two indices are
-    equal only while both read 0, before the first mark, where the
-    output is low.  int32 indices hold for sessions below 2**31 samples.
+    The output at sample t is high when the last sample up to t at or
+    above ``rise`` is later than the last one at or below ``fall``.
+    Sample i is marked 2i + 1 at or above ``rise``, 2i at or below
+    ``fall`` and 0 otherwise; marks grow with i, so the running max of
+    the marks is the mark of the last marked sample, and its parity is
+    the output.  Before the first mark, and after a fall at sample 0,
+    the max is 0 and the output low.  The form is exact because ``fall
+    < rise`` in every layer of ``STAGES``: no sample is marked both
+    ways.  int32 marks hold for sessions of up to 2**30 samples.
     """
-    idx = np.arange(1, y.shape[0] + 1, dtype=np.int32)
+    idx = np.arange(0, 2 * y.shape[0], 2, dtype=np.int32)
     idx = idx.reshape((-1,) + (1,) * (y.ndim - 1))
-    up = np.maximum.accumulate((y >= rise) * idx, axis=0)
-    down = np.maximum.accumulate((y <= fall) * idx, axis=0)
-    return (up > down).astype(np.uint8)
+    up = y >= rise
+    marks = (up | (y <= fall)) * idx
+    marks += up
+    np.maximum.accumulate(marks, axis=0, out=marks)
+    return (marks & 1).astype(np.uint8)
 
 
 def filter_stage_batch(x: np.ndarray, layer: int) -> np.ndarray:
@@ -313,7 +319,8 @@ class VectorNetwork:
     ``frame_layout`` maps (unit, tap) to its position within each scan
     frame; the multiplexer gathers the 80 routed inputs from there, so
     first-layer node j ANDs frame positions ``input_pos[2j]`` and
-    ``input_pos[2j + 1]``.  ``run`` computes an entire
+    ``input_pos[2j + 1]``, which a node bank reads from whichever
+    columns of its frames hold them.  ``run`` computes an entire
     constant-configuration session from cleared filter state, reading
     the node bits from a :class:`NodeBank` shared with the other
     networks on the same scan.
@@ -349,13 +356,20 @@ class NodeBank:
     A first-layer node is keyed by its two frame positions and a
     second-layer node by its two first-layer nodes; only second-layer
     nodes of active groups are kept, since dropped groups never reach
-    the output AND.  Each distinct node is filtered once, from cleared
-    state, in blocks of at most ``NODE_BLOCK`` nodes: the filters treat
-    every column on its own, so the bits equal those of each network
-    filtered alone.
+    the output AND.  ``columns`` names the frame position each column of
+    ``frames`` holds, as a scan that decodes only the routed columns
+    returns them (see ``chip_io.scan_frames``); by default column i
+    holds position i.  Each first-layer input is read from the column
+    that holds its position, and a network that reads a position the
+    frames do not hold raises ValueError.  Each distinct node is
+    filtered once, from cleared state, in blocks of at most
+    ``NODE_TICK_BLOCK`` node-ticks: the filters treat every column on
+    its own, so the bits equal those of each network filtered alone, on
+    full frames or on any columns that hold its inputs.
     """
 
-    def __init__(self, frames: np.ndarray, networks: Iterable[VectorNetwork]):
+    def __init__(self, frames: np.ndarray, networks: Iterable[VectorNetwork],
+                 columns: Optional[Sequence[int]] = None):
         networks = list(networks)
         self.frames = frames
         l1_inputs, l1_of = _distinct(
@@ -364,9 +378,30 @@ class NodeBank:
             [np.column_stack((nodes[net.active],
                               nodes[net.n_pairs // 2 + net.active]))
              for net, nodes in zip(networks, l1_of)])
+        if columns is not None:
+            l1_inputs = _frame_columns(l1_inputs, columns, frames.shape[1])
         self._columns = dict(zip(networks, l2_of))
         self.layer1 = _filter_nodes(frames, l1_inputs, 1)
         self.layer2 = _filter_nodes(self.layer1, l2_inputs, 2)
+
+
+def _frame_columns(positions: np.ndarray, columns: Sequence[int],
+                   width: int) -> np.ndarray:
+    """Each of ``positions`` as an index into ``columns``, the increasing
+    frame positions that a bank's ``width`` frame columns hold.  Raises
+    ValueError unless ``columns`` names one position per column and
+    holds every one of ``positions``."""
+    columns = np.asarray(columns, dtype=np.intp)
+    if columns.shape != (width,):
+        raise ValueError(f"column positions of shape {columns.shape} for "
+                         f"frames of {width} columns")
+    at = np.searchsorted(columns, positions)
+    held = at < columns.size
+    held[held] = columns[at[held]] == positions[held]
+    if not held.all():
+        missing = sorted(set(positions[~held].tolist()))
+        raise ValueError(f"the frames do not hold frame positions {missing}")
+    return at
 
 
 def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -386,13 +421,15 @@ def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
 def _filter_nodes(source: np.ndarray, inputs: np.ndarray,
                   layer: int) -> np.ndarray:
     """[T, len(inputs)] bits of one layer's nodes, node k filtering the
-    AND of ``source`` columns ``inputs[k]``."""
+    AND of ``source`` columns ``inputs[k]``, in blocks of at most
+    ``NODE_TICK_BLOCK`` node-ticks."""
     bits = np.zeros((source.shape[0], len(inputs)), dtype=np.uint8)
     if source.shape[0] == 0:
         return bits   # lfilter refuses an empty signal
-    for lo in range(0, len(inputs), NODE_BLOCK):
-        a, b = inputs[lo:lo + NODE_BLOCK].T
-        bits[:, lo:lo + NODE_BLOCK] = filter_stage_batch(
+    block = max(1, NODE_TICK_BLOCK // source.shape[0])
+    for lo in range(0, len(inputs), block):
+        a, b = inputs[lo:lo + block].T
+        bits[:, lo:lo + block] = filter_stage_batch(
             source[:, a] & source[:, b], layer)
     return bits
 

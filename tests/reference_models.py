@@ -12,7 +12,8 @@ a sample at a time, the 9-tap FIR as ``lfilter`` runs it in
 ``fir_lfilter``, the tap compiler one group and one tap at a time,
 the paper's closed-form tap shift, the place grid as an activity matrix
 that every pulse leaks, the Schmitt trigger as a forward fill of its
-+/-1 threshold marks in ``schmitt_forward_fill``) so the tests can
++/-1 threshold marks in ``schmitt_forward_fill`` and as the last rise
+against the last fall in ``schmitt_two_index``) so the tests can
 check the vectorized and time-domain code against them.  The inverses
 of velocity decoding and lookup-table serialization live here too,
 since only the round-trip tests need them.
@@ -181,6 +182,18 @@ def schmitt_forward_fill(y: np.ndarray, rise: float,
     filled = np.take_along_axis(marks, np.maximum(last, 0), axis=0)
     filled = np.where(last >= 0, filled, -1)
     return (filled == 1).astype(np.uint8)
+
+
+def schmitt_two_index(y: np.ndarray, rise: float,
+                      fall: float) -> np.ndarray:
+    """Schmitt trigger along axis 0, initial output low: high where the
+    last sample at or above ``rise`` so far (counted from 1, 0 for none)
+    is later than the last one at or below ``fall``.  Exact for fall <
+    rise."""
+    idx = np.arange(1, y.shape[0] + 1).reshape((-1,) + (1,) * (y.ndim - 1))
+    up = np.maximum.accumulate((y >= rise) * idx, axis=0)
+    down = np.maximum.accumulate((y <= fall) * idx, axis=0)
+    return (up > down).astype(np.uint8)
 
 
 @dataclass

@@ -301,6 +301,84 @@ def test_tap_on_exact_half_reads_low():
     assert frames.T.tolist() == [[1, 1, 0, 0, 1], [0, 0, 1, 1, 0]]
 
 
+# The decoded frame positions of a scan that reads only some columns: the
+# i-th enabled tap is decoded when keep[i] holds.
+keep_columns = st.lists(st.booleans(), min_size=16 * 8, max_size=16 * 8)
+
+
+def kept(keep, n_enabled: int) -> list[int]:
+    return [i for i in range(n_enabled) if keep[i]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(units=st.lists(scan_unit, min_size=1, max_size=16),
+       response=st.sampled_from([LINEAR, SIGMOID]),
+       v1=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       v2=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       fs=st.floats(16_000.0, 200_000.0), held=st.booleans(),
+       n1=scan_length, n2=scan_length, keep=keep_columns)
+# Tap 4 alone, where only the tap term is added.
+@example(units=HALF, response=LINEAR, v1=(0.0, 0.0), v2=(0.0, 0.0),
+         fs=16_384.0, held=False, n1=9, n2=9, keep=[False, True] * 64)
+# Unit 0's taps alone: stopped at phase 0, so the second scan skips the
+# phase term that the full scan adds for unit 1.
+@example(units=STOPPED, response=SIGMOID, v1=(-4.0, 0.0), v2=(-4.0, 0.0),
+         fs=16_000.0, held=False, n1="block", n2="block+1",
+         keep=[True] * 8 + [False] * 120)
+@example(units=TAP0, response=LINEAR, v1=(1.0, 0.0), v2=(-2.5, 3.0),
+         fs=46_875.0, held=False, n1=1500, n2=1500,
+         keep=[False, True] * 64)
+def test_scan_of_some_columns_equals_the_full_scan_sliced(
+        units, response, v1, v2, fs, held, n1, n2, keep):
+    chip = scan_chip(units, response, held)
+    full = copy.deepcopy(chip)
+    n_enabled = chip.enabled_phases
+    columns = kept(keep, n_enabled)
+    clock = fs * n_enabled
+    # Row blocks are sized by the decoded columns; fs, the aliasing check
+    # and the phase advance by every enabled tap.
+    for (vx, vy), length in ((v1, n1), (v2, n2)):
+        v = VelocityVector(vx, vy)
+        n_cycles = (SCAN_BLOCK // max(1, len(columns)) + BLOCK_EDGE[length]
+                    if length in BLOCK_EDGE else length)
+        want = scan_frames(full, v, n_cycles, clock)[:, columns]
+        got = scan_frames(chip, v, n_cycles, clock, columns)
+        assert got.dtype == np.uint8 and got.shape == (n_cycles, len(columns))
+        assert np.array_equal(got, want)
+        assert chip.phases.tolist() == full.phases.tolist()
+
+
+def test_scan_of_no_columns_still_advances_the_phases():
+    chip = scan_chip(TAP0, LINEAR, held=False)
+    full = copy.deepcopy(chip)
+    v = VelocityVector(1.0, 0.0)
+    frames = scan_frames(chip, v, 100, clock_hz=2 * 46_875.0, columns=[])
+    assert frames.dtype == np.uint8 and frames.shape == (100, 0)
+    scan_frames(full, v, 100, clock_hz=2 * 46_875.0)
+    assert chip.phases.any()
+    assert chip.phases.tolist() == full.phases.tolist()
+
+
+def test_an_unread_aliasing_unit_still_raises():
+    chip = ChipState(make_population([2000.0, 10000.0]))
+    program(chip, [(0, (8, 8), tap0_bypass()),
+                   (1, (8, 8), tap0_bypass())])
+    chip.release()
+    for columns in ([0], []):
+        with pytest.raises(AliasingError):
+            scan_frames(chip, VelocityVector(0, 0), 10, clock_hz=3.6e4,
+                        columns=columns)
+
+
+@pytest.mark.parametrize("columns", [[1, 0], [0, 0], [-1], [8], [[0, 1]]])
+def test_scan_refuses_columns_out_of_order_or_outside_the_frame(columns):
+    chip = make_chip(1)
+    program(chip, [(0, (8, 8), ALL8)])
+    with pytest.raises(ValueError, match="increasing positions"):
+        scan_frames(chip, VelocityVector(0, 0), 4, clock_hz=1e6,
+                    columns=columns)
+
+
 class TestEstimateFrequency:
     FS = 27272.7
 

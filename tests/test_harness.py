@@ -205,9 +205,9 @@ def observed_lengths(monkeypatch):
     lengths = []
     original = harness._observe
 
-    def counted(frames, networks):
+    def counted(frames, networks, *args):
         lengths.append(len(frames))
-        return original(frames, networks)
+        return original(frames, networks, *args)
 
     monkeypatch.setattr(harness, "_observe", counted)
     return lengths
@@ -469,6 +469,26 @@ def test_field_map_records_compile_failures(rig, tmp_path):
     assert rows[0] == ["x", "y", "first_fire_tick", "compile_error"]
     failed = {(int(x), int(y)): cause for x, y, _, cause in rows[1:] if cause}
     assert failed == result.failed
+
+
+def test_field_map_without_a_compiled_cell_decodes_no_columns(rig,
+                                                              monkeypatch):
+    shapes = []
+    original = harness.scan_frames
+
+    def recorded(*args, **kwargs):
+        frames = original(*args, **kwargs)
+        shapes.append(frames.shape)
+        return frames
+
+    monkeypatch.setattr(harness, "scan_frames", recorded)
+    targets = [(-1, -1), (1, -1)]
+    result = harness.field_map(CONFIG, VelocityVector(0.25, 0.0),
+                               targets=targets, rig=rig)
+    assert list(result.failed) == targets and result.outputs == {}
+    assert result.first_fire == dict.fromkeys(targets)
+    # The chip still ran the session: its phases moved on.
+    assert shapes == [(result.session_ticks, 0)] and rig.chip.phases.any()
 
 
 def test_field_map_compiles_each_repeated_target_once(rig, monkeypatch,

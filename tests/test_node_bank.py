@@ -60,6 +60,49 @@ def test_field_map_bank_matches_each_network_alone(rig):
     assert bank.layer1.shape[1] < sum(net.n_pairs for net in networks) / 8
 
 
+def assert_routed_bank_equals_the_full_bank(rig, velocity, n, networks):
+    columns = harness._routed_columns(networks)
+    full = harness._session(rig, velocity, n)
+    routed = harness._session(rig, velocity, n, columns)
+    assert np.array_equal(routed, full[:, columns])
+    full_bank = NodeBank(full, networks)
+    bank = NodeBank(routed, networks, columns)
+    assert np.array_equal(bank.layer1, full_bank.layer1)
+    assert np.array_equal(bank.layer2, full_bank.layer2)
+    for net in networks:
+        assert np.array_equal(net.run(routed, bank),
+                              net.run(full, full_bank))
+    return columns
+
+
+@pytest.mark.parametrize("direction", ["E", "N"])
+def test_cardinal_bank_on_routed_columns_equals_the_full_bank(rig,
+                                                              direction):
+    columns = assert_routed_bank_equals_the_full_bank(
+        rig, cardinal_velocity(direction, CONFIG.speed), 2670,
+        list(rig.networks.values()))
+    # The four cardinal networks read well under half the frame.
+    assert len(columns) < len(rig.frame_layout) / 2
+
+
+def test_field_map_bank_on_routed_columns_equals_the_full_bank(rig):
+    networks = field_networks(rig)
+    assert len(networks) == 93
+    assert_routed_bank_equals_the_full_bank(rig, FIELD_VELOCITY, 2829,
+                                            networks)
+
+
+def test_bank_refuses_a_position_its_frames_do_not_hold(rig):
+    net = rig.networks["E"]
+    columns = np.unique(net.input_pos)
+    frames = harness._session(rig, FIELD_VELOCITY, 50, columns)
+    NodeBank(frames, [net], columns)
+    with pytest.raises(ValueError, match=rf"positions \[{columns[0]}\]"):
+        NodeBank(frames[:, 1:], [net], columns[1:])
+    with pytest.raises(ValueError, match="frames of"):
+        NodeBank(frames, [net], columns[1:])
+
+
 def test_one_network_matches_the_per_sample_reference(rig):
     frames = harness._session(rig, cardinal_velocity("E", CONFIG.speed), 400)
     net = rig.networks["E"]
@@ -107,6 +150,26 @@ def test_field_map_filters_each_distinct_node_once(rig, monkeypatch):
     assert list(result.first_fire) == targets
     compiled = [c for c in targets if c not in result.failed]
     assert list(result.outputs) == compiled
+
+
+def test_a_session_no_longer_than_the_node_tick_block_filters_each_layer_once(
+        rig, monkeypatch):
+    layers = []
+    original = vector_net.filter_stage_batch
+
+    def recorded(x, layer):
+        layers.append(layer)
+        assert x.size <= vector_net.NODE_TICK_BLOCK
+        return original(x, layer)
+
+    monkeypatch.setattr(vector_net, "filter_stage_batch", recorded)
+    harness._observe(harness._session(rig, FIELD_VELOCITY, 267),
+                     rig.networks)
+    assert layers == [1, 2]
+    layers.clear()
+    harness._observe(harness._session(rig, FIELD_VELOCITY, 2670),
+                     rig.networks)
+    assert layers.count(1) > 1 and layers.count(2) > 1
 
 
 def test_bank_refuses_other_frames(rig):

@@ -48,6 +48,7 @@ from reference_models import (
     rc_step,
     run_per_sample,
     schmitt_forward_fill,
+    schmitt_two_index,
     square_wave,
 )
 
@@ -536,6 +537,9 @@ def test_schmitt_equals_the_forward_fill_oracle(case):
     assert got.dtype == want.dtype == np.uint8
     assert got.shape == want.shape == y.shape
     assert np.array_equal(got, want)
+    # The running max of one mark per sample equals the last rise against
+    # the last fall.
+    assert np.array_equal(got, schmitt_two_index(y, rise, fall))
 
 
 def test_schmitt_starts_low_and_holds_between_thresholds():
