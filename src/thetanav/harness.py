@@ -9,12 +9,14 @@ place-cell bump and re-arms the reset, a velocity change re-arms it
 without migrating.  A session from reset depends only on the rig, the
 velocity and its length, so each distinct (velocity, ticks) session is
 scanned and filtered once per run and replayed, by re-arms inside a
-segment and by later segments alike.  The causal filters read doubling
-prefixes of that scan and stop at the first prefix that holds a
-confirmed pulse.  The chip shifts out every enabled tap, which sets the
-per-phase rate fs and the aliasing check, but the host decodes only the
-frame positions that some network routes, as the paper's lookup-table
-mux reads only those.
+segment and by later segments alike.  The rig keeps the cardinal
+networks' node layout, built once; each session streams its scan
+through one cleared node bank on it in blocks that end at the predicted
+arrival, twice that and so on, and stops at the first block end by
+which a pulse confirms, so each tick is filtered at most once.  The chip
+shifts out every enabled tap, which sets the per-phase rate fs and the
+aliasing check, but the host decodes only the frame positions that some
+network routes, as the paper's lookup-table mux reads only those.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .vector_net import (
     CompileError,
     MuxTable,
     NodeBank,
+    NodeLayout,
     Pairing,
     TargetLocation,
     VectorNetwork,
@@ -86,7 +89,12 @@ RUN_FAILURES = (SegmentTimeoutError, OutOfBoundsError, CompileError,
 
 @dataclass
 class TrackRig:
-    """Calibrated chip plus the four compiled cardinal networks."""
+    """Calibrated chip plus the four compiled cardinal networks.
+
+    ``layout`` is the cardinal networks' node layout on the frame
+    positions they read, built once with the networks; every tracking
+    session streams its scan through a cleared bank on it.
+    """
 
     config: RunConfig
     chip: ChipState
@@ -95,6 +103,7 @@ class TrackRig:
     frame_layout: dict[tuple[int, int], int]
     networks: dict[str, VectorNetwork]
     fs: float
+    layout: NodeLayout = field(init=False)
 
     def compile_target(self, target: TargetLocation) -> MuxTable:
         return compile_lookup(self.pairing, target, self.config.speed)
@@ -106,7 +115,8 @@ class TrackRig:
 
 
 def build_rig(config: RunConfig) -> TrackRig:
-    """Calibrate, admit, pair, program and compile the cardinal networks.
+    """Calibrate, admit, pair, program and compile the cardinal networks,
+    and lay out their nodes on the frame positions they read.
 
     The tracking scan enables all eight phase taps on each pair's
     routable member and tap 0 on its partner, so every cardinal lookup
@@ -129,6 +139,8 @@ def build_rig(config: RunConfig) -> TrackRig:
     rig = TrackRig(config=config, chip=chip, fits=fits, pairing=pairing,
                    frame_layout=frame_layout, networks={}, fs=fs)
     rig.networks = {d: rig.network(delta) for d, delta in DIRECTION_DELTA.items()}
+    rig.layout = NodeLayout(rig.networks.values(),
+                            _routed_columns(rig.networks.values()))
     return rig
 
 
@@ -179,41 +191,49 @@ def _routed_columns(networks) -> np.ndarray:
 
 
 def _observe(frames: np.ndarray, networks: dict,
-             columns: Optional[np.ndarray] = None) -> tuple[dict, dict]:
-    """Each network's output bits over ``frames``, a session from reset
-    whose columns hold the frame positions ``columns`` (all of them by
-    default), through one node bank, and the start tick of its first
-    ``DEBOUNCE_WIDTH`` debounced run, or None.  The filters are causal
-    and start cleared, so over a prefix ``frames[:m]`` the bits are the
-    session's first m, and the first run is the session's when it
-    confirms within m ticks, else None.  No output rises before tick 61,
-    where all-ones frames first do: every filter weight is >= 0."""
-    bank = NodeBank(frames, networks.values(), columns)
-    outputs = {key: net.run(frames, bank) for key, net in networks.items()}
-    starts = {key: place_grid.debounce(out, DEBOUNCE_WIDTH)
-              for key, out in outputs.items()}
-    return outputs, starts
+             bank: NodeBank) -> dict:
+    """Each network's output bits over ``frames``, the next block of a
+    session from reset, through ``bank``, a bank on a layout of
+    ``networks`` that has filtered the session's earlier blocks (none
+    when cleared).  The filters are causal and carry their state across
+    blocks, so the bits are the session's over the block's ticks.  No
+    output rises before tick 61 of a session, where all-ones frames
+    first do: every filter weight is >= 0."""
+    bank.extend(frames)
+    return {key: net.run(frames, bank) for key, net in networks.items()}
+
+
+def _first_runs(outputs: dict) -> dict:
+    """The start tick of each output's first ``DEBOUNCE_WIDTH`` debounced
+    run, or None."""
+    return {key: place_grid.debounce(out, DEBOUNCE_WIDTH)
+            for key, out in outputs.items()}
 
 
 def _first_pulse(rig: TrackRig, velocity: VelocityVector, n: int,
                  arrival_ticks: int) -> tuple[dict, dict, Optional[int]]:
-    """Scan an n-tick session from reset and filter doubling prefixes of
-    it, the first ``arrival_ticks`` long, through the cardinal networks
-    until one holds a confirmed run or the prefix is the whole scan.
+    """Scan an n-tick session from reset and stream it through one
+    cleared bank on the rig's cardinal layout, in blocks that end at
+    ``arrival_ticks``, twice that and so on, until the session so far
+    holds a confirmed run or the scan ends; each tick is filtered once.
     The host decodes only the frame positions the cardinal networks
     read; fs and the aliasing check still follow every enabled tap.
-    Returns that prefix's outputs and first-run starts and the earliest
-    start, or None."""
-    columns = _routed_columns(rig.networks.values())
-    frames = _session(rig, velocity, n, columns)
-    m = min(n, arrival_ticks)
+    Returns the outputs and first-run starts of the session up to the
+    last block's end, and the earliest start, or None."""
+    frames = _session(rig, velocity, n, rig.layout.columns)
+    bank = NodeBank(rig.layout)
+    blocks = []
+    begin, end = 0, min(n, arrival_ticks)
     while True:
-        outputs, starts = _observe(frames[:m], rig.networks, columns)
+        blocks.append(_observe(frames[begin:end], rig.networks, bank))
+        outputs = {d: np.concatenate([block[d] for block in blocks])
+                   for d in rig.networks}
+        starts = _first_runs(outputs)
         start = min((s for s in starts.values() if s is not None),
                     default=None)
-        if m == n or start is not None:
+        if end == n or start is not None:
             return outputs, starts, start
-        m = min(2 * m, n)
+        begin, end = end, min(2 * end, n)
 
 
 def run_track(config: RunConfig, script: PathScript,
@@ -227,18 +247,20 @@ def run_track(config: RunConfig, script: PathScript,
     run: for its ticks when timed, or for ``BUDGET_FACTOR`` times the
     predicted arrival when until-pulse, failing loudly without a pulse.
     A later segment with the same velocity and ticks reuses that
-    outcome; nothing is kept from one run to the next.  The four
-    cardinal networks filter prefixes of that scan,
-    the predicted arrival first and then twice the last prefix, and stop
-    at the first prefix that holds a confirmed pulse or at the whole
-    scan; a prefix's bits and confirmed runs are the whole scan's, so
-    this changes no output.  The earliest first-run start is the
-    pulse, fired by every direction whose first run starts there (a run
-    confirms at its ``DEBOUNCE_WIDTH``-th high sample, so later runs
-    never confirm before the reset).  The session up to that pulse is
-    replayed until the segment's ticks are spent, or once for an
-    until-pulse segment: each repeat holds the outputs low for
-    ``hold_ticks``, fires, and re-arms the reset.  A last repeat cut
+    outcome; nothing is kept from one run to the next but the rig.  The
+    scan streams through one cleared bank on the rig's cardinal node
+    layout, in blocks that end at the predicted arrival and then at
+    twice the last block's end, and stops at the first block end by
+    which a pulse confirms or at the whole scan; the filters carry their
+    state from block to block, so the bits and confirmed runs up to a
+    block's end are the whole scan's and this changes no output.  The
+    earliest first-run start is the pulse, fired by every direction
+    whose first run starts there (a run confirms at its
+    ``DEBOUNCE_WIDTH``-th high sample, so later runs never confirm
+    before the reset).  The session up to that pulse is replayed until
+    the segment's ticks are spent, or once for an until-pulse segment:
+    each repeat holds the outputs low for ``hold_ticks``, fires, and
+    re-arms the reset.  A last repeat cut
     short of the pulse keeps its ticks and does not fire.  A ``rig``
     built from another config raises ValueError.
 
@@ -351,7 +373,8 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     Each distinct cell's lookup table is compiled once, for the
     configured speed toward that cell; all compiled cells then observe
     one session, as the cardinal networks do in :func:`run_track`,
-    through one node bank that filters each node they share once.  The
+    through one node layout and one bank extended once over the whole
+    session, which filters each node they share once.  The
     host decodes only the frame positions the compiled cells read, none
     when no cell compiles; fs and the aliasing check still follow every
     enabled tap.  A cell whose table does not compile is recorded in
@@ -384,9 +407,10 @@ def field_map(config: RunConfig, velocity: VelocityVector,
             networks[cell] = rig.network(cell)
         except CompileError as exc:
             failed[cell] = str(exc)
-    columns = _routed_columns(networks.values())
-    frames = _session(rig, velocity, session_ticks, columns)
-    outputs, starts = _observe(frames, networks, columns)
+    layout = NodeLayout(networks.values(), _routed_columns(networks.values()))
+    frames = _session(rig, velocity, session_ticks, layout.columns)
+    outputs = _observe(frames, networks, NodeBank(layout))
+    starts = _first_runs(outputs)
     return FieldMapResult(session_ticks=session_ticks,
                           first_fire={c: starts.get(c) for c in targets},
                           outputs=outputs, grid_size=config.grid_size,

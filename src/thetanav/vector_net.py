@@ -16,12 +16,15 @@ eight phase taps per group, so the relevant pair envelopes align exactly
 when the agent arrives.
 
 A network runs only from a :class:`NodeBank` over one scan, shared by
-every network that reads that scan, as the chip shares its nodes: the
-bank filters each distinct first-layer node (two routed frame
-positions) and each distinct second-layer node of an active group (two
-first-layer nodes) once, and a network's output is the AND of its own
-second-layer nodes in the bank.  The scan's frames may hold only the
-routed positions, since the host decodes no others.
+every network that reads that scan, as the chip shares its nodes.  A
+:class:`NodeLayout`, built once for a set of networks, holds each
+distinct first-layer node (two routed frame positions) and each
+distinct second-layer node of an active group (two first-layer nodes);
+the bank filters each of them once and carries their filter state from
+one block of the session's frames to the next, and a network's output
+is the AND of its own second-layer nodes in the bank.  The scan's
+frames may hold only the routed positions, since the host decodes no
+others.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -245,39 +248,80 @@ def serialize_mux(mux: MuxTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def schmitt_batch(y: np.ndarray, rise: float, fall: float) -> np.ndarray:
-    """Vectorized Schmitt trigger along axis 0, initial output low.
+def schmitt_batch(y: np.ndarray, rise: float, fall: float,
+                  last=0) -> np.ndarray:
+    """Vectorized Schmitt trigger along axis 0 from output ``last`` (0/1
+    per column, low by default).
 
     The output at sample t is high when the last sample up to t at or
-    above ``rise`` is later than the last one at or below ``fall``.
-    Sample i is marked 2i + 1 at or above ``rise``, 2i at or below
-    ``fall`` and 0 otherwise; marks grow with i, so the running max of
-    the marks is the mark of the last marked sample, and its parity is
-    the output.  Before the first mark, and after a fall at sample 0,
-    the max is 0 and the output low.  The form is exact because ``fall
-    < rise`` in every layer of ``STAGES``: no sample is marked both
-    ways.  int32 marks hold for sessions of up to 2**30 samples.
+    above ``rise`` is later than the last one at or below ``fall``, or
+    when there is neither and ``last`` is high.  Sample i is marked
+    2i + 3 at or above ``rise``, 2i + 2 at or below ``fall`` and 0
+    otherwise; marks grow with i and exceed ``last``, so the running max
+    of the marks from ``last`` is the mark of the last marked sample, or
+    ``last`` before the first, and its parity is the output.  The form
+    is exact because ``fall < rise`` in every layer of ``STAGES``: no
+    sample is marked both ways.  int32 marks hold for blocks of up to
+    2**30 - 2 samples.
     """
-    idx = np.arange(0, 2 * y.shape[0], 2, dtype=np.int32)
+    idx = np.arange(2, 2 * y.shape[0] + 2, 2, dtype=np.int32)
     idx = idx.reshape((-1,) + (1,) * (y.ndim - 1))
     up = y >= rise
     marks = (up | (y <= fall)) * idx
     marks += up
+    np.maximum(marks[:1], last, out=marks[:1])
     np.maximum.accumulate(marks, axis=0, out=marks)
     return (marks & 1).astype(np.uint8)
 
 
-def filter_stage_batch(x: np.ndarray, layer: int) -> np.ndarray:
-    """One layer's nodes over a whole [T, nodes] block of 0/1 AND bits,
-    from cleared state, with the layer's ``STAGES`` constants: the 9-tap
-    FIR, the leaky RC accumulator y += alpha * (fir - y), and the Schmitt
-    trigger (rises at the rise threshold, falls at the fall threshold,
-    starts low)."""
+class StageState(NamedTuple):
+    """One layer's filter state at the end of a block, node on the last
+    axis: the node's last ``FIR_TAPS - 1`` inputs, oldest first (0
+    before the session), the RC filter's ``lfilter`` state and the
+    Schmitt trigger's output."""
+
+    inputs: np.ndarray
+    rc: np.ndarray
+    out: np.ndarray
+
+    @classmethod
+    def cleared(cls, nodes: tuple[int, ...]) -> StageState:
+        """The state of nodes of shape ``nodes`` at a session's start."""
+        return cls(np.zeros((FIR_TAPS - 1,) + nodes, dtype=np.uint8),
+                   np.zeros((1,) + nodes), np.zeros(nodes, dtype=np.uint8))
+
+
+def filter_stage_batch(x: np.ndarray, layer: int,
+                       state: Optional[StageState] = None):
+    """One layer's nodes over a [T, nodes] block of 0/1 AND bits with the
+    layer's ``STAGES`` constants: the 9-tap FIR, the leaky RC
+    accumulator y += alpha * (fir - y), and the Schmitt trigger (rises
+    at the rise threshold, falls at the fall threshold, starts low).
+
+    Without ``state`` the block is a whole session from cleared state
+    and the call returns its bits.  With ``state``, the block continues
+    the session whose earlier blocks left that state
+    (``StageState.cleared`` before the first), and the call returns its
+    bits and the state after it: the FIR reads the last 8 inputs before
+    the block, the RC filter starts from ``lfilter``'s final state and
+    the Schmitt trigger from the last output.  The bits equal those of
+    the blocks filtered as one, bit for bit."""
     if layer not in STAGES:
         raise ValueError(f"layer must be 1 or 2, got {layer}")
     coeffs, alpha, rise, fall = STAGES[layer]
-    rc = lfilter([alpha], [1.0, alpha - 1.0], _fir(x, coeffs), axis=0)
-    return schmitt_batch(rc, rise, fall)
+    streamed = state is not None
+    if not streamed:
+        state = StageState.cleared(x.shape[1:])
+    if x.shape[0]:
+        window = np.concatenate((state.inputs, x))
+        rc, rc_state = lfilter([alpha], [1.0, alpha - 1.0],
+                               _fir(window, coeffs)[FIR_TAPS - 1:], axis=0,
+                               zi=state.rc)
+        bits = schmitt_batch(rc, rise, fall, state.out)
+        state = StageState(window[1 - FIR_TAPS:], rc_state, bits[-1])
+    else:   # lfilter refuses an empty signal
+        bits = np.zeros(x.shape, dtype=np.uint8)
+    return (bits, state) if streamed else bits
 
 
 def _fir(bits: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -320,10 +364,10 @@ class VectorNetwork:
     frame; the multiplexer gathers the 80 routed inputs from there, so
     first-layer node j ANDs frame positions ``input_pos[2j]`` and
     ``input_pos[2j + 1]``, which a node bank reads from whichever
-    columns of its frames hold them.  ``run`` computes an entire
-    constant-configuration session from cleared filter state, reading
-    the node bits from a :class:`NodeBank` shared with the other
-    networks on the same scan.
+    columns of its frames hold them.  ``run`` reads the output over a
+    block of a constant-configuration session from reset from the node
+    bits of a :class:`NodeBank` shared with the other networks on the
+    same scan.
     """
 
     def __init__(self, mux: MuxTable,
@@ -339,62 +383,94 @@ class VectorNetwork:
                                 if g not in mux.dropped], dtype=int)
 
     def run(self, frames: np.ndarray, bank: NodeBank) -> np.ndarray:
-        """Whole-session output bits for [T, frame] input, from cleared
-        state: the AND of this network's active second-layer nodes in
-        ``bank``, which must have been built on ``frames`` with it."""
+        """Output bits over ``frames``, a block of a session from reset:
+        the AND of this network's active second-layer nodes in ``bank``,
+        a bank on a layout with this network that last filtered
+        ``frames``."""
         if bank.frames is not frames:
-            raise ValueError("the node bank was built on other frames")
-        columns = bank._columns[self]
+            raise ValueError("the node bank last filtered other frames")
+        columns = bank.layout.l2_of[self]
         if columns.size == 0:
             return np.zeros(frames.shape[0], dtype=np.uint8)
         return bank.layer2[:, columns].all(axis=1).astype(np.uint8)
 
 
-class NodeBank:
-    """Bits of every distinct node of the networks that read one scan.
+class NodeLayout:
+    """Every distinct node of the networks that read one scan.
 
     A first-layer node is keyed by its two frame positions and a
     second-layer node by its two first-layer nodes; only second-layer
     nodes of active groups are kept, since dropped groups never reach
-    the output AND.  ``columns`` names the frame position each column of
-    ``frames`` holds, as a scan that decodes only the routed columns
-    returns them (see ``chip_io.scan_frames``); by default column i
-    holds position i.  Each first-layer input is read from the column
-    that holds its position, and a network that reads a position the
-    frames do not hold raises ValueError.  Each distinct node is
-    filtered once, from cleared state, in blocks of at most
-    ``NODE_TICK_BLOCK`` node-ticks: the filters treat every column on
-    its own, so the bits equal those of each network filtered alone, on
-    full frames or on any columns that hold its inputs.
+    the output AND.  ``l1_inputs`` holds each first-layer node's two
+    frame columns, ``l2_inputs`` each second-layer node's two first-layer
+    nodes and ``l2_of`` each network's second-layer nodes.  ``columns``
+    names the frame position each frame column holds, as a scan that
+    decodes only the routed columns returns them (see
+    ``chip_io.scan_frames``); by default column i holds position i.  A
+    network that reads a position ``columns`` does not hold raises
+    ValueError.  The layout depends only on the networks and the
+    columns, so one layout serves every session they observe.
     """
 
-    def __init__(self, frames: np.ndarray, networks: Iterable[VectorNetwork],
+    def __init__(self, networks: Iterable[VectorNetwork],
                  columns: Optional[Sequence[int]] = None):
         networks = list(networks)
-        self.frames = frames
         l1_inputs, l1_of = _distinct(
             [net.input_pos.reshape(-1, 2) for net in networks])
-        l2_inputs, l2_of = _distinct(
+        self.l2_inputs, l2_of = _distinct(
             [np.column_stack((nodes[net.active],
                               nodes[net.n_pairs // 2 + net.active]))
              for net, nodes in zip(networks, l1_of)])
         if columns is not None:
-            l1_inputs = _frame_columns(l1_inputs, columns, frames.shape[1])
-        self._columns = dict(zip(networks, l2_of))
-        self.layer1 = _filter_nodes(frames, l1_inputs, 1)
-        self.layer2 = _filter_nodes(self.layer1, l2_inputs, 2)
+            columns = np.asarray(columns, dtype=np.intp)
+            l1_inputs = _frame_columns(l1_inputs, columns)
+        self.columns = columns
+        self.l1_inputs = l1_inputs
+        self.l2_of = dict(zip(networks, l2_of))
 
 
-def _frame_columns(positions: np.ndarray, columns: Sequence[int],
-                   width: int) -> np.ndarray:
+class NodeBank:
+    """Filter state of every node of a :class:`NodeLayout` over one
+    session from reset, and the nodes' bits over its latest block.
+
+    A bank starts cleared, as a session from reset does.  Each
+    :meth:`extend` filters the session's next block of frames, whose
+    columns hold the layout's ``columns``: each distinct node once, in
+    blocks of at most ``NODE_TICK_BLOCK`` node-ticks, continuing each
+    node's filters from where the last block left them.  The filters
+    treat every column on its own, so the bits equal those of each
+    network filtered alone in one pass, on full frames or on any columns
+    that hold its inputs, however the session is split into blocks.
+    """
+
+    def __init__(self, layout: NodeLayout):
+        self.layout = layout
+        self.frames = None
+        self._state = {
+            1: StageState.cleared((len(layout.l1_inputs),)),
+            2: StageState.cleared((len(layout.l2_inputs),)),
+        }
+
+    def extend(self, frames: np.ndarray) -> NodeBank:
+        """Filter ``frames``, the session's next [T, column] block, into
+        ``layer1`` and ``layer2``, the [T, node] bits of each layer."""
+        columns = self.layout.columns
+        if columns is not None and columns.shape != frames.shape[1:]:
+            raise ValueError(f"column positions of shape {columns.shape} "
+                             f"for frames of {frames.shape[1]} columns")
+        self.layer1 = _filter_nodes(frames, self.layout.l1_inputs,
+                                    self._state[1], 1)
+        self.layer2 = _filter_nodes(self.layer1, self.layout.l2_inputs,
+                                    self._state[2], 2)
+        self.frames = frames
+        return self
+
+
+def _frame_columns(positions: np.ndarray,
+                   columns: np.ndarray) -> np.ndarray:
     """Each of ``positions`` as an index into ``columns``, the increasing
-    frame positions that a bank's ``width`` frame columns hold.  Raises
-    ValueError unless ``columns`` names one position per column and
-    holds every one of ``positions``."""
-    columns = np.asarray(columns, dtype=np.intp)
-    if columns.shape != (width,):
-        raise ValueError(f"column positions of shape {columns.shape} for "
-                         f"frames of {width} columns")
+    frame positions that a bank's frame columns hold.  Raises
+    ValueError unless ``columns`` holds every one of ``positions``."""
     at = np.searchsorted(columns, positions)
     held = at < columns.size
     held[held] = columns[at[held]] == positions[held]
@@ -419,18 +495,23 @@ def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _filter_nodes(source: np.ndarray, inputs: np.ndarray,
-                  layer: int) -> np.ndarray:
-    """[T, len(inputs)] bits of one layer's nodes, node k filtering the
-    AND of ``source`` columns ``inputs[k]``, in blocks of at most
-    ``NODE_TICK_BLOCK`` node-ticks."""
+                  state: StageState, layer: int) -> np.ndarray:
+    """[T, len(inputs)] bits of one layer's nodes over the next T ticks,
+    node k filtering the AND of ``source`` columns ``inputs[k]`` from
+    its entry in ``state``, which is advanced in place, in blocks of at
+    most ``NODE_TICK_BLOCK`` node-ticks."""
     bits = np.zeros((source.shape[0], len(inputs)), dtype=np.uint8)
     if source.shape[0] == 0:
-        return bits   # lfilter refuses an empty signal
+        return bits
     block = max(1, NODE_TICK_BLOCK // source.shape[0])
     for lo in range(0, len(inputs), block):
-        a, b = inputs[lo:lo + block].T
-        bits[:, lo:lo + block] = filter_stage_batch(
-            source[:, a] & source[:, b], layer)
+        nodes = slice(lo, lo + block)
+        a, b = inputs[nodes].T
+        bits[:, nodes], after = filter_stage_batch(
+            source[:, a] & source[:, b], layer,
+            StageState(*(part[..., nodes] for part in state)))
+        for whole, part in zip(state, after):
+            whole[..., nodes] = part
     return bits
 
 

@@ -13,8 +13,9 @@ a sample at a time, the 9-tap FIR as ``lfilter`` runs it in
 the paper's closed-form tap shift, the place grid as an activity matrix
 that every pulse leaks, the Schmitt trigger as a forward fill of its
 +/-1 threshold marks in ``schmitt_forward_fill`` and as the last rise
-against the last fall in ``schmitt_two_index``) so the tests can
-check the vectorized and time-domain code against them.  The inverses
+against the last fall in ``schmitt_two_index``, a node bank that
+filters a whole session in one block in ``session_bank``) so the tests
+can check the vectorized, streamed and time-domain code against them.  The inverses
 of velocity decoding and lookup-table serialization live here too,
 since only the round-trip tests need them.
 """
@@ -49,6 +50,8 @@ from thetanav.vector_net import (
     TAP_STEP,
     CompileError,
     MuxTable,
+    NodeBank,
+    NodeLayout,
     TargetLocation,
     filter_stage_batch,
 )
@@ -222,6 +225,13 @@ class Node:
         elif self.rc <= self.fall:
             self.out = 0
         return self.out
+
+
+def session_bank(frames: np.ndarray, networks, columns=None) -> NodeBank:
+    """A cleared node bank of ``networks`` extended once over ``frames``,
+    a whole session from reset whose columns hold the frame positions
+    ``columns`` (all of them by default)."""
+    return NodeBank(NodeLayout(networks, columns)).extend(frames)
 
 
 def run_per_sample(net, frames: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thetanav import harness
+from thetanav import harness, vector_net
 from thetanav.chip_io import PAIR_CODES
 from thetanav.config import (
     PathScript,
@@ -29,13 +29,14 @@ from thetanav.vector_net import (
     TAP_STEP,
     CompileError,
     NodeBank,
+    NodeLayout,
     TargetLocation,
     VectorNetwork,
     compile_lookup,
     serialize_mux,
 )
 
-from reference_models import effective_params, phase_shift
+from reference_models import effective_params, phase_shift, session_bank
 
 CONFIG = RunConfig()
 SCRIPTS = built_in_scripts(CONFIG.speed)
@@ -129,11 +130,19 @@ CRAWL = PathScript(name="still",
                    segments=(Segment(VelocityVector(0.01, 0)),))
 
 
+def observe(frames, networks):
+    """Each network's outputs and first-run starts over ``frames``, a
+    whole session from reset on every frame position, in one block."""
+    outputs = harness._observe(frames, networks,
+                               NodeBank(NodeLayout(networks.values())))
+    return outputs, harness._first_runs(outputs)
+
+
 def test_all_ones_frames_first_raise_each_network_at_tick_61(rig):
     # No input rises earlier, so no output is high before tick 61 of a
     # session from reset.
     frames = np.ones((200, len(rig.frame_layout)), dtype=np.uint8)
-    outputs, starts = harness._observe(frames, rig.networks)
+    outputs, starts = observe(frames, rig.networks)
     for d, out in outputs.items():
         assert out.argmax() == 61 and out[61:].all(), d
         assert starts[d] == 61, d
@@ -201,13 +210,14 @@ def test_one_scan_per_segment(rig, monkeypatch):
 
 
 def observed_lengths(monkeypatch):
-    """Wrap the node-bank pass and return the list of its frame lengths."""
+    """Wrap the node-bank pass and return the list of the lengths of the
+    blocks it filters."""
     lengths = []
     original = harness._observe
 
-    def counted(frames, networks, *args):
+    def counted(frames, networks, bank):
         lengths.append(len(frames))
-        return original(frames, networks, *args)
+        return original(frames, networks, bank)
 
     monkeypatch.setattr(harness, "_observe", counted)
     return lengths
@@ -217,8 +227,8 @@ def test_filtering_stops_at_the_first_prefix_with_a_pulse(rig, monkeypatch):
     lengths = observed_lengths(monkeypatch)
     harness.run_track(CONFIG, TIMED, rig=rig)
     assert lengths == [267, 100, 0, 267, 238, 237, 267, 5, 267]
-    # One prefix loop per distinct session, each ending at the predicted
-    # arrival.
+    # One streamed session per distinct session, each ending with its
+    # first block, at the predicted arrival.
     for name, filtered in (("path1_meander", [267] * 3),
                            ("path2_detour", [267] * 2),
                            ("path3_loop", [267] * 4)):
@@ -260,17 +270,18 @@ def test_runs_share_nothing_through_the_rig(rig, monkeypatch):
 
 def test_a_late_pulse_is_found_in_a_doubled_prefix(rig, monkeypatch):
     # At half speed southward the seed-0 pulse comes after the predicted
-    # arrival: the first prefix has none, the doubled one has it, and the
-    # run keeps what observing the whole scan at once gives.
+    # arrival: the first block has none, the second, which ends at twice
+    # the arrival, has it, and the run keeps what observing the whole
+    # scan at once gives.
     slow = cardinal_velocity("S", CONFIG.speed / 2)
-    outputs, starts = harness._observe(harness._session(rig, slow, 2670),
-                                       rig.networks)
+    outputs, starts = observe(harness._session(rig, slow, 2670),
+                              rig.networks)
     start = min(s for s in starts.values() if s is not None)
     assert 267 < start + harness.DEBOUNCE_WIDTH <= 534
     lengths = observed_lengths(monkeypatch)
     result = harness.run_track(
         CONFIG, PathScript(name="slow", segments=(Segment(slow),)), rig=rig)
-    assert lengths == [267, 534]
+    assert lengths == [267, 267]
     assert events_of(result) == [(d, CONFIG.hold_ticks + start)
                                  for d in DIRECTION_DELTA
                                  if starts[d] == start]
@@ -282,10 +293,31 @@ def test_a_late_pulse_is_found_in_a_doubled_prefix(rig, monkeypatch):
 
 def test_a_segment_without_a_pulse_filters_its_whole_scan_last(
         rig, monkeypatch):
+    # Blocks end at 267, 534, 1,068, 2,136 and the scan's 2,670, so each
+    # tick of the scan is filtered once.
     lengths = observed_lengths(monkeypatch)
     with pytest.raises(harness.SegmentTimeoutError):
         harness.run_track(CONFIG, CRAWL, rig=rig)
-    assert lengths == [267, 534, 1068, 2136, 2670]
+    assert lengths == [267, 267, 534, 1068, 534]
+    assert sum(lengths) == 2670
+
+
+def test_the_cardinal_layout_is_built_once_per_rig(monkeypatch):
+    calls = []
+    original = vector_net._distinct
+
+    def counted(keys):
+        calls.append(len(keys))
+        return original(keys)
+
+    monkeypatch.setattr(vector_net, "_distinct", counted)
+    rig = harness.build_rig(CONFIG)
+    # The first-layer and the second-layer keys of the four networks.
+    assert calls == [4, 4]
+    calls.clear()
+    for script in SCRIPTS.values():
+        harness.run_track(CONFIG, script, rig=rig)
+    assert calls == []
 
 
 velocities = st.builds(VelocityVector, st.floats(-4, 4), st.floats(-4, 4))
@@ -304,12 +336,12 @@ def test_session_from_reset_is_a_prefix_and_repeats(rig, v, n):
     assert np.array_equal(short, long[:n1])
     assert np.array_equal(harness._session(rig, v, n2), long)
     for d, net in rig.networks.items():
-        assert np.array_equal(net.run(short, NodeBank(short, [net])),
-                              net.run(long, NodeBank(long, [net]))[:n1]), d
+        assert np.array_equal(net.run(short, session_bank(short, [net])),
+                              net.run(long, session_bank(long, [net]))[:n1]), d
     # Observing a prefix gives the whole session's bits up to its end and
     # the whole session's first run if it confirms within it.
-    short_out, short_starts = harness._observe(short, rig.networks)
-    long_out, long_starts = harness._observe(long, rig.networks)
+    short_out, short_starts = observe(short, rig.networks)
+    long_out, long_starts = observe(long, rig.networks)
     for d in rig.networks:
         assert np.array_equal(short_out[d], long_out[d][:n1]), d
         first = long_starts[d]

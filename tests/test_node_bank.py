@@ -1,6 +1,7 @@
 """Node sharing across networks that read one scan: a node bank gives
-every network exactly the bits it computes alone, and filters each
-distinct node once, dropped groups left out."""
+every network exactly the bits it computes alone, filters each
+distinct node once, dropped groups left out, and streamed over a
+session in blocks gives the bits of one pass."""
 
 import math
 
@@ -10,9 +11,9 @@ import pytest
 from thetanav import harness, vector_net
 from thetanav.config import RunConfig, cardinal_velocity
 from thetanav.theta_core import VelocityVector
-from thetanav.vector_net import CompileError, NodeBank
+from thetanav.vector_net import CompileError, NodeBank, NodeLayout
 
-from reference_models import run_per_sample
+from reference_models import run_per_sample, session_bank
 
 CONFIG = RunConfig()
 FIELD_VELOCITY = VelocityVector(0.25, 0.0)
@@ -32,10 +33,10 @@ def field_networks(rig):
 
 
 def assert_bank_matches_each_network_alone(frames, networks):
-    bank = NodeBank(frames, networks)
+    bank = session_bank(frames, networks)
     for net in networks:
         shared = net.run(frames, bank)
-        alone = net.run(frames, NodeBank(frames, [net]))
+        alone = net.run(frames, session_bank(frames, [net]))
         assert shared.dtype == alone.dtype == np.uint8
         assert shared.tobytes() == alone.tobytes()
     return bank
@@ -65,8 +66,8 @@ def assert_routed_bank_equals_the_full_bank(rig, velocity, n, networks):
     full = harness._session(rig, velocity, n)
     routed = harness._session(rig, velocity, n, columns)
     assert np.array_equal(routed, full[:, columns])
-    full_bank = NodeBank(full, networks)
-    bank = NodeBank(routed, networks, columns)
+    full_bank = session_bank(full, networks)
+    bank = session_bank(routed, networks, columns)
     assert np.array_equal(bank.layer1, full_bank.layer1)
     assert np.array_equal(bank.layer2, full_bank.layer2)
     for net in networks:
@@ -96,17 +97,18 @@ def test_bank_refuses_a_position_its_frames_do_not_hold(rig):
     net = rig.networks["E"]
     columns = np.unique(net.input_pos)
     frames = harness._session(rig, FIELD_VELOCITY, 50, columns)
-    NodeBank(frames, [net], columns)
+    layout = NodeLayout([net], columns)
+    NodeBank(layout).extend(frames)
     with pytest.raises(ValueError, match=rf"positions \[{columns[0]}\]"):
-        NodeBank(frames[:, 1:], [net], columns[1:])
+        NodeLayout([net], columns[1:])
     with pytest.raises(ValueError, match="frames of"):
-        NodeBank(frames, [net], columns[1:])
+        NodeBank(layout).extend(frames[:, 1:])
 
 
 def test_one_network_matches_the_per_sample_reference(rig):
     frames = harness._session(rig, cardinal_velocity("E", CONFIG.speed), 400)
     net = rig.networks["E"]
-    out = net.run(frames, NodeBank(frames, [net]))
+    out = net.run(frames, session_bank(frames, [net]))
     assert out.any() and not out.all()
     assert np.array_equal(out, run_per_sample(net, frames))
 
@@ -115,9 +117,9 @@ def test_field_map_filters_each_distinct_node_once(rig, monkeypatch):
     stages = []
     original = vector_net.filter_stage_batch
 
-    def recorded(x, layer):
+    def recorded(x, layer, *state):
         stages.append((layer, x.shape))
-        return original(x, layer)
+        return original(x, layer, *state)
 
     monkeypatch.setattr(vector_net, "filter_stage_batch", recorded)
     targets = [(x, y) for x in range(5, -6, -1) for y in range(-5, 6)]
@@ -157,25 +159,26 @@ def test_a_session_no_longer_than_the_node_tick_block_filters_each_layer_once(
     layers = []
     original = vector_net.filter_stage_batch
 
-    def recorded(x, layer):
+    def recorded(x, layer, *state):
         layers.append(layer)
         assert x.size <= vector_net.NODE_TICK_BLOCK
-        return original(x, layer)
+        return original(x, layer, *state)
 
     monkeypatch.setattr(vector_net, "filter_stage_batch", recorded)
-    harness._observe(harness._session(rig, FIELD_VELOCITY, 267),
-                     rig.networks)
+    columns = rig.layout.columns
+    harness._observe(harness._session(rig, FIELD_VELOCITY, 267, columns),
+                     rig.networks, NodeBank(rig.layout))
     assert layers == [1, 2]
     layers.clear()
-    harness._observe(harness._session(rig, FIELD_VELOCITY, 2670),
-                     rig.networks)
+    harness._observe(harness._session(rig, FIELD_VELOCITY, 2670, columns),
+                     rig.networks, NodeBank(rig.layout))
     assert layers.count(1) > 1 and layers.count(2) > 1
 
 
 def test_bank_refuses_other_frames(rig):
     frames = harness._session(rig, FIELD_VELOCITY, 50)
     net = rig.networks["E"]
-    bank = NodeBank(frames, [net])
+    bank = session_bank(frames, [net])
     with pytest.raises(ValueError, match="other frames"):
         net.run(frames.copy(), bank)
 
@@ -183,6 +186,34 @@ def test_bank_refuses_other_frames(rig):
 def test_bank_of_no_ticks_or_no_networks(rig):
     frames = harness._session(rig, FIELD_VELOCITY, 0)
     net = rig.networks["E"]
-    assert net.run(frames, NodeBank(frames, [net])).shape == (0,)
-    bank = NodeBank(harness._session(rig, FIELD_VELOCITY, 20), [])
+    assert net.run(frames, session_bank(frames, [net])).shape == (0,)
+    bank = session_bank(harness._session(rig, FIELD_VELOCITY, 20), [])
     assert bank.layer1.shape == bank.layer2.shape == (20, 0)
+
+
+# Blocks that end at the predicted arrival, twice that and so on, as a
+# tracking session streams them, with blocks of 0 and 1 ticks between.
+STREAM_ENDS = [267, 534, 534, 1068, 1069, 2136, 2670]
+
+
+@pytest.mark.parametrize("direction", ["E", "N"])
+def test_streamed_cardinal_bank_equals_one_pass(rig, direction):
+    frames = harness._session(rig, cardinal_velocity(direction, CONFIG.speed),
+                              2670, rig.layout.columns)
+    whole = NodeBank(rig.layout).extend(frames)
+    bank = NodeBank(rig.layout)
+    layer1, layer2, outputs = [], [], {d: [] for d in rig.networks}
+    for lo, hi in zip([0] + STREAM_ENDS, STREAM_ENDS):
+        block = frames[lo:hi]
+        bank.extend(block)
+        layer1.append(bank.layer1)
+        layer2.append(bank.layer2)
+        for d, net in rig.networks.items():
+            outputs[d].append(net.run(block, bank))
+    assert np.concatenate(layer1).tobytes() == whole.layer1.tobytes()
+    assert np.concatenate(layer2).tobytes() == whole.layer2.tobytes()
+    assert whole.layer1.shape == (2670, len(rig.layout.l1_inputs))
+    for d, net in rig.networks.items():
+        assert np.array_equal(np.concatenate(outputs[d]),
+                              net.run(frames, whole)), d
+    assert np.concatenate(outputs[direction]).any()

@@ -20,8 +20,8 @@ from thetanav.vector_net import (
     FIR_LAYER2,
     STAGES,
     CompileError,
-    NodeBank,
     Pairing,
+    StageState,
     TargetLocation,
     VectorNetwork,
     circular_distance,
@@ -49,6 +49,7 @@ from reference_models import (
     run_per_sample,
     schmitt_forward_fill,
     schmitt_two_index,
+    session_bank,
     square_wave,
 )
 
@@ -485,6 +486,53 @@ def test_fir_equals_lfilter_on_random_blocks(layer, t, n, density, seed):
 
 
 @st.composite
+def split_blocks(draw):
+    """A [T, n] 0/1 block, T up to 3,000, and the sorted ticks where a
+    stream splits it: often inside the first 9 ticks, where the FIR
+    window is still filling, and often repeated or adjacent, so some
+    blocks hold 0 or 1 ticks."""
+    t = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.random((t, draw(st.integers(1, 4))))
+            < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+    cuts = draw(st.lists(st.one_of(st.integers(0, min(t, 9)),
+                                   st.integers(0, t)), max_size=8))
+    return bits, sorted(cuts + [c + 1 for c in cuts[:2] if c < t])
+
+
+def filter_in_blocks(bits, layer, cuts):
+    """One layer's bits over ``bits`` streamed in the blocks between
+    ``cuts``, and the state after the last block."""
+    state = StageState.cleared(bits.shape[1:])
+    parts = []
+    for lo, hi in zip([0] + cuts, cuts + [len(bits)]):
+        out, state = filter_stage_batch(bits[lo:hi], layer, state)
+        parts.append(out)
+    return np.concatenate(parts), state
+
+
+@settings(max_examples=150, deadline=None)
+@given(layer=st.sampled_from(sorted(STAGES)), case=split_blocks())
+@example(layer=1, case=(np.ones((3000, 2), np.uint8), [0, 0, 1, 8, 9, 10]))
+@example(layer=2, case=(np.ones((3000, 2), np.uint8), [0, 0, 1, 8, 9, 10]))
+@example(layer=2, case=(np.ones((1, 1), np.uint8), [0, 1, 1]))
+@example(layer=1, case=(np.zeros((0, 3), np.uint8), [0, 0]))
+def test_streamed_filter_equals_one_pass(layer, case):
+    bits, cuts = case
+    streamed, state = filter_in_blocks(bits, layer, cuts)
+    whole = filter_stage_batch(bits, layer)
+    assert streamed.dtype == whole.dtype == np.uint8
+    assert streamed.shape == whole.shape == bits.shape
+    assert streamed.tobytes() == whole.tobytes()
+    # The state carried through every block is the one a single block
+    # leaves, down to the RC filter's last float.
+    _, one_block = filter_in_blocks(bits, layer, [])
+    for carried, single in zip(state, one_block):
+        assert carried.dtype == single.dtype
+        assert carried.tobytes() == single.tobytes()
+
+
+@st.composite
 def index_row_lists(draw):
     """A few [n, 2] arrays of indices >= 0, n from 0, with repeated rows."""
     rows = st.tuples(st.integers(0, 6), st.integers(0, 6))
@@ -615,7 +663,7 @@ def small_network(seed=0, n_pairs=4):
 
 def run_alone(net, frames):
     """``net``'s output from a node bank of its own on ``frames``."""
-    return net.run(frames, NodeBank(frames, [net]))
+    return net.run(frames, session_bank(frames, [net]))
 
 
 class TestVectorNetwork:
