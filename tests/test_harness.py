@@ -227,8 +227,8 @@ def test_filtering_stops_at_the_first_prefix_with_a_pulse(rig, monkeypatch):
     lengths = observed_lengths(monkeypatch)
     harness.run_track(CONFIG, TIMED, rig=rig)
     assert lengths == [267, 100, 0, 267, 238, 237, 267, 5, 267]
-    # One streamed session per distinct session, each ending with its
-    # first block, at the predicted arrival.
+    # One stream per distinct session, each ending with its first block,
+    # at the predicted arrival.
     for name, filtered in (("path1_meander", [267] * 3),
                            ("path2_detour", [267] * 2),
                            ("path3_loop", [267] * 4)):
