@@ -9,14 +9,18 @@ place-cell bump and re-arms the reset, a velocity change re-arms it
 without migrating.  A session from reset depends only on the rig, the
 velocity and its length, so each distinct (velocity, ticks) session is
 scanned and filtered once per run and replayed, by re-arms inside a
-segment and by later segments alike.  The rig keeps the cardinal
-networks' node layout, built once; each session streams its scan
-through one cleared node bank on it in blocks that end at the predicted
-arrival, twice that and so on, and stops at the first block end by
-which a pulse confirms, so each tick is filtered at most once.  The chip
-shifts out every enabled tap, which sets the per-phase rate fs and the
-aliasing check, but the host decodes only the frame positions that some
-network routes, as the paper's lookup-table mux reads only those.
+segment and by later segments alike.
+
+Tracking sessions and field maps observe a session the same way: the
+networks' node layout names the frame positions they read, the host
+decodes only those (the chip still shifts out every enabled tap, which
+sets the per-phase rate fs and the aliasing check), and the scan
+streams through one cleared node bank on the layout in blocks that end
+at a first block end, twice that and so on, stopping at the first block
+end by which a pulse confirms, so each tick is filtered at most once.
+A tracking session's first block ends at the predicted arrival, on the
+cardinal networks' layout that the rig builds once; a field map's ends
+at the whole session, on a layout of the cells it compiles.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ from .place_grid import (
     OutOfBoundsError,
     PulseEvent,
 )
-from .theta_core import AliasingError, VelocityVector, sample_population
+from .theta_core import (AliasingError, VelocityVector, require_int,
+                         sample_population)
 from .vector_net import (
     CompileError,
     MuxTable,
@@ -91,9 +96,9 @@ RUN_FAILURES = (SegmentTimeoutError, OutOfBoundsError, CompileError,
 class TrackRig:
     """Calibrated chip plus the four compiled cardinal networks.
 
-    ``layout`` is the cardinal networks' node layout on the frame
-    positions they read, built once with the networks; every tracking
-    session streams its scan through a cleared bank on it.
+    ``layout`` is the cardinal networks' node layout, built once with
+    the networks; every tracking session streams its scan through a
+    cleared bank on it.
     """
 
     config: RunConfig
@@ -116,7 +121,7 @@ class TrackRig:
 
 def build_rig(config: RunConfig) -> TrackRig:
     """Calibrate, admit, pair, program and compile the cardinal networks,
-    and lay out their nodes on the frame positions they read.
+    and lay out their nodes.
 
     The tracking scan enables all eight phase taps on each pair's
     routable member and tap 0 on its partner, so every cardinal lookup
@@ -139,8 +144,7 @@ def build_rig(config: RunConfig) -> TrackRig:
     rig = TrackRig(config=config, chip=chip, fits=fits, pairing=pairing,
                    frame_layout=frame_layout, networks={}, fs=fs)
     rig.networks = {d: rig.network(delta) for d, delta in DIRECTION_DELTA.items()}
-    rig.layout = NodeLayout(rig.networks.values(),
-                            _routed_columns(rig.networks.values()))
+    rig.layout = NodeLayout(rig.networks.values())
     return rig
 
 
@@ -174,22 +178,6 @@ class TrackResult:
         return self.trail[-1][2:]
 
 
-def _session(rig: TrackRig, velocity: VelocityVector, n: int,
-             columns: Optional[np.ndarray] = None) -> np.ndarray:
-    """Scan frames of an n-tick constant-velocity session from reset,
-    decoding only the frame positions ``columns`` (every enabled tap by
-    default)."""
-    rig.chip.hold()
-    rig.chip.release()
-    return scan_frames(rig.chip, velocity, n, TRACK_CLOCK_HZ, columns)
-
-
-def _routed_columns(networks) -> np.ndarray:
-    """The sorted frame positions that some of ``networks`` reads."""
-    return np.unique(np.concatenate(
-        [np.zeros(0, dtype=int)] + [net.input_pos for net in networks]))
-
-
 def _observe(frames: np.ndarray, networks: dict,
              bank: NodeBank) -> dict:
     """Each network's output bits over ``frames``, the next block of a
@@ -203,32 +191,29 @@ def _observe(frames: np.ndarray, networks: dict,
     return {key: net.run(frames, bank) for key, net in networks.items()}
 
 
-def _first_runs(outputs: dict) -> dict:
-    """The start tick of each output's first ``DEBOUNCE_WIDTH`` debounced
-    run, or None."""
-    return {key: place_grid.debounce(out, DEBOUNCE_WIDTH)
-            for key, out in outputs.items()}
-
-
-def _first_pulse(rig: TrackRig, velocity: VelocityVector, n: int,
-                 arrival_ticks: int) -> tuple[dict, dict, Optional[int]]:
-    """Scan an n-tick session from reset and stream it through one
-    cleared bank on the rig's cardinal layout, in blocks that end at
-    ``arrival_ticks``, twice that and so on, until the session so far
-    holds a confirmed run or the scan ends; each tick is filtered once.
-    The host decodes only the frame positions the cardinal networks
-    read; fs and the aliasing check still follow every enabled tap.
-    Returns the outputs and first-run starts of the session up to the
-    last block's end, and the earliest start, or None."""
-    frames = _session(rig, velocity, n, rig.layout.columns)
-    bank = NodeBank(rig.layout)
+def _first_pulse(chip: ChipState, layout: NodeLayout, networks: dict,
+                 velocity: VelocityVector, n: int,
+                 first_end: int) -> tuple[dict, dict, Optional[int]]:
+    """Scan an n-tick session from reset on ``chip``, decoding only
+    ``layout.columns``, and stream it through one cleared bank on
+    ``layout``, the layout of ``networks``, in blocks that end at
+    ``first_end`` (> 0 unless n is 0), twice that and so on, until the
+    session so far holds a confirmed ``DEBOUNCE_WIDTH`` run or the scan
+    ends; each tick is filtered once.  Returns each network's outputs
+    and first-run start (or None) over the session up to the last
+    block's end, and the earliest start, or None."""
+    chip.hold()
+    chip.release()
+    frames = scan_frames(chip, velocity, n, TRACK_CLOCK_HZ, layout.columns)
+    bank = NodeBank(layout)
     blocks = []
-    begin, end = 0, min(n, arrival_ticks)
+    begin, end = 0, min(n, first_end)
     while True:
-        blocks.append(_observe(frames[begin:end], rig.networks, bank))
-        outputs = {d: np.concatenate([block[d] for block in blocks])
-                   for d in rig.networks}
-        starts = _first_runs(outputs)
+        blocks.append(_observe(frames[begin:end], networks, bank))
+        outputs = {key: np.concatenate([block[key] for block in blocks])
+                   for key in networks}
+        starts = {key: place_grid.debounce(out, DEBOUNCE_WIDTH)
+                  for key, out in outputs.items()}
         start = min((s for s in starts.values() if s is not None),
                     default=None)
         if end == n or start is not None:
@@ -248,12 +233,13 @@ def run_track(config: RunConfig, script: PathScript,
     predicted arrival when until-pulse, failing loudly without a pulse.
     A later segment with the same velocity and ticks reuses that
     outcome; nothing is kept from one run to the next but the rig.  The
-    scan streams through one cleared bank on the rig's cardinal node
-    layout, in blocks that end at the predicted arrival and then at
-    twice the last block's end, and stops at the first block end by
-    which a pulse confirms or at the whole scan; the filters carry their
-    state from block to block, so the bits and confirmed runs up to a
-    block's end are the whole scan's and this changes no output.  The
+    scan decodes only the rig's cardinal layout's columns and streams
+    through one cleared bank on that layout, in blocks that end at the
+    predicted arrival and then at twice the last block's end, and stops
+    at the first block end by which a pulse confirms or at the whole
+    scan; the filters carry their state from block to block, so the bits
+    and confirmed runs up to a block's end are the whole scan's and this
+    changes no output.  The
     earliest first-run start is the pulse, fired by every direction
     whose first run starts there (a run confirms at its
     ``DEBOUNCE_WIDTH``-th high sample, so later runs never confirm
@@ -302,7 +288,8 @@ def run_track(config: RunConfig, script: PathScript,
         n = budget if seg.until_pulse else seg.ticks
         key = (seg.velocity, n)
         if key not in observed:
-            observed[key] = _first_pulse(rig, seg.velocity, n, arrival_ticks)
+            observed[key] = _first_pulse(rig.chip, rig.layout, rig.networks,
+                                         seg.velocity, n, arrival_ticks)
         outputs, starts, start = observed[key]
         if start is None and seg.until_pulse:
             raise SegmentTimeoutError(
@@ -372,18 +359,19 @@ def field_map(config: RunConfig, velocity: VelocityVector,
 
     Each distinct cell's lookup table is compiled once, for the
     configured speed toward that cell; all compiled cells then observe
-    one session, as the cardinal networks do in :func:`run_track`,
-    through one node layout and one bank extended once over the whole
-    session, which filters each node they share once.  The
-    host decodes only the frame positions the compiled cells read, none
-    when no cell compiles; fs and the aliasing check still follow every
-    enabled tap.  A cell whose table does not compile is recorded in
-    ``failed``.  A
-    target off the grid, a negative ``session_ticks`` or a ``rig`` built
-    from another config raises ValueError.
+    one session through the streaming path :func:`run_track` uses, on
+    a node layout of their own whose first block is the whole session,
+    so each node they share is filtered once in one pass and the host
+    decodes only the frame positions they read, none when no cell
+    compiles.  A cell whose table does not compile is recorded in
+    ``failed``.  A target off the grid, a ``session_ticks`` that is not
+    an int >= 0 or a ``rig`` built from another config raises
+    ValueError.
     """
-    if session_ticks is not None and session_ticks < 0:
-        raise ValueError(f"session_ticks must be >= 0, got {session_ticks}")
+    if session_ticks is not None:
+        require_int("session_ticks", session_ticks)
+        if session_ticks < 0:
+            raise ValueError(f"session_ticks must be >= 0, got {session_ticks}")
     half = config.grid_size // 2
     if targets is None:
         targets = [(x, y) for y in range(-half, half + 1)
@@ -407,10 +395,9 @@ def field_map(config: RunConfig, velocity: VelocityVector,
             networks[cell] = rig.network(cell)
         except CompileError as exc:
             failed[cell] = str(exc)
-    layout = NodeLayout(networks.values(), _routed_columns(networks.values()))
-    frames = _session(rig, velocity, session_ticks, layout.columns)
-    outputs = _observe(frames, networks, NodeBank(layout))
-    starts = _first_runs(outputs)
+    outputs, starts, _ = _first_pulse(rig.chip, NodeLayout(networks.values()),
+                                      networks, velocity, session_ticks,
+                                      session_ticks)
     return FieldMapResult(session_ticks=session_ticks,
                           first_fire={c: starts.get(c) for c in targets},
                           outputs=outputs, grid_size=config.grid_size,
@@ -442,7 +429,9 @@ def sweep_seeds(config: RunConfig, script: PathScript,
     """Run the script over the n_seeds fresh populations of seeds
     config.seed, config.seed + 1, ... and score how many reach the
     script's expected final cell.  A seed whose run raises one of
-    ``RUN_FAILURES`` is recorded as failed; any other error propagates."""
+    ``RUN_FAILURES`` is recorded as failed; any other error propagates.
+    An ``n_seeds`` that is not an int >= 1 raises ValueError."""
+    require_int("n_seeds", n_seeds)
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     outcomes = []
@@ -523,8 +512,9 @@ def write_field_map_csv(result: FieldMapResult, outdir,
                         stride: int = 64) -> list[Path]:
     """Occupancy matrices every ``stride`` ticks plus first-fire times,
     with the compile failure of each failed cell, replacing any earlier
-    map's occupancy files in outdir.  A ``stride`` below 1 raises
-    ValueError before any file is written."""
+    map's occupancy files in outdir.  A ``stride`` that is not an int
+    >= 1 raises ValueError before any file is written."""
+    require_int("stride", stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     outdir = Path(outdir)

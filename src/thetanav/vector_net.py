@@ -18,13 +18,14 @@ when the agent arrives.
 A network runs only from a :class:`NodeBank` over one scan, shared by
 every network that reads that scan, as the chip shares its nodes.  A
 :class:`NodeLayout`, built once for a set of networks, holds each
-distinct first-layer node (two routed frame positions) and each
-distinct second-layer node of an active group (two first-layer nodes);
-the bank filters each of them once and carries their filter state from
-one block of the session's frames to the next, and a network's output
-is the AND of its own second-layer nodes in the bank.  The scan's
-frames may hold only the routed positions, since the host decodes no
-others.
+distinct second-layer node of an active group (two first-layer nodes),
+each distinct first-layer node those read (two routed frame positions)
+and the frame positions those read, its ``columns``: the only taps a
+scan for the networks decodes, as the paper's lookup-table mux reads
+only the taps it routes.  The bank filters each node once over frames
+that hold just those columns, carries the filter state from one block
+of the session's frames to the next, and a network's output is the AND
+of its own second-layer nodes in the bank.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -291,16 +292,13 @@ class StageState(NamedTuple):
                    np.zeros((1,) + nodes), np.zeros(nodes, dtype=np.uint8))
 
 
-def filter_stage_batch(x: np.ndarray, layer: int,
-                       state: Optional[StageState] = None):
+def filter_stage_batch(x: np.ndarray, layer: int, state: StageState):
     """One layer's nodes over a [T, nodes] block of 0/1 AND bits with the
     layer's ``STAGES`` constants: the 9-tap FIR, the leaky RC
     accumulator y += alpha * (fir - y), and the Schmitt trigger (rises
     at the rise threshold, falls at the fall threshold, starts low).
 
-    Without ``state`` the block is a whole session from cleared state
-    and the call returns its bits.  With ``state``, the block continues
-    the session whose earlier blocks left that state
+    The block continues the session whose earlier blocks left ``state``
     (``StageState.cleared`` before the first), and the call returns its
     bits and the state after it: the FIR reads the last 8 inputs before
     the block, the RC filter starts from ``lfilter``'s final state and
@@ -308,20 +306,15 @@ def filter_stage_batch(x: np.ndarray, layer: int,
     the blocks filtered as one, bit for bit."""
     if layer not in STAGES:
         raise ValueError(f"layer must be 1 or 2, got {layer}")
+    if not x.shape[0]:   # lfilter refuses an empty signal
+        return np.zeros(x.shape, dtype=np.uint8), state
     coeffs, alpha, rise, fall = STAGES[layer]
-    streamed = state is not None
-    if not streamed:
-        state = StageState.cleared(x.shape[1:])
-    if x.shape[0]:
-        window = np.concatenate((state.inputs, x))
-        rc, rc_state = lfilter([alpha], [1.0, alpha - 1.0],
-                               _fir(window, coeffs)[FIR_TAPS - 1:], axis=0,
-                               zi=state.rc)
-        bits = schmitt_batch(rc, rise, fall, state.out)
-        state = StageState(window[1 - FIR_TAPS:], rc_state, bits[-1])
-    else:   # lfilter refuses an empty signal
-        bits = np.zeros(x.shape, dtype=np.uint8)
-    return (bits, state) if streamed else bits
+    window = np.concatenate((state.inputs, x))
+    rc, rc_state = lfilter([alpha], [1.0, alpha - 1.0],
+                           _fir(window, coeffs)[FIR_TAPS - 1:], axis=0,
+                           zi=state.rc)
+    bits = schmitt_batch(rc, rise, fall, state.out)
+    return bits, StageState(window[1 - FIR_TAPS:], rc_state, bits[-1])
 
 
 def _fir(bits: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -363,8 +356,8 @@ class VectorNetwork:
     ``frame_layout`` maps (unit, tap) to its position within each scan
     frame; the multiplexer gathers the 80 routed inputs from there, so
     first-layer node j ANDs frame positions ``input_pos[2j]`` and
-    ``input_pos[2j + 1]``, which a node bank reads from whichever
-    columns of its frames hold them.  ``run`` reads the output over a
+    ``input_pos[2j + 1]``, which a node bank reads from the columns of
+    its layout that hold them.  ``run`` reads the output over a
     block of a constant-configuration session from reset from the node
     bits of a :class:`NodeBank` shared with the other networks on the
     same scan.
@@ -396,36 +389,35 @@ class VectorNetwork:
 
 
 class NodeLayout:
-    """Every distinct node of the networks that read one scan.
+    """Every distinct node of the networks that read one scan, and the
+    frame positions those nodes read.
 
-    A first-layer node is keyed by its two frame positions and a
-    second-layer node by its two first-layer nodes; only second-layer
-    nodes of active groups are kept, since dropped groups never reach
-    the output AND.  ``l1_inputs`` holds each first-layer node's two
-    frame columns, ``l2_inputs`` each second-layer node's two first-layer
-    nodes and ``l2_of`` each network's second-layer nodes.  ``columns``
-    names the frame position each frame column holds, as a scan that
-    decodes only the routed columns returns them (see
-    ``chip_io.scan_frames``); by default column i holds position i.  A
-    network that reads a position ``columns`` does not hold raises
-    ValueError.  The layout depends only on the networks and the
-    columns, so one layout serves every session they observe.
+    A second-layer node is keyed by its two first-layer nodes and kept
+    only in an active group, since dropped groups never reach the output
+    AND; a first-layer node is keyed by its two frame positions and kept
+    only when a kept second-layer node reads it.  ``columns`` holds the
+    sorted frame positions that the kept first-layer nodes read, the
+    only ones a scan for these networks decodes (see
+    ``chip_io.scan_frames``).  ``l1_inputs`` holds each first-layer
+    node's two indices into ``columns``, ``l2_inputs`` each second-layer
+    node's two first-layer nodes and ``l2_of`` each network's
+    second-layer nodes.  The layout depends only on the networks, so one
+    layout serves every session they observe.
     """
 
-    def __init__(self, networks: Iterable[VectorNetwork],
-                 columns: Optional[Sequence[int]] = None):
+    def __init__(self, networks: Iterable[VectorNetwork]):
         networks = list(networks)
         l1_inputs, l1_of = _distinct(
             [net.input_pos.reshape(-1, 2) for net in networks])
-        self.l2_inputs, l2_of = _distinct(
+        l2_inputs, l2_of = _distinct(
             [np.column_stack((nodes[net.active],
                               nodes[net.n_pairs // 2 + net.active]))
              for net, nodes in zip(networks, l1_of)])
-        if columns is not None:
-            columns = np.asarray(columns, dtype=np.intp)
-            l1_inputs = _frame_columns(l1_inputs, columns)
-        self.columns = columns
-        self.l1_inputs = l1_inputs
+        read, l2_inputs = np.unique(l2_inputs, return_inverse=True)
+        self.columns, l1_inputs = np.unique(l1_inputs[read],
+                                            return_inverse=True)
+        self.l1_inputs = l1_inputs.reshape(-1, 2)
+        self.l2_inputs = l2_inputs.reshape(-1, 2)
         self.l2_of = dict(zip(networks, l2_of))
 
 
@@ -439,8 +431,8 @@ class NodeBank:
     blocks of at most ``NODE_TICK_BLOCK`` node-ticks, continuing each
     node's filters from where the last block left them.  The filters
     treat every column on its own, so the bits equal those of each
-    network filtered alone in one pass, on full frames or on any columns
-    that hold its inputs, however the session is split into blocks.
+    network filtered alone in one pass on full frames, however the
+    session is split into blocks.
     """
 
     def __init__(self, layout: NodeLayout):
@@ -455,7 +447,7 @@ class NodeBank:
         """Filter ``frames``, the session's next [T, column] block, into
         ``layer1`` and ``layer2``, the [T, node] bits of each layer."""
         columns = self.layout.columns
-        if columns is not None and columns.shape != frames.shape[1:]:
+        if columns.shape != frames.shape[1:]:
             raise ValueError(f"column positions of shape {columns.shape} "
                              f"for frames of {frames.shape[1]} columns")
         self.layer1 = _filter_nodes(frames, self.layout.l1_inputs,
@@ -464,20 +456,6 @@ class NodeBank:
                                     self._state[2], 2)
         self.frames = frames
         return self
-
-
-def _frame_columns(positions: np.ndarray,
-                   columns: np.ndarray) -> np.ndarray:
-    """Each of ``positions`` as an index into ``columns``, the increasing
-    frame positions that a bank's frame columns hold.  Raises
-    ValueError unless ``columns`` holds every one of ``positions``."""
-    at = np.searchsorted(columns, positions)
-    held = at < columns.size
-    held[held] = columns[at[held]] == positions[held]
-    if not held.all():
-        missing = sorted(set(positions[~held].tolist()))
-        raise ValueError(f"the frames do not hold frame positions {missing}")
-    return at
 
 
 def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -13,9 +13,11 @@ a sample at a time, the 9-tap FIR as ``lfilter`` runs it in
 the paper's closed-form tap shift, the place grid as an activity matrix
 that every pulse leaks, the Schmitt trigger as a forward fill of its
 +/-1 threshold marks in ``schmitt_forward_fill`` and as the last rise
-against the last fall in ``schmitt_two_index``, a node bank that
-filters a whole session in one block in ``session_bank``) so the tests
-can check the vectorized, streamed and time-domain code against them.  The inverses
+against the last fall in ``schmitt_two_index``, a whole session's scan
+on every enabled tap in ``session_frames``, one filter layer over a
+whole session in ``filter_once``, a node bank that filters a whole
+session in one block in ``session_bank``) so the tests can check the
+vectorized, streamed, routed and time-domain code against them.  The inverses
 of velocity decoding and lookup-table serialization live here too,
 since only the round-trip tests need them.
 """
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from thetanav.chip_io import TAPS_PER_UNIT, ChipState, phase_rate
+from thetanav.chip_io import TAPS_PER_UNIT, ChipState, phase_rate, scan_frames
+from thetanav.harness import TRACK_CLOCK_HZ
 from thetanav.place_grid import (
     BUMP_LEVEL,
     DIRECTION_DELTA,
@@ -52,6 +55,7 @@ from thetanav.vector_net import (
     MuxTable,
     NodeBank,
     NodeLayout,
+    StageState,
     TargetLocation,
     filter_stage_batch,
 )
@@ -227,11 +231,34 @@ class Node:
         return self.out
 
 
-def session_bank(frames: np.ndarray, networks, columns=None) -> NodeBank:
-    """A cleared node bank of ``networks`` extended once over ``frames``,
-    a whole session from reset whose columns hold the frame positions
-    ``columns`` (all of them by default)."""
-    return NodeBank(NodeLayout(networks, columns)).extend(frames)
+def session_frames(rig, velocity, n: int, columns=None) -> np.ndarray:
+    """Scan frames of the rig's n-tick constant-velocity session from
+    reset, on every enabled tap unless ``columns`` names the frame
+    positions to decode."""
+    rig.chip.hold()
+    rig.chip.release()
+    return scan_frames(rig.chip, velocity, n, TRACK_CLOCK_HZ, columns)
+
+
+def filter_once(x: np.ndarray, layer: int) -> np.ndarray:
+    """One layer's bits over ``x``, a whole session from cleared state in
+    one block."""
+    return filter_stage_batch(x, layer, StageState.cleared(x.shape[1:]))[0]
+
+
+def session_bank(frames: np.ndarray, networks) -> NodeBank:
+    """A cleared node bank of ``networks`` extended once over the columns
+    of ``frames``, a whole session from reset on every enabled tap, that
+    the networks' layout reads; ``bank.frames`` holds those columns."""
+    layout = NodeLayout(networks)
+    return NodeBank(layout).extend(frames[:, layout.columns])
+
+
+def run_alone(net, frames: np.ndarray) -> np.ndarray:
+    """``net``'s output from a node bank of its own on ``frames``, a
+    whole session from reset on every enabled tap."""
+    bank = session_bank(frames, [net])
+    return net.run(bank.frames, bank)
 
 
 def run_per_sample(net, frames: np.ndarray) -> np.ndarray:
@@ -255,7 +282,7 @@ def pair_beat_frequency(bits_a: np.ndarray, bits_b: np.ndarray,
     """Measured envelope frequency of an AND-interfered pair: the two bit
     streams through one first-layer node, rising edges per second."""
     x = (np.asarray(bits_a) & np.asarray(bits_b)).astype(float).reshape(-1, 1)
-    env = filter_stage_batch(x, 1)[:, 0]
+    env = filter_once(x, 1)[:, 0]
     edges = int(np.count_nonzero((env[1:] == 1) & (env[:-1] == 0)))
     return edges / (env.size / fs)
 

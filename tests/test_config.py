@@ -35,7 +35,9 @@ from thetanav.theta_core import (
     VelocityVector,
     sample_population,
 )
-from thetanav.vector_net import STAGES, TargetLocation, filter_stage_batch
+from thetanav.vector_net import STAGES, TargetLocation
+
+from reference_models import filter_once
 
 CHANGED = RunConfig(
     population=PopulationSpec(
@@ -132,8 +134,8 @@ def stages_keep_the_schmitt_trigger_exact():
 def no_output_rises_before_tick_61():
     # All-ones frames raise a node first, since every filter weight is
     # >= 0; the settle window masked ticks 0..31, below both layers' rise.
-    layer1 = filter_stage_batch(numpy.ones(100), 1)
-    layer2 = filter_stage_batch(layer1.astype(float), 2)
+    layer1 = filter_once(numpy.ones(100), 1)
+    layer2 = filter_once(layer1.astype(float), 2)
     return layer1.argmax() == 7 and layer2.argmax() == 61
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thetanav import harness, vector_net
+from thetanav import harness, place_grid, vector_net
 from thetanav.chip_io import PAIR_CODES
 from thetanav.config import (
     PathScript,
@@ -36,7 +36,8 @@ from thetanav.vector_net import (
     serialize_mux,
 )
 
-from reference_models import effective_params, phase_shift, session_bank
+from reference_models import (effective_params, phase_shift, run_alone,
+                              session_frames)
 
 CONFIG = RunConfig()
 SCRIPTS = built_in_scripts(CONFIG.speed)
@@ -133,9 +134,11 @@ CRAWL = PathScript(name="still",
 def observe(frames, networks):
     """Each network's outputs and first-run starts over ``frames``, a
     whole session from reset on every frame position, in one block."""
-    outputs = harness._observe(frames, networks,
-                               NodeBank(NodeLayout(networks.values())))
-    return outputs, harness._first_runs(outputs)
+    layout = NodeLayout(networks.values())
+    outputs = harness._observe(frames[:, layout.columns], networks,
+                               NodeBank(layout))
+    return outputs, {d: place_grid.debounce(out, harness.DEBOUNCE_WIDTH)
+                     for d, out in outputs.items()}
 
 
 def test_all_ones_frames_first_raise_each_network_at_tick_61(rig):
@@ -274,7 +277,7 @@ def test_a_late_pulse_is_found_in_a_doubled_prefix(rig, monkeypatch):
     # the arrival, has it, and the run keeps what observing the whole
     # scan at once gives.
     slow = cardinal_velocity("S", CONFIG.speed / 2)
-    outputs, starts = observe(harness._session(rig, slow, 2670),
+    outputs, starts = observe(session_frames(rig, slow, 2670),
                               rig.networks)
     start = min(s for s in starts.values() if s is not None)
     assert 267 < start + harness.DEBOUNCE_WIDTH <= 534
@@ -331,13 +334,13 @@ velocities = st.builds(VelocityVector, st.floats(-4, 4), st.floats(-4, 4))
 @example(v=VelocityVector(0.25, 0.0), n=(197, 600))
 def test_session_from_reset_is_a_prefix_and_repeats(rig, v, n):
     n1, n2 = sorted(n)
-    short = harness._session(rig, v, n1)
-    long = harness._session(rig, v, n2)
+    short = session_frames(rig, v, n1)
+    long = session_frames(rig, v, n2)
     assert np.array_equal(short, long[:n1])
-    assert np.array_equal(harness._session(rig, v, n2), long)
+    assert np.array_equal(session_frames(rig, v, n2), long)
     for d, net in rig.networks.items():
-        assert np.array_equal(net.run(short, session_bank(short, [net])),
-                              net.run(long, session_bank(long, [net]))[:n1]), d
+        assert np.array_equal(run_alone(net, short),
+                              run_alone(net, long)[:n1]), d
     # Observing a prefix gives the whole session's bits up to its end and
     # the whole session's first run if it confirms within it.
     short_out, short_starts = observe(short, rig.networks)
@@ -674,3 +677,43 @@ def test_field_map_refuses_targets_off_the_grid(rig, monkeypatch, cell):
         harness.field_map(CONFIG, VelocityVector(-0.25, 0.0),
                           targets=[(0, 0), cell], rig=rig)
     assert compiled == []
+
+
+# Counts that are not exactly an int: each would pass a range check and
+# fail, or run, later.
+NOT_INTS = [pytest.param(value, id=name) for name, value in (
+    ("bool", True), ("float", 2.5), ("numpy_int", np.int64(3)), ("str", "3"))]
+
+
+@pytest.mark.parametrize("ticks", NOT_INTS)
+def test_field_map_refuses_a_non_int_session_before_compiling(
+        rig, monkeypatch, ticks):
+    compiled = []
+    monkeypatch.setattr(harness, "compile_lookup",
+                        lambda *args, **kwargs: compiled.append(args))
+    with pytest.raises(ValueError, match="session_ticks must be an int"):
+        harness.field_map(CONFIG, VelocityVector(0.25, 0.0), targets=[(1, 0)],
+                          session_ticks=ticks, rig=rig)
+    assert compiled == []
+
+
+@pytest.mark.parametrize("stride", NOT_INTS)
+def test_write_field_map_csv_refuses_a_non_int_stride_before_writing(
+        tmp_path, stride):
+    result = harness.FieldMapResult(
+        session_ticks=4, first_fire={(0, 0): None},
+        outputs={(0, 0): np.zeros(4, dtype=np.uint8)}, grid_size=3)
+    with pytest.raises(ValueError, match="stride must be an int"):
+        harness.write_field_map_csv(result, tmp_path / "map", stride=stride)
+    assert not (tmp_path / "map").exists()
+
+
+@pytest.mark.parametrize("n_seeds", NOT_INTS)
+def test_sweep_refuses_a_non_int_seed_count_before_running(
+        monkeypatch, n_seeds):
+    runs = []
+    monkeypatch.setattr(harness, "run_track",
+                        lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ValueError, match="n_seeds must be an int"):
+        harness.sweep_seeds(CONFIG, CRAWL, n_seeds)
+    assert runs == []

@@ -1,7 +1,9 @@
-"""Node sharing across networks that read one scan: a node bank gives
-every network exactly the bits it computes alone, filters each
-distinct node once, dropped groups left out, and streamed over a
-session in blocks gives the bits of one pass."""
+"""Node sharing across networks that read one scan: a node layout keeps
+each distinct node that reaches an output and the frame positions
+those read, and a node bank on it gives every network exactly the bits
+it computes alone, filters each distinct node once, dropped groups left
+out, and streamed over a session in blocks gives the bits of one
+pass."""
 
 import math
 
@@ -13,7 +15,8 @@ from thetanav.config import RunConfig, cardinal_velocity
 from thetanav.theta_core import VelocityVector
 from thetanav.vector_net import CompileError, NodeBank, NodeLayout
 
-from reference_models import run_per_sample, session_bank
+from reference_models import (run_alone, run_per_sample, session_bank,
+                              session_frames)
 
 CONFIG = RunConfig()
 FIELD_VELOCITY = VelocityVector(0.25, 0.0)
@@ -35,8 +38,8 @@ def field_networks(rig):
 def assert_bank_matches_each_network_alone(frames, networks):
     bank = session_bank(frames, networks)
     for net in networks:
-        shared = net.run(frames, bank)
-        alone = net.run(frames, session_bank(frames, [net]))
+        shared = net.run(bank.frames, bank)
+        alone = run_alone(net, frames)
         assert shared.dtype == alone.dtype == np.uint8
         assert shared.tobytes() == alone.tobytes()
     return bank
@@ -44,36 +47,40 @@ def assert_bank_matches_each_network_alone(frames, networks):
 
 @pytest.mark.parametrize("direction", ["E", "N"])
 def test_cardinal_bank_matches_each_network_alone(rig, direction):
-    frames = harness._session(
+    frames = session_frames(
         rig, cardinal_velocity(direction, CONFIG.speed), 2670)
     networks = list(rig.networks.values())
     bank = assert_bank_matches_each_network_alone(frames, networks)
-    assert rig.networks[direction].run(frames, bank).any()
+    assert rig.networks[direction].run(bank.frames, bank).any()
     assert bank.layer1.shape[1] < sum(net.n_pairs for net in networks)
 
 
 def test_field_map_bank_matches_each_network_alone(rig):
     networks = field_networks(rig)
-    frames = harness._session(rig, FIELD_VELOCITY, 2829)
+    frames = session_frames(rig, FIELD_VELOCITY, 2829)
     bank = assert_bank_matches_each_network_alone(frames, networks)
     assert len(networks) == 93
-    assert sum(net.run(frames, bank).any() for net in networks) > 0
+    assert sum(net.run(bank.frames, bank).any() for net in networks) > 0
     assert bank.layer1.shape[1] < sum(net.n_pairs for net in networks) / 8
 
 
 def assert_routed_bank_equals_the_full_bank(rig, velocity, n, networks):
-    columns = harness._routed_columns(networks)
-    full = harness._session(rig, velocity, n)
-    routed = harness._session(rig, velocity, n, columns)
-    assert np.array_equal(routed, full[:, columns])
+    # The routed scan decodes the layout's columns of the full scan, and
+    # the harness's one-block stream over it gives each network the bits
+    # of a bank on those columns of the full frames.
+    layout = NodeLayout(networks)
+    full = session_frames(rig, velocity, n)
+    routed = session_frames(rig, velocity, n, layout.columns)
+    assert np.array_equal(routed, full[:, layout.columns])
     full_bank = session_bank(full, networks)
-    bank = session_bank(routed, networks, columns)
-    assert np.array_equal(bank.layer1, full_bank.layer1)
-    assert np.array_equal(bank.layer2, full_bank.layer2)
-    for net in networks:
-        assert np.array_equal(net.run(routed, bank),
-                              net.run(full, full_bank))
-    return columns
+    assert np.array_equal(full_bank.frames, routed)
+    keyed = dict(enumerate(networks))
+    outputs, _, _ = harness._first_pulse(rig.chip, layout, keyed, velocity,
+                                         n, n)
+    for k, net in keyed.items():
+        assert np.array_equal(outputs[k], net.run(full_bank.frames,
+                                                  full_bank))
+    return layout.columns
 
 
 @pytest.mark.parametrize("direction", ["E", "N"])
@@ -94,21 +101,17 @@ def test_field_map_bank_on_routed_columns_equals_the_full_bank(rig):
 
 
 def test_bank_refuses_a_position_its_frames_do_not_hold(rig):
-    net = rig.networks["E"]
-    columns = np.unique(net.input_pos)
-    frames = harness._session(rig, FIELD_VELOCITY, 50, columns)
-    layout = NodeLayout([net], columns)
+    layout = NodeLayout([rig.networks["E"]])
+    frames = session_frames(rig, FIELD_VELOCITY, 50, layout.columns)
     NodeBank(layout).extend(frames)
-    with pytest.raises(ValueError, match=rf"positions \[{columns[0]}\]"):
-        NodeLayout([net], columns[1:])
     with pytest.raises(ValueError, match="frames of"):
         NodeBank(layout).extend(frames[:, 1:])
 
 
 def test_one_network_matches_the_per_sample_reference(rig):
-    frames = harness._session(rig, cardinal_velocity("E", CONFIG.speed), 400)
+    frames = session_frames(rig, cardinal_velocity("E", CONFIG.speed), 400)
     net = rig.networks["E"]
-    out = net.run(frames, session_bank(frames, [net]))
+    out = run_alone(net, frames)
     assert out.any() and not out.all()
     assert np.array_equal(out, run_per_sample(net, frames))
 
@@ -166,28 +169,28 @@ def test_a_session_no_longer_than_the_node_tick_block_filters_each_layer_once(
 
     monkeypatch.setattr(vector_net, "filter_stage_batch", recorded)
     columns = rig.layout.columns
-    harness._observe(harness._session(rig, FIELD_VELOCITY, 267, columns),
+    harness._observe(session_frames(rig, FIELD_VELOCITY, 267, columns),
                      rig.networks, NodeBank(rig.layout))
     assert layers == [1, 2]
     layers.clear()
-    harness._observe(harness._session(rig, FIELD_VELOCITY, 2670, columns),
+    harness._observe(session_frames(rig, FIELD_VELOCITY, 2670, columns),
                      rig.networks, NodeBank(rig.layout))
     assert layers.count(1) > 1 and layers.count(2) > 1
 
 
 def test_bank_refuses_other_frames(rig):
-    frames = harness._session(rig, FIELD_VELOCITY, 50)
+    frames = session_frames(rig, FIELD_VELOCITY, 50)
     net = rig.networks["E"]
     bank = session_bank(frames, [net])
     with pytest.raises(ValueError, match="other frames"):
-        net.run(frames.copy(), bank)
+        net.run(bank.frames.copy(), bank)
 
 
 def test_bank_of_no_ticks_or_no_networks(rig):
-    frames = harness._session(rig, FIELD_VELOCITY, 0)
+    frames = session_frames(rig, FIELD_VELOCITY, 0)
     net = rig.networks["E"]
-    assert net.run(frames, session_bank(frames, [net])).shape == (0,)
-    bank = session_bank(harness._session(rig, FIELD_VELOCITY, 20), [])
+    assert run_alone(net, frames).shape == (0,)
+    bank = session_bank(session_frames(rig, FIELD_VELOCITY, 20), [])
     assert bank.layer1.shape == bank.layer2.shape == (20, 0)
 
 
@@ -198,8 +201,8 @@ STREAM_ENDS = [267, 534, 534, 1068, 1069, 2136, 2670]
 
 @pytest.mark.parametrize("direction", ["E", "N"])
 def test_streamed_cardinal_bank_equals_one_pass(rig, direction):
-    frames = harness._session(rig, cardinal_velocity(direction, CONFIG.speed),
-                              2670, rig.layout.columns)
+    frames = session_frames(rig, cardinal_velocity(direction, CONFIG.speed),
+                            2670, rig.layout.columns)
     whole = NodeBank(rig.layout).extend(frames)
     bank = NodeBank(rig.layout)
     layer1, layer2, outputs = [], [], {d: [] for d in rig.networks}
@@ -217,3 +220,38 @@ def test_streamed_cardinal_bank_equals_one_pass(rig, direction):
         assert np.array_equal(np.concatenate(outputs[d]),
                               net.run(frames, whole)), d
     assert np.concatenate(outputs[direction]).any()
+
+
+@pytest.fixture(scope="module")
+def cardinal_layouts(rig):
+    """The cardinal node layouts of the rigs of population seeds 0-3."""
+    rigs = [rig] + [harness.build_rig(RunConfig(seed=seed))
+                    for seed in (1, 2, 3)]
+    return [(r.layout, list(r.networks.values())) for r in rigs]
+
+
+def test_layout_keeps_the_nodes_and_columns_a_kept_node_reads(
+        cardinal_layouts):
+    l1_counts, column_counts, routed = [], [], []
+    for layout, networks in cardinal_layouts:
+        # Every first-layer node feeds a kept second-layer node.
+        assert np.array_equal(np.unique(layout.l2_inputs),
+                              np.arange(len(layout.l1_inputs)))
+        # The nodes read are the inputs of active groups, keyed by their
+        # frame positions, and the columns are their positions.
+        read, every = set(), set()
+        for net in networks:
+            inputs = net.input_pos.reshape(-1, 2)
+            every |= set(map(tuple, inputs.tolist()))
+            for g in net.active:
+                read |= {tuple(inputs[g]), tuple(inputs[net.n_pairs // 2 + g])}
+        nodes = layout.columns[layout.l1_inputs]
+        assert sorted(map(tuple, nodes.tolist())) == sorted(read)
+        assert np.array_equal(layout.columns, np.unique(sorted(read)))
+        l1_counts.append(len(layout.l1_inputs))
+        column_counts.append(len(layout.columns))
+        routed.append((len(every), len(np.unique(sorted(every)))))
+    assert l1_counts == [114, 107, 108, 110]
+    assert column_counts == [154, 147, 148, 150]
+    # Of the distinct first-layer nodes and the positions the networks route.
+    assert routed == [(117, 157), (114, 154), (113, 153), (116, 156)]

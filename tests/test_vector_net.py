@@ -42,14 +42,15 @@ from reference_models import (
     compile_lookup_scalar,
     deserialize_mux,
     effective_params,
+    filter_once,
     fir_lfilter,
     pair_beat_frequency,
     phase_shift,
     rc_step,
+    run_alone,
     run_per_sample,
     schmitt_forward_fill,
     schmitt_two_index,
-    session_bank,
     square_wave,
 )
 
@@ -462,7 +463,7 @@ def assert_fir_matches_lfilter(bits, layer):
     assert got.dtype == want.dtype and got.shape == want.shape
     if len(bits) >= 10:
         assert got.tobytes() == want.tobytes()
-    assert np.array_equal(filter_stage_batch(bits, layer),
+    assert np.array_equal(filter_once(bits, layer),
                           stage_lfilter(bits, layer))
 
 
@@ -520,7 +521,7 @@ def filter_in_blocks(bits, layer, cuts):
 def test_streamed_filter_equals_one_pass(layer, case):
     bits, cuts = case
     streamed, state = filter_in_blocks(bits, layer, cuts)
-    whole = filter_stage_batch(bits, layer)
+    whole = filter_once(bits, layer)
     assert streamed.dtype == whole.dtype == np.uint8
     assert streamed.shape == whole.shape == bits.shape
     assert streamed.tobytes() == whole.tobytes()
@@ -619,7 +620,7 @@ class TestNodeStep:
                 break
         assert oracle_n is not None
 
-        out = filter_stage_batch(np.ones((600, 1)), 2)[:, 0]
+        out = filter_once(np.ones((600, 1)), 2)[:, 0]
         got_n = int(np.argmax(out)) + 1 if out.any() else None
         assert got_n == oracle_n
         # RC rise only begins once the 9-tap pipeline fills, so the
@@ -631,7 +632,7 @@ class TestNodeStep:
         # accumulator has drained below it.
         monkeypatch.setitem(vector_net.STAGES, 1, STAGES[1][:3] + (1e-4,))
         x = np.concatenate((np.ones(200), np.zeros(400))).reshape(-1, 1)
-        out = filter_stage_batch(x, 1)[:, 0]
+        out = filter_once(x, 1)[:, 0]
         assert out[199] == 1
         assert out[-1] == 0
 
@@ -641,14 +642,15 @@ class TestNodeStep:
         wa = square_wave(2000.0, fs, n)
         wb = square_wave(2050.0, fs, n)
         x = (wa & wb).astype(float).reshape(-1, 1)
-        outs = filter_stage_batch(x, 1)[:, 0]
+        outs = filter_once(x, 1)[:, 0]
         rises = int(np.count_nonzero((outs[1:] == 1) & (outs[:-1] == 0)))
         assert abs(rises / 2.0 - 50.0) <= 1.0
 
     def test_bad_layer(self):
         for layer in (0, 3):
             with pytest.raises(ValueError):
-                filter_stage_batch(np.ones((4, 1)), layer)
+                filter_stage_batch(np.ones((4, 1)), layer,
+                                   StageState.cleared((1,)))
 
 
 def small_network(seed=0, n_pairs=4):
@@ -659,11 +661,6 @@ def small_network(seed=0, n_pairs=4):
                          min_active_groups=1)
     layout = {(u, t): 8 * u + t for u in range(2 * n_pairs) for t in range(8)}
     return VectorNetwork(mux, layout), 2 * n_pairs
-
-
-def run_alone(net, frames):
-    """``net``'s output from a node bank of its own on ``frames``."""
-    return net.run(frames, session_bank(frames, [net]))
 
 
 class TestVectorNetwork:
