@@ -40,9 +40,10 @@ PAIR_CODES = (((12, 8), (4, 8)), ((8, 12), (8, 4)))
 CAL_SWEEP = tuple(range(-4, 5))
 MIN_ESTIMATE_WINDOW_S = 0.1
 
-# A scan fills its frames in row blocks of at most this many tap samples,
-# which bounds its float and int32 block buffers (0.5 MB and 0.25 MB)
-# whatever the scan length.
+# A scan fills its tap-major traces in blocks of at most this many tap
+# samples: whole traces, several to a block, or one trace's cycles in
+# runs of this length.  That bounds its float and int32 block buffers
+# (0.5 MB and 0.25 MB) whatever the scan length.
 SCAN_BLOCK = 1 << 16
 
 
@@ -188,20 +189,24 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     and not checked.  ``columns`` out of order or outside the frame
     raises ValueError.
 
-    Frames are filled in row blocks of at most ``SCAN_BLOCK`` samples,
-    through one float and one integer block buffer allocated per scan
-    and filled in place.  Each decoded tap's 2x = c * 2f*dt + 2phase0 +
-    2k/8 is rounded in that order.  Doubling is exact in binary floating
-    point, so every rounded term and sum is exactly twice that of x =
-    c * f*dt + phase0 + k/8.  The phase term is skipped when every
-    decoded phase is 0, as in a session from reset, and the tap term
-    when every decoded tap is tap 0, as in a calibration scan, since
-    y + 0.0 == y for y >= 0; so a column's bits depend on its own terms
-    alone, whichever other columns are decoded.  The bit is ~int(2x) &
-    1, the parity form of frac(x) < 1/2 (see ``ChipState``), written
-    straight into the frames.  f*dt < 1/2 keeps 2x below n_cycles + 4,
-    so the cast is to int32 for any scan shorter than 2**31 - 4 cycles
-    and to int64 beyond.
+    The scan fills a tap-major [len(columns), n_cycles] buffer, one
+    contiguous trace per decoded tap, and returns its transpose, so
+    ``frames.T[i]`` is column i's trace with no stride.  It works in
+    column blocks of at most ``SCAN_BLOCK`` samples, max(1, SCAN_BLOCK
+    // n_cycles) traces each; a scan longer than ``SCAN_BLOCK`` cycles
+    fills each trace in runs of ``SCAN_BLOCK`` cycles.  One float and
+    one integer block buffer are allocated per scan and filled in place.
+    Each decoded tap's 2x = 2f*dt * c + 2phase0 + 2k/8 is rounded in
+    that order.  Doubling is exact in binary floating point, so every
+    rounded term and sum is exactly twice that of x = f*dt * c + phase0
+    + k/8.  The phase term is skipped when every decoded phase is 0, as
+    in a session from reset, and the tap term when every decoded tap is
+    tap 0, as in a calibration scan, since y + 0.0 == y for y >= 0; so a
+    column's bits depend on its own terms alone, whichever other columns
+    are decoded.  The bit is (int(2x) & 1) ^ 1, the parity form of
+    frac(x) < 1/2 (see ``ChipState``), written straight into the traces.
+    f*dt < 1/2 keeps 2x below n_cycles + 4, so the cast is to int32 for
+    any scan shorter than 2**31 - 4 cycles and to int64 beyond.
     """
     if not chip.programmed:
         raise NotProgrammedError("scan requires a programmed chip")
@@ -234,25 +239,32 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     phased = bool(phase0.any())
     tapped = bool(taps.any())
     tap_off = 2.0 * (taps / TAPS_PER_UNIT)
-    frames = np.empty((n_cycles, columns.size), dtype=np.uint8)
-    rows = max(1, SCAN_BLOCK // max(1, columns.size))
-    x2_block = np.empty((min(rows, n_cycles), columns.size))
+    traces = np.empty((columns.size, n_cycles), dtype=np.uint8)
+    per_block = max(1, SCAN_BLOCK // n_cycles)
+    span = min(n_cycles, SCAN_BLOCK)
+    x2_block = np.empty((min(per_block, columns.size), span))
     int_block = np.empty(x2_block.shape,
                          np.int32 if n_cycles < 2**31 - 4 else np.int64)
-    for lo in range(0, n_cycles, rows):
-        hi = min(lo + rows, n_cycles)
-        x2, parity = x2_block[:hi - lo], int_block[:hi - lo]
-        np.multiply.outer(np.arange(lo, hi, dtype=float), fdt2, out=x2)
-        if phased:
-            x2 += phase0
-        if tapped:
-            x2 += tap_off
-        np.copyto(parity, x2, casting="unsafe")
-        np.invert(parity, out=parity)
-        np.bitwise_and(parity, 1, out=frames[lo:hi], casting="unsafe")
+    for lo in range(0, n_cycles, span):
+        hi = min(lo + span, n_cycles)
+        cycles = np.arange(lo, hi, dtype=float)
+        for first in range(0, columns.size, per_block):
+            last = min(first + per_block, columns.size)
+            cols = slice(first, last)
+            x2 = x2_block[:last - first, :hi - lo]
+            parity = int_block[:last - first, :hi - lo]
+            np.multiply.outer(fdt2[cols], cycles, out=x2)
+            if phased:
+                x2 += phase0[cols, None]
+            if tapped:
+                x2 += tap_off[cols, None]
+            np.copyto(parity, x2, casting="unsafe")
+            bits = traces[cols, lo:hi]
+            np.bitwise_and(parity, 1, out=bits, casting="unsafe")
+            bits ^= 1
     if not chip.held:
         chip.phases = (chip.phases + freqs * dt * n_cycles) % 1.0
-    return frames
+    return traces.T
 
 
 def estimate_frequency(trace: np.ndarray, fs: float) -> float:
@@ -320,7 +332,9 @@ def calibrate(chip: ChipState, clock_hz: float = CALIBRATION_CLOCK_HZ,
     Programs every unit's preferred velocity to each axis extreme in
     turn, sweeps the matching velocity component over the linear range,
     measures each unit's tap-0 frequency per velocity, and fits the
-    linear frequency law per unit over all sweeps.
+    linear frequency law per unit over all sweeps.  Each unit's trace is
+    a contiguous row of the scan's ``frames.T``, so the edge count reads
+    it without a stride.
     """
     samples: dict[int, list[tuple[float, float]]] = {
         u: [] for u in range(chip.n_units)

@@ -220,6 +220,22 @@ class TestScan:
         assert frames.shape == (20_000, 128)
         assert peak < frames.nbytes + 4_000_000
 
+    def test_a_long_scan_holds_no_trace_length_buffer(self):
+        # Past SCAN_BLOCK cycles a trace is filled in runs of SCAN_BLOCK
+        # cycles, so no float or integer buffer spans the whole trace.
+        chip = make_chip(1)
+        program(chip, [(0, (12, 8), tap0_bypass())])
+        chip.release()
+        tracemalloc.start()
+        try:
+            frames = scan_frames(chip, VelocityVector(1, 0), 2**20,
+                                 clock_hz=46_875.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frames.shape == (2**20, 1)
+        assert peak < frames.nbytes + 4 * SCAN_BLOCK * 8
+
 
 # (f_idle, beta, x offset, y offset, x code, y code, bypass bits) of one
 # unit.  Gains, offsets and speeds keep every frequency below 7.2 kHz and
@@ -228,7 +244,9 @@ scan_unit = st.tuples(st.floats(1.0, 4000.0), st.floats(0.0, 50.0),
                       st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
                       st.integers(1, 15), st.integers(1, 15),
                       st.tuples(*[st.integers(0, 1)] * 8))
-# Rows past (or short of) one full row block of the scan.
+# Scan lengths at the edge of one column block holding every decoded
+# trace: past it (block+1), the traces split over column blocks and the
+# last block holds fewer; a one-trace scan then splits along the cycles.
 BLOCK_EDGE = {"block-1": -1, "block": 0, "block+1": 1}
 scan_length = st.one_of(st.sampled_from([0, 1, *BLOCK_EDGE]),
                         st.integers(2, 1500))
@@ -242,6 +260,11 @@ TAP0 = [(2000.0, 20.0, 0.0, 0.0, 12, 8, (1, 0, 0, 0, 0, 0, 0, 0)),
 # Unit 0 clamps to 0 Hz at vx = -4.
 STOPPED = [(100.0, 50.0, 0.0, 0.0, 15, 8, ALL8),
            (2000.0, 10.0, 0.0, 0.0, 8, 12, (0, 1, 0, 0, 1, 0, 0, 1))]
+# One and three decoded traces for scans longer than SCAN_BLOCK cycles,
+# which fill each trace in two runs of cycles, the last one cycle long.
+ONE_TAP = [(2000.0, 20.0, 0.1, 0.0, 12, 8, (0, 0, 0, 1, 0, 0, 0, 0))]
+THREE_TAPS = [(1500.0, 30.0, 0.0, 0.2, 8, 12, (1, 0, 0, 0, 0, 0, 1, 0)),
+              (3100.0, 35.0, 0.2, -0.1, 8, 4, (1, 0, 0, 0, 0, 0, 0, 0))]
 
 
 def scan_chip(units, response: str, held: bool) -> ChipState:
@@ -274,6 +297,11 @@ def scan_chip(units, response: str, held: bool) -> ChipState:
          fs=46_875.0, held=False, n1=1500, n2=1500)
 @example(units=TAP0, response=SIGMOID, v1=(4.0, 0.0), v2=(0.0, -4.0),
          fs=46_875.0, held=False, n1="block+1", n2="block+1")
+@example(units=ONE_TAP, response=LINEAR, v1=(1.0, 0.0), v2=(-2.5, 3.0),
+         fs=46_875.0, held=False, n1=SCAN_BLOCK + 1, n2=SCAN_BLOCK + 1)
+@example(units=THREE_TAPS, response=SIGMOID, v1=(2.0, -1.0),
+         v2=(-3.0, 4.0), fs=46_875.0, held=False, n1=SCAN_BLOCK + 1,
+         n2=SCAN_BLOCK + 1)
 def test_scan_equals_the_modulo_oracle_bit_for_bit(units, response, v1, v2,
                                                    fs, held, n1, n2):
     chip = scan_chip(units, response, held)
@@ -283,8 +311,8 @@ def test_scan_equals_the_modulo_oracle_bit_for_bit(units, response, v1, v2,
     # The first scan starts from zero phases, where the scan skips its
     # phase term; without a hold, the second starts where the first left
     # the phases, which the HALF, STOPPED and TAP0 examples leave
-    # nonzero.  A block+1 scan ends on a one-row block in the reused
-    # buffers.
+    # nonzero, as do ONE_TAP and THREE_TAPS.  A block+1 scan ends on a
+    # short column block in the reused buffers.
     for (vx, vy), length in ((v1, n1), (v2, n2)):
         v = VelocityVector(vx, vy)
         n_cycles = (SCAN_BLOCK // n_enabled + BLOCK_EDGE[length]
@@ -335,8 +363,9 @@ def test_scan_of_some_columns_equals_the_full_scan_sliced(
     n_enabled = chip.enabled_phases
     columns = kept(keep, n_enabled)
     clock = fs * n_enabled
-    # Row blocks are sized by the decoded columns; fs, the aliasing check
-    # and the phase advance by every enabled tap.
+    # Column blocks hold decoded traces only, so their edges move with
+    # the decoded columns; fs, the aliasing check and the phase advance
+    # go by every enabled tap.
     for (vx, vy), length in ((v1, n1), (v2, n2)):
         v = VelocityVector(vx, vy)
         n_cycles = (SCAN_BLOCK // max(1, len(columns)) + BLOCK_EDGE[length]
@@ -430,7 +459,9 @@ def test_estimate_frequency_equals_the_edge_count_oracle(traced):
     sweep_v=st.sampled_from(CAL_SWEEP))
 def test_calibration_scan_columns_equal_the_oracle(seed, code, sweep_v):
     # Eight units on 8/128 of the clock, tap 0 each, as calibrate scans
-    # them; every column of the frames is a strided view.
+    # them.  Each unit's trace is a contiguous row of frames.T, which
+    # calibrate reads for speed; the same trace as a strided column of a
+    # row-major copy reads the same.
     chip = ChipState(sample_population(PopulationSpec(n_units=8), seed))
     program(chip, [(u, code, tap0_bypass()) for u in range(8)])
     chip.release()
@@ -441,8 +472,14 @@ def test_calibration_scan_columns_equal_the_oracle(seed, code, sweep_v):
     frames = scan_frames(chip, v, int(np.ceil(CALIBRATION_WINDOW_S * fs)),
                          clock)
     for trace in frames.T:
-        assert not trace.flags.contiguous
+        assert trace.flags.c_contiguous
         assert estimate_frequency(trace, fs) == edge_count_frequency(trace, fs)
+    rows = np.ascontiguousarray(frames)
+    for u in range(8):
+        column = rows[:, u]
+        assert not column.flags.contiguous
+        assert estimate_frequency(column, fs) == \
+            edge_count_frequency(column, fs)
 
 
 class TestFitUnit:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thetanav import harness, place_grid, vector_net
-from thetanav.chip_io import PAIR_CODES
+from thetanav.chip_io import PAIR_CODES, ChipState, calibrate
 from thetanav.config import (
     PathScript,
     RunConfig,
@@ -24,7 +24,8 @@ from thetanav.config import (
     save_config,
 )
 from thetanav.place_grid import DIRECTION_DELTA
-from thetanav.theta_core import VelocityVector, decode_velocity_code
+from thetanav.theta_core import (VelocityVector, decode_velocity_code,
+                                 sample_population)
 from thetanav.vector_net import (
     TAP_STEP,
     CompileError,
@@ -88,6 +89,24 @@ def test_calibration_seed0_bit_for_bit(rig):
     text = repr([tuple(fit) for fit in rig.fits])
     assert len(rig.fits) == 128
     assert hashlib.sha256(text.encode()).hexdigest() == FITS_SHA256
+
+
+# SHA-256 of the repr of the 128 UnitFits as plain tuples followed by the
+# chip's phases as float64 bytes after calibration, for population seeds
+# 1 and 117 (a rig of held-out workload seed 1000 in perfbench).
+CALIBRATION_SHA256 = {
+    1: "421632e4c8f26c4583e39b7689c0fc9b28e36b0ad2108b30447a9d92336216c8",
+    117: "8b3a0d80b163b4ab7c26848db9a5f9a1c1cbe217bb426561baac997b593c119d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CALIBRATION_SHA256))
+def test_calibration_bit_for_bit_beyond_seed0(seed):
+    chip = ChipState(sample_population(CONFIG.population, seed))
+    fits = calibrate(chip)
+    text = repr([tuple(fit) for fit in fits])
+    digest = hashlib.sha256(text.encode() + chip.phases.tobytes())
+    assert digest.hexdigest() == CALIBRATION_SHA256[seed]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
