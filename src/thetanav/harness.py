@@ -344,7 +344,11 @@ class FieldMapResult:
         return list(self.first_fire)
 
     def occupancy(self, tick: int) -> np.ndarray:
-        """Grid snapshot of which designated cells read high at a tick."""
+        """Grid snapshot of which designated cells read high at a tick;
+        none do past the session's end.  A tick below 0 raises
+        ValueError."""
+        if tick < 0:
+            raise ValueError(f"tick {tick} is before the session's start")
         return place_grid.grid_matrix(
             ((cell, 1) for cell, bits in self.outputs.items()
              if tick < bits.size and bits[tick]), self.grid_size)

@@ -25,7 +25,10 @@ scan for the networks decodes, as the paper's lookup-table mux reads
 only the taps it routes.  The bank filters each node once over frames
 that hold just those columns, carries the filter state from one block
 of the session's frames to the next, and a network's output is the AND
-of its own second-layer nodes in the bank.
+of its own second-layer nodes in the bank.  The bank stores each
+layer's bits node-major, as the scan stores its frames tap-major:
+``bank.layer2.T[k]`` is node k's contiguous trace, so a node reads its
+two inputs and a network its nodes as whole rows.
 """
 
 from __future__ import annotations
@@ -103,6 +106,19 @@ class TargetLocation:
 # The decoded chip_io.PAIR_CODES as [axis, member, component].
 _PAIR_PREF = np.vectorize(decode_velocity_code)(PAIR_CODES)
 
+# The phase, in cycles, that each of a unit's taps adds.
+_TAP_PHASES = np.arange(TAPS_PER_UNIT) * TAP_STEP
+_TAP_PHASES.flags.writeable = False
+
+
+@functools.cache
+def _member_pref(groups: int) -> np.ndarray:
+    """The preferred velocity of each pair member of a pairing of
+    ``groups`` groups, as read-only [component, member, pair] floats."""
+    pref = np.repeat(_PAIR_PREF, groups, axis=0).T.astype(float)
+    pref.flags.writeable = False
+    return pref
+
 
 @dataclass(frozen=True, eq=False)
 class Pairing:
@@ -173,12 +189,6 @@ def pair_layer1(admitted: Sequence[UnitFit],
     return Pairing(unit=unit, f_idle=f_idle, beta=beta)
 
 
-def circular_distance(a, b):
-    """Elementwise distance in [0, 1/2] between phases a and b (cycles)."""
-    d = np.abs(np.subtract(a, b)) % 1.0
-    return np.minimum(d, 1.0 - d)
-
-
 def compile_lookup(pairing: Pairing, target: TargetLocation, speed: float,
                    tolerance: float = DEFAULT_TAP_TOLERANCE,
                    drift_tolerance: float = DEFAULT_DRIFT_TOLERANCE,
@@ -204,18 +214,21 @@ def compile_lookup(pairing: Pairing, target: TargetLocation, speed: float,
     groups = pairing.n_groups
     arrival_t = target.r / speed
     v = (speed * math.cos(target.theta), speed * math.sin(target.theta))
-    pref = np.repeat(_PAIR_PREF, groups, axis=0)   # [pair, member, component]
-    inner = v[0] * pref[..., 0].T + v[1] * pref[..., 1].T
+    pref_x, pref_y = _member_pref(groups)
+    inner = v[0] * pref_x + v[1] * pref_y
     phase = ((pairing.f_idle + pairing.beta * inner) * arrival_t) % 1.0
     delta = ((phase[0] - phase[1]) % 1.0).reshape(2, -1)   # [axis, group]
     on = 0 if abs(v[0]) >= abs(v[1]) else 1         # the bearing's axis
 
+    # Circular distances: both operands lie in [0, 1], so |a - b| <= 1
+    # needs no wrap (a gap of 1.0 folds to 0 either way).
     required = (-delta[on]) % 1.0
-    distance = circular_distance(np.arange(TAPS_PER_UNIT) * TAP_STEP,
-                                 required[:, None])
+    gap = np.abs(_TAP_PHASES - required[:, None])
+    distance = np.minimum(gap, 1.0 - gap)
     best = distance.argmin(axis=1)
     residuals = distance.min(axis=1)
-    idle_err = circular_distance(delta[1 - on], 0.0)
+    idle = delta[1 - on]
+    idle_err = np.minimum(idle, 1.0 - idle)
     dropped = np.flatnonzero((residuals > tolerance)
                              | (idle_err > drift_tolerance)).tolist()
 
@@ -372,20 +385,20 @@ class VectorNetwork:
             raise CompileError(
                 f"mux routes phase {exc.args[0]} that the scan does not output")
         self.n_pairs = mux.n_pairs
-        self.active = np.array([g for g in range(self.n_pairs // 2)
-                                if g not in mux.dropped], dtype=int)
+        self.active = np.delete(np.arange(self.n_pairs // 2), mux.dropped)
 
     def run(self, frames: np.ndarray, bank: NodeBank) -> np.ndarray:
         """Output bits over ``frames``, a block of a session from reset:
         the AND of this network's active second-layer nodes in ``bank``,
         a bank on a layout with this network that last filtered
-        ``frames``."""
+        ``frames``; the AND of their node-major rows, as uint8 0/1.
+        With no active group the output is all 0."""
         if bank.frames is not frames:
             raise ValueError("the node bank last filtered other frames")
         columns = bank.layout.l2_of[self]
         if columns.size == 0:
             return np.zeros(frames.shape[0], dtype=np.uint8)
-        return bank.layer2[:, columns].all(axis=1).astype(np.uint8)
+        return np.bitwise_and.reduce(bank.layer2.T[columns], axis=0)
 
 
 class NodeLayout:
@@ -433,6 +446,10 @@ class NodeBank:
     treat every column on its own, so the bits equal those of each
     network filtered alone in one pass on full frames, however the
     session is split into blocks.
+
+    ``layer1`` and ``layer2`` are [T, node] arrays stored node-major,
+    each the transpose of a [node, T] buffer, so ``layer2.T[k]`` is node
+    k's trace over the block with no stride.
     """
 
     def __init__(self, layout: NodeLayout):
@@ -445,7 +462,8 @@ class NodeBank:
 
     def extend(self, frames: np.ndarray) -> NodeBank:
         """Filter ``frames``, the session's next [T, column] block, into
-        ``layer1`` and ``layer2``, the [T, node] bits of each layer."""
+        ``layer1`` and ``layer2``, the [T, node] bits of each layer,
+        stored node-major."""
         columns = self.layout.columns
         if columns.shape != frames.shape[1:]:
             raise ValueError(f"column positions of shape {columns.shape} "
@@ -477,20 +495,29 @@ def _filter_nodes(source: np.ndarray, inputs: np.ndarray,
     """[T, len(inputs)] bits of one layer's nodes over the next T ticks,
     node k filtering the AND of ``source`` columns ``inputs[k]`` from
     its entry in ``state``, which is advanced in place, in blocks of at
-    most ``NODE_TICK_BLOCK`` node-ticks."""
-    bits = np.zeros((source.shape[0], len(inputs)), dtype=np.uint8)
-    if source.shape[0] == 0:
-        return bits
-    block = max(1, NODE_TICK_BLOCK // source.shape[0])
+    most ``NODE_TICK_BLOCK`` node-ticks.
+
+    The bits are stored node-major: the result is the transpose of a
+    [len(inputs), T] buffer, so ``bits.T[k]`` is node k's trace with no
+    stride.  Node k's input is ``rows[a] & rows[b]`` of ``rows =
+    source.T``, contiguous rows when ``source`` is itself node-major, as
+    tap-major scan frames and a first layer's bits are."""
+    ticks = source.shape[0]
+    bits = np.empty((len(inputs), ticks), dtype=np.uint8)
+    if ticks == 0:
+        return bits.T
+    rows = source.T
+    block = max(1, NODE_TICK_BLOCK // ticks)
     for lo in range(0, len(inputs), block):
         nodes = slice(lo, lo + block)
         a, b = inputs[nodes].T
-        bits[:, nodes], after = filter_stage_batch(
-            source[:, a] & source[:, b], layer,
+        out, after = filter_stage_batch(
+            (rows[a] & rows[b]).T, layer,
             StageState(*(part[..., nodes] for part in state)))
+        bits[nodes] = out.T
         for whole, part in zip(state, after):
             whole[..., nodes] = part
-    return bits
+    return bits.T
 
 
 def sharable_nodes(m: int, n: int) -> int:

@@ -10,7 +10,8 @@ the scan's tap bits by float modulo, a trace's rising edges as matched
 0 -> 1 sample pairs, one oscillator or one node stepped
 a sample at a time, the 9-tap FIR as ``lfilter`` runs it in
 ``fir_lfilter``, the tap compiler one group and one tap at a time,
-the paper's closed-form tap shift, the place grid as an activity matrix
+the paper's closed-form tap shift, the circular distance between two
+phases with its wrap, the place grid as an activity matrix
 that every pulse leaks, the Schmitt trigger as a forward fill of its
 +/-1 threshold marks in ``schmitt_forward_fill`` and as the last rise
 against the last fall in ``schmitt_two_index``, a whole session's scan
@@ -114,6 +115,12 @@ def deserialize_mux(text: str) -> MuxTable:
         target=TargetLocation(header["target_r"], header["target_theta"]),
         speed=header["speed"], tolerance=header["tolerance"],
         drift_tolerance=header["drift_tolerance"])
+
+
+def circular_distance(a, b):
+    """Elementwise distance in [0, 1/2] between phases a and b (cycles)."""
+    d = np.abs(np.subtract(a, b)) % 1.0
+    return np.minimum(d, 1.0 - d)
 
 
 def advance(phase: float, f: float, dt: float) -> float:
@@ -301,10 +308,6 @@ def compile_lookup_scalar(pairs, fits, target, speed, tolerance,
     v = (speed * math.cos(target.theta), speed * math.sin(target.theta))
     x_active = abs(v[0]) >= abs(v[1])
 
-    def circular(a, b):
-        d = abs(a - b) % 1.0
-        return min(d, 1.0 - d)
-
     phases = {}
     for j, (unit_a, unit_b) in enumerate(pairs):
         pref_a = (4, 0) if j < n_x else (0, 4)
@@ -320,14 +323,15 @@ def compile_lookup_scalar(pairs, fits, target, speed, tolerance,
         xp, yp = pairs[g], pairs[n_x + g]
         active, idle = (xp, yp) if x_active else (yp, xp)
         required = (-((phases[active[0]] - phases[active[1]]) % 1.0)) % 1.0
-        best_k, best_d = 0, circular(0.0, required)
+        best_k, best_d = 0, circular_distance(0.0, required)
         for k in range(1, TAPS_PER_UNIT):
-            d = circular(k * TAP_STEP, required)
+            d = circular_distance(k * TAP_STEP, required)
             if d < best_d:
                 best_k, best_d = k, d
         taps[active[0]] = best_k
         residuals.append(best_d)
-        idle_err = circular((phases[idle[0]] - phases[idle[1]]) % 1.0, 0.0)
+        idle_err = circular_distance(
+            (phases[idle[0]] - phases[idle[1]]) % 1.0, 0.0)
         if best_d > tolerance or idle_err > drift_tolerance:
             dropped.append(g)
 

@@ -504,6 +504,8 @@ def test_occupancy_puts_cell_x_y_at_row_half_minus_y_column_x_plus_half():
     assert np.array_equal(result.occupancy(2), expected)
     assert not result.occupancy(1).any()
     assert not result.occupancy(4).any()   # past the end of the session
+    with pytest.raises(ValueError, match="tick -1"):
+        result.occupancy(-1)   # would read the last tick, bits[-1]
 
 
 def test_field_map_records_compile_failures(rig, tmp_path):
@@ -647,6 +649,44 @@ def test_field_map_lookup_tables_seed0_bit_for_bit(rig):
     assert sum(t.startswith("CompileError") for t in texts) == 28
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == FIELD_MUX_SHA256
+
+
+# SHA-256 of the compile residuals of the 121 default field-map cells,
+# row by row from (-5, -5): each cell's repr(mux.residuals), or
+# "CompileError: <message>", and a newline, per (population seed, speed).
+# serialize_mux leaves the residuals out, so FIELD_MUX_SHA256 misses them.
+RESIDUALS_SHA256 = {
+    (0, 0.25):
+        "adeed302a27835ec198388fafda3efa07528c84bae80588168d27412c26e3c07",
+    (0, 1.0):
+        "3d18383cdde1b7d954a56cf7f2db09f5a4a23f85039d5eae4ac69d88b16df7e7",
+    (117, 0.25):
+        "0ab0b4c09193d0f5ef69710dedfed95bc53dbf3e7f9655990ba62f1b43035e83",
+    (117, 1.0):
+        "39d58920dbe768795d95782e59b68d83c1a3fda443973890ce41dcf6540b2060",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 117])
+def test_field_map_compile_residuals_bit_for_bit(rig, seed):
+    if seed != rig.config.seed:
+        rig = harness.build_rig(replace(CONFIG, seed=seed))
+    half = CONFIG.grid_size // 2
+    digests = {}
+    for speed in (0.25, 1.0):
+        texts = []
+        for y in range(-half, half + 1):
+            for x in range(-half, half + 1):
+                target = TargetLocation.of_cell((x, y), CONFIG.pitch)
+                try:
+                    mux = compile_lookup(rig.pairing, target, speed)
+                    texts.append(repr(mux.residuals) + "\n")
+                except CompileError as exc:
+                    texts.append(f"CompileError: {exc}\n")
+        digests[seed, speed] = hashlib.sha256(
+            "".join(texts).encode()).hexdigest()
+    assert digests == {key: digest for key, digest in RESIDUALS_SHA256.items()
+                       if key[0] == seed}
 
 
 # SHA-256 of the seed-0 full field map at velocity (0.25, 0): the output

@@ -13,7 +13,9 @@ import pytest
 from thetanav import harness, vector_net
 from thetanav.config import RunConfig, cardinal_velocity
 from thetanav.theta_core import VelocityVector
-from thetanav.vector_net import CompileError, NodeBank, NodeLayout
+from thetanav.vector_net import (CompileError, NodeBank, NodeLayout,
+                                 TargetLocation, VectorNetwork,
+                                 compile_lookup)
 
 from reference_models import (run_alone, run_per_sample, session_bank,
                               session_frames)
@@ -35,8 +37,20 @@ def field_networks(rig):
     return networks
 
 
+def assert_node_major(bank, ticks):
+    """Both layers keep their [T, node] shape over node-major storage:
+    ``layer.T[k]`` is node k's trace, contiguous."""
+    layout = bank.layout
+    for layer, inputs in ((bank.layer1, layout.l1_inputs),
+                          (bank.layer2, layout.l2_inputs)):
+        assert layer.shape == (ticks, len(inputs))
+        assert layer.dtype == np.uint8
+        assert layer.T.flags.c_contiguous
+
+
 def assert_bank_matches_each_network_alone(frames, networks):
     bank = session_bank(frames, networks)
+    assert_node_major(bank, len(frames))
     for net in networks:
         shared = net.run(bank.frames, bank)
         alone = run_alone(net, frames)
@@ -190,8 +204,30 @@ def test_bank_of_no_ticks_or_no_networks(rig):
     frames = session_frames(rig, FIELD_VELOCITY, 0)
     net = rig.networks["E"]
     assert run_alone(net, frames).shape == (0,)
+    assert_node_major(session_bank(frames, [net]), 0)
     bank = session_bank(session_frames(rig, FIELD_VELOCITY, 20), [])
     assert bank.layer1.shape == bank.layer2.shape == (20, 0)
+    assert_node_major(bank, 20)
+
+
+def test_a_network_with_no_active_group_reads_low(rig):
+    # A negative tap tolerance drops every group, since each residual is
+    # >= 0; the network then keeps no node in a bank it shares.
+    mux = compile_lookup(rig.pairing, TargetLocation.of_cell((1, 0),
+                                                            CONFIG.pitch),
+                         CONFIG.speed, tolerance=-1.0, min_active_groups=0)
+    assert mux.dropped == list(range(rig.pairing.n_groups))
+    empty = VectorNetwork(mux, rig.frame_layout)
+    assert empty.active.size == 0
+    frames = session_frames(rig, cardinal_velocity("E", CONFIG.speed), 400)
+    networks = list(rig.networks.values()) + [empty]
+    bank = assert_bank_matches_each_network_alone(frames, networks)
+    assert bank.layout.l2_of[empty].size == 0
+    out = empty.run(bank.frames, bank)
+    assert out.dtype == np.uint8
+    assert out.tobytes() == np.zeros(400, np.uint8).tobytes()
+    assert np.array_equal(out, run_per_sample(empty, frames))
+    assert rig.networks["E"].run(bank.frames, bank).any()
 
 
 # Blocks that end at the predicted arrival, twice that and so on, as a
@@ -209,13 +245,14 @@ def test_streamed_cardinal_bank_equals_one_pass(rig, direction):
     for lo, hi in zip([0] + STREAM_ENDS, STREAM_ENDS):
         block = frames[lo:hi]
         bank.extend(block)
+        assert_node_major(bank, hi - lo)
         layer1.append(bank.layer1)
         layer2.append(bank.layer2)
         for d, net in rig.networks.items():
             outputs[d].append(net.run(block, bank))
     assert np.concatenate(layer1).tobytes() == whole.layer1.tobytes()
     assert np.concatenate(layer2).tobytes() == whole.layer2.tobytes()
-    assert whole.layer1.shape == (2670, len(rig.layout.l1_inputs))
+    assert_node_major(whole, 2670)
     for d, net in rig.networks.items():
         assert np.array_equal(np.concatenate(outputs[d]),
                               net.run(frames, whole)), d

@@ -24,7 +24,6 @@ from thetanav.vector_net import (
     StageState,
     TargetLocation,
     VectorNetwork,
-    circular_distance,
     compile_lookup,
     filter_stage_batch,
     pair_layer1,
@@ -39,6 +38,7 @@ from reference_models import (
     Node,
     PairingError,
     advance,
+    circular_distance,
     compile_lookup_scalar,
     deserialize_mux,
     effective_params,
