@@ -78,11 +78,9 @@ def cmd_track(args) -> int:
 def cmd_field_map(args) -> int:
     config = _load_or_default(args)
     vx, vy = (float(x) for x in args.velocity.split(","))
-    if args.stride < 1:   # before the rig is built and the session run
-        raise ValueError(f"stride must be >= 1, got {args.stride}")
     result = field_map(config, VelocityVector(vx, vy),
                        session_ticks=args.session_ticks)
-    files = write_field_map_csv(result, args.out, stride=args.stride)
+    files = write_field_map_csv(result, args.out)
     fired = sum(1 for v in result.first_fire.values() if v is not None)
     print(f"{fired}/{len(result.cells)} designated cells fired, "
           f"{len(result.failed)} failed to compile; wrote "
@@ -144,12 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("field-map", help="map all designated cells' firing")
+    p = sub.add_parser("field-map", help="map all designated cells' firing "
+                       "(first_fire.csv and runs.csv)")
     _add_common(p)
     p.add_argument("--velocity", required=True, help="input velocity 'vx,vy'")
     p.add_argument("--session-ticks", type=int, default=None)
-    p.add_argument("--stride", type=int, default=64,
-                   help="ticks between occupancy matrices")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_field_map)
 

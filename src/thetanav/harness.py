@@ -154,7 +154,7 @@ class TrackResult:
 
     ``trail`` is the one record of the bump's path: a (0, "start", 0, 0)
     row, then a (tick, direction, x, y) row per pulse with the bump's new
-    cell; ``events``, ``final`` and the emitted grids are read from it.
+    cell; ``events``, ``final`` and ``grids.csv`` are read from it.
     ``traces`` holds each direction's network output on the trail tick
     axis, with the reset holds read as 0, so ``traces[d][tick]`` is the
     output at ``tick`` and every trace is ``ticks`` long.
@@ -461,10 +461,11 @@ def sweep_seeds(config: RunConfig, script: PathScript,
 
 def emit(result: TrackResult, outdir, config: RunConfig,
          script: PathScript) -> list[Path]:
-    """Write the run to disk: manifest, trail, traces, grid matrices and
-    warnings (an empty file when there are none), replacing any earlier
-    run's files in outdir.  ``grid_<i>.csv`` is the activity matrix after
-    the trail's first i moves, rebuilt from the trail.
+    """Write the run to outdir, replacing any earlier run's files:
+    ``manifest.ini``, ``trail.csv``, ``traces.csv``, ``warnings.txt``
+    (empty when there are none) and ``grids.csv``: for each trail row, the
+    :func:`place_grid.activity` of the bump's path up to it, as move,
+    tick, x, y, level rows.
 
     The manifest records the full configuration (seed included), the
     script and the package, numpy and scipy versions; re-running from it
@@ -489,14 +490,15 @@ def emit(result: TrackResult, outdir, config: RunConfig,
         row % r for r in zip(range(result.ticks), *columns)))
     written.append(traces_path)
 
-    for stale in outdir.glob("grid_*.csv"):
-        stale.unlink()
+    grids_path = outdir / "grids.csv"
     path = [(x, y) for _, _, x, y in result.trail]
-    for i in range(len(path)):
-        snap_path = outdir / f"grid_{i:03d}.csv"
-        place_grid.write_grid_csv(
-            snap_path, place_grid.snapshot(path[:i + 1], config.grid_size))
-        written.append(snap_path)
+    with open(grids_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["move", "tick", "x", "y", "level"])
+        for move, (tick, *_) in enumerate(result.trail):
+            for (x, y), level in place_grid.activity(path[:move + 1]):
+                writer.writerow((move, tick, x, y, level))
+    written.append(grids_path)
 
     warn_path = outdir / "warnings.txt"
     warn_path.write_text("".join(w + "\n" for w in result.warnings))
@@ -512,20 +514,13 @@ def run_from_manifest(path) -> TrackResult:
     return run_track(config, script)
 
 
-def write_field_map_csv(result: FieldMapResult, outdir,
-                        stride: int = 64) -> list[Path]:
-    """Occupancy matrices every ``stride`` ticks plus first-fire times,
-    with the compile failure of each failed cell, replacing any earlier
-    map's occupancy files in outdir.  A ``stride`` that is not an int
-    >= 1 raises ValueError before any file is written."""
-    require_int("stride", stride)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+def write_field_map_csv(result: FieldMapResult, outdir) -> list[Path]:
+    """Write the map to outdir: ``first_fire.csv``, each cell's first-fire
+    tick with the compile failure of each failed cell, and ``runs.csv``,
+    every :func:`place_grid.high_runs` run of each compiled cell as x, y,
+    start, end (exclusive) rows, cells in ``first_fire`` order."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for stale in outdir.glob("occupancy_*.csv"):
-        stale.unlink()
-    written = []
     ff_path = outdir / "first_fire.csv"
     with open(ff_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -534,9 +529,11 @@ def write_field_map_csv(result: FieldMapResult, outdir,
             ff = result.first_fire[cell]
             writer.writerow([cell[0], cell[1], "" if ff is None else ff,
                              result.failed.get(cell, "")])
-    written.append(ff_path)
-    for tick in range(0, result.session_ticks, stride):
-        occ_path = outdir / f"occupancy_{tick:06d}.csv"
-        place_grid.write_grid_csv(occ_path, result.occupancy(tick))
-        written.append(occ_path)
-    return written
+    runs_path = outdir / "runs.csv"
+    with open(runs_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "start", "end"])
+        for cell in result.cells:   # a failed cell has no outputs
+            runs = place_grid.high_runs(result.outputs.get(cell, ()))
+            writer.writerows((*cell, *run) for run in runs.tolist())
+    return [ff_path, runs_path]

@@ -4,8 +4,8 @@ The grid keeps exactly one cell at full activity (10).  A debounced
 pulse from a directional vector-cell network gates the path cell toward
 the matching neighbor: the neighbor takes the bump and every other
 active cell leaks by 5, so the previous bump location trails at 5 and
-the one before is back at 0: :func:`snapshot` rebuilds the grid from
-the bump's path, whose next cell :func:`apply_pulse` gives.
+the one before is back at 0: :func:`activity` lists them from the
+bump's path, whose next cell :func:`apply_pulse` gives.
 
 The phases re-arm at trail start, after every pulse and at every other
 segment boundary, each with one of the ``CAUSE_*`` reasons below (see
@@ -75,10 +75,16 @@ def grid_matrix(levels: Iterable[tuple[tuple[int, int], int]],
     return matrix
 
 
+def activity(path: Sequence[tuple[int, int]]) -> list[tuple]:
+    """(cell, level) of each active cell after the bump walked ``path``
+    (its cells from the origin on): the bump at ``BUMP_LEVEL``, then the
+    cell it just left, if any, at ``LEAK_STEP``."""
+    return list(zip(reversed(path), (BUMP_LEVEL, LEAK_STEP)))
+
+
 def snapshot(path: Sequence[tuple[int, int]], grid_size: int) -> np.ndarray:
-    """Activity matrix after the bump walked ``path`` (its cells from the
-    origin on): the bump reads 10, the cell it just left 5."""
-    return grid_matrix(zip(reversed(path), (BUMP_LEVEL, LEAK_STEP)), grid_size)
+    """Activity matrix after the bump walked ``path``."""
+    return grid_matrix(activity(path), grid_size)
 
 
 def displacement(directions: Iterable[str]) -> tuple[int, int]:
@@ -87,9 +93,16 @@ def displacement(directions: Iterable[str]) -> tuple[int, int]:
     return (sum(dx for dx, _ in deltas), sum(dy for _, dy in deltas))
 
 
+def high_runs(bits: Sequence[int]) -> np.ndarray:
+    """[start, end) of every high run of ``bits`` in tick order, as an
+    int [runs, 2] array."""
+    padded = np.concatenate(([False], np.asarray(bits, dtype=bool), [False]))
+    return np.flatnonzero(np.diff(padded)).reshape(-1, 2)
+
+
 def debounce(bits: Sequence[int], min_width: int) -> Optional[int]:
-    """Start tick of the first high run of at least min_width samples, or
-    None when there is none.
+    """Start tick of the first of :func:`high_runs` at least min_width
+    samples long, or None when there is none.
 
     Shorter runs are artifacts and are discarded.  Debouncing a stream
     rebuilt from the returned start (as one min_width-wide pulse) returns
@@ -97,13 +110,9 @@ def debounce(bits: Sequence[int], min_width: int) -> Optional[int]:
     """
     if min_width < 1:
         raise ValueError("min_width must be >= 1")
-    bits = np.asarray(bits).astype(bool)
-    padded = np.concatenate(([False], bits, [False])).astype(np.int8)
-    diff = np.diff(padded)
-    starts = np.nonzero(diff == 1)[0]
-    ends = np.nonzero(diff == -1)[0]
-    wide = np.nonzero(ends - starts >= min_width)[0]
-    return int(starts[wide[0]]) if wide.size else None
+    runs = high_runs(bits)
+    wide = runs[runs[:, 1] - runs[:, 0] >= min_width]
+    return int(wide[0, 0]) if len(wide) else None
 
 
 def write_trail_csv(path, trail: Iterable[tuple[int, str, int, int]]) -> None:
@@ -112,9 +121,3 @@ def write_trail_csv(path, trail: Iterable[tuple[int, str, int, int]]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["tick", "direction", "bump_x", "bump_y"])
         writer.writerows(trail)
-
-
-def write_grid_csv(path, matrix: np.ndarray) -> None:
-    """One integer grid matrix as CSV, top row first."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(matrix.tolist())

@@ -4,7 +4,7 @@
 ``theta_core.frequencies``, oscillator phase in ``ChipState``/
 ``scan_frames``, the interference node in ``filter_stage_batch``, tap
 choice in ``compile_lookup``, and the place grid in the bump's path
-(``place_grid.apply_pulse`` and ``snapshot``).  The models here state
+(``place_grid.apply_pulse`` and ``activity``).  The models here state
 the same physics the plain way (the law for one unit in plain numbers,
 the scan's tap bits by float modulo, a trace's rising edges as matched
 0 -> 1 sample pairs, one oscillator or one node stepped
@@ -17,12 +17,17 @@ that every pulse leaks, the Schmitt trigger as a forward fill of its
 against the last fall in ``schmitt_two_index``, a whole session's scan
 on every enabled tap in ``session_frames``, one filter layer over a
 whole session in ``filter_once``, a node bank that filters a whole
-session in one block in ``session_bank``) so the tests can check the
+session in one block in ``session_bank``, a trace's high runs found
+one sample at a time in ``scan_runs``) so the tests can check the
 vectorized, streamed, routed and time-domain code against them.  The inverses
 of velocity decoding and lookup-table serialization live here too,
-since only the round-trip tests need them.
+since only the round-trip tests need them, and so does
+``write_grid_csv``, the writer of the one-matrix-per-file grid format
+that ``grids.csv`` and ``runs.csv`` replaced, with ``fill_runs``, which
+turns runs back into bits, so the tests can rebuild those files.
 """
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -461,3 +466,35 @@ def apply_pulse_to_grid(grid: PlaceGrid, event: PulseEvent) -> PlaceGrid:
     grid._set(target, BUMP_LEVEL)
     grid.check_invariants()
     return grid
+
+
+def write_grid_csv(path, matrix: np.ndarray) -> None:
+    """One integer grid matrix as CSV, top row first: a ``grid_<i>.csv``
+    or ``occupancy_<tick>.csv`` file of the old per-move and per-stride
+    exports."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(matrix.tolist())
+
+
+def scan_runs(bits) -> list[tuple[int, int]]:
+    """(start, end) with end exclusive of every high run of ``bits``, found
+    one sample at a time."""
+    runs, start = [], None
+    for tick, bit in enumerate(bits):
+        if bit and start is None:
+            start = tick
+        elif not bit and start is not None:
+            runs.append((start, tick))
+            start = None
+    if start is not None:
+        runs.append((start, len(bits)))
+    return runs
+
+
+def fill_runs(runs, n: int) -> np.ndarray:
+    """n uint8 bits, high on every [start, end) of ``runs`` and low
+    elsewhere."""
+    bits = np.zeros(n, dtype=np.uint8)
+    for start, end in runs:
+        bits[start:end] = 1
+    return bits

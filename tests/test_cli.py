@@ -31,14 +31,17 @@ def test_compile_with_config_file(tmp_path, capsys):
 def test_track(tmp_path, capsys):
     assert main(["track", "--config", "run.ini", "--script", "path1_meander",
                  "--out", "run"]) == 0
-    assert (tmp_path / "run" / "manifest.ini").is_file()
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "grids.csv", "manifest.ini", "traces.csv", "trail.csv",
+        "warnings.txt"]
     assert "final location (0, -3) after 5 events" in capsys.readouterr().out
 
 
 def test_field_map(tmp_path, capsys):
     assert main(["field-map", "--config", "run.ini", "--velocity", "0.25,0",
-                 "--stride", "1024", "--out", "map"]) == 0
-    assert (tmp_path / "map" / "first_fire.csv").is_file()
+                 "--out", "map"]) == 0
+    assert sorted(p.name for p in (tmp_path / "map").iterdir()) == [
+        "first_fire.csv", "runs.csv"]
     assert "28 failed to compile" in capsys.readouterr().out
 
 
@@ -74,28 +77,11 @@ def test_invalid_config_file_exits_1(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--stride", "-5"], "stride must be >= 1, got -5"),
-    (["--stride", "0"], "stride must be >= 1, got 0"),
-    (["--session-ticks", "-3"], "session_ticks must be >= 0, got -3"),
-])
-def test_field_map_bad_lengths_exit_1(tmp_path, capsys, flags, message):
-    assert main(["field-map", "--velocity", "0.25,0", "--out", "map"]
-                + flags) == 1
-    assert message in capsys.readouterr().err
+def test_field_map_bad_lengths_exit_1(tmp_path, capsys):
+    assert main(["field-map", "--velocity", "0.25,0", "--out", "map",
+                 "--session-ticks", "-3"]) == 1
+    assert "session_ticks must be >= 0, got -3" in capsys.readouterr().err
     assert not (tmp_path / "map").exists()
-
-
-@pytest.mark.parametrize("stride", ["0", "-5"])
-def test_field_map_bad_stride_fails_before_the_run(monkeypatch, capsys,
-                                                    stride):
-    calls = []
-    monkeypatch.setattr(cli, "field_map",
-                        lambda *args, **kwargs: calls.append(args))
-    assert main(["field-map", "--velocity", "0.25,0", "--stride", stride,
-                 "--out", "map"]) == 1
-    assert f"stride must be >= 1, got {stride}" in capsys.readouterr().err
-    assert calls == []
 
 
 @pytest.mark.parametrize("command, stage, message", [

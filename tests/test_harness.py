@@ -6,6 +6,7 @@ import csv
 import hashlib
 import math
 import re
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -37,8 +38,8 @@ from thetanav.vector_net import (
     serialize_mux,
 )
 
-from reference_models import (effective_params, phase_shift, run_alone,
-                              session_frames)
+from reference_models import (effective_params, fill_runs, phase_shift,
+                              run_alone, session_frames, write_grid_csv)
 
 CONFIG = RunConfig()
 SCRIPTS = built_in_scripts(CONFIG.speed)
@@ -411,85 +412,179 @@ def test_run_from_a_config_without_a_script_raises(tmp_path):
         harness.run_from_manifest(path)
 
 
+GRIDS_HEADER = ["move", "tick", "x", "y", "level"]
+RUNS_HEADER = ["x", "y", "start", "end"]
+
+
+def csv_rows(path, header):
+    """The rows under ``header`` of an all-integer CSV file."""
+    with open(path, newline="") as fh:
+        first, *rows = csv.reader(fh)
+    assert first == header
+    return [tuple(map(int, row)) for row in rows]
+
+
+def sha256_of(paths):
+    """SHA-256 of the files' bytes, concatenated in the given order."""
+    return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+
+
 def test_emit_replaces_an_earlier_run(rig, tmp_path):
-    # Two warnings and two grid snapshots, then none and five, then the
-    # first again: each emit leaves exactly its own files behind.
+    # Two warnings and two moves, then none and five, then the first
+    # again: each emit leaves exactly its own five files behind.
     warned = PathScript(name="warned", segments=(leg("E", 100), leg("E")))
     for script, n_warnings in ((warned, 2), (SCRIPTS["path3_loop"], 0),
                                (warned, 2)):
         result = harness.run_track(CONFIG, script, rig=rig)
         assert len(result.warnings) == n_warnings
         written = harness.emit(result, tmp_path, CONFIG, script)
+        assert len(written) == 5
         assert sorted(tmp_path.iterdir()) == sorted(written)
         assert len((tmp_path / "warnings.txt").read_text().splitlines()) \
             == n_warnings
-        assert len(list(tmp_path.glob("grid_*.csv"))) == len(result.trail)
+        rows = csv_rows(tmp_path / "grids.csv", GRIDS_HEADER)
+        moves = {move for move, *_ in rows}
+        assert moves == set(range(len(result.trail)))
 
 
-# SHA-256 of the seed-0 path1_meander grid_000.csv .. grid_005.csv,
-# concatenated in name order.
+# SHA-256 of each seed-0 run's grid_000.csv, grid_001.csv, ... (one
+# activity matrix per trail row, written by write_grid_csv), concatenated
+# in name order, as emit wrote them before grids.csv replaced them.
 MEANDER_GRIDS_SHA256 = \
     "0e38ab46faa3e641a31c0b2c43c236caa7f669c333dad92c885d8c7520dc002e"
+OLD_GRIDS_SHA256 = {
+    "timed":
+        "b9aefd3586dc4042cc1e30a2914aa96daf9b1d77ec0a9e524e455e76709fd0e2",
+    "path1_meander": MEANDER_GRIDS_SHA256,
+    "path2_detour":
+        "0dd9e100c06d18c9dcf8083ef08696716c8811aafa4246445be09eaa3efe7031",
+    "path3_loop":
+        "899d8a591dbfe7d69cc30abd97be6e4bf44cb66e97cefe13bcbb8994511a0b18",
+    "repeats":
+        "e4a09e2477e7744fb920ea554c4c0fe48cb90d4795bb512837d838065bcbac23",
+}
 
 
 def test_emitted_grids_seed0_bit_for_bit(rig, tmp_path):
-    script = SCRIPTS["path1_meander"]
-    result = harness.run_track(CONFIG, script, rig=rig)
-    harness.emit(result, tmp_path, CONFIG, script)
-    grids = sorted(tmp_path.glob("grid_*.csv"))
-    assert [g.name for g in grids] == [f"grid_{i:03d}.csv" for i in range(6)]
-    digest = hashlib.sha256(b"".join(g.read_bytes() for g in grids))
-    assert digest.hexdigest() == MEANDER_GRIDS_SHA256
+    # grids.csv loses nothing: grid_matrix of each move's rows, written
+    # one matrix per file, rebuilds every old grid file of each run.
+    scripts = {"timed": TIMED, **SCRIPTS, "repeats": REPEATS}
+    for name, expected in OLD_GRIDS_SHA256.items():
+        result = harness.run_track(CONFIG, scripts[name], rig=rig)
+        harness.emit(result, tmp_path / name, CONFIG, scripts[name])
+        rows = csv_rows(tmp_path / name / "grids.csv", GRIDS_HEADER)
+        moves = defaultdict(list)
+        for move, tick, x, y, level in rows:
+            assert tick == result.trail[move][0]
+            moves[move].append(((x, y), level))
+        assert list(moves) == list(range(len(result.trail)))
+        grid = tmp_path / "grid.csv"
+        digest = hashlib.sha256()
+        for levels in moves.values():
+            write_grid_csv(grid, place_grid.grid_matrix(levels,
+                                                        CONFIG.grid_size))
+            digest.update(grid.read_bytes())
+        assert digest.hexdigest() == expected, name
 
 
-# SHA-256 of the seed-0 TIMED run's emitted files but the manifest
-# (grid_000.csv .. grid_009.csv, traces.csv, trail.csv, warnings.txt, in
-# name order) followed by the first_fire.csv of the seed-0 full field map
-# at velocity (0.25, 0).
+# The files emit and write_field_map_csv wrote before grids.csv and
+# runs.csv replaced the per-move and per-stride files, and which stay
+# byte for byte: SHA-256 of the seed-0 TIMED run's traces.csv, trail.csv
+# and warnings.txt (in name order) followed by the first_fire.csv of the
+# seed-0 full field map at velocity (0.25, 0).  Then the run's grids.csv
+# and the map's runs.csv on their own.
 EMITTED_SHA256 = \
-    "5a6c6bdc6922fc5d9d6d8705b3f9cd62fc4dbfd9062271a8bce64d25b62b4564"
+    "2818f77f2456d077493f33ab1e6c2a29b9eb732b897432293ff9d144e766e04f"
+TIMED_GRIDS_CSV_SHA256 = \
+    "86bc29a62abfa33340bf120423aff7adedf434a16bc80c16247fbf3dc04e4ab6"
+FIELD_MAP_RUNS_CSV_SHA256 = \
+    "26e6442b68ebff88c35f5f05aa46e9b8592ea16c0293e1bf3eb0d6ec509c3066"
+UNCHANGED = ("traces.csv", "trail.csv", "warnings.txt")
 
 
 def test_emitted_files_seed0_bit_for_bit(rig, tmp_path):
     result = harness.run_track(CONFIG, TIMED, rig=rig)
     written = harness.emit(result, tmp_path / "timed", CONFIG, TIMED)
-    files = sorted(p for p in written if p.name != "manifest.ini")
-    grids = [f"grid_{i:03d}.csv" for i in range(10)]
-    assert [p.name for p in files] == grids + [
-        "traces.csv", "trail.csv", "warnings.txt"]
+    assert sorted(p.name for p in written) == sorted(
+        ("manifest.ini", "grids.csv") + UNCHANGED)
+    files = sorted(p for p in written if p.name in UNCHANGED)
     mapped = harness.field_map(CONFIG, VelocityVector(0.25, 0.0), rig=rig)
-    harness.write_field_map_csv(mapped, tmp_path / "map", stride=4096)
-    files.append(tmp_path / "map" / "first_fire.csv")
-    digest = hashlib.sha256(b"".join(p.read_bytes() for p in files))
-    assert digest.hexdigest() == EMITTED_SHA256
+    first_fire, runs = harness.write_field_map_csv(mapped, tmp_path / "map")
+    assert sha256_of(files + [first_fire]) == EMITTED_SHA256
+    assert sha256_of([tmp_path / "timed" / "grids.csv"]) \
+        == TIMED_GRIDS_CSV_SHA256
+    assert sha256_of([runs]) == FIELD_MAP_RUNS_CSV_SHA256
 
 
-def emitted_digest(scripts, rig, outdir):
-    """SHA-256 of the seed-0 emitted files but the manifest of each script
-    in turn, in name order within each."""
-    files = []
+def emitted_digests(scripts, rig, outdir):
+    """SHA-256 of the seed-0 traces.csv, trail.csv and warnings.txt of each
+    script in turn, in name order within each, and of their grids.csv
+    files in turn."""
+    files, grids = [], []
     for script in scripts:
         result = harness.run_track(CONFIG, script, rig=rig)
-        written = harness.emit(result, outdir / script.name, CONFIG, script)
-        files += sorted(p for p in written if p.name != "manifest.ini")
-    return hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+        harness.emit(result, outdir / script.name, CONFIG, script)
+        files += [outdir / script.name / name for name in UNCHANGED]
+        grids.append(outdir / script.name / "grids.csv")
+    return sha256_of(files), sha256_of(grids)
 
 
-# emitted_digest of the three built-in scripts in name order, and of
+# emitted_digests of the three built-in scripts in name order, and of
 # REPEATS.
-BUILT_IN_EMITTED_SHA256 = \
-    "89a0aecb33d6d8ff19647e67d14225247a1a6778b697eb708c3d39f0e8c33e83"
-REPEATS_EMITTED_SHA256 = \
-    "001faa3fcf1bfb5c7e0babb81490387bec373d68af263e87f28a111e6638976a"
+BUILT_IN_EMITTED_SHA256 = (
+    "1123f20601e7786f4955148fac75cef6602bb7d80f8e371bea26092bda83cdf7",
+    "21190cb837ddab36e5620d1fe0b0985f8e1fedfe322be80d31a5def0e2851d68")
+REPEATS_EMITTED_SHA256 = (
+    "899798256eaa89673b11916b1db3db6b70f8cd55667d6a336f5bcde145866959",
+    "19513004c12ff08e02158a106987ed343aefa75ffdd8ccb2971f478d509c8362")
 
 
 def test_emitted_built_in_scripts_seed0_bit_for_bit(rig, tmp_path):
     scripts = [SCRIPTS[name] for name in sorted(SCRIPTS)]
-    assert emitted_digest(scripts, rig, tmp_path) == BUILT_IN_EMITTED_SHA256
+    assert emitted_digests(scripts, rig, tmp_path) == BUILT_IN_EMITTED_SHA256
 
 
 def test_emitted_repeated_headings_seed0_bit_for_bit(rig, tmp_path):
-    assert emitted_digest([REPEATS], rig, tmp_path) == REPEATS_EMITTED_SHA256
+    assert emitted_digests([REPEATS], rig, tmp_path) == REPEATS_EMITTED_SHA256
+
+
+# SHA-256 of the seed-0 full field map's occupancy_<tick>.csv files at
+# velocity (0.25, 0), concatenated in name order, as write_field_map_csv
+# wrote them every 64 ticks (45 files; the old CLI default) and every
+# tick (2,829 files) before runs.csv replaced them.
+OLD_OCCUPANCY_SHA256 = {
+    64: "4c09f1bc1a0d7e9bf28158d3a61f2a1805578fbcd4f96113ff8e5ec1dd1aca90",
+    1: "c0f2d6e01c577ea5e8503dd2915e07ca14a2712ac0ccfc65b89d2a9f7bdaa288",
+}
+
+
+def test_runs_csv_rebuilds_the_old_occupancy_files(rig, tmp_path):
+    # runs.csv loses nothing: each cell's runs filled into bits rebuild its
+    # outputs exactly, and the occupancy of those bits, written one matrix
+    # per file, every old occupancy file.  The session length is the
+    # map's, which the old files held only as their last tick.
+    mapped = harness.field_map(CONFIG, VelocityVector(0.25, 0.0), rig=rig)
+    harness.write_field_map_csv(mapped, tmp_path)
+    runs = defaultdict(list)
+    for x, y, start, end in csv_rows(tmp_path / "runs.csv", RUNS_HEADER):
+        runs[x, y].append((start, end))
+    # Cells in first_fire order, runs in tick order.
+    assert list(runs) == [cell for cell in mapped.cells if cell in runs]
+    assert all(cell_runs == sorted(cell_runs) for cell_runs in runs.values())
+    n = mapped.session_ticks
+    for cell, bits in mapped.outputs.items():
+        assert np.array_equal(fill_runs(runs.get(cell, ()), n), bits), cell
+    rebuilt = harness.FieldMapResult(
+        session_ticks=n, first_fire=mapped.first_fire,
+        outputs={cell: fill_runs(r, n) for cell, r in runs.items()},
+        grid_size=CONFIG.grid_size)
+    occupancy = tmp_path / "occupancy.csv"
+    for stride, expected in OLD_OCCUPANCY_SHA256.items():
+        digest = hashlib.sha256()
+        for tick in range(0, n, stride):
+            write_grid_csv(occupancy, rebuilt.occupancy(tick))
+            digest.update(occupancy.read_bytes())
+        assert digest.hexdigest() == expected, stride
 
 
 def test_occupancy_puts_cell_x_y_at_row_half_minus_y_column_x_plus_half():
@@ -519,12 +614,16 @@ def test_field_map_records_compile_failures(rig, tmp_path):
     assert result.session_ticks == math.ceil(
         1.5 * math.hypot(5, 5) * CONFIG.cell_seconds * rig.fs)
 
-    harness.write_field_map_csv(result, tmp_path, stride=1024)
+    harness.write_field_map_csv(result, tmp_path)
     with open(tmp_path / "first_fire.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "first_fire_tick", "compile_error"]
     failed = {(int(x), int(y)): cause for x, y, _, cause in rows[1:] if cause}
     assert failed == result.failed
+    # A failed cell has no outputs, so no runs.
+    ran = {(x, y) for x, y, _, _ in csv_rows(tmp_path / "runs.csv",
+                                                 RUNS_HEADER)}
+    assert ran and not ran & set(result.failed)
 
 
 def test_field_map_without_a_compiled_cell_decodes_no_columns(rig,
@@ -563,21 +662,25 @@ def test_field_map_compiles_each_repeated_target_once(rig, monkeypatch,
     assert len(compiled) == 2
     assert result.cells == [(1, 0), (0, 1)]
     assert result.first_fire[(1, 0)] == 194
-    harness.write_field_map_csv(result, tmp_path, stride=4096)
+    harness.write_field_map_csv(result, tmp_path)
     with open(tmp_path / "first_fire.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [(int(x), int(y)) for x, y, _, _ in rows[1:]] == [(1, 0), (0, 1)]
 
 
 def test_write_field_map_csv_replaces_an_earlier_map(tmp_path):
-    result = harness.FieldMapResult(
-        session_ticks=256, first_fire={(0, 0): None},
-        outputs={(0, 0): np.zeros(256, dtype=np.uint8)}, grid_size=3)
-    harness.write_field_map_csv(result, tmp_path, stride=64)
-    written = harness.write_field_map_csv(result, tmp_path, stride=128)
-    assert sorted(tmp_path.iterdir()) == sorted(written)
-    assert sorted(p.name for p in tmp_path.glob("occupancy_*.csv")) == [
-        "occupancy_000000.csv", "occupancy_000128.csv"]
+    # A map with a run, then one without: each write leaves exactly its
+    # own two files behind.
+    bits = np.zeros(256, dtype=np.uint8)
+    bits[10:20] = 1
+    for ff, out, n_runs in ((10, bits, 1), (None, 0 * bits, 0)):
+        result = harness.FieldMapResult(
+            session_ticks=256, first_fire={(0, 0): ff},
+            outputs={(0, 0): out}, grid_size=3)
+        written = harness.write_field_map_csv(result, tmp_path)
+        assert [p.name for p in written] == ["first_fire.csv", "runs.csv"]
+        assert sorted(tmp_path.iterdir()) == sorted(written)
+        assert len(csv_rows(tmp_path / "runs.csv", RUNS_HEADER)) == n_runs
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -754,17 +857,6 @@ def test_field_map_refuses_a_non_int_session_before_compiling(
         harness.field_map(CONFIG, VelocityVector(0.25, 0.0), targets=[(1, 0)],
                           session_ticks=ticks, rig=rig)
     assert compiled == []
-
-
-@pytest.mark.parametrize("stride", NOT_INTS)
-def test_write_field_map_csv_refuses_a_non_int_stride_before_writing(
-        tmp_path, stride):
-    result = harness.FieldMapResult(
-        session_ticks=4, first_fire={(0, 0): None},
-        outputs={(0, 0): np.zeros(4, dtype=np.uint8)}, grid_size=3)
-    with pytest.raises(ValueError, match="stride must be an int"):
-        harness.write_field_map_csv(result, tmp_path / "map", stride=stride)
-    assert not (tmp_path / "map").exists()
 
 
 @pytest.mark.parametrize("n_seeds", NOT_INTS)

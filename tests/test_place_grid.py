@@ -1,10 +1,10 @@
-"""Place-grid contracts: debouncing, bump migration, leakage and
-readout, with the grid rebuilt from the bump's path checked against the
-activity-matrix model."""
+"""Place-grid contracts: high runs and debouncing, bump migration,
+leakage and readout, with the grid rebuilt from the bump's path checked
+against the activity-matrix model."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thetanav.place_grid import (
     DIRECTIONS,
@@ -12,12 +12,27 @@ from thetanav.place_grid import (
     PulseEvent,
     apply_pulse,
     debounce,
+    high_runs,
     snapshot,
-    write_grid_csv,
     write_trail_csv,
 )
 
-from reference_models import PlaceGrid, apply_pulse_to_grid
+from reference_models import (PlaceGrid, apply_pulse_to_grid, fill_runs,
+                              scan_runs, write_grid_csv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), max_size=300))
+@example(bits=[])
+@example(bits=[0] * 7)
+@example(bits=[1] * 7)
+@example(bits=[1, 1, 0, 1, 0, 0, 1])   # runs touching both ends
+def test_high_runs_match_the_run_scan(bits):
+    runs = high_runs(bits)
+    assert runs.shape == (len(scan_runs(bits)), 2)
+    assert runs.tolist() == [list(run) for run in scan_runs(bits)]
+    # Filling the runs rebuilds the bits exactly.
+    assert fill_runs(runs.tolist(), len(bits)).tolist() == bits
 
 
 class TestDebounce:
