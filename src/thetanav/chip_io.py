@@ -8,7 +8,6 @@ and admission of well-behaved units for network construction.
 
 from __future__ import annotations
 
-import csv
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -124,11 +123,6 @@ class ChipState:
     @property
     def enabled_phases(self) -> int:
         return int(self.bypass.sum())
-
-    def enabled_taps(self) -> list[tuple[int, int]]:
-        """Enabled (unit, tap) pairs in shift order: unit-major, tap-minor."""
-        units, taps = np.nonzero(self.bypass)
-        return list(zip(units.tolist(), taps.tolist()))
 
     def hold(self) -> None:
         """Assert the clear line: phases to 0, oscillation frozen."""
@@ -354,13 +348,3 @@ def calibrate(chip: ChipState, clock_hz: float = CALIBRATION_CLOCK_HZ,
             for u in range(chip.n_units):
                 samples[u].append((inner, estimate_frequency(traces[u], fs)))
     return [fit_unit(samples[u], unit=u) for u in range(chip.n_units)]
-
-
-def write_fit_report_csv(path, fits: Sequence[UnitFit]) -> None:
-    """Calibration report: unit, f_idle_hat, beta_hat, r2."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "f_idle_hat", "beta_hat", "r2"])
-        for f in fits:
-            writer.writerow([f.unit, repr(f.f_idle_hat), repr(f.beta_hat),
-                             repr(f.r2)])

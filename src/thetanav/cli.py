@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .chip_io import ChipState, calibrate, write_fit_report_csv
+from .chip_io import ChipState, UnitFit, calibrate
 from .config import PathScript, RunConfig, built_in_scripts, load_config
 from .harness import (
     build_rig,
@@ -17,6 +17,7 @@ from .harness import (
     field_map,
     run_track,
     sweep_seeds,
+    write_csv,
     write_field_map_csv,
 )
 from .theta_core import VelocityVector, sample_population
@@ -49,7 +50,7 @@ def cmd_calibrate(args) -> int:
     population = sample_population(config.population, config.seed)
     chip = ChipState(population)
     fits = calibrate(chip)
-    write_fit_report_csv(args.out, fits)
+    write_csv(args.out, UnitFit._fields, fits)
     print(f"wrote {len(fits)} unit fits to {args.out}")
     return 0
 
@@ -96,14 +97,11 @@ def cmd_sweep(args) -> int:
         print(f"seed {o.seed}: {status} ({o.cause}; {o.n_events} events)")
     print(f"success fraction: {result.success_fraction:.2f}")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write("seed,ok,final_x,final_y,n_events,cause\n")
-            for o in result.outcomes:
-                fx, fy = o.final if o.final is not None else ("", "")
-                fh.write(f"{o.seed},{int(o.ok)},{fx},{fy},{o.n_events},"
-                         f"\"{o.cause}\"\n")
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        header = ("seed", "ok", "final_x", "final_y", "n_events", "cause")
+        write_csv(args.out, header,
+                  ((o.seed, int(o.ok), *(o.final or ("", "")), o.n_events,
+                    o.cause) for o in result.outcomes))
     return 0
 
 

@@ -96,6 +96,8 @@ RUN_FAILURES = (SegmentTimeoutError, OutOfBoundsError, CompileError,
 class TrackRig:
     """Calibrated chip plus the four compiled cardinal networks.
 
+    ``frame_layout`` is an int [n_units, 8] array of each (unit, tap)'s
+    position within a tracking scan frame, -1 at a disabled tap.
     ``layout`` is the cardinal networks' node layout, built once with
     the networks; every tracking session streams its scan through a
     cleared bank on it.
@@ -105,7 +107,7 @@ class TrackRig:
     chip: ChipState
     fits: list[UnitFit]
     pairing: Pairing
-    frame_layout: dict[tuple[int, int], int]
+    frame_layout: np.ndarray
     networks: dict[str, VectorNetwork]
     fs: float
     layout: NodeLayout = field(init=False)
@@ -138,7 +140,8 @@ def build_rig(config: RunConfig) -> TrackRig:
         code_a, code_b = PAIR_CODES[j // pairing.n_groups]
         configs += [(a, code_a, ALL_TAPS), (b, code_b, tap0_bypass())]
     program(chip, configs)
-    frame_layout = {pt: i for i, pt in enumerate(chip.enabled_taps())}
+    frame_layout = np.full(chip.bypass.shape, -1)
+    frame_layout[chip.bypass] = np.arange(chip.enabled_phases)
     fs = phase_rate(TRACK_CLOCK_HZ, chip.enabled_phases)
 
     rig = TrackRig(config=config, chip=chip, fits=fits, pairing=pairing,
@@ -157,7 +160,8 @@ class TrackResult:
     cell; ``events``, ``final`` and ``grids.csv`` are read from it.
     ``traces`` holds each direction's network output on the trail tick
     axis, with the reset holds read as 0, so ``traces[d][tick]`` is the
-    output at ``tick`` and every trace is ``ticks`` long.
+    output at ``tick`` and every trace is ``ticks`` long; ``runs.csv``
+    lists their high runs.
     ``diagnostics["arrival_ticks"]`` is the predicted ticks to cross a cell.
     """
 
@@ -343,16 +347,6 @@ class FieldMapResult:
     def cells(self) -> list[tuple[int, int]]:
         return list(self.first_fire)
 
-    def occupancy(self, tick: int) -> np.ndarray:
-        """Grid snapshot of which designated cells read high at a tick;
-        none do past the session's end.  A tick below 0 raises
-        ValueError."""
-        if tick < 0:
-            raise ValueError(f"tick {tick} is before the session's start")
-        return place_grid.grid_matrix(
-            ((cell, 1) for cell, bits in self.outputs.items()
-             if tick < bits.size and bits[tick]), self.grid_size)
-
 
 def field_map(config: RunConfig, velocity: VelocityVector,
               targets: Optional[Sequence[tuple[int, int]]] = None,
@@ -459,13 +453,38 @@ def sweep_seeds(config: RunConfig, script: PathScript,
     return SweepResult(outcomes=outcomes)
 
 
+def write_csv(path, header: Sequence, rows) -> Path:
+    """Write ``header`` and then ``rows`` to ``path`` as one CSV table in
+    the default dialect, and return the path."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_runs_csv(path, keys: Sequence[str], streams: dict,
+                   ticks: int) -> Path:
+    """Write 0/1 ``streams`` (key tuple -> bits) as a run list: a ``*key,
+    start, end`` row for each :func:`place_grid.high_runs` run of each
+    stream (``end`` exclusive), streams in order, then the session row,
+    empty key columns, 0 and ``ticks``, so each stream is high exactly
+    on its runs within [0, ``ticks``).  ``keys`` names the key columns."""
+    rows = [(*key, *run) for key, bits in streams.items()
+            for run in place_grid.high_runs(bits).tolist()]
+    rows.append(("",) * len(keys) + (0, ticks))
+    return write_csv(path, (*keys, "start", "end"), rows)
+
+
 def emit(result: TrackResult, outdir, config: RunConfig,
          script: PathScript) -> list[Path]:
     """Write the run to outdir, replacing any earlier run's files:
-    ``manifest.ini``, ``trail.csv``, ``traces.csv``, ``warnings.txt``
-    (empty when there are none) and ``grids.csv``: for each trail row, the
-    :func:`place_grid.activity` of the bump's path up to it, as move,
-    tick, x, y, level rows.
+    ``manifest.ini``, ``trail.csv``, ``runs.csv`` (the run list of each
+    direction's trace, :func:`write_runs_csv`), ``grids.csv`` (for each
+    trail row, the :func:`place_grid.activity` of the bump's path up to
+    it, as move, tick, x, y, level rows) and ``warnings.txt`` (empty
+    when there are none).
 
     The manifest records the full configuration (seed included), the
     script and the package, numpy and scipy versions; re-running from it
@@ -473,37 +492,24 @@ def emit(result: TrackResult, outdir, config: RunConfig,
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    manifest = outdir / "manifest.ini"
+    manifest, warnings = outdir / "manifest.ini", outdir / "warnings.txt"
     save_config(config, manifest, script)
-    written.append(manifest)
-
-    trail_path = outdir / "trail.csv"
-    place_grid.write_trail_csv(trail_path, result.trail)
-    written.append(trail_path)
-
-    traces_path = outdir / "traces.csv"
-    row = "%d," * len(DIRECTIONS) + "%d\n"
-    columns = [result.traces[d].tolist() for d in DIRECTIONS]
-    traces_path.write_text("tick," + ",".join(DIRECTIONS) + "\n" + "".join(
-        row % r for r in zip(range(result.ticks), *columns)))
-    written.append(traces_path)
-
-    grids_path = outdir / "grids.csv"
+    warnings.write_text("".join(w + "\n" for w in result.warnings))
     path = [(x, y) for _, _, x, y in result.trail]
-    with open(grids_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["move", "tick", "x", "y", "level"])
-        for move, (tick, *_) in enumerate(result.trail):
-            for (x, y), level in place_grid.activity(path[:move + 1]):
-                writer.writerow((move, tick, x, y, level))
-    written.append(grids_path)
-
-    warn_path = outdir / "warnings.txt"
-    warn_path.write_text("".join(w + "\n" for w in result.warnings))
-    written.append(warn_path)
-    return written
+    grids = ((move, tick, x, y, level)
+             for move, (tick, *_) in enumerate(result.trail)
+             for (x, y), level in place_grid.activity(path[:move + 1]))
+    return [
+        manifest,
+        write_csv(outdir / "trail.csv",
+                  ("tick", "direction", "bump_x", "bump_y"), result.trail),
+        write_runs_csv(outdir / "runs.csv", ("direction",),
+                       {(d,): result.traces[d] for d in DIRECTIONS},
+                       result.ticks),
+        write_csv(outdir / "grids.csv", ("move", "tick", "x", "y", "level"),
+                  grids),
+        warnings,
+    ]
 
 
 def run_from_manifest(path) -> TrackResult:
@@ -517,23 +523,18 @@ def run_from_manifest(path) -> TrackResult:
 def write_field_map_csv(result: FieldMapResult, outdir) -> list[Path]:
     """Write the map to outdir: ``first_fire.csv``, each cell's first-fire
     tick with the compile failure of each failed cell, and ``runs.csv``,
-    every :func:`place_grid.high_runs` run of each compiled cell as x, y,
-    start, end (exclusive) rows, cells in ``first_fire`` order."""
+    the :func:`write_runs_csv` run list of each compiled cell's outputs
+    keyed by x, y, cells in ``first_fire`` order, over the session."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ff_path = outdir / "first_fire.csv"
-    with open(ff_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "first_fire_tick", "compile_error"])
-        for cell in result.cells:
-            ff = result.first_fire[cell]
-            writer.writerow([cell[0], cell[1], "" if ff is None else ff,
-                             result.failed.get(cell, "")])
-    runs_path = outdir / "runs.csv"
-    with open(runs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "start", "end"])
-        for cell in result.cells:   # a failed cell has no outputs
-            runs = place_grid.high_runs(result.outputs.get(cell, ()))
-            writer.writerows((*cell, *run) for run in runs.tolist())
-    return [ff_path, runs_path]
+    first_fire = ((*cell, "" if ff is None else ff,
+                   result.failed.get(cell, ""))
+                  for cell, ff in result.first_fire.items())
+    return [
+        write_csv(outdir / "first_fire.csv",
+                  ("x", "y", "first_fire_tick", "compile_error"), first_fire),
+        write_runs_csv(outdir / "runs.csv", ("x", "y"),
+                       {cell: result.outputs[cell] for cell in result.cells
+                        if cell in result.outputs},   # a failed cell has none
+                       result.session_ticks),
+    ]

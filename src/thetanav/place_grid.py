@@ -5,7 +5,9 @@ pulse from a directional vector-cell network gates the path cell toward
 the matching neighbor: the neighbor takes the bump and every other
 active cell leaks by 5, so the previous bump location trails at 5 and
 the one before is back at 0: :func:`activity` lists them from the
-bump's path, whose next cell :func:`apply_pulse` gives.
+bump's path, whose next cell :func:`apply_pulse` gives.  A bit stream
+reads as its :func:`high_runs`, which :func:`debounce` screens and the
+exported ``runs.csv`` files list.
 
 The phases re-arm at trail start, after every pulse and at every other
 segment boundary, each with one of the ``CAUSE_*`` reasons below (see
@@ -15,7 +17,6 @@ an unchanged velocity it replays the session before it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -82,11 +83,6 @@ def activity(path: Sequence[tuple[int, int]]) -> list[tuple]:
     return list(zip(reversed(path), (BUMP_LEVEL, LEAK_STEP)))
 
 
-def snapshot(path: Sequence[tuple[int, int]], grid_size: int) -> np.ndarray:
-    """Activity matrix after the bump walked ``path``."""
-    return grid_matrix(activity(path), grid_size)
-
-
 def displacement(directions: Iterable[str]) -> tuple[int, int]:
     """Net cell displacement of one step per direction."""
     deltas = [DIRECTION_DELTA[d] for d in directions]
@@ -113,11 +109,3 @@ def debounce(bits: Sequence[int], min_width: int) -> Optional[int]:
     runs = high_runs(bits)
     wide = runs[runs[:, 1] - runs[:, 0] >= min_width]
     return int(wide[0, 0]) if len(wide) else None
-
-
-def write_trail_csv(path, trail: Iterable[tuple[int, str, int, int]]) -> None:
-    """Trail export: tick, event direction, bump x, bump y."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tick", "direction", "bump_x", "bump_y"])
-        writer.writerows(trail)

@@ -366,24 +366,25 @@ def _fir_table(coeffs: tuple[float, ...]) -> np.ndarray:
 class VectorNetwork:
     """Runtime instance of one compiled vector-cell network.
 
-    ``frame_layout`` maps (unit, tap) to its position within each scan
-    frame; the multiplexer gathers the 80 routed inputs from there, so
-    first-layer node j ANDs frame positions ``input_pos[2j]`` and
-    ``input_pos[2j + 1]``, which a node bank reads from the columns of
-    its layout that hold them.  ``run`` reads the output over a
-    block of a constant-configuration session from reset from the node
-    bits of a :class:`NodeBank` shared with the other networks on the
-    same scan.
+    ``frame_layout`` is an int [n_units, 8] array of each (unit, tap)'s
+    position within each scan frame, negative where the scan does not
+    output that tap; the multiplexer gathers the 80 routed inputs from
+    there, so first-layer node j ANDs frame positions ``input_pos[2j]``
+    and ``input_pos[2j + 1]``, which a node bank reads from the columns
+    of its layout that hold them.  A routed tap the scan does not
+    output raises CompileError.  ``run`` reads the output over a block
+    of a constant-configuration session from reset from the node bits
+    of a :class:`NodeBank` shared with the other networks on the same
+    scan.
     """
 
-    def __init__(self, mux: MuxTable,
-                 frame_layout: dict[tuple[int, int], int]):
+    def __init__(self, mux: MuxTable, frame_layout: np.ndarray):
         self.mux = mux
-        try:
-            self.input_pos = np.array([frame_layout[slot] for slot in mux.slots])
-        except KeyError as exc:
+        self.input_pos = frame_layout[tuple(zip(*mux.slots))]
+        if self.input_pos.min() < 0:
+            slot = mux.slots[int(np.argmax(self.input_pos < 0))]
             raise CompileError(
-                f"mux routes phase {exc.args[0]} that the scan does not output")
+                f"mux routes phase {slot} that the scan does not output")
         self.n_pairs = mux.n_pairs
         self.active = np.delete(np.arange(self.n_pairs // 2), mux.dropped)
 

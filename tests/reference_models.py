@@ -21,15 +21,20 @@ session in one block in ``session_bank``, a trace's high runs found
 one sample at a time in ``scan_runs``) so the tests can check the
 vectorized, streamed, routed and time-domain code against them.  The inverses
 of velocity decoding and lookup-table serialization live here too,
-since only the round-trip tests need them, and so does
-``write_grid_csv``, the writer of the one-matrix-per-file grid format
-that ``grids.csv`` and ``runs.csv`` replaced, with ``fill_runs``, which
-turns runs back into bits, so the tests can rebuild those files.
+since only the round-trip tests need them, and so do the formats the
+run lists replaced: ``write_grid_csv``, the writer of the
+one-matrix-per-file grid format, with ``snapshot`` and ``occupancy``,
+the matrices it wrote, and ``write_traces_csv``, the writer of the
+one-row-per-tick ``traces.csv``.  ``read_runs_csv`` reads a run list
+back and ``fill_runs`` turns runs back into bits, so the tests can
+rebuild those files.
 """
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
@@ -39,9 +44,12 @@ from thetanav.harness import TRACK_CLOCK_HZ
 from thetanav.place_grid import (
     BUMP_LEVEL,
     DIRECTION_DELTA,
+    DIRECTIONS,
     LEAK_STEP,
     OutOfBoundsError,
     PulseEvent,
+    activity,
+    grid_matrix,
 )
 from thetanav.theta_core import (
     F_SWING_HZ,
@@ -400,7 +408,7 @@ def phase_shift(loc, cell: EffectiveCell, speed: float) -> float:
 
 class PlaceGrid:
     """Center-origin activity grid with a unique bump, stepped one pulse
-    at a time: what ``place_grid.snapshot`` rebuilds from the bump's path.
+    at a time: what :func:`snapshot` rebuilds from the bump's path.
 
     Coordinates run -half..+half on both axes (11x11 by default).
     Activity levels live in {0, 5, 10}; exactly one cell holds 10.
@@ -466,6 +474,47 @@ def apply_pulse_to_grid(grid: PlaceGrid, event: PulseEvent) -> PlaceGrid:
     grid._set(target, BUMP_LEVEL)
     grid.check_invariants()
     return grid
+
+
+def snapshot(path, grid_size: int) -> np.ndarray:
+    """Activity matrix after the bump walked ``path``: one move's
+    ``grids.csv`` rows as a matrix."""
+    return grid_matrix(activity(path), grid_size)
+
+
+def occupancy(result, tick: int) -> np.ndarray:
+    """Grid snapshot of which designated cells of the field map
+    ``result`` read high at a tick; none do past the session's end.  A
+    tick below 0 raises ValueError."""
+    if tick < 0:
+        raise ValueError(f"tick {tick} is before the session's start")
+    return grid_matrix(((cell, 1) for cell, bits in result.outputs.items()
+                        if tick < bits.size and bits[tick]),
+                       result.grid_size)
+
+
+def write_traces_csv(path, traces: dict, ticks: int) -> None:
+    """The ``traces.csv`` that ``runs.csv`` replaced: a tick,E,N,W,S
+    header, then each direction's output bit at each of ``ticks`` ticks,
+    one row a tick."""
+    row = "%d," * len(DIRECTIONS) + "%d\n"
+    columns = [traces[d].tolist() for d in DIRECTIONS]
+    Path(path).write_text("tick," + ",".join(DIRECTIONS) + "\n" + "".join(
+        row % r for r in zip(range(ticks), *columns)))
+
+
+def read_runs_csv(path, keys) -> tuple[dict, int]:
+    """The runs of each key (a tuple of its key column strings) of a run
+    list with key columns ``keys``, keys and runs in file order, and the
+    session's ticks, which only its last row holds."""
+    with open(path, newline="") as fh:
+        header, *rows, session = csv.reader(fh)
+    assert header == [*keys, "start", "end"]
+    assert session[:-1] == [""] * len(keys) + ["0"]
+    runs = defaultdict(list)
+    for *key, start, end in rows:
+        runs[tuple(key)].append((int(start), int(end)))
+    return dict(runs), int(session[-1])
 
 
 def write_grid_csv(path, matrix: np.ndarray) -> None:

@@ -28,8 +28,8 @@ from thetanav.chip_io import (
     scan_frames,
     select_units,
     tap0_bypass,
-    write_fit_report_csv,
 )
+from thetanav.harness import write_csv
 from thetanav.theta_core import (
     LINEAR,
     SIGMOID,
@@ -177,7 +177,7 @@ class TestScan:
         clock = 27272.7 * chip.enabled_phases
         n_cycles = 400
         freqs = frequencies(chip.population, chip.v_pref, v)
-        enabled = chip.enabled_taps()
+        enabled = np.argwhere(chip.bypass)   # shift order: unit-major
 
         frames = scan_frames(chip, v, n_cycles, clock_hz=clock)
 
@@ -583,7 +583,7 @@ class TestCsvExports:
     def test_fit_report_file(self, tmp_path):
         fits = [UnitFit(0, 2000.0, 20.0, 0.999)]
         report_path = tmp_path / "fits.csv"
-        write_fit_report_csv(report_path, fits)
+        write_csv(report_path, UnitFit._fields, fits)
         lines = report_path.read_text().strip().splitlines()
         assert lines[0] == "unit,f_idle_hat,beta_hat,r2"
         assert lines[1] == "0,2000.0,20.0,0.999"

@@ -1,11 +1,20 @@
 """One smoke test per CLI subcommand under the default config, read
 from an INI file where the subcommand takes one."""
 
+import csv
+import hashlib
+
 import pytest
 
 from thetanav import cli
 from thetanav.cli import main
 from thetanav.config import RunConfig, save_config
+from thetanav.harness import SeedOutcome, SweepResult
+
+# SHA-256 of the seed-0 calibrate fit report, as its own writer wrote it
+# before every table went through harness.write_csv.
+FIT_REPORT_SHA256 = \
+    "44f503caac6c74e45f6e1f830205745ce83d152cd53b1a216ccc04e524237eda"
 
 
 @pytest.fixture(autouse=True)
@@ -18,6 +27,8 @@ def in_tmp(tmp_path, monkeypatch):
 def test_calibrate(tmp_path, capsys):
     assert main(["calibrate", "--config", "run.ini", "--out", "fits.csv"]) == 0
     assert len((tmp_path / "fits.csv").read_text().splitlines()) == 129
+    digest = hashlib.sha256((tmp_path / "fits.csv").read_bytes())
+    assert digest.hexdigest() == FIT_REPORT_SHA256
     assert "wrote 128 unit fits" in capsys.readouterr().out
 
 
@@ -32,7 +43,7 @@ def test_track(tmp_path, capsys):
     assert main(["track", "--config", "run.ini", "--script", "path1_meander",
                  "--out", "run"]) == 0
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
-        "grids.csv", "manifest.ini", "traces.csv", "trail.csv",
+        "grids.csv", "manifest.ini", "runs.csv", "trail.csv",
         "warnings.txt"]
     assert "final location (0, -3) after 5 events" in capsys.readouterr().out
 
@@ -45,12 +56,42 @@ def test_field_map(tmp_path, capsys):
     assert "28 failed to compile" in capsys.readouterr().out
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+SWEEP_HEADER = ["seed", "ok", "final_x", "final_y", "n_events", "cause"]
+
+
 def test_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", "run.ini", "--script", "path3_loop",
-                 "--seeds", "1", "--out", "sweep.csv"]) == 0
+                 "--seeds", "2", "--out", "sweep.csv"]) == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[1].startswith("0,1,0,0,4,")
     assert "success fraction: 1.00" in capsys.readouterr().out
+    # The rows the hand-quoted writer wrote before harness.write_csv.
+    assert read_csv(tmp_path / "sweep.csv") == [
+        SWEEP_HEADER,
+        ["0", "1", "0", "0", "4", "reached target"],
+        ["1", "1", "0", "0", "4", "reached target"]]
+
+
+def test_sweep_csv_quotes_a_cause_with_commas_and_quotes(tmp_path,
+                                                        monkeypatch):
+    cause = 'ValueError: bad "a, b" pair, twice'
+    outcomes = [SeedOutcome(seed=4, ok=False, final=None, cause=cause,
+                            n_events=0),
+                SeedOutcome(seed=5, ok=True, final=(-1, 2),
+                            cause="reached target", n_events=3)]
+    monkeypatch.setattr(cli, "sweep_seeds",
+                        lambda *args: SweepResult(outcomes=outcomes))
+    assert main(["sweep", "--script", "path3_loop", "--seeds", "2",
+                 "--out", "out/sweep.csv"]) == 0
+    assert read_csv(tmp_path / "out" / "sweep.csv") == [
+        SWEEP_HEADER,
+        ["4", "0", "", "", "0", cause],
+        ["5", "1", "-1", "2", "3", "reached target"]]
 
 
 def test_nodes(capsys):

@@ -38,8 +38,10 @@ from thetanav.vector_net import (
     serialize_mux,
 )
 
-from reference_models import (effective_params, fill_runs, phase_shift,
-                              run_alone, session_frames, write_grid_csv)
+from reference_models import (effective_params, fill_runs, occupancy,
+                              phase_shift, read_runs_csv, run_alone,
+                              session_frames, write_grid_csv,
+                              write_traces_csv)
 
 CONFIG = RunConfig()
 SCRIPTS = built_in_scripts(CONFIG.speed)
@@ -164,7 +166,7 @@ def observe(frames, networks):
 def test_all_ones_frames_first_raise_each_network_at_tick_61(rig):
     # No input rises earlier, so no output is high before tick 61 of a
     # session from reset.
-    frames = np.ones((200, len(rig.frame_layout)), dtype=np.uint8)
+    frames = np.ones((200, rig.chip.enabled_phases), dtype=np.uint8)
     outputs, starts = observe(frames, rig.networks)
     for d, out in outputs.items():
         assert out.argmax() == 61 and out[61:].all(), d
@@ -400,8 +402,8 @@ def test_emit_then_run_from_manifest_is_bit_exact(rig, tmp_path):
     for d in result.traces:
         assert np.array_equal(again.traces[d], result.traces[d])
 
-    rows = (tmp_path / "traces.csv").read_text().splitlines()
-    assert len(rows) == 1 + result.ticks
+    _, ticks = read_runs_csv(tmp_path / "runs.csv", ["direction"])
+    assert ticks == result.ticks
 
 
 def test_run_from_a_config_without_a_script_raises(tmp_path):
@@ -413,7 +415,6 @@ def test_run_from_a_config_without_a_script_raises(tmp_path):
 
 
 GRIDS_HEADER = ["move", "tick", "x", "y", "level"]
-RUNS_HEADER = ["x", "y", "start", "end"]
 
 
 def csv_rows(path, header):
@@ -487,56 +488,70 @@ def test_emitted_grids_seed0_bit_for_bit(rig, tmp_path):
         assert digest.hexdigest() == expected, name
 
 
-# The files emit and write_field_map_csv wrote before grids.csv and
-# runs.csv replaced the per-move and per-stride files, and which stay
-# byte for byte: SHA-256 of the seed-0 TIMED run's traces.csv, trail.csv
-# and warnings.txt (in name order) followed by the first_fire.csv of the
+# The files emit and write_field_map_csv wrote before runs.csv replaced
+# traces.csv, and which stay byte for byte: SHA-256 of the seed-0 TIMED
+# run's trail.csv and warnings.txt followed by the first_fire.csv of the
 # seed-0 full field map at velocity (0.25, 0).  Then the run's grids.csv
-# and the map's runs.csv on their own.
+# and runs.csv and the map's runs.csv on their own; the map's runs.csv
+# less its session row, its last line, is the one written before the
+# session row was added.
 EMITTED_SHA256 = \
-    "2818f77f2456d077493f33ab1e6c2a29b9eb732b897432293ff9d144e766e04f"
+    "97be1647c53b7341ec002bfa2e0131860eb52ffa1e92912659c700543654a942"
 TIMED_GRIDS_CSV_SHA256 = \
     "86bc29a62abfa33340bf120423aff7adedf434a16bc80c16247fbf3dc04e4ab6"
+TIMED_RUNS_CSV_SHA256 = \
+    "211eca411a7633fe65e546a807b1e0bd92ed836931a88adc617ef84692526e16"
 FIELD_MAP_RUNS_CSV_SHA256 = \
+    "f78b02e4e8091753f3d2a5247a8fbbb682b79cf96cf48bfae282c61f6252f771"
+OLD_FIELD_MAP_RUNS_CSV_SHA256 = \
     "26e6442b68ebff88c35f5f05aa46e9b8592ea16c0293e1bf3eb0d6ec509c3066"
-UNCHANGED = ("traces.csv", "trail.csv", "warnings.txt")
+UNCHANGED = ("trail.csv", "warnings.txt")
 
 
 def test_emitted_files_seed0_bit_for_bit(rig, tmp_path):
     result = harness.run_track(CONFIG, TIMED, rig=rig)
     written = harness.emit(result, tmp_path / "timed", CONFIG, TIMED)
-    assert sorted(p.name for p in written) == sorted(
-        ("manifest.ini", "grids.csv") + UNCHANGED)
-    files = sorted(p for p in written if p.name in UNCHANGED)
+    assert [p.name for p in written] == [
+        "manifest.ini", "trail.csv", "runs.csv", "grids.csv", "warnings.txt"]
+    files = [p for p in written if p.name in UNCHANGED]
     mapped = harness.field_map(CONFIG, VelocityVector(0.25, 0.0), rig=rig)
     first_fire, runs = harness.write_field_map_csv(mapped, tmp_path / "map")
     assert sha256_of(files + [first_fire]) == EMITTED_SHA256
     assert sha256_of([tmp_path / "timed" / "grids.csv"]) \
         == TIMED_GRIDS_CSV_SHA256
+    assert sha256_of([tmp_path / "timed" / "runs.csv"]) \
+        == TIMED_RUNS_CSV_SHA256
     assert sha256_of([runs]) == FIELD_MAP_RUNS_CSV_SHA256
+    *lines, session = runs.read_bytes().splitlines(keepends=True)
+    assert session == b",,0,2829\r\n"
+    assert hashlib.sha256(b"".join(lines)).hexdigest() \
+        == OLD_FIELD_MAP_RUNS_CSV_SHA256
 
 
 def emitted_digests(scripts, rig, outdir):
-    """SHA-256 of the seed-0 traces.csv, trail.csv and warnings.txt of each
-    script in turn, in name order within each, and of their grids.csv
-    files in turn."""
-    files, grids = [], []
+    """SHA-256 of the seed-0 trail.csv and warnings.txt of each script in
+    turn, in name order within each, of their grids.csv files in turn and
+    of their runs.csv files in turn."""
+    files, grids, runs = [], [], []
     for script in scripts:
         result = harness.run_track(CONFIG, script, rig=rig)
         harness.emit(result, outdir / script.name, CONFIG, script)
         files += [outdir / script.name / name for name in UNCHANGED]
         grids.append(outdir / script.name / "grids.csv")
-    return sha256_of(files), sha256_of(grids)
+        runs.append(outdir / script.name / "runs.csv")
+    return sha256_of(files), sha256_of(grids), sha256_of(runs)
 
 
 # emitted_digests of the three built-in scripts in name order, and of
 # REPEATS.
 BUILT_IN_EMITTED_SHA256 = (
-    "1123f20601e7786f4955148fac75cef6602bb7d80f8e371bea26092bda83cdf7",
-    "21190cb837ddab36e5620d1fe0b0985f8e1fedfe322be80d31a5def0e2851d68")
+    "3060013ce4847821f6f593c60224b5b9462384dae65444053da962d6255c1e28",
+    "21190cb837ddab36e5620d1fe0b0985f8e1fedfe322be80d31a5def0e2851d68",
+    "623ecdea1608c917aab4b9f6de07371642976dd8a63751b2a91be00f1a99d761")
 REPEATS_EMITTED_SHA256 = (
-    "899798256eaa89673b11916b1db3db6b70f8cd55667d6a336f5bcde145866959",
-    "19513004c12ff08e02158a106987ed343aefa75ffdd8ccb2971f478d509c8362")
+    "a3f0c9da3cd1fc3f28e7968998c06eda5cd284a6add8c84929d344de8f66d686",
+    "19513004c12ff08e02158a106987ed343aefa75ffdd8ccb2971f478d509c8362",
+    "02e15735d375af25b7b2c6524eda87ecd0470af3b72a1c8e90a810c11531a18c")
 
 
 def test_emitted_built_in_scripts_seed0_bit_for_bit(rig, tmp_path):
@@ -546,6 +561,67 @@ def test_emitted_built_in_scripts_seed0_bit_for_bit(rig, tmp_path):
 
 def test_emitted_repeated_headings_seed0_bit_for_bit(rig, tmp_path):
     assert emitted_digests([REPEATS], rig, tmp_path) == REPEATS_EMITTED_SHA256
+
+
+# SHA-256 of the traces.csv emit wrote for each seed-0 run before runs.csv
+# replaced it: one tick,E,N,W,S row per tick.
+OLD_TRACES_SHA256 = {
+    "timed":
+        "01316dbe8e28d2fee2b16329e5e1a06e71666c4f9511f29ad37a911d9ebe9bea",
+    "path1_meander":
+        "64aa613dd99029087324d56d4dad494e9b1dca8d149965c9dfb21276af4c5e52",
+    "path2_detour":
+        "8de164b72d0f9ebbd98d5174bdd3876fe1e0ed3c689af458ff3c80c36fd39ba6",
+    "path3_loop":
+        "1c82c28df13841e389c77466b7342f5ee47d884a8ab9566171dcc70a76e39f0b",
+    "repeats":
+        "982372c4bb7c7139005dc22130da12dccbccdbac01b4cc17b096ae58fd5e5258",
+}
+
+
+def test_runs_csv_rebuilds_the_old_traces_files(rig, tmp_path):
+    # runs.csv loses nothing: each direction's runs filled into bits over
+    # the session row's ticks, written one row a tick, rebuild every old
+    # traces.csv of each run from the file alone.
+    scripts = {"timed": TIMED, **SCRIPTS, "repeats": REPEATS}
+    for name, expected in OLD_TRACES_SHA256.items():
+        result = harness.run_track(CONFIG, scripts[name], rig=rig)
+        harness.emit(result, tmp_path / name, CONFIG, scripts[name])
+        runs, ticks = read_runs_csv(tmp_path / name / "runs.csv",
+                                    ["direction"])
+        # Directions in DIRECTIONS order, runs in tick order.
+        assert list(runs) == [(d,) for d in DIRECTION_DELTA if (d,) in runs]
+        assert all(r == sorted(r) for r in runs.values())
+        traces = {d: fill_runs(runs.get((d,), ()), ticks)
+                  for d in DIRECTION_DELTA}
+        write_traces_csv(tmp_path / "traces.csv", traces, ticks)
+        assert sha256_of([tmp_path / "traces.csv"]) == expected, name
+
+
+def streams_of_length(n):
+    return st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                    max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_streams=st.integers(0, 300).flatmap(
+    lambda n: st.tuples(st.just(n), streams_of_length(n))))
+@example(n_streams=(0, []))
+@example(n_streams=(0, [[], []]))
+@example(n_streams=(5, [[1] * 5, [1] * 5]))
+@example(n_streams=(7, [[1, 1, 0, 1, 0, 0, 1], [0] * 7]))   # both ends
+def test_write_runs_csv_round_trips(tmp_path_factory, n_streams):
+    # Reading a run list back rebuilds every stream and its length exactly.
+    n, streams = n_streams
+    path = tmp_path_factory.getbasetemp() / "runs.csv"
+    keyed = {(i, f"s{i}"): np.array(bits, dtype=np.uint8)
+             for i, bits in enumerate(streams)}
+    assert harness.write_runs_csv(path, ("i", "name"), keyed, n) == path
+    runs, ticks = read_runs_csv(path, ["i", "name"])
+    assert ticks == n
+    for (i, name), bits in keyed.items():
+        rebuilt = fill_runs(runs.get((str(i), name), ()), ticks)
+        assert rebuilt.tolist() == bits.tolist(), i
 
 
 # SHA-256 of the seed-0 full field map's occupancy_<tick>.csv files at
@@ -559,31 +635,29 @@ OLD_OCCUPANCY_SHA256 = {
 
 
 def test_runs_csv_rebuilds_the_old_occupancy_files(rig, tmp_path):
-    # runs.csv loses nothing: each cell's runs filled into bits rebuild its
-    # outputs exactly, and the occupancy of those bits, written one matrix
-    # per file, every old occupancy file.  The session length is the
-    # map's, which the old files held only as their last tick.
+    # runs.csv loses nothing: each cell's runs filled into bits over the
+    # session row's ticks rebuild its outputs exactly, and the occupancy of
+    # those bits, written one matrix per file, every old occupancy file.
     mapped = harness.field_map(CONFIG, VelocityVector(0.25, 0.0), rig=rig)
     harness.write_field_map_csv(mapped, tmp_path)
-    runs = defaultdict(list)
-    for x, y, start, end in csv_rows(tmp_path / "runs.csv", RUNS_HEADER):
-        runs[x, y].append((start, end))
+    runs, n = read_runs_csv(tmp_path / "runs.csv", ["x", "y"])
+    runs = {(int(x), int(y)): r for (x, y), r in runs.items()}
     # Cells in first_fire order, runs in tick order.
     assert list(runs) == [cell for cell in mapped.cells if cell in runs]
     assert all(cell_runs == sorted(cell_runs) for cell_runs in runs.values())
-    n = mapped.session_ticks
+    assert n == mapped.session_ticks
     for cell, bits in mapped.outputs.items():
         assert np.array_equal(fill_runs(runs.get(cell, ()), n), bits), cell
     rebuilt = harness.FieldMapResult(
         session_ticks=n, first_fire=mapped.first_fire,
         outputs={cell: fill_runs(r, n) for cell, r in runs.items()},
         grid_size=CONFIG.grid_size)
-    occupancy = tmp_path / "occupancy.csv"
+    path = tmp_path / "occupancy.csv"
     for stride, expected in OLD_OCCUPANCY_SHA256.items():
         digest = hashlib.sha256()
         for tick in range(0, n, stride):
-            write_grid_csv(occupancy, rebuilt.occupancy(tick))
-            digest.update(occupancy.read_bytes())
+            write_grid_csv(path, occupancy(rebuilt, tick))
+            digest.update(path.read_bytes())
         assert digest.hexdigest() == expected, stride
 
 
@@ -596,11 +670,11 @@ def test_occupancy_puts_cell_x_y_at_row_half_minus_y_column_x_plus_half():
         grid_size=5)
     expected = np.zeros((5, 5), dtype=int)
     expected[2 - (-1), 2 + 2] = 1
-    assert np.array_equal(result.occupancy(2), expected)
-    assert not result.occupancy(1).any()
-    assert not result.occupancy(4).any()   # past the end of the session
+    assert np.array_equal(occupancy(result, 2), expected)
+    assert not occupancy(result, 1).any()
+    assert not occupancy(result, 4).any()   # past the end of the session
     with pytest.raises(ValueError, match="tick -1"):
-        result.occupancy(-1)   # would read the last tick, bits[-1]
+        occupancy(result, -1)   # would read the last tick, bits[-1]
 
 
 def test_field_map_records_compile_failures(rig, tmp_path):
@@ -621,8 +695,8 @@ def test_field_map_records_compile_failures(rig, tmp_path):
     failed = {(int(x), int(y)): cause for x, y, _, cause in rows[1:] if cause}
     assert failed == result.failed
     # A failed cell has no outputs, so no runs.
-    ran = {(x, y) for x, y, _, _ in csv_rows(tmp_path / "runs.csv",
-                                                 RUNS_HEADER)}
+    runs, _ = read_runs_csv(tmp_path / "runs.csv", ["x", "y"])
+    ran = {(int(x), int(y)) for x, y in runs}
     assert ran and not ran & set(result.failed)
 
 
@@ -680,7 +754,8 @@ def test_write_field_map_csv_replaces_an_earlier_map(tmp_path):
         written = harness.write_field_map_csv(result, tmp_path)
         assert [p.name for p in written] == ["first_fire.csv", "runs.csv"]
         assert sorted(tmp_path.iterdir()) == sorted(written)
-        assert len(csv_rows(tmp_path / "runs.csv", RUNS_HEADER)) == n_runs
+        runs, ticks = read_runs_csv(tmp_path / "runs.csv", ["x", "y"])
+        assert sum(map(len, runs.values())) == n_runs and ticks == 256
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from thetanav.harness import write_csv
 from thetanav.place_grid import (
     DIRECTIONS,
     OutOfBoundsError,
@@ -13,12 +14,10 @@ from thetanav.place_grid import (
     apply_pulse,
     debounce,
     high_runs,
-    snapshot,
-    write_trail_csv,
 )
 
 from reference_models import (PlaceGrid, apply_pulse_to_grid, fill_runs,
-                              scan_runs, write_grid_csv)
+                              scan_runs, snapshot, write_grid_csv)
 
 
 @settings(max_examples=300, deadline=None)
@@ -193,7 +192,8 @@ class TestLocate:
 class TestExports:
     def test_trail_csv(self, tmp_path):
         path = tmp_path / "trail.csv"
-        write_trail_csv(path, [(0, "start", 0, 0), (42, "E", 1, 0)])
+        write_csv(path, ("tick", "direction", "bump_x", "bump_y"),
+                  [(0, "start", 0, 0), (42, "E", 1, 0)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "tick,direction,bump_x,bump_y"
         assert lines[1] == "0,start,0,0"

@@ -659,7 +659,7 @@ def small_network(seed=0, n_pairs=4):
                                 rng.uniform(18, 24, 2 * n_pairs))
     mux = compile_lookup(pairing, TargetLocation(0.002, 0.3), 0.25,
                          min_active_groups=1)
-    layout = {(u, t): 8 * u + t for u in range(2 * n_pairs) for t in range(8)}
+    layout = np.arange(2 * n_pairs * 8).reshape(2 * n_pairs, 8)
     return VectorNetwork(mux, layout), 2 * n_pairs
 
 
@@ -703,7 +703,8 @@ class TestVectorNetwork:
         pairing = synthetic_pairing([2000.0] * 8, [20.0] * 8)
         mux = compile_lookup(pairing, TargetLocation(0.002, 0.0), 0.25,
                              min_active_groups=1)
-        layout = {(u, 0): u for u in range(8)}  # tap-0 only
+        layout = np.full((8, 8), -1)
+        layout[:, 0] = np.arange(8)  # tap-0 only
         if any(t != 0 for _, t in mux.slots):
             with pytest.raises(CompileError):
                 VectorNetwork(mux, layout)
