@@ -39,6 +39,14 @@ def _script(args, config: RunConfig) -> PathScript:
     return scripts[args.script]
 
 
+def _out_file(path: str) -> Path:
+    """A subcommand's ``--out`` file, its parent directory made first, as
+    ``track`` and ``field-map`` make their ``--out`` directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run configuration INI file")
     parser.add_argument("--seed", type=int, default=None,
@@ -50,7 +58,7 @@ def cmd_calibrate(args) -> int:
     population = sample_population(config.population, config.seed)
     chip = ChipState(population)
     fits = calibrate(chip)
-    write_csv(args.out, UnitFit._fields, fits)
+    write_csv(_out_file(args.out), UnitFit._fields, fits)
     print(f"wrote {len(fits)} unit fits to {args.out}")
     return 0
 
@@ -60,7 +68,7 @@ def cmd_compile(args) -> int:
     r, theta = (float(x) for x in args.target.split(","))
     target = TargetLocation(r, theta)   # before the rig is built
     mux = build_rig(config).compile_target(target)
-    Path(args.out).write_text(serialize_mux(mux))
+    _out_file(args.out).write_text(serialize_mux(mux))
     print(f"wrote lookup table for target (r={r}, theta={theta}) to "
           f"{args.out}; dropped groups: {mux.dropped}")
     return 0
@@ -97,9 +105,8 @@ def cmd_sweep(args) -> int:
         print(f"seed {o.seed}: {status} ({o.cause}; {o.n_events} events)")
     print(f"success fraction: {result.success_fraction:.2f}")
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         header = ("seed", "ok", "final_x", "final_y", "n_events", "cause")
-        write_csv(args.out, header,
+        write_csv(_out_file(args.out), header,
                   ((o.seed, int(o.ok), *(o.final or ("", "")), o.n_events,
                     o.cause) for o in result.outcomes))
     return 0

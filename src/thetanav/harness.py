@@ -479,12 +479,14 @@ def write_runs_csv(path, keys: Sequence[str], streams: dict,
 
 def emit(result: TrackResult, outdir, config: RunConfig,
          script: PathScript) -> list[Path]:
-    """Write the run to outdir, replacing any earlier run's files:
+    """Write the run's five files to outdir, made if missing:
     ``manifest.ini``, ``trail.csv``, ``runs.csv`` (the run list of each
     direction's trace, :func:`write_runs_csv`), ``grids.csv`` (for each
     trail row, the :func:`place_grid.activity` of the bump's path up to
     it, as move, tick, x, y, level rows) and ``warnings.txt`` (empty
-    when there are none).
+    when there are none).  Each overwrites a file of its name; any other
+    file in outdir, such as the ``traces.csv`` that versions before the
+    run list wrote, is left as it is.
 
     The manifest records the full configuration (seed included), the
     script and the package, numpy and scipy versions; re-running from it

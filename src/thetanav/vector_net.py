@@ -28,7 +28,8 @@ of the session's frames to the next, and a network's output is the AND
 of its own second-layer nodes in the bank.  The bank stores each
 layer's bits node-major, as the scan stores its frames tap-major:
 ``bank.layer2.T[k]`` is node k's contiguous trace, so a node reads its
-two inputs and a network its nodes as whole rows.
+two inputs and a network its nodes as whole rows, and each filter stage
+runs on a [nodes, T] block of those rows, time on the last axis.
 """
 
 from __future__ import annotations
@@ -264,35 +265,48 @@ def serialize_mux(mux: MuxTable) -> str:
 
 def schmitt_batch(y: np.ndarray, rise: float, fall: float,
                   last=0) -> np.ndarray:
-    """Vectorized Schmitt trigger along axis 0 from output ``last`` (0/1
-    per column, low by default).
+    """Vectorized Schmitt trigger along the last axis from output
+    ``last`` (0/1 per row, low by default).
 
     The output at sample t is high when the last sample up to t at or
     above ``rise`` is later than the last one at or below ``fall``, or
-    when there is neither and ``last`` is high.  Sample i is marked
-    2i + 3 at or above ``rise``, 2i + 2 at or below ``fall`` and 0
-    otherwise; marks grow with i and exceed ``last``, so the running max
-    of the marks from ``last`` is the mark of the last marked sample, or
-    ``last`` before the first, and its parity is the output.  The form
-    is exact because ``fall < rise`` in every layer of ``STAGES``: no
-    sample is marked both ways.  int32 marks hold for blocks of up to
-    2**30 - 2 samples.
+    when there is neither and ``last`` is high.  So it can change only
+    at the first sample of a run at or above ``rise`` (to 1) or of a
+    run at or below ``fall`` (to 0): each row reads ``last`` up to its
+    first run start, then each run start's kind up to the next.  One
+    ``np.repeat`` over the node-major buffer paints every row from those
+    few points; a run start of the kind already painted repaints the
+    same value, so no run start needs dropping.  The form is exact
+    because ``fall < rise`` in every layer of ``STAGES``: no sample
+    starts runs of both kinds.
     """
-    idx = np.arange(2, 2 * y.shape[0] + 2, 2, dtype=np.int32)
-    idx = idx.reshape((-1,) + (1,) * (y.ndim - 1))
+    ticks = y.shape[-1]
+    if not ticks:
+        return np.zeros(y.shape, dtype=np.uint8)
     up = y >= rise
-    marks = (up | (y <= fall)) * idx
-    marks += up
-    np.maximum(marks[:1], last, out=marks[:1])
-    np.maximum.accumulate(marks, axis=0, out=marks)
-    return (marks & 1).astype(np.uint8)
+    down = y <= fall
+    starts = np.empty(y.shape, dtype=bool)
+    starts[..., 0] = up[..., 0] | down[..., 0]
+    np.greater(up[..., 1:], up[..., :-1], out=starts[..., 1:])
+    starts[..., 1:] |= down[..., 1:] > down[..., :-1]
+    at = np.flatnonzero(starts)
+    opening = np.empty(y.shape[:-1], dtype=np.uint8)
+    opening[...] = last
+    # A stable sort puts each row's opening before a run start at its
+    # first sample, which then leaves the opening empty.
+    edges = np.concatenate((np.arange(0, y.size, ticks), at, [y.size]))
+    order = np.argsort(edges, kind="stable")
+    edges = edges[order]
+    values = np.concatenate((opening.ravel(), up.ravel()[at].view(np.uint8)))
+    return np.repeat(values[order[:-1]],
+                     edges[1:] - edges[:-1]).reshape(y.shape)
 
 
 class StageState(NamedTuple):
-    """One layer's filter state at the end of a block, node on the last
-    axis: the node's last ``FIR_TAPS - 1`` inputs, oldest first (0
-    before the session), the RC filter's ``lfilter`` state and the
-    Schmitt trigger's output."""
+    """One layer's filter state at the end of a block, node first: the
+    node's last ``FIR_TAPS - 1`` inputs, oldest first (0 before the
+    session), the RC filter's ``lfilter`` state and the Schmitt
+    trigger's output."""
 
     inputs: np.ndarray
     rc: np.ndarray
@@ -301,53 +315,63 @@ class StageState(NamedTuple):
     @classmethod
     def cleared(cls, nodes: tuple[int, ...]) -> StageState:
         """The state of nodes of shape ``nodes`` at a session's start."""
-        return cls(np.zeros((FIR_TAPS - 1,) + nodes, dtype=np.uint8),
-                   np.zeros((1,) + nodes), np.zeros(nodes, dtype=np.uint8))
+        return cls(np.zeros(nodes + (FIR_TAPS - 1,), dtype=np.uint8),
+                   np.zeros(nodes + (1,)), np.zeros(nodes, dtype=np.uint8))
 
 
-def filter_stage_batch(x: np.ndarray, layer: int, state: StageState):
-    """One layer's nodes over a [T, nodes] block of 0/1 AND bits with the
-    layer's ``STAGES`` constants: the 9-tap FIR, the leaky RC
-    accumulator y += alpha * (fir - y), and the Schmitt trigger (rises
-    at the rise threshold, falls at the fall threshold, starts low).
+def filter_stage_batch(x: np.ndarray, layer: int, state: StageState,
+                       work: np.ndarray | None = None):
+    """One layer's nodes over a [nodes, T] block of 0/1 AND bits, time on
+    the last axis, with the layer's ``STAGES`` constants: the 9-tap FIR,
+    the leaky RC accumulator y += alpha * (fir - y), and the Schmitt
+    trigger (rises at the rise threshold, falls at the fall threshold,
+    starts low).
 
     The block continues the session whose earlier blocks left ``state``
     (``StageState.cleared`` before the first), and the call returns its
     bits and the state after it: the FIR reads the last 8 inputs before
     the block, the RC filter starts from ``lfilter``'s final state and
     the Schmitt trigger from the last output.  The bits equal those of
-    the blocks filtered as one, bit for bit."""
+    the blocks filtered as one, bit for bit.
+
+    ``work``, if given, is a C-contiguous float array of shape [nodes,
+    T + FIR_TAPS - 1] that the FIR writes into.  A caller that filters
+    many blocks passes one array for all of them, so each block reuses
+    its pages rather than ones the allocator must map afresh."""
     if layer not in STAGES:
         raise ValueError(f"layer must be 1 or 2, got {layer}")
-    if not x.shape[0]:   # lfilter refuses an empty signal
+    if not x.shape[-1]:   # lfilter refuses an empty signal
         return np.zeros(x.shape, dtype=np.uint8), state
     coeffs, alpha, rise, fall = STAGES[layer]
-    window = np.concatenate((state.inputs, x))
+    window = np.concatenate((state.inputs, x), axis=-1)
     rc, rc_state = lfilter([alpha], [1.0, alpha - 1.0],
-                           _fir(window, coeffs)[FIR_TAPS - 1:], axis=0,
-                           zi=state.rc)
+                           _fir(window, coeffs, work)[..., FIR_TAPS - 1:],
+                           axis=-1, zi=state.rc)
     bits = schmitt_batch(rc, rise, fall, state.out)
-    return bits, StageState(window[1 - FIR_TAPS:], rc_state, bits[-1])
+    return bits, StageState(window[..., 1 - FIR_TAPS:], rc_state,
+                            bits[..., -1])
 
 
-def _fir(bits: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The 9-tap FIR ``coeffs`` along axis 0 of 0/1 ``bits``, from
+def _fir(bits: np.ndarray, coeffs: np.ndarray,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """The 9-tap FIR ``coeffs`` along the last axis of 0/1 ``bits``, from
     cleared state.  Each sample's last 9 bits form a code, bit i the
-    sample i ticks back (0 before the first sample), that indexes a
-    512-entry table of tap sums added oldest sample first, the order
-    ``np.convolve`` (which ``lfilter`` runs for a FIR) uses from T = 10,
-    so from there the floats are ``lfilter``'s bit for bit.  Below
-    T = 10 ``np.convolve`` sums newest first, which can differ in the
-    last bit, but on no 0/1 block that short does a node of either
-    layer give another output.  The codes of
-    0/1 bits lie below 512, so clipping never binds; it only spares
-    ``np.take`` its bounds check."""
+    sample i ticks back (0 before the row's first sample), built by
+    shifts within each row, that indexes a 512-entry table of tap sums
+    added oldest sample first, the order ``np.convolve`` (which
+    ``lfilter`` runs for a FIR) uses from T = 10, so from there the
+    floats are ``lfilter``'s bit for bit.  Below T = 10 ``np.convolve``
+    sums newest first, which can differ in the last bit, but on no 0/1
+    block that short does a node of either layer give another output.
+    The codes of 0/1 bits lie below 512, so clipping never binds; it
+    only spares ``np.take`` its bounds check.  The result goes to
+    ``out`` when one is given."""
     window = bits.astype(np.uint16)
     code = window.copy()
     for shift in (1, 2, 4):   # code then holds the last 2 * shift samples
-        code[shift:] |= code[:-shift] << shift
-    code[8:] |= window[:-8] << 8
-    return np.take(_fir_table(tuple(coeffs)), code, mode="clip")
+        code[..., shift:] |= code[..., :-shift] << shift
+    code[..., 8:] |= window[..., :-8] << 8
+    return np.take(_fir_table(tuple(coeffs)), code, mode="clip", out=out)
 
 
 @functools.cache
@@ -498,26 +522,28 @@ def _filter_nodes(source: np.ndarray, inputs: np.ndarray,
     its entry in ``state``, which is advanced in place, in blocks of at
     most ``NODE_TICK_BLOCK`` node-ticks.
 
-    The bits are stored node-major: the result is the transpose of a
-    [len(inputs), T] buffer, so ``bits.T[k]`` is node k's trace with no
-    stride.  Node k's input is ``rows[a] & rows[b]`` of ``rows =
-    source.T``, contiguous rows when ``source`` is itself node-major, as
-    tap-major scan frames and a first layer's bits are."""
+    The work is node-major throughout: node k's input is ``rows[a] &
+    rows[b]`` of ``rows = source.T``, contiguous rows when ``source`` is
+    itself node-major, as tap-major scan frames and a first layer's bits
+    are; each block of nodes is filtered as a [nodes, T] block, its FIR
+    written into one work array that every block reuses, and its rows
+    stored as they come, so the result is the transpose of a
+    [len(inputs), T] buffer and ``bits.T[k]`` is node k's trace."""
     ticks = source.shape[0]
     bits = np.empty((len(inputs), ticks), dtype=np.uint8)
     if ticks == 0:
         return bits.T
     rows = source.T
     block = max(1, NODE_TICK_BLOCK // ticks)
+    work = np.empty((min(block, len(inputs)), ticks + FIR_TAPS - 1))
     for lo in range(0, len(inputs), block):
         nodes = slice(lo, lo + block)
         a, b = inputs[nodes].T
-        out, after = filter_stage_batch(
-            (rows[a] & rows[b]).T, layer,
-            StageState(*(part[..., nodes] for part in state)))
-        bits[nodes] = out.T
+        bits[nodes], after = filter_stage_batch(
+            rows[a] & rows[b], layer,
+            StageState(*(part[nodes] for part in state)), work[:len(a)])
         for whole, part in zip(state, after):
-            whole[..., nodes] = part
+            whole[nodes] = part
     return bits.T
 
 

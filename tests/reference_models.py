@@ -190,37 +190,43 @@ def rc_step(y, x, alpha):
 
 
 def fir_lfilter(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The FIR ``coeffs`` along axis 0 of ``x`` from cleared state, as
-    scipy's ``lfilter`` computes it."""
-    return lfilter(coeffs, [1.0], x, axis=0)
+    """The FIR ``coeffs`` along the last axis of ``x`` from cleared
+    state, as scipy's ``lfilter`` computes it."""
+    return lfilter(coeffs, [1.0], x, axis=-1)
 
 
-def schmitt_forward_fill(y: np.ndarray, rise: float,
-                         fall: float) -> np.ndarray:
-    """Schmitt trigger along axis 0, initial output low: each sample is
-    marked +1 at or above ``rise`` and -1 at or below ``fall`` (the fall
-    mark wins), and the last mark so far is carried forward."""
+def schmitt_forward_fill(y: np.ndarray, rise: float, fall: float,
+                         last=0) -> np.ndarray:
+    """Schmitt trigger along the last axis from output ``last`` (0/1 per
+    row, low by default): each sample is marked +1 at or above ``rise``
+    and -1 at or below ``fall`` (the fall mark wins), the last mark so
+    far is carried forward, and a row reads ``last`` before its first
+    mark."""
     marks = np.zeros(y.shape, dtype=np.int8)
     marks[y >= rise] = 1
     marks[y <= fall] = -1
-    idx = np.arange(y.shape[0]).reshape((-1,) + (1,) * (y.ndim - 1))
+    idx = np.arange(y.shape[-1])
     nonzero = marks != 0
-    last = np.maximum.accumulate(np.where(nonzero, idx, -1), axis=0)
-    filled = np.take_along_axis(marks, np.maximum(last, 0), axis=0)
-    filled = np.where(last >= 0, filled, -1)
+    latest = np.maximum.accumulate(np.where(nonzero, idx, -1), axis=-1)
+    filled = np.take_along_axis(marks, np.maximum(latest, 0), axis=-1)
+    before = np.where(np.asarray(last)[..., None] == 1, 1, -1)
+    filled = np.where(latest >= 0, filled, before)
     return (filled == 1).astype(np.uint8)
 
 
-def schmitt_two_index(y: np.ndarray, rise: float,
-                      fall: float) -> np.ndarray:
-    """Schmitt trigger along axis 0, initial output low: high where the
-    last sample at or above ``rise`` so far (counted from 1, 0 for none)
-    is later than the last one at or below ``fall``.  Exact for fall <
-    rise."""
-    idx = np.arange(1, y.shape[0] + 1).reshape((-1,) + (1,) * (y.ndim - 1))
-    up = np.maximum.accumulate((y >= rise) * idx, axis=0)
-    down = np.maximum.accumulate((y <= fall) * idx, axis=0)
-    return (up > down).astype(np.uint8)
+def schmitt_two_index(y: np.ndarray, rise: float, fall: float,
+                      last=0) -> np.ndarray:
+    """Schmitt trigger along the last axis from output ``last`` (0/1 per
+    row, low by default): high where the last sample at or above
+    ``rise`` so far (counted from 1, 0 for none) is later than the last
+    one at or below ``fall``, or where there is neither and ``last`` is
+    high.  Exact for fall < rise."""
+    idx = np.arange(1, y.shape[-1] + 1)
+    up = np.maximum.accumulate((y >= rise) * idx, axis=-1)
+    down = np.maximum.accumulate((y <= fall) * idx, axis=-1)
+    neither = (up == 0) & (down == 0)
+    return ((up > down) | (neither & (np.asarray(last)[..., None] == 1))
+            ).astype(np.uint8)
 
 
 @dataclass
@@ -261,9 +267,9 @@ def session_frames(rig, velocity, n: int, columns=None) -> np.ndarray:
 
 
 def filter_once(x: np.ndarray, layer: int) -> np.ndarray:
-    """One layer's bits over ``x``, a whole session from cleared state in
-    one block."""
-    return filter_stage_batch(x, layer, StageState.cleared(x.shape[1:]))[0]
+    """One layer's bits over ``x``, a [nodes, T] (or [T]) block of a
+    whole session from cleared state, in one pass."""
+    return filter_stage_batch(x, layer, StageState.cleared(x.shape[:-1]))[0]
 
 
 def session_bank(frames: np.ndarray, networks) -> NodeBank:
@@ -301,8 +307,8 @@ def pair_beat_frequency(bits_a: np.ndarray, bits_b: np.ndarray,
                         fs: float) -> float:
     """Measured envelope frequency of an AND-interfered pair: the two bit
     streams through one first-layer node, rising edges per second."""
-    x = (np.asarray(bits_a) & np.asarray(bits_b)).astype(float).reshape(-1, 1)
-    env = filter_once(x, 1)[:, 0]
+    x = (np.asarray(bits_a) & np.asarray(bits_b)).astype(float).reshape(1, -1)
+    env = filter_once(x, 1)[0]
     edges = int(np.count_nonzero((env[1:] == 1) & (env[:-1] == 0)))
     return edges / (env.size / fs)
 

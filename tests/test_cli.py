@@ -94,6 +94,19 @@ def test_sweep_csv_quotes_a_cause_with_commas_and_quotes(tmp_path,
         ["5", "1", "-1", "2", "3", "reached target"]]
 
 
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--out", "nodir/sub/fits.csv"],
+    ["compile", "--target", "0.0024,0", "--out", "nodir/sub/mux.txt"],
+    ["sweep", "--script", "path3_loop", "--seeds", "1",
+     "--out", "nodir/sub/sweep.csv"],
+])
+def test_out_file_into_a_missing_directory(tmp_path, command):
+    # Each --out file's parent is made, as track and field-map make their
+    # --out directory.
+    assert main(command) == 0
+    assert (tmp_path / command[-1]).read_text().strip()
+
+
 def test_nodes(capsys):
     assert main(["nodes", "-M", "80", "-N", "2", "-K", "4"]) == 0
     out = capsys.readouterr().out
@@ -128,8 +141,8 @@ def test_field_map_bad_lengths_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("command, stage, message", [
     (["field-map", "--velocity", "nan,0", "--out", "map"], "field_map",
      "velocity (nan, 0.0) is not finite"),
-    (["compile", "--target", "0.0024,nan", "--out", "mux.txt"], "build_rig",
-     "target (0.0024, nan) is not finite"),
+    (["compile", "--target", "0.0024,nan", "--out", "nodir/mux.txt"],
+     "build_rig", "target (0.0024, nan) is not finite"),
 ])
 def test_a_nan_input_exits_1_before_the_run(tmp_path, monkeypatch, capsys,
                                            command, stage, message):
@@ -138,4 +151,5 @@ def test_a_nan_input_exits_1_before_the_run(tmp_path, monkeypatch, capsys,
     assert main(command) == 1
     assert message in capsys.readouterr().err
     assert calls == []
-    assert not (tmp_path / command[-1]).exists()
+    # Not even the --out file's parent directory is made.
+    assert not (tmp_path / command[-1].split("/")[0]).exists()

@@ -448,6 +448,19 @@ def test_emit_replaces_an_earlier_run(rig, tmp_path):
         assert moves == set(range(len(result.trail)))
 
 
+def test_emit_overwrites_its_own_files_and_leaves_the_rest(rig, tmp_path):
+    # A directory an older version wrote keeps that version's traces.csv.
+    stale = tmp_path / "traces.csv"
+    stale.write_text("tick,E,N,W,S\n0,0,0,0,0\n")
+    (tmp_path / "trail.csv").write_text("stale\n")
+    script = SCRIPTS["path3_loop"]
+    result = harness.run_track(CONFIG, script, rig=rig)
+    written = harness.emit(result, tmp_path, CONFIG, script)
+    assert sorted(tmp_path.iterdir()) == sorted(written + [stale])
+    assert stale.read_text() == "tick,E,N,W,S\n0,0,0,0,0\n"
+    assert (tmp_path / "trail.csv").read_text().startswith("tick,")
+
+
 # SHA-256 of each seed-0 run's grid_000.csv, grid_001.csv, ... (one
 # activity matrix per trail row, written by write_grid_csv), concatenated
 # in name order, as emit wrote them before grids.csv replaced them.

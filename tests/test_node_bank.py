@@ -143,13 +143,14 @@ def test_field_map_filters_each_distinct_node_once(rig, monkeypatch):
     result = harness.field_map(CONFIG, FIELD_VELOCITY, targets=targets,
                                rig=rig)
 
-    ticks = {shape[0] for _, shape in stages}
+    # Each stage filters a node-major [nodes, T] block.
+    ticks = {shape[1] for _, shape in stages}
     assert ticks == {result.session_ticks}
     # Blocks no wider than one network's layer 1 bound the work arrays.
-    assert all(shape[1] <= 40 for _, shape in stages)
+    assert all(shape[0] <= 40 for _, shape in stages)
     l1_node_ticks = sum(math.prod(shape) for layer, shape in stages
                         if layer == 1)
-    l2_nodes = sum(shape[1] for layer, shape in stages if layer == 2)
+    l2_nodes = sum(shape[0] for layer, shape in stages if layer == 2)
     # At most 8 taps on each of 40 pairs, however many cells are mapped.
     assert l1_node_ticks <= result.session_ticks * 8 * 40
 

@@ -18,6 +18,7 @@ from thetanav import vector_net
 from thetanav.vector_net import (
     FIR_LAYER1,
     FIR_LAYER2,
+    FIR_TAPS,
     STAGES,
     CompileError,
     Pairing,
@@ -439,18 +440,18 @@ class TestFilters:
 
 
 def every_bit_sequence(t):
-    """All 2**t 0/1 sequences of length t as the columns of a [t, 2**t]
+    """All 2**t 0/1 sequences of length t as the rows of a [2**t, t]
     uint8 block."""
     return np.array(list(itertools.product((0, 1), repeat=t)),
-                    dtype=np.uint8).T
+                    dtype=np.uint8)
 
 
 def stage_lfilter(x, layer):
-    """One layer's nodes over a [T, n] block with the FIR as ``lfilter``
+    """One layer's nodes over an [n, T] block with the FIR as ``lfilter``
     runs it."""
     coeffs, alpha, rise, fall = STAGES[layer]
     fir = fir_lfilter(x.astype(float), coeffs)
-    return schmitt_batch(lfilter([alpha], [1.0, alpha - 1.0], fir, axis=0),
+    return schmitt_batch(lfilter([alpha], [1.0, alpha - 1.0], fir, axis=-1),
                          rise, fall)
 
 
@@ -461,7 +462,7 @@ def assert_fir_matches_lfilter(bits, layer):
     got = vector_net._fir(bits, STAGES[layer][0])
     want = fir_lfilter(bits.astype(float), STAGES[layer][0])
     assert got.dtype == want.dtype and got.shape == want.shape
-    if len(bits) >= 10:
+    if bits.shape[-1] >= 10:
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(filter_once(bits, layer),
                           stage_lfilter(bits, layer))
@@ -483,18 +484,18 @@ def test_fir_equals_lfilter_on_every_short_sequence(layer, t):
 def test_fir_equals_lfilter_on_random_blocks(layer, t, n, density, seed):
     bits = (np.random.default_rng(seed).random((t, n)) < density
             ).astype(np.uint8)
-    assert_fir_matches_lfilter(bits, layer)
+    assert_fir_matches_lfilter(bits.T, layer)
 
 
 @st.composite
 def split_blocks(draw):
-    """A [T, n] 0/1 block, T up to 3,000, and the sorted ticks where a
+    """An [n, T] 0/1 block, T up to 3,000, and the sorted ticks where a
     stream splits it: often inside the first 9 ticks, where the FIR
     window is still filling, and often repeated or adjacent, so some
     blocks hold 0 or 1 ticks."""
     t = draw(st.integers(0, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bits = (rng.random((t, draw(st.integers(1, 4))))
+    bits = (rng.random((draw(st.integers(1, 4)), t))
             < draw(st.floats(0.0, 1.0))).astype(np.uint8)
     cuts = draw(st.lists(st.one_of(st.integers(0, min(t, 9)),
                                    st.integers(0, t)), max_size=8))
@@ -504,20 +505,20 @@ def split_blocks(draw):
 def filter_in_blocks(bits, layer, cuts):
     """One layer's bits over ``bits`` streamed in the blocks between
     ``cuts``, and the state after the last block."""
-    state = StageState.cleared(bits.shape[1:])
+    state = StageState.cleared(bits.shape[:-1])
     parts = []
-    for lo, hi in zip([0] + cuts, cuts + [len(bits)]):
-        out, state = filter_stage_batch(bits[lo:hi], layer, state)
+    for lo, hi in zip([0] + cuts, cuts + [bits.shape[-1]]):
+        out, state = filter_stage_batch(bits[..., lo:hi], layer, state)
         parts.append(out)
-    return np.concatenate(parts), state
+    return np.concatenate(parts, axis=-1), state
 
 
 @settings(max_examples=150, deadline=None)
 @given(layer=st.sampled_from(sorted(STAGES)), case=split_blocks())
-@example(layer=1, case=(np.ones((3000, 2), np.uint8), [0, 0, 1, 8, 9, 10]))
-@example(layer=2, case=(np.ones((3000, 2), np.uint8), [0, 0, 1, 8, 9, 10]))
+@example(layer=1, case=(np.ones((2, 3000), np.uint8), [0, 0, 1, 8, 9, 10]))
+@example(layer=2, case=(np.ones((2, 3000), np.uint8), [0, 0, 1, 8, 9, 10]))
 @example(layer=2, case=(np.ones((1, 1), np.uint8), [0, 1, 1]))
-@example(layer=1, case=(np.zeros((0, 3), np.uint8), [0, 0]))
+@example(layer=1, case=(np.zeros((3, 0), np.uint8), [0, 0]))
 def test_streamed_filter_equals_one_pass(layer, case):
     bits, cuts = case
     streamed, state = filter_in_blocks(bits, layer, cuts)
@@ -530,6 +531,52 @@ def test_streamed_filter_equals_one_pass(layer, case):
     _, one_block = filter_in_blocks(bits, layer, [])
     for carried, single in zip(state, one_block):
         assert carried.dtype == single.dtype
+        assert carried.tobytes() == single.tobytes()
+
+
+@st.composite
+def node_and_tick_splits(draw):
+    """An [n, T] 0/1 block, n up to 6 and T up to 600, the sorted nodes
+    where a bank splits it into groups and the sorted ticks where a
+    stream splits it into blocks, both often repeated or at the ends."""
+    n, t = draw(st.integers(1, 6)), draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.random((n, t)) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+    nodes = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    ticks = sorted(draw(st.lists(st.one_of(st.integers(0, min(t, 9)),
+                                           st.integers(0, t)), max_size=5)))
+    return bits, nodes, ticks
+
+
+@settings(max_examples=100, deadline=None)
+@given(layer=st.sampled_from(sorted(STAGES)), case=node_and_tick_splits())
+@example(layer=1, case=(np.ones((3, 300), np.uint8), [1, 1, 3], [0, 9, 9]))
+@example(layer=2, case=(np.eye(4, 200, 150, np.uint8), [2], [150, 151]))
+@example(layer=2, case=(np.zeros((2, 0), np.uint8), [1], [0]))
+def test_node_groups_streamed_with_carried_state_equal_each_node_alone(
+        layer, case):
+    # Each group of nodes is filtered over each block from its rows of a
+    # state carried per node, its FIR written into one work array that
+    # every group reuses, as a node bank streams a session.
+    bits, node_cuts, tick_cuts = case
+    state = StageState.cleared(bits.shape[:-1])
+    parts = []
+    for lo, hi in zip([0] + tick_cuts, tick_cuts + [bits.shape[-1]]):
+        part = np.empty((len(bits), hi - lo), dtype=np.uint8)
+        work = np.empty((len(bits), hi - lo + FIR_TAPS - 1))
+        for a, b in zip([0] + node_cuts, node_cuts + [len(bits)]):
+            part[a:b], after = filter_stage_batch(
+                bits[a:b, lo:hi], layer,
+                StageState(*(whole[a:b] for whole in state)), work[:b - a])
+            for whole, rows in zip(state, after):
+                whole[a:b] = rows
+        parts.append(part)
+    streamed = np.concatenate(parts, axis=-1)
+    assert streamed.tobytes() == filter_once(bits, layer).tobytes()
+    for node, row in zip(streamed, bits):
+        assert node.tobytes() == filter_once(row, layer).tobytes()
+    _, one_block = filter_in_blocks(bits, layer, [])
+    for carried, single in zip(state, one_block):
         assert carried.tobytes() == single.tobytes()
 
 
@@ -557,8 +604,9 @@ def test_distinct_equals_unique_rows(keys):
 
 @st.composite
 def schmitt_cases(draw):
-    """A [T] or [T, n] block, T from 0, with thresholds fall < rise drawn
-    freely and many samples exactly at one of them."""
+    """A [T] or [n, T] block, T from 0, with thresholds fall < rise drawn
+    freely, many samples exactly at one of them, and each row's output
+    ``last`` before the block."""
     fall, rise = sorted(draw(st.lists(
         st.floats(-2.0, 2.0, allow_nan=False), min_size=2, max_size=2,
         unique=True)))
@@ -568,37 +616,47 @@ def schmitt_cases(draw):
         st.one_of(st.sampled_from([rise, fall]),
                   st.floats(-3.0, 3.0, allow_nan=False)),
         min_size=n * math.prod(shape), max_size=n * math.prod(shape)))
-    return np.reshape(np.array(values, dtype=float), (n,) + shape), rise, fall
+    last = np.reshape(draw(st.lists(st.integers(0, 1), min_size=math.prod(
+        shape), max_size=math.prod(shape))), shape).astype(np.uint8)
+    return (np.reshape(np.array(values, dtype=float), shape + (n,)), rise,
+            fall, last)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=schmitt_cases())
-@example(case=(np.zeros(0), 0.6, 0.4))
-@example(case=(np.zeros((0, 2)), 0.6, 0.4))
-@example(case=(np.full(1, 0.6), 0.6, 0.4))
-@example(case=(np.full((1, 2), 0.4), 0.6, 0.4))
-@example(case=(np.array([[0.6, 0.5], [0.5, 0.6], [0.4, 0.4]]), 0.6, 0.4))
-@example(case=(np.tile([0.7, 0.5, 0.3, 0.5], 20_000), 0.6, 0.4))  # T > 2**16
+@example(case=(np.zeros(0), 0.6, 0.4, 1))                       # T = 0
+@example(case=(np.zeros((2, 0)), 0.6, 0.4, [0, 1]))
+@example(case=(np.full(1, 0.6), 0.6, 0.4, 0))                   # T = 1
+@example(case=(np.full((2, 1), 0.4), 0.6, 0.4, [1, 0]))
+@example(case=(np.array([[0.6, 0.5], [0.5, 0.6], [0.4, 0.4]]).T, 0.6, 0.4,
+               [0, 1]))
+@example(case=(np.array([0.6, 0.4, 0.6, 0.4]), 0.6, 0.4, 1))   # at rise, fall
+@example(case=(np.array([[0.7, 0.6, 0.3, 0.4, 0.5]] * 2), 0.6, 0.4,
+               [0, 1]))                                         # up, then down
+@example(case=(np.array([[0.6, 0.5, 0.7, 0.5]] * 2), 0.6, 0.4,
+               [0, 1]))                                         # up, middle, up
+@example(case=(np.full((2, 5), 0.5), 0.6, 0.4, [1, 0]))        # all middle
+@example(case=(np.tile([0.7, 0.5, 0.3, 0.5], 20_000), 0.6, 0.4, 0))
 def test_schmitt_equals_the_forward_fill_oracle(case):
-    y, rise, fall = case
-    got = schmitt_batch(y, rise, fall)
-    want = schmitt_forward_fill(y, rise, fall)
+    y, rise, fall, last = case
+    got = schmitt_batch(y, rise, fall, last)
+    want = schmitt_forward_fill(y, rise, fall, last)
     assert got.dtype == want.dtype == np.uint8
     assert got.shape == want.shape == y.shape
     assert np.array_equal(got, want)
-    # The running max of one mark per sample equals the last rise against
-    # the last fall.
-    assert np.array_equal(got, schmitt_two_index(y, rise, fall))
+    # Painting from the run starts equals the last rise against the last
+    # fall.
+    assert np.array_equal(got, schmitt_two_index(y, rise, fall, last))
 
 
 def test_schmitt_starts_low_and_holds_between_thresholds():
     y = np.array([0.5, 0.5, 0.6, 0.5, 0.41, 0.4, 0.5, 0.59, 0.6])
     want = np.array([0, 0, 1, 1, 1, 0, 0, 0, 1], dtype=np.uint8)
     assert np.array_equal(schmitt_batch(y, 0.6, 0.4), want)
-    # Each column of a block is triggered on its own.
-    block = np.column_stack((y, y[::-1]))
-    assert np.array_equal(schmitt_batch(block, 0.6, 0.4)[:, 0], want)
-    assert np.array_equal(schmitt_batch(block, 0.6, 0.4)[:, 1],
+    # Each row of a block is triggered on its own.
+    block = np.vstack((y, y[::-1]))
+    assert np.array_equal(schmitt_batch(block, 0.6, 0.4)[0], want)
+    assert np.array_equal(schmitt_batch(block, 0.6, 0.4)[1],
                           [1, 1, 1, 0, 0, 0, 1, 1, 1])
 
 
@@ -620,7 +678,7 @@ class TestNodeStep:
                 break
         assert oracle_n is not None
 
-        out = filter_once(np.ones((600, 1)), 2)[:, 0]
+        out = filter_once(np.ones((600, 1)).T, 2)[0]
         got_n = int(np.argmax(out)) + 1 if out.any() else None
         assert got_n == oracle_n
         # RC rise only begins once the 9-tap pipeline fills, so the
@@ -631,8 +689,8 @@ class TestNodeStep:
         # With the fall threshold at 1e-4, a low output means the RC
         # accumulator has drained below it.
         monkeypatch.setitem(vector_net.STAGES, 1, STAGES[1][:3] + (1e-4,))
-        x = np.concatenate((np.ones(200), np.zeros(400))).reshape(-1, 1)
-        out = filter_once(x, 1)[:, 0]
+        x = np.concatenate((np.ones(200), np.zeros(400))).reshape(1, -1)
+        out = filter_once(x, 1)[0]
         assert out[199] == 1
         assert out[-1] == 0
 
@@ -641,15 +699,15 @@ class TestNodeStep:
         n = int(2.0 * fs)
         wa = square_wave(2000.0, fs, n)
         wb = square_wave(2050.0, fs, n)
-        x = (wa & wb).astype(float).reshape(-1, 1)
-        outs = filter_once(x, 1)[:, 0]
+        x = (wa & wb).astype(float).reshape(1, -1)
+        outs = filter_once(x, 1)[0]
         rises = int(np.count_nonzero((outs[1:] == 1) & (outs[:-1] == 0)))
         assert abs(rises / 2.0 - 50.0) <= 1.0
 
     def test_bad_layer(self):
         for layer in (0, 3):
             with pytest.raises(ValueError):
-                filter_stage_batch(np.ones((4, 1)), layer,
+                filter_stage_batch(np.ones((4, 1)).T, layer,
                                    StageState.cleared((1,)))
 
 
