@@ -335,9 +335,10 @@ def filter_stage_batch(x: np.ndarray, layer: int, state: StageState,
     the blocks filtered as one, bit for bit.
 
     ``work``, if given, is a C-contiguous float array of shape [nodes,
-    T + FIR_TAPS - 1] that the FIR writes into.  A caller that filters
-    many blocks passes one array for all of them, so each block reuses
-    its pages rather than ones the allocator must map afresh."""
+    T + FIR_TAPS - 1] that the FIR writes into (see ``_fir``).  A caller
+    that filters many blocks passes one array for all of them, so each
+    block reuses its pages rather than ones the allocator must map
+    afresh."""
     if layer not in STAGES:
         raise ValueError(f"layer must be 1 or 2, got {layer}")
     if not x.shape[-1]:   # lfilter refuses an empty signal
@@ -345,33 +346,48 @@ def filter_stage_batch(x: np.ndarray, layer: int, state: StageState,
     coeffs, alpha, rise, fall = STAGES[layer]
     window = np.concatenate((state.inputs, x), axis=-1)
     rc, rc_state = lfilter([alpha], [1.0, alpha - 1.0],
-                           _fir(window, coeffs, work)[..., FIR_TAPS - 1:],
-                           axis=-1, zi=state.rc)
+                           _fir(window, coeffs, work), axis=-1, zi=state.rc)
     bits = schmitt_batch(rc, rise, fall, state.out)
     return bits, StageState(window[..., 1 - FIR_TAPS:], rc_state,
                             bits[..., -1])
 
 
-def _fir(bits: np.ndarray, coeffs: np.ndarray,
+def _fir(window: np.ndarray, coeffs: np.ndarray,
          out: np.ndarray | None = None) -> np.ndarray:
-    """The 9-tap FIR ``coeffs`` along the last axis of 0/1 ``bits``, from
-    cleared state.  Each sample's last 9 bits form a code, bit i the
-    sample i ticks back (0 before the row's first sample), built by
-    shifts within each row, that indexes a 512-entry table of tap sums
-    added oldest sample first, the order ``np.convolve`` (which
-    ``lfilter`` runs for a FIR) uses from T = 10, so from there the
-    floats are ``lfilter``'s bit for bit.  Below T = 10 ``np.convolve``
-    sums newest first, which can differ in the last bit, but on no 0/1
-    block that short does a node of either layer give another output.
-    The codes of 0/1 bits lie below 512, so clipping never binds; it
-    only spares ``np.take`` its bounds check.  The result goes to
-    ``out`` when one is given."""
-    window = bits.astype(np.uint16)
-    code = window.copy()
+    """The 9-tap FIR ``coeffs`` along the last axis of a 0/1 ``window``
+    whose rows each open with their ``FIR_TAPS - 1`` history samples
+    (``StageState.inputs``), over the T samples after them: a [..., T]
+    result whose sample t sums taps over window samples t..t + 8.  Each
+    sample's last 9 bits form a code, bit i the sample i ticks back,
+    that indexes a 512-entry table of tap sums added oldest sample
+    first, the order ``np.convolve`` (which ``lfilter`` runs for a FIR)
+    uses from T = 10, so from there the floats are ``lfilter``'s bit for
+    bit on a row opening with cleared history.  Below T = 10
+    ``np.convolve`` sums newest first, which can differ in the last bit,
+    but on no 0/1 block that short does a node of either layer give
+    another output.
+
+    The codes are built by shifts over the flattened window, so a row's
+    first 8 codes read the previous row's tail; those are the history
+    columns' codes, which the result leaves out, so no code of a
+    returned sample reads another row.  They index the table into the
+    flat ``out``, a C-contiguous float array of the window's shape (a
+    new one by default), and the result is its view past the history
+    columns.  A non-contiguous ``out`` raises ValueError.  The codes of
+    0/1 bits lie below 512, so clipping never binds; it only spares
+    ``np.take`` its bounds check."""
+    if out is None:
+        out = np.empty(window.shape)
+    elif out.shape != window.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous of shape {window.shape}")
+    flat = window.reshape(-1)
+    code = flat.astype(np.uint16)
     for shift in (1, 2, 4):   # code then holds the last 2 * shift samples
-        code[..., shift:] |= code[..., :-shift] << shift
-    code[..., 8:] |= window[..., :-8] << 8
-    return np.take(_fir_table(tuple(coeffs)), code, mode="clip", out=out)
+        code[shift:] |= code[:-shift] << shift
+    code[8:] |= flat[:-8].astype(np.uint16) << 8
+    np.take(_fir_table(tuple(coeffs)), code, mode="clip",
+            out=out.reshape(-1))
+    return out[..., FIR_TAPS - 1:]
 
 
 @functools.cache

@@ -266,6 +266,18 @@ ONE_TAP = [(2000.0, 20.0, 0.1, 0.0, 12, 8, (0, 0, 0, 1, 0, 0, 0, 0))]
 THREE_TAPS = [(1500.0, 30.0, 0.0, 0.2, 8, 12, (1, 0, 0, 0, 0, 0, 1, 0)),
               (3100.0, 35.0, 0.2, -0.1, 8, 4, (1, 0, 0, 0, 0, 0, 0, 0))]
 
+# Tap 7 alone stepping just under 1/2 cycle per sample at 16 kHz per
+# phase.  A first scan of 2**15 - 5 cycles (the last with int16 parity)
+# or 2**15 - 4 (the first with int32) leaves the phase at 0.988 or 0.488,
+# so the second scan reaches 2x = 32764.7, near the int16 limit of 32767.
+NEAR_HALF = [(7999.75, 0.0, 0.0, 0.0, 8, 8, (0, 0, 0, 0, 0, 0, 0, 1))]
+# 32 decoded taps at 2,670 cycles, a tracking scan's length: one padded
+# float block of 24 traces, then one of 8.  At NumPy's default buffer
+# size, rows of 2,048 cycles are the longest the scan leaves unpadded and
+# rows of 2,049 the shortest it pads.
+TRACK_BLOCK = [(1200.0 + 700.0 * i, 20.0 + 5.0 * i, 0.1 * i - 0.1, 0.05,
+                12 - i, 8 + i, ALL8) for i in range(4)]
+
 
 def scan_chip(units, response: str, held: bool) -> ChipState:
     f_idle, beta, ox, oy, cx, cy, bypass = zip(*units)
@@ -302,6 +314,14 @@ def scan_chip(units, response: str, held: bool) -> ChipState:
 @example(units=THREE_TAPS, response=SIGMOID, v1=(2.0, -1.0),
          v2=(-3.0, 4.0), fs=46_875.0, held=False, n1=SCAN_BLOCK + 1,
          n2=SCAN_BLOCK + 1)
+@example(units=NEAR_HALF, response=LINEAR, v1=(0.0, 0.0), v2=(0.0, 0.0),
+         fs=16_000.0, held=False, n1=2**15 - 5, n2=2**15 - 5)
+@example(units=NEAR_HALF, response=LINEAR, v1=(0.0, 0.0), v2=(0.0, 0.0),
+         fs=16_000.0, held=False, n1=2**15 - 4, n2=2**15 - 4)
+@example(units=TRACK_BLOCK, response=SIGMOID, v1=(1.0, 0.5),
+         v2=(-2.0, 3.0), fs=46_875.0, held=False, n1=2670, n2=2670)
+@example(units=TRACK_BLOCK, response=LINEAR, v1=(0.5, -1.0),
+         v2=(3.0, 0.0), fs=46_875.0, held=False, n1=2048, n2=2049)
 def test_scan_equals_the_modulo_oracle_bit_for_bit(units, response, v1, v2,
                                                    fs, held, n1, n2):
     chip = scan_chip(units, response, held)

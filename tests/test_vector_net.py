@@ -456,10 +456,13 @@ def stage_lfilter(x, layer):
 
 
 def assert_fir_matches_lfilter(bits, layer):
-    # From T = 10 np.convolve sums oldest sample first, as the table does,
-    # so the floats match bit for bit; below it the sums may differ in the
-    # last bit, but the nodes' outputs may not.
-    got = vector_net._fir(bits, STAGES[layer][0])
+    # Each row opens with 8 zero columns, the cleared history.  From T =
+    # 10 np.convolve sums oldest sample first, as the table does, so the
+    # floats match bit for bit; below it the sums may differ in the last
+    # bit, but the nodes' outputs may not.
+    history = np.zeros(bits.shape[:-1] + (FIR_TAPS - 1,), dtype=bits.dtype)
+    got = vector_net._fir(np.concatenate((history, bits), axis=-1),
+                          STAGES[layer][0])
     want = fir_lfilter(bits.astype(float), STAGES[layer][0])
     assert got.dtype == want.dtype and got.shape == want.shape
     if bits.shape[-1] >= 10:
@@ -472,6 +475,17 @@ def assert_fir_matches_lfilter(bits, layer):
 @pytest.mark.parametrize("t", range(1, 14))
 def test_fir_equals_lfilter_on_every_short_sequence(layer, t):
     assert_fir_matches_lfilter(every_bit_sequence(t), layer)
+
+
+def test_fir_refuses_an_out_it_cannot_write_flat():
+    # A reshape of a strided out would copy, and the FIR would be lost.
+    window = np.ones((3, 20), dtype=np.uint8)
+    for out in (np.empty((3, 40))[:, :20], np.empty((20, 3)).T,
+                np.empty((3, 19))):
+        with pytest.raises(ValueError):
+            vector_net._fir(window, FIR_LAYER1, out)
+    out = np.empty((3, 20))
+    assert np.shares_memory(vector_net._fir(window, FIR_LAYER1, out), out)
 
 
 @settings(max_examples=150, deadline=None)
@@ -519,6 +533,10 @@ def filter_in_blocks(bits, layer, cuts):
 @example(layer=2, case=(np.ones((2, 3000), np.uint8), [0, 0, 1, 8, 9, 10]))
 @example(layer=2, case=(np.ones((1, 1), np.uint8), [0, 1, 1]))
 @example(layer=1, case=(np.zeros((3, 0), np.uint8), [0, 0]))
+# After the cut at 150, rows 0 and 2 are all zeros with a history of
+# ones, and row 1, all ones, lies between them in the flattened window.
+@example(layer=1, case=(np.repeat([[1, 0], [1, 1], [1, 0]], 150, axis=1
+                                  ).astype(np.uint8), [150]))
 def test_streamed_filter_equals_one_pass(layer, case):
     bits, cuts = case
     streamed, state = filter_in_blocks(bits, layer, cuts)
