@@ -98,9 +98,9 @@ class TrackRig:
 
     ``frame_layout`` is an int [n_units, 8] array of each (unit, tap)'s
     position within a tracking scan frame, -1 at a disabled tap.
-    ``layout`` is the cardinal networks' node layout, built once with
-    the networks; every tracking session streams its scan through a
-    cleared bank on it.
+    Construction compiles ``networks``, the cardinal networks by
+    direction, and lays out their nodes once in ``layout``; every
+    tracking session streams its scan through a cleared bank on it.
     """
 
     config: RunConfig
@@ -108,9 +108,14 @@ class TrackRig:
     fits: list[UnitFit]
     pairing: Pairing
     frame_layout: np.ndarray
-    networks: dict[str, VectorNetwork]
     fs: float
+    networks: dict[str, VectorNetwork] = field(init=False)
     layout: NodeLayout = field(init=False)
+
+    def __post_init__(self):
+        self.networks = {d: self.network(delta)
+                         for d, delta in DIRECTION_DELTA.items()}
+        self.layout = NodeLayout(self.networks.values())
 
     def compile_target(self, target: TargetLocation) -> MuxTable:
         return compile_lookup(self.pairing, target, self.config.speed)
@@ -144,11 +149,8 @@ def build_rig(config: RunConfig) -> TrackRig:
     frame_layout[chip.bypass] = np.arange(chip.enabled_phases)
     fs = phase_rate(TRACK_CLOCK_HZ, chip.enabled_phases)
 
-    rig = TrackRig(config=config, chip=chip, fits=fits, pairing=pairing,
-                   frame_layout=frame_layout, networks={}, fs=fs)
-    rig.networks = {d: rig.network(delta) for d, delta in DIRECTION_DELTA.items()}
-    rig.layout = NodeLayout(rig.networks.values())
-    return rig
+    return TrackRig(config=config, chip=chip, fits=fits, pairing=pairing,
+                    frame_layout=frame_layout, fs=fs)
 
 
 @dataclass

@@ -149,27 +149,24 @@ class Pairing:
         return self.unit.shape[-1] // 2
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MuxTable:
     """Compiled phase-tap routing for one vector-cell network.
 
-    ``slots`` lists (unit, tap) for the 80 network inputs in wiring
-    order: slot 2j and 2j+1 feed first-layer node j.  ``dropped`` flags
-    second-layer groups whose predicted alignment error at arrival
-    exceeds tolerance; the output AND ignores them.
+    Tap ``tap[i]`` of unit ``unit[i]`` (int [80] arrays) feeds network
+    input i in wiring order: inputs 2j and 2j+1 feed first-layer node j.
+    ``dropped`` flags second-layer groups whose predicted alignment error
+    at arrival exceeds tolerance; the output AND ignores them.
     """
 
-    slots: list[tuple[int, int]]
+    unit: np.ndarray
+    tap: np.ndarray
     dropped: list[int]
     target: TargetLocation
     speed: float
     tolerance: float
     drift_tolerance: float
     residuals: list[float] = field(default_factory=list)
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.slots) // 2
 
 
 def pair_layer1(admitted: Sequence[UnitFit],
@@ -240,9 +237,9 @@ def compile_lookup(pairing: Pairing, target: TargetLocation, speed: float,
 
     tap = np.zeros((2, 2, groups), dtype=int)      # [member, axis, group]
     tap[0, on] = best
-    slots = list(zip(pairing.unit.T.ravel().tolist(),
-                     tap.reshape(2, -1).T.ravel().tolist()))
-    return MuxTable(slots=slots, dropped=dropped, target=target, speed=speed,
+    return MuxTable(unit=pairing.unit.T.ravel(),
+                    tap=tap.reshape(2, -1).T.ravel(),
+                    dropped=dropped, target=target, speed=speed,
                     tolerance=tolerance, drift_tolerance=drift_tolerance,
                     residuals=residuals.tolist())
 
@@ -256,7 +253,7 @@ def serialize_mux(mux: MuxTable) -> str:
         f"tolerance={mux.tolerance!r}",
         f"drift_tolerance={mux.drift_tolerance!r}",
     ]
-    for i, (unit, tap) in enumerate(mux.slots):
+    for i, (unit, tap) in enumerate(zip(mux.unit.tolist(), mux.tap.tolist())):
         lines.append(f"{i},{unit},{tap}")
     for g in sorted(mux.dropped):
         lines.append(f"drop,{g}")
@@ -408,24 +405,24 @@ class VectorNetwork:
 
     ``frame_layout`` is an int [n_units, 8] array of each (unit, tap)'s
     position within each scan frame, negative where the scan does not
-    output that tap; the multiplexer gathers the 80 routed inputs from
-    there, so first-layer node j ANDs frame positions ``input_pos[2j]``
-    and ``input_pos[2j + 1]``, which a node bank reads from the columns
-    of its layout that hold them.  A routed tap the scan does not
-    output raises CompileError.  ``run`` reads the output over a block
-    of a constant-configuration session from reset from the node bits
-    of a :class:`NodeBank` shared with the other networks on the same
-    scan.
+    output that tap; the multiplexer reads the 80 routed inputs'
+    positions ``input_pos = frame_layout[mux.unit, mux.tap]``, so
+    first-layer node j ANDs ``input_pos[2j]`` and ``input_pos[2j + 1]``,
+    which a node bank reads from the columns of its layout that hold
+    them.  A routed tap the scan does not output raises CompileError.
+    ``run`` reads the output over a block of a constant-configuration
+    session from reset from the node bits of a :class:`NodeBank` shared
+    with the other networks on the same scan.
     """
 
     def __init__(self, mux: MuxTable, frame_layout: np.ndarray):
         self.mux = mux
-        self.input_pos = frame_layout[tuple(zip(*mux.slots))]
+        self.input_pos = frame_layout[mux.unit, mux.tap]
         if self.input_pos.min() < 0:
-            slot = mux.slots[int(np.argmax(self.input_pos < 0))]
-            raise CompileError(
-                f"mux routes phase {slot} that the scan does not output")
-        self.n_pairs = mux.n_pairs
+            i = np.argmax(self.input_pos < 0)
+            raise CompileError(f"mux routes phase ({mux.unit[i]}, "
+                               f"{mux.tap[i]}) that the scan does not output")
+        self.n_pairs = mux.unit.size // 2
         self.active = np.delete(np.arange(self.n_pairs // 2), mux.dropped)
 
     def run(self, frames: np.ndarray, bank: NodeBank) -> np.ndarray:

@@ -123,8 +123,9 @@ def deserialize_mux(text: str) -> MuxTable:
             if slot != len(slots):
                 raise ValueError(f"slot {slot} out of order")
             slots.append((unit, tap))
+    unit, tap = np.array(slots, dtype=int).reshape(-1, 2).T
     return MuxTable(
-        slots=slots, dropped=dropped,
+        unit=unit, tap=tap, dropped=dropped,
         target=TargetLocation(header["target_r"], header["target_theta"]),
         speed=header["speed"], tolerance=header["tolerance"],
         drift_tolerance=header["drift_tolerance"])
@@ -359,9 +360,24 @@ def compile_lookup_scalar(pairs, fits, target, speed, tolerance,
             f"only {n_x - len(dropped)} active groups after "
             f"dropping {len(dropped)}, need {min_active_groups}")
     slots = [(unit, taps[unit]) for pair in pairs for unit in pair]
-    return MuxTable(slots=slots, dropped=dropped, target=target, speed=speed,
-                    tolerance=tolerance, drift_tolerance=drift_tolerance,
-                    residuals=residuals)
+    unit, tap = np.array(slots, dtype=int).T
+    return MuxTable(unit=unit, tap=tap, dropped=dropped, target=target,
+                    speed=speed, tolerance=tolerance,
+                    drift_tolerance=drift_tolerance, residuals=residuals)
+
+
+def routed_positions(mux: MuxTable, frame_layout: np.ndarray) -> list[int]:
+    """What ``VectorNetwork`` computes as ``input_pos``, one (unit, tap)
+    slot at a time: CompileError at the first slot whose tap the scan
+    does not output."""
+    positions = []
+    for slot in zip(mux.unit.tolist(), mux.tap.tolist()):
+        position = int(frame_layout[slot])
+        if position < 0:
+            raise CompileError(
+                f"mux routes phase {slot} that the scan does not output")
+        positions.append(position)
+    return positions
 
 
 class PairingError(ValueError):

@@ -39,8 +39,8 @@ from thetanav.vector_net import (
 )
 
 from reference_models import (effective_params, fill_runs, occupancy,
-                              phase_shift, read_runs_csv, run_alone,
-                              session_frames, write_grid_csv,
+                              phase_shift, read_runs_csv, routed_positions,
+                              run_alone, session_frames, write_grid_csv,
                               write_traces_csv)
 
 CONFIG = RunConfig()
@@ -899,13 +899,49 @@ def test_field_map_output_bits_seed0_bit_for_bit(rig):
 def test_a_mux_routing_an_unscanned_partner_tap_does_not_compile(rig):
     # The tracking scan outputs only tap 0 of each pair's partner.
     mux = rig.networks["E"].mux
-    partner, tap = mux.slots[1]
+    partner, tap = mux.unit[1], mux.tap[1]
     assert tap == 0
-    slots = list(mux.slots)
-    slots[1] = (partner, 3)
+    taps = mux.tap.copy()
+    taps[1] = 3
     with pytest.raises(CompileError, match=re.escape(
             f"mux routes phase ({partner}, 3) that the scan does not output")):
-        VectorNetwork(replace(mux, slots=slots), rig.frame_layout)
+        VectorNetwork(replace(mux, tap=taps), rig.frame_layout)
+
+
+@pytest.mark.parametrize("seed", [0, 117])
+def test_network_inputs_equal_the_per_slot_oracle(rig, seed):
+    # The compiled cells' muxes, and two that route partner taps the
+    # tracking scan does not output: one at the last slot, one at every
+    # odd slot from slot 41, where the first such slot names the error.
+    if seed != rig.config.seed:
+        rig = harness.build_rig(replace(CONFIG, seed=seed))
+    muxes = []
+    for cell in [(1, 0), (0, 1), (-1, 0), (0, -1), (2, 3), (-4, 5), (5, -5),
+                 (3, -1), (-2, -2), (4, 0)]:
+        try:
+            muxes.append(rig.compile_target(
+                TargetLocation.of_cell(cell, CONFIG.pitch)))
+        except CompileError:
+            pass
+    assert len(muxes) >= 6
+    last, odd = muxes[0].tap.copy(), muxes[1].tap.copy()
+    last[79] = 7
+    odd[41::2] = 5
+    muxes += [replace(muxes[0], tap=last), replace(muxes[1], tap=odd)]
+    raised = 0
+    for mux in muxes:
+        try:
+            want = routed_positions(mux, rig.frame_layout)
+        except CompileError as exc:
+            raised += 1
+            with pytest.raises(CompileError) as got:
+                VectorNetwork(mux, rig.frame_layout)
+            assert str(got.value) == str(exc)
+            continue
+        net = VectorNetwork(mux, rig.frame_layout)
+        assert net.input_pos.tolist() == want
+        assert net.n_pairs == 40
+    assert raised == 2
 
 
 def test_rig_from_another_config_raises(rig):

@@ -233,7 +233,7 @@ class TestCompileLookup:
             [2000, 2010, 1990, 2005, 2020, 1985, 2001, 1999], [20.0] * 8)
         mux = compile_lookup(pairing, TargetLocation(0.0, 0.0), 0.25,
                              min_active_groups=1)
-        assert all(tap == 0 for _, tap in mux.slots)
+        assert not mux.tap.any()
         assert mux.dropped == []
 
     def test_integer_accumulation_zero_residual(self):
@@ -246,7 +246,7 @@ class TestCompileLookup:
         mux = compile_lookup(pairing,
                              TargetLocation(0.25 / 128.0, 0.0), 0.25,
                              min_active_groups=1)
-        assert all(tap == 0 for _, tap in mux.slots)
+        assert not mux.tap.any()
         assert mux.residuals == [0.0, 0.0]
         assert mux.dropped == []
 
@@ -258,7 +258,7 @@ class TestCompileLookup:
         speed, r = 0.25, 0.25 / 128.0
         mux = compile_lookup(pairing, TargetLocation(r, 0.0), speed,
                              min_active_groups=1)
-        taps = dict(mux.slots)
+        taps = dict(zip(mux.unit.tolist(), mux.tap.tolist()))
         assert taps[0] == 0
         assert mux.residuals[0] == pytest.approx(1.0 / 16.0, abs=1e-12)
         assert 0 not in mux.dropped
@@ -270,7 +270,8 @@ class TestCompileLookup:
         target = TargetLocation(0.012, 0.7)
         a = compile_lookup(pairing, target, 0.25, min_active_groups=1)
         b = compile_lookup(pairing, target, 0.25, min_active_groups=1)
-        assert a.slots == b.slots
+        assert np.array_equal(a.unit, b.unit)
+        assert np.array_equal(a.tap, b.tap)
         assert a.dropped == b.dropped
         assert a.residuals == b.residuals
 
@@ -302,7 +303,7 @@ class TestCompileLookup:
             theta = float(rng.uniform(-math.pi, math.pi))
             mux = compile_lookup(pairing, TargetLocation(r, theta),
                                  speed, min_active_groups=1)
-            taps = dict(mux.slots)
+            taps = dict(zip(mux.unit.tolist(), mux.tap.tolist()))
 
             v = (speed * math.cos(theta), speed * math.sin(theta))
             n_ticks = round(r / speed * fs)
@@ -384,10 +385,12 @@ def test_compile_equals_the_scalar_oracle_bit_for_bit(case):
         assert str(got.value) == str(exc)
         return
     got = compile_lookup(pairing, target, speed, tol, drift, floor)
-    assert got.slots == want.slots
+    assert np.array_equal(got.unit, want.unit)
+    assert np.array_equal(got.tap, want.tap)
     assert got.dropped == want.dropped
     assert got.residuals == want.residuals
-    assert all(type(t) is int for slot in got.slots for t in slot)
+    for routed in (got.unit, got.tap):
+        assert routed.dtype.kind == "i" and routed.shape == (len(units),)
     assert serialize_mux(got) == serialize_mux(want)
 
 
@@ -399,7 +402,8 @@ class TestMuxSerialization:
                              min_active_groups=1)
         text = serialize_mux(mux)
         back = deserialize_mux(text)
-        assert back.slots == mux.slots
+        assert np.array_equal(back.unit, mux.unit)
+        assert np.array_equal(back.tap, mux.tap)
         assert back.dropped == mux.dropped
         assert back.target == mux.target
         assert back.speed == mux.speed
@@ -781,7 +785,7 @@ class TestVectorNetwork:
                              min_active_groups=1)
         layout = np.full((8, 8), -1)
         layout[:, 0] = np.arange(8)  # tap-0 only
-        if any(t != 0 for _, t in mux.slots):
+        if mux.tap.any():
             with pytest.raises(CompileError):
                 VectorNetwork(mux, layout)
         else:
