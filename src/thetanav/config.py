@@ -27,6 +27,14 @@ from .theta_core import PopulationSpec, VelocityVector, require_int
 
 LINEAR_RANGE = 4.0
 
+
+def require_linear(name: str, velocity: VelocityVector) -> None:
+    """Refuse a velocity with a component outside the linear range."""
+    if max(abs(velocity.vx), abs(velocity.vy)) > LINEAR_RANGE:
+        raise ValueError(f"{name} {tuple(velocity)} outside the linear "
+                         f"range [-{LINEAR_RANGE}, {LINEAR_RANGE}]")
+
+
 # The [meta] keys of a run manifest.  Bit-for-bit replay rests on the
 # float libraries as well as on the package.
 META_KEYS = ("version", "numpy", "scipy")
@@ -47,10 +55,7 @@ class Segment:
         return self.ticks is None
 
     def __post_init__(self):
-        if max(abs(self.velocity.vx), abs(self.velocity.vy)) > LINEAR_RANGE:
-            raise ValueError(
-                f"segment velocity {tuple(self.velocity)} outside the "
-                f"linear range [-{LINEAR_RANGE}, {LINEAR_RANGE}]")
+        require_linear("segment velocity", self.velocity)
         if self.velocity.vx != 0 and self.velocity.vy != 0:
             raise ValueError(
                 f"segment velocity {tuple(self.velocity)} is off-axis: the "
@@ -110,6 +115,8 @@ class RunConfig:
             raise ValueError("grid_size must be odd and positive")
         if not self.hold_ticks >= 0:
             raise ValueError("hold_ticks must be >= 0")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
         if self.population.n_units < NETWORK_UNITS:
             raise ValueError(
                 f"population.n_units must be >= {NETWORK_UNITS} (the "

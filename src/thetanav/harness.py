@@ -47,7 +47,7 @@ from .chip_io import (
     select_units,
     tap0_bypass,
 )
-from .config import PathScript, RunConfig, load_manifest, save_config
+from .config import PathScript, RunConfig, require_linear, save_config
 from .place_grid import (
     CAUSE_TRAIL_START,
     CAUSE_VECTOR_FIRE,
@@ -151,6 +151,16 @@ def build_rig(config: RunConfig) -> TrackRig:
 
     return TrackRig(config=config, chip=chip, fits=fits, pairing=pairing,
                     frame_layout=frame_layout, fs=fs)
+
+
+def _rig_for(config: RunConfig, rig: Optional[TrackRig]) -> TrackRig:
+    """``rig``, or a rig built from ``config`` when none is given; a rig
+    built from another config raises ValueError."""
+    if rig is None:
+        return build_rig(config)
+    if rig.config != config:
+        raise ValueError("the rig was built from another config")
+    return rig
 
 
 @dataclass
@@ -262,10 +272,7 @@ def run_track(config: RunConfig, script: PathScript,
     end on a pulse and warns when the velocity is unchanged or a moving
     segment's sub-cell displacement is discarded.
     """
-    if rig is None:
-        rig = build_rig(config)
-    elif rig.config != config:
-        raise ValueError("the rig was built from another config")
+    rig = _rig_for(config, rig)
     result = TrackResult()
     traces: dict[str, list[np.ndarray]] = {d: [] for d in DIRECTIONS}
     hold = np.zeros(config.hold_ticks, dtype=np.uint8)
@@ -364,10 +371,11 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     so each node they share is filtered once in one pass and the host
     decodes only the frame positions they read, none when no cell
     compiles.  A cell whose table does not compile is recorded in
-    ``failed``.  A target off the grid, a ``session_ticks`` that is not
-    an int >= 0 or a ``rig`` built from another config raises
-    ValueError.
+    ``failed``.  A velocity outside the linear range, a target off the
+    grid, a ``session_ticks`` that is not an int >= 0 or a ``rig`` built
+    from another config raises ValueError.
     """
+    require_linear("velocity", velocity)
     if session_ticks is not None:
         require_int("session_ticks", session_ticks)
         if session_ticks < 0:
@@ -380,10 +388,7 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     outside = [c for c in targets if max(map(abs, c)) > half]
     if outside:
         raise ValueError(f"targets {outside} lie off the grid (|x|, |y| <= {half})")
-    if rig is None:
-        rig = build_rig(config)
-    elif rig.config != config:
-        raise ValueError("the rig was built from another config")
+    rig = _rig_for(config, rig)
     max_r = max((math.hypot(x, y) for x, y in targets), default=0.0)
     if session_ticks is None:
         session_ticks = int(math.ceil(
@@ -514,14 +519,6 @@ def emit(result: TrackResult, outdir, config: RunConfig,
                   grids),
         warnings,
     ]
-
-
-def run_from_manifest(path) -> TrackResult:
-    """Re-run the tracking run whose manifest :func:`emit` wrote."""
-    config, script = load_manifest(path)
-    if script is None:
-        raise ValueError(f"{path} has no [script] section")
-    return run_track(config, script)
 
 
 def write_field_map_csv(result: FieldMapResult, outdir) -> list[Path]:

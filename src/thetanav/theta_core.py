@@ -172,18 +172,15 @@ def sample_population(spec: PopulationSpec, seed: int) -> ThetaPopulation:
     """Sample a mismatched population from truncated Gaussians.
 
     Idle frequencies truncate at >100 Hz, gains at >0.  DAC offsets are
-    plain Gaussians around zero.  The same spec and seed yield
-    bit-identical populations.
+    plain Gaussians around zero, exactly +0.0 at a zero std.  The same
+    spec and seed yield bit-identical populations.
     """
     rng = np.random.default_rng(seed)
     f_idle = _truncated_normal(rng, spec.f_idle_mean, spec.f_idle_std,
                                F_IDLE_FLOOR_HZ, spec.n_units)
     beta = _truncated_normal(rng, spec.beta_mean, spec.beta_std, 0.0,
                              spec.n_units)
-    if spec.dac_offset_std > 0:
-        dac = rng.normal(0.0, spec.dac_offset_std, size=(spec.n_units, 2))
-    else:
-        dac = np.zeros((spec.n_units, 2))
+    dac = rng.normal(0.0, spec.dac_offset_std, size=(spec.n_units, 2))
     return ThetaPopulation(f_idle, beta, dac, spec.response)
 
 

@@ -443,12 +443,12 @@ class NodeLayout:
     """Every distinct node of the networks that read one scan, and the
     frame positions those nodes read.
 
-    A second-layer node is keyed by its two first-layer nodes and kept
-    only in an active group, since dropped groups never reach the output
-    AND; a first-layer node is keyed by its two frame positions and kept
-    only when a kept second-layer node reads it.  ``columns`` holds the
-    sorted frame positions that the kept first-layer nodes read, the
-    only ones a scan for these networks decodes (see
+    Only active groups are laid out, since dropped groups never reach
+    the output AND: a first-layer node is keyed by its two frame
+    positions, an active group's x or y pair, and a second-layer node
+    by the group's x and y first-layer nodes.  ``columns`` holds the
+    sorted frame positions that the first-layer nodes read, the only
+    ones a scan for these networks decodes (see
     ``chip_io.scan_frames``).  ``l1_inputs`` holds each first-layer
     node's two indices into ``columns``, ``l2_inputs`` each second-layer
     node's two first-layer nodes and ``l2_of`` each network's
@@ -459,14 +459,11 @@ class NodeLayout:
     def __init__(self, networks: Iterable[VectorNetwork]):
         networks = list(networks)
         l1_inputs, l1_of = _distinct(
-            [net.input_pos.reshape(-1, 2) for net in networks])
+            [net.input_pos.reshape(2, -1, 2)[:, net.active].reshape(-1, 2)
+             for net in networks])
         l2_inputs, l2_of = _distinct(
-            [np.column_stack((nodes[net.active],
-                              nodes[net.n_pairs // 2 + net.active]))
-             for net, nodes in zip(networks, l1_of)])
-        read, l2_inputs = np.unique(l2_inputs, return_inverse=True)
-        self.columns, l1_inputs = np.unique(l1_inputs[read],
-                                            return_inverse=True)
+            [nodes.reshape(2, -1).T for nodes in l1_of])
+        self.columns, l1_inputs = np.unique(l1_inputs, return_inverse=True)
         self.l1_inputs = l1_inputs.reshape(-1, 2)
         self.l2_inputs = l2_inputs.reshape(-1, 2)
         self.l2_of = dict(zip(networks, l2_of))

@@ -18,8 +18,10 @@ against the last fall in ``schmitt_two_index``, a whole session's scan
 on every enabled tap in ``session_frames``, one filter layer over a
 whole session in ``filter_once``, a node bank that filters a whole
 session in one block in ``session_bank``, a trace's high runs found
-one sample at a time in ``scan_runs``) so the tests can check the
-vectorized, streamed, routed and time-domain code against them.  The inverses
+one sample at a time in ``scan_runs``, a node layout that keys every
+node and then prunes those no active group reads in
+``layout_by_pruning``) so the tests can check the vectorized, streamed,
+routed and time-domain code against them.  The inverses
 of velocity decoding and lookup-table serialization live here too,
 since only the round-trip tests need them, and so do the formats the
 run lists replaced: ``write_grid_csv``, the writer of the
@@ -27,7 +29,8 @@ one-matrix-per-file grid format, with ``snapshot`` and ``occupancy``,
 the matrices it wrote, and ``write_traces_csv``, the writer of the
 one-row-per-tick ``traces.csv``.  ``read_runs_csv`` reads a run list
 back and ``fill_runs`` turns runs back into bits, so the tests can
-rebuild those files.
+rebuild those files.  ``run_from_manifest`` replays a run from the
+manifest ``emit`` wrote, as ``load_manifest`` then ``run_track``.
 """
 
 import csv
@@ -35,12 +38,14 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.signal import lfilter
 
 from thetanav.chip_io import TAPS_PER_UNIT, ChipState, phase_rate, scan_frames
-from thetanav.harness import TRACK_CLOCK_HZ
+from thetanav.config import load_manifest
+from thetanav.harness import TRACK_CLOCK_HZ, TrackResult, run_track
 from thetanav.place_grid import (
     BUMP_LEVEL,
     DIRECTION_DELTA,
@@ -71,6 +76,7 @@ from thetanav.vector_net import (
     NodeLayout,
     StageState,
     TargetLocation,
+    _distinct,
     filter_stage_batch,
 )
 
@@ -378,6 +384,34 @@ def routed_positions(mux: MuxTable, frame_layout: np.ndarray) -> list[int]:
                 f"mux routes phase {slot} that the scan does not output")
         positions.append(position)
     return positions
+
+
+def layout_by_pruning(networks) -> SimpleNamespace:
+    """What ``NodeLayout`` computes, in two passes: key the first-layer
+    nodes of every group, dropped ones too, key the second-layer nodes
+    of the active groups, then keep only the first-layer nodes those
+    read and renumber them in order."""
+    networks = list(networks)
+    l1_inputs, l1_of = _distinct(
+        [net.input_pos.reshape(-1, 2) for net in networks])
+    l2_inputs, l2_of = _distinct(
+        [np.column_stack((nodes[net.active],
+                          nodes[net.n_pairs // 2 + net.active]))
+         for net, nodes in zip(networks, l1_of)])
+    read, l2_inputs = np.unique(l2_inputs, return_inverse=True)
+    columns, l1_inputs = np.unique(l1_inputs[read], return_inverse=True)
+    return SimpleNamespace(columns=columns,
+                           l1_inputs=l1_inputs.reshape(-1, 2),
+                           l2_inputs=l2_inputs.reshape(-1, 2),
+                           l2_of=dict(zip(networks, l2_of)))
+
+
+def run_from_manifest(path) -> TrackResult:
+    """Re-run the tracking run whose manifest ``harness.emit`` wrote."""
+    config, script = load_manifest(path)
+    if script is None:
+        raise ValueError(f"{path} has no [script] section")
+    return run_track(config, script)
 
 
 class PairingError(ValueError):

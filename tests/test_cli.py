@@ -138,6 +138,19 @@ def test_field_map_bad_lengths_exit_1(tmp_path, capsys):
     assert not (tmp_path / "map").exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    (["sweep", "--script", "path3_loop", "--seeds", "1", "--seed", "-1",
+      "--out", "sweep/sweep.csv"], "seed must be >= 0"),
+    (["field-map", "--velocity", "5,0", "--out", "bad"],
+     "velocity (5.0, 0.0) outside the linear range [-4.0, 4.0]"),
+])
+def test_a_refused_value_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                    command, message):
+    assert main(command) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / command[-1].split("/")[0]).exists()
+
+
 @pytest.mark.parametrize("command, stage, message", [
     (["field-map", "--velocity", "nan,0", "--out", "map"], "field_map",
      "velocity (nan, 0.0) is not finite"),

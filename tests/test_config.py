@@ -71,6 +71,7 @@ RULES = [
     (RunConfig(), {"speed": INF}, "speed inf " + LINEAR),
     (RunConfig(), {"grid_size": 10}, "grid_size must be odd and positive"),
     (RunConfig(), {"hold_ticks": -1}, "hold_ticks must be >= 0"),
+    (RunConfig(), {"seed": -1}, "seed must be >= 0"),
     # Integer values refuse floats and bools where they are made, before
     # a run or a manifest can carry them.
     (RunConfig(), {"grid_size": 11.0}, "grid_size must be an int, got 11.0"),

@@ -40,8 +40,8 @@ from thetanav.vector_net import (
 
 from reference_models import (effective_params, fill_runs, occupancy,
                               phase_shift, read_runs_csv, routed_positions,
-                              run_alone, session_frames, write_grid_csv,
-                              write_traces_csv)
+                              run_alone, run_from_manifest, session_frames,
+                              write_grid_csv, write_traces_csv)
 
 CONFIG = RunConfig()
 SCRIPTS = built_in_scripts(CONFIG.speed)
@@ -395,7 +395,7 @@ def test_emit_then_run_from_manifest_is_bit_exact(rig, tmp_path):
     manifest = tmp_path / "manifest.ini"
     assert load_manifest(manifest) == (config, script)
 
-    again = harness.run_from_manifest(manifest)
+    again = run_from_manifest(manifest)
     assert events_of(again) == events_of(result)
     assert again.final == result.final
     assert again.ticks == result.ticks
@@ -411,7 +411,7 @@ def test_run_from_a_config_without_a_script_raises(tmp_path):
     save_config(CONFIG, path)
     with pytest.raises(ValueError, match=re.escape(
             f"{path} has no [script] section")):
-        harness.run_from_manifest(path)
+        run_from_manifest(path)
 
 
 GRIDS_HEADER = ["move", "tick", "x", "y", "level"]
@@ -963,6 +963,21 @@ def test_field_map_refuses_targets_off_the_grid(rig, monkeypatch, cell):
         harness.field_map(CONFIG, VelocityVector(-0.25, 0.0),
                           targets=[(0, 0), cell], rig=rig)
     assert compiled == []
+
+
+@pytest.mark.parametrize("velocity", [VelocityVector(6.0, 0.0),
+                                      VelocityVector(0.25, -4.5)])
+def test_field_map_refuses_a_velocity_outside_the_linear_range(
+        monkeypatch, velocity):
+    calls = []
+    for stage in ("build_rig", "compile_lookup"):
+        monkeypatch.setattr(harness, stage,
+                            lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=re.escape(
+            f"velocity {tuple(velocity)} outside the linear range "
+            f"[-4.0, 4.0]")):
+        harness.field_map(CONFIG, velocity, targets=[(1, 0), (2, 0)])
+    assert calls == []
 
 
 # Counts that are not exactly an int: each would pass a range check and

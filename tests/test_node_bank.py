@@ -6,6 +6,7 @@ out, and streamed over a session in blocks gives the bits of one
 pass."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from thetanav.vector_net import (CompileError, NodeBank, NodeLayout,
                                  TargetLocation, VectorNetwork,
                                  compile_lookup)
 
-from reference_models import (run_alone, run_per_sample, session_bank,
-                              session_frames)
+from reference_models import (layout_by_pruning, run_alone, run_per_sample,
+                              session_bank, session_frames)
 
 CONFIG = RunConfig()
 FIELD_VELOCITY = VelocityVector(0.25, 0.0)
@@ -293,3 +294,30 @@ def test_layout_keeps_the_nodes_and_columns_a_kept_node_reads(
     assert column_counts == [154, 147, 148, 150]
     # Of the distinct first-layer nodes and the positions the networks route.
     assert routed == [(117, 157), (114, 154), (113, 153), (116, 156)]
+
+
+def assert_same_layout(layout, reference):
+    """Equal node and column arrays, dtype and order included."""
+    for name in ("columns", "l1_inputs", "l2_inputs"):
+        ours, theirs = getattr(layout, name), getattr(reference, name)
+        assert ours.dtype == theirs.dtype, name
+        assert ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert list(layout.l2_of) == list(reference.l2_of)
+    for net, nodes in layout.l2_of.items():
+        assert nodes.tobytes() == reference.l2_of[net].tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 117])
+def test_layout_equals_the_build_then_prune_reference(rig, seed):
+    rig = rig if seed == 0 else harness.build_rig(RunConfig(seed=seed))
+    cardinal = list(rig.networks.values())
+    field = field_networks(rig)
+    assert len(field) > 80
+    # A network with every group dropped reads no node.
+    mux = cardinal[0].mux
+    every_group = list(range(mux.unit.size // 4))
+    silent = VectorNetwork(replace(mux, dropped=every_group), rig.frame_layout)
+    assert silent.active.size == 0
+    for networks in (cardinal, field, cardinal + [silent], [silent]):
+        assert_same_layout(NodeLayout(networks), layout_by_pruning(networks))

@@ -77,6 +77,14 @@ class TestSamplePopulation:
         assert (pop.dac_offset == 0.0).all()
         assert pop.dac_offset.shape == (16, 2)
 
+    @pytest.mark.parametrize("n_units", [1, 8, 128])
+    def test_a_zero_dac_std_draws_positive_zero_offsets(self, n_units):
+        # The offsets are drawn at every std; at 0 each is +0.0, not -0.0.
+        zeros = np.zeros((n_units, 2)).tobytes()
+        for seed in range(50):
+            pop = sample_population(PopulationSpec(n_units=n_units), seed)
+            assert pop.dac_offset.tobytes() == zeros, seed
+
     def test_nominal_statistics(self):
         spec = PopulationSpec(n_units=128)
         pop = sample_population(spec, 42)
