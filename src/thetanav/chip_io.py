@@ -221,11 +221,12 @@ def scan_frames(chip: ChipState, v: VelocityVector, n_cycles: int,
     n_enabled = chip.enabled_phases
     if columns is None:
         columns = np.arange(n_enabled)
-    columns = np.asarray(columns, dtype=np.intp)
-    if columns.ndim != 1 or (
-            np.diff(columns, prepend=-1, append=n_enabled) <= 0).any():
-        raise ValueError(f"columns must be increasing positions in a "
-                         f"{n_enabled}-phase frame")
+    else:
+        columns = np.asarray(columns, dtype=np.intp)
+        if columns.ndim != 1 or (
+                np.diff(columns, prepend=-1, append=n_enabled) <= 0).any():
+            raise ValueError(f"columns must be increasing positions in a "
+                             f"{n_enabled}-phase frame")
     if n_enabled == 0 or n_cycles == 0:
         return np.zeros((n_cycles, columns.size), dtype=np.uint8)
     fs = phase_rate(clock_hz, n_enabled)
@@ -288,7 +289,7 @@ def estimate_frequency(trace: np.ndarray, fs: float) -> float:
         raise ValueError(
             f"trace of {trace.size} samples is shorter than "
             f"{MIN_ESTIMATE_WINDOW_S * 1e3:.0f} ms at fs={fs:.1f} Hz")
-    edges = np.count_nonzero(trace[1:] > trace[:-1])
+    edges = int(np.count_nonzero(trace[1:] > trace[:-1]))
     return edges / (trace.size / fs)
 
 
@@ -298,15 +299,15 @@ def fit_unit(samples: Sequence[tuple[float, float]], unit: int = 0) -> UnitFit:
     Fits F = f_idle + beta * p and reports the coefficient of
     determination.  Needs at least three distinct inner products.
     """
-    p = np.array([s[0] for s in samples], dtype=float)
-    f = np.array([s[1] for s in samples], dtype=float)
+    p, f = np.array(samples, dtype=float).reshape(len(samples), 2).T.copy()
     if np.unique(p).size < 3:
         raise DegenerateFitError(
             "need >= 3 distinct inner-product values for a meaningful fit")
     beta_hat, f_idle_hat = np.polyfit(p, f, 1)
     resid = f - (f_idle_hat + beta_hat * p)
     ss_res = float(resid @ resid)
-    ss_tot = float(((f - f.mean()) @ (f - f.mean())))
+    dev = f - f.mean()
+    ss_tot = float(dev @ dev)
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:
@@ -346,9 +347,8 @@ def calibrate(chip: ChipState, clock_hz: float = CALIBRATION_CLOCK_HZ,
     a contiguous row of the scan's ``frames.T``, so the edge count reads
     it without a stride.
     """
-    samples: dict[int, list[tuple[float, float]]] = {
-        u: [] for u in range(chip.n_units)
-    }
+    samples: list[list[tuple[float, float]]] = [
+        [] for _ in range(chip.n_units)]
     for codes in (member for pair in PAIR_CODES for member in pair):
         chip.hold()
         program(chip, [(u, codes, tap0_bypass()) for u in range(chip.n_units)])
@@ -359,8 +359,8 @@ def calibrate(chip: ChipState, clock_hz: float = CALIBRATION_CLOCK_HZ,
         for sweep_v in CAL_SWEEP:
             v = VelocityVector(sweep_v, 0.0) if pref[0] else VelocityVector(0.0, sweep_v)
             frames = scan_frames(chip, v, n_cycles, clock_hz)
-            traces = frames.T
             inner = v.vx * pref[0] + v.vy * pref[1]
-            for u in range(chip.n_units):
-                samples[u].append((inner, estimate_frequency(traces[u], fs)))
-    return [fit_unit(samples[u], unit=u) for u in range(chip.n_units)]
+            for unit_samples, trace in zip(samples, frames.T):
+                unit_samples.append((inner, estimate_frequency(trace, fs)))
+    return [fit_unit(unit_samples, unit=u)
+            for u, unit_samples in enumerate(samples)]

@@ -2,12 +2,14 @@
 estimation, fits and unit admission."""
 
 import copy
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from thetanav import chip_io
 from thetanav.chip_io import (
     CAL_SWEEP,
     CALIBRATION_CLOCK_HZ,
@@ -44,6 +46,7 @@ from thetanav.theta_core import (
 
 from reference_models import (
     edge_count_frequency,
+    fit_unit_reference,
     instantaneous_frequency,
     make_population,
     scan_frames_mod,
@@ -470,6 +473,7 @@ def zero_one_traces(draw):
 def test_estimate_frequency_equals_the_edge_count_oracle(traced):
     trace, fs = traced
     assert estimate_frequency(trace, fs) == edge_count_frequency(trace, fs)
+    assert type(estimate_frequency(trace, fs)) is float
     assert estimate_frequency(np.full_like(trace, trace[0]), fs) == 0.0
 
 
@@ -524,6 +528,68 @@ class TestFitUnit:
             r2.append(fit_unit(list(zip(p, f))).r2)
         assert all(x < 1.0 for x in r2)
         assert r2[0] > r2[1] > r2[2]
+
+
+def fit_or_error(fit, samples):
+    """The fit's unit and the bits of its floats, or the type and text
+    of what it raised (a warning included, as the test config raises
+    warnings)."""
+    try:
+        result = fit(samples, unit=5)
+    except Exception as err:
+        return type(err), str(err)
+    return result.unit, np.array(result[1:]).tobytes()
+
+
+# Inner products from a few calibration values, so that many lists have
+# fewer than three distinct ones, or from anywhere; NaN in either column.
+inner_products = (st.sampled_from([-4.0, -1.0, 0.0, 1.0, 4.0])
+                  | st.floats(-1e6, 1e6) | st.just(math.nan))
+measured = st.floats(-1e6, 1e6) | st.just(math.nan)
+
+
+@st.composite
+def noisy_sweeps(draw):
+    """Calibration-like samples: a unit's law over the sweep's inner
+    products plus noise, so the sums round as a real fit's do."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.choice(np.arange(-4.0, 5.0), draw(st.integers(0, 40)))
+    f = rng.normal(2000.0, 400.0) + rng.normal(20.0, 5.0) * p \
+        + rng.normal(0.0, 10.0 ** rng.uniform(0.0, 3.0), p.size)
+    return list(zip(p.tolist(), f.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=st.lists(st.tuples(inner_products, measured), max_size=40)
+       | noisy_sweeps())
+@example(samples=[])
+@example(samples=[(4.0, 2080.0), (4.0, 2081.0), (-4.0, 2079.0)])
+@example(samples=[(-4.0, 1.0), (0.0, 1.0), (4.0, 1.0)])
+@example(samples=[(-4.0, 1.0), (0.0, math.nan), (4.0, 3.0)])
+@example(samples=[(math.nan, 1.0), (math.nan, 2.0), (0.0, 1.0)])
+@example(samples=[(math.nan, 1.0), (1.0, 2.0), (0.0, 1.0)])
+def test_fit_unit_equals_the_reference(samples):
+    assert fit_or_error(fit_unit, samples) \
+        == fit_or_error(fit_unit_reference, samples)
+
+
+def test_calibration_makes_every_edge_count_through_the_module_name(
+        monkeypatch):
+    # 4 programmings x 9 sweep velocities x 128 units, each counted
+    # through chip_io.estimate_frequency as a per-layer tracer would see
+    # them, with the fits of an unwrapped calibration.
+    population = sample_population(PopulationSpec(), 0)
+    want = calibrate(ChipState(population))
+    calls = []
+    original = chip_io.estimate_frequency
+
+    def counted(trace, fs):
+        calls.append(trace.size)
+        return original(trace, fs)
+
+    monkeypatch.setattr(chip_io, "estimate_frequency", counted)
+    assert calibrate(ChipState(population)) == want
+    assert len(calls) == 4 * len(CAL_SWEEP) * 128 == 4608
 
 
 class TestSelectUnits:
