@@ -299,15 +299,15 @@ def fit_unit(samples: Sequence[tuple[float, float]], unit: int = 0) -> UnitFit:
     Fits F = f_idle + beta * p and reports the coefficient of
     determination.  Needs at least three distinct inner products.
     """
-    p, f = np.array(samples, dtype=float).reshape(len(samples), 2).T.copy()
+    p = np.array([s[0] for s in samples], dtype=float)
+    f = np.array([s[1] for s in samples], dtype=float)
     if np.unique(p).size < 3:
         raise DegenerateFitError(
             "need >= 3 distinct inner-product values for a meaningful fit")
     beta_hat, f_idle_hat = np.polyfit(p, f, 1)
     resid = f - (f_idle_hat + beta_hat * p)
     ss_res = float(resid @ resid)
-    dev = f - f.mean()
-    ss_tot = float(dev @ dev)
+    ss_tot = float(((f - f.mean()) @ (f - f.mean())))
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:

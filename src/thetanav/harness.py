@@ -6,10 +6,9 @@ four cardinal vector-cell networks, then execute a path script.  Each
 segment starts from a phase reset, so segments are independent
 constant-velocity sessions; a debounced vector-cell pulse migrates the
 place-cell bump and re-arms the reset, a velocity change re-arms it
-without migrating.  A session from reset depends only on the rig and
-the velocity, and its first ticks do not depend on its length, so one
-session per velocity is scanned and filtered per run, and scanned again
-only when a longer one is needed; it is replayed, by re-arms inside a
+without migrating.  A session from reset depends only on the rig, the
+velocity and its length, so each distinct (velocity, ticks) session is
+scanned and filtered once per run and replayed, by re-arms inside a
 segment and by later segments alike.
 
 Tracking sessions and field maps observe a session the same way: the
@@ -244,16 +243,12 @@ def run_track(config: RunConfig, script: PathScript,
     vector-cell pulse, recording each move in the trail.
 
     A reset zeroes every phase and filter, so a session from reset
-    depends only on the rig and the velocity, and its bits up to a
-    tick do not depend on how long it runs.  A segment's session is
-    scanned and filtered for its ticks when timed, or for
-    ``BUDGET_FACTOR`` times the predicted arrival when until-pulse,
-    failing loudly without a pulse.  One outcome is kept per velocity:
-    a later segment of n ticks with that velocity reuses it when its
-    outputs span n ticks or its pulse confirms within them, and keeps
-    the pulse only if it confirms within them; otherwise the n ticks
-    are scanned afresh and the longer outcome replaces the stored one.
-    Nothing is kept from one run to the next but the rig.  The
+    depends only on the rig, the velocity and its length, and each
+    distinct (velocity, ticks) session is scanned and filtered once per
+    run: for its ticks when timed, or for ``BUDGET_FACTOR`` times the
+    predicted arrival when until-pulse, failing loudly without a pulse.
+    A later segment with the same velocity and ticks reuses that
+    outcome; nothing is kept from one run to the next but the rig.  The
     scan decodes only the rig's cardinal layout's columns and streams
     through one cleared bank on that layout, in blocks that end at the
     predicted arrival and then at twice the last block's end, and stops
@@ -284,8 +279,8 @@ def run_track(config: RunConfig, script: PathScript,
     arrival_ticks = int(math.ceil(config.cell_seconds * rig.fs))
     budget = int(math.ceil(BUDGET_FACTOR * arrival_ticks))
 
-    # Each velocity's longest session outcome so far, kept for this run.
-    observed: dict[VelocityVector, tuple] = {}
+    # Each distinct (velocity, n) session's outcome, kept for this run.
+    observed: dict[tuple[VelocityVector, int], tuple] = {}
 
     tick = 0
     cause = CAUSE_TRAIL_START
@@ -304,14 +299,11 @@ def run_track(config: RunConfig, script: PathScript,
         prev_velocity = seg.velocity
 
         n = budget if seg.until_pulse else seg.ticks
-        outputs, starts, start = observed.get(seg.velocity, (None, {}, None))
-        if outputs is None or (start is None
-                               and outputs[DIRECTIONS[0]].size < n):
-            outputs, starts, start = observed[seg.velocity] = _first_pulse(
-                rig.chip, rig.layout, rig.networks, seg.velocity, n,
-                arrival_ticks)
-        if start is not None and start + DEBOUNCE_WIDTH > n:
-            start = None
+        key = (seg.velocity, n)
+        if key not in observed:
+            observed[key] = _first_pulse(rig.chip, rig.layout, rig.networks,
+                                         seg.velocity, n, arrival_ticks)
+        outputs, starts, start = observed[key]
         if start is None and seg.until_pulse:
             raise SegmentTimeoutError(
                 f"segment {seg_index}: no pulse within {budget} "

@@ -17,14 +17,11 @@ that every pulse leaks, the Schmitt trigger as a forward fill of its
 against the last fall in ``schmitt_two_index``, a whole session's scan
 on every enabled tap in ``session_frames``, one filter layer over a
 whole session in ``filter_once``, a node bank that filters a whole
-session in one block in ``session_bank``, a tracking run that
-observes every segment's whole session afresh in ``run_track_afresh``,
-a unit's fit with its columns converted one by one in
-``fit_unit_reference``, a trace's high runs found one sample at a time
-in ``scan_runs``, a node layout that keys every node and then prunes
-those no active group reads in ``layout_by_pruning``) so the tests can
-check the vectorized, streamed, routed and time-domain code against
-them.  The inverses
+session in one block in ``session_bank``, a trace's high runs found
+one sample at a time in ``scan_runs``, a node layout that keys every
+node and then prunes those no active group reads in
+``layout_by_pruning``) so the tests can check the vectorized, streamed,
+routed and time-domain code against them.  The inverses
 of velocity decoding and lookup-table serialization live here too,
 since only the round-trip tests need them, and so do the formats the
 run lists replaced: ``write_grid_csv``, the writer of the
@@ -46,24 +43,17 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.signal import lfilter
 
-from thetanav.chip_io import (TAPS_PER_UNIT, ChipState, DegenerateFitError,
-                              UnitFit, phase_rate, scan_frames)
+from thetanav.chip_io import TAPS_PER_UNIT, ChipState, phase_rate, scan_frames
 from thetanav.config import load_manifest
-from thetanav.harness import (BUDGET_FACTOR, DEBOUNCE_WIDTH, TRACK_CLOCK_HZ,
-                              SegmentTimeoutError, TrackResult, run_track)
+from thetanav.harness import TRACK_CLOCK_HZ, TrackResult, run_track
 from thetanav.place_grid import (
     BUMP_LEVEL,
-    CAUSE_TRAIL_START,
-    CAUSE_VECTOR_FIRE,
-    CAUSE_VELOCITY_CHANGE,
     DIRECTION_DELTA,
     DIRECTIONS,
     LEAK_STEP,
     OutOfBoundsError,
     PulseEvent,
     activity,
-    apply_pulse,
-    debounce,
     grid_matrix,
 )
 from thetanav.theta_core import (
@@ -191,26 +181,6 @@ def edge_count_frequency(trace: np.ndarray, fs: float) -> float:
     t = np.asarray(trace).astype(np.uint8)
     edges = int(np.count_nonzero((t[1:] == 1) & (t[:-1] == 0)))
     return edges / (t.size / fs)
-
-
-def fit_unit_reference(samples, unit: int = 0) -> UnitFit:
-    """What ``chip_io.fit_unit`` computes, with each column converted
-    from its own list and the mean deviation taken twice."""
-    p = np.array([s[0] for s in samples], dtype=float)
-    f = np.array([s[1] for s in samples], dtype=float)
-    if np.unique(p).size < 3:
-        raise DegenerateFitError(
-            "need >= 3 distinct inner-product values for a meaningful fit")
-    beta_hat, f_idle_hat = np.polyfit(p, f, 1)
-    resid = f - (f_idle_hat + beta_hat * p)
-    ss_res = float(resid @ resid)
-    ss_tot = float(((f - f.mean()) @ (f - f.mean())))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return UnitFit(unit=unit, f_idle_hat=float(f_idle_hat),
-                   beta_hat=float(beta_hat), r2=float(r2))
 
 
 def square_wave(f: float, fs: float, n: int,
@@ -434,67 +404,6 @@ def layout_by_pruning(networks) -> SimpleNamespace:
                            l1_inputs=l1_inputs.reshape(-1, 2),
                            l2_inputs=l2_inputs.reshape(-1, 2),
                            l2_of=dict(zip(networks, l2_of)))
-
-
-def run_track_afresh(config, script, rig) -> TrackResult:
-    """What ``run_track`` records, with each segment's session scanned
-    and filtered afresh over all its ticks in one block: nothing is kept
-    from one segment to the next, and the whole scan is observed."""
-    result = TrackResult()
-    traces = {d: [] for d in DIRECTIONS}
-    hold = np.zeros(config.hold_ticks, dtype=np.uint8)
-    arrival_ticks = int(math.ceil(config.cell_seconds * rig.fs))
-    budget = int(math.ceil(BUDGET_FACTOR * arrival_ticks))
-    tick, cause = 0, CAUSE_TRAIL_START
-    prev_velocity = VelocityVector(0.0, 0.0)
-    for index, seg in enumerate(script.segments):
-        if cause == CAUSE_VELOCITY_CHANGE:
-            if seg.velocity == prev_velocity:
-                result.warnings.append(f"segment {index}: boundary reset "
-                                       f"without velocity change")
-            if prev_velocity.speed > 0:
-                result.warnings.append(
-                    f"segment {index}: sub-cell displacement discarded "
-                    f"on velocity change")
-        result.resets.append((tick, cause))
-        cause, prev_velocity = CAUSE_VELOCITY_CHANGE, seg.velocity
-        n = budget if seg.until_pulse else seg.ticks
-        bank = NodeBank(rig.layout).extend(
-            session_frames(rig, seg.velocity, n, rig.layout.columns))
-        outputs = {d: net.run(bank.frames, bank)
-                   for d, net in rig.networks.items()}
-        starts = {d: debounce(out, DEBOUNCE_WIDTH)
-                  for d, out in outputs.items()}
-        start = min((s for s in starts.values() if s is not None),
-                    default=None)
-        if start is None and seg.until_pulse:
-            raise SegmentTimeoutError(
-                f"segment {index}: no pulse within {budget} "
-                f"ticks ({BUDGET_FACTOR:g}x predicted arrival)")
-        period = n if start is None else start + DEBOUNCE_WIDTH
-        remaining = period if seg.until_pulse else n
-        while remaining > 0:
-            if cause == CAUSE_VECTOR_FIRE:
-                result.resets.append((tick, cause))
-                cause = CAUSE_VELOCITY_CHANGE
-            tick += config.hold_ticks
-            kept = min(remaining, period)
-            for d in DIRECTIONS:
-                traces[d] += [hold, outputs[d][:kept]]
-            if start is not None and kept == period:
-                cause = CAUSE_VECTOR_FIRE
-                for d in DIRECTIONS:
-                    if starts[d] == start:
-                        cell = apply_pulse(result.final,
-                                           PulseEvent(d, tick + start),
-                                           config.grid_size)
-                        result.trail.append((tick + start, d, *cell))
-            tick += kept
-            remaining -= kept
-    result.ticks = tick
-    result.traces = {d: np.concatenate([np.zeros(0, np.uint8), *chunks])
-                     for d, chunks in traces.items()}
-    return result
 
 
 def run_from_manifest(path) -> TrackResult:

@@ -2,7 +2,6 @@
 estimation, fits and unit admission."""
 
 import copy
-import math
 import tracemalloc
 
 import numpy as np
@@ -46,7 +45,6 @@ from thetanav.theta_core import (
 
 from reference_models import (
     edge_count_frequency,
-    fit_unit_reference,
     instantaneous_frequency,
     make_population,
     scan_frames_mod,
@@ -528,49 +526,6 @@ class TestFitUnit:
             r2.append(fit_unit(list(zip(p, f))).r2)
         assert all(x < 1.0 for x in r2)
         assert r2[0] > r2[1] > r2[2]
-
-
-def fit_or_error(fit, samples):
-    """The fit's unit and the bits of its floats, or the type and text
-    of what it raised (a warning included, as the test config raises
-    warnings)."""
-    try:
-        result = fit(samples, unit=5)
-    except Exception as err:
-        return type(err), str(err)
-    return result.unit, np.array(result[1:]).tobytes()
-
-
-# Inner products from a few calibration values, so that many lists have
-# fewer than three distinct ones, or from anywhere; NaN in either column.
-inner_products = (st.sampled_from([-4.0, -1.0, 0.0, 1.0, 4.0])
-                  | st.floats(-1e6, 1e6) | st.just(math.nan))
-measured = st.floats(-1e6, 1e6) | st.just(math.nan)
-
-
-@st.composite
-def noisy_sweeps(draw):
-    """Calibration-like samples: a unit's law over the sweep's inner
-    products plus noise, so the sums round as a real fit's do."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p = rng.choice(np.arange(-4.0, 5.0), draw(st.integers(0, 40)))
-    f = rng.normal(2000.0, 400.0) + rng.normal(20.0, 5.0) * p \
-        + rng.normal(0.0, 10.0 ** rng.uniform(0.0, 3.0), p.size)
-    return list(zip(p.tolist(), f.tolist()))
-
-
-@settings(max_examples=300, deadline=None)
-@given(samples=st.lists(st.tuples(inner_products, measured), max_size=40)
-       | noisy_sweeps())
-@example(samples=[])
-@example(samples=[(4.0, 2080.0), (4.0, 2081.0), (-4.0, 2079.0)])
-@example(samples=[(-4.0, 1.0), (0.0, 1.0), (4.0, 1.0)])
-@example(samples=[(-4.0, 1.0), (0.0, math.nan), (4.0, 3.0)])
-@example(samples=[(math.nan, 1.0), (math.nan, 2.0), (0.0, 1.0)])
-@example(samples=[(math.nan, 1.0), (1.0, 2.0), (0.0, 1.0)])
-def test_fit_unit_equals_the_reference(samples):
-    assert fit_or_error(fit_unit, samples) \
-        == fit_or_error(fit_unit_reference, samples)
 
 
 def test_calibration_makes_every_edge_count_through_the_module_name(

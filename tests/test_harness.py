@@ -24,7 +24,7 @@ from thetanav.config import (
     load_manifest,
     save_config,
 )
-from thetanav.place_grid import DIRECTION_DELTA, DIRECTIONS
+from thetanav.place_grid import DIRECTION_DELTA
 from thetanav.theta_core import (VelocityVector, decode_velocity_code,
                                  sample_population)
 from thetanav.vector_net import (
@@ -40,9 +40,8 @@ from thetanav.vector_net import (
 
 from reference_models import (effective_params, fill_runs, occupancy,
                               phase_shift, read_runs_csv, routed_positions,
-                              run_alone, run_from_manifest, run_track_afresh,
-                              session_frames, write_grid_csv,
-                              write_traces_csv)
+                              run_alone, run_from_manifest, session_frames,
+                              write_grid_csv, write_traces_csv)
 
 CONFIG = RunConfig()
 SCRIPTS = built_in_scripts(CONFIG.speed)
@@ -224,12 +223,9 @@ def scan_lengths(monkeypatch):
 def test_one_scan_per_segment(rig, monkeypatch):
     lengths = scan_lengths(monkeypatch)
     harness.run_track(CONFIG, TIMED, rig=rig)
-    # E 100 cuts E 900's stored session short of its pulse, W 237 and
-    # W 476 answer from W 238's, which ends on its pulse; N 0 and S 5
-    # stored no pulse, so the until-pulse N and S scan their budgets.
-    assert lengths == [900, 0, 2670, 238, 5, 2670]
-    # One scan per heading: the meander's S,E,S,W,S and the detour's
-    # E,E,S,E,S replay their repeated headings.
+    assert lengths == [900, 100, 0, 2670, 238, 237, 476, 5, 2670]
+    # One scan per distinct session: the meander's S,E,S,W,S and the
+    # detour's E,E,S,E,S replay their repeated headings.
     for name, scanned in (("path1_meander", [2670] * 3),
                           ("path2_detour", [2670] * 2),
                           ("path3_loop", [2670] * 4)):
@@ -255,8 +251,8 @@ def observed_lengths(monkeypatch):
 def test_filtering_stops_at_the_first_prefix_with_a_pulse(rig, monkeypatch):
     lengths = observed_lengths(monkeypatch)
     harness.run_track(CONFIG, TIMED, rig=rig)
-    assert lengths == [267, 0, 267, 238, 5, 267]
-    # One stream per heading, each ending with its first block,
+    assert lengths == [267, 100, 0, 267, 238, 237, 267, 5, 267]
+    # One stream per distinct session, each ending with its first block,
     # at the predicted arrival.
     for name, filtered in (("path1_meander", [267] * 3),
                            ("path2_detour", [267] * 2),
@@ -268,60 +264,14 @@ def test_filtering_stops_at_the_first_prefix_with_a_pulse(rig, monkeypatch):
 
 
 def test_repeated_sessions_are_scanned_and_filtered_once(rig, monkeypatch):
-    # One session per heading holds what later segments read: E 100
-    # has no pulse, so E 300 scans again and its pulse confirms in the
-    # first block; the second E 300, E 450 and E answer from it, and
-    # N 50 and the last N from the first N's, which holds a pulse.
+    # The second E 300 and the last N (after the pulseless N 50) replay
+    # stored sessions; E 100, E 300, E 450 and E differ in ticks, so each
+    # is scanned and filtered.
     scanned = scan_lengths(monkeypatch)
     filtered = observed_lengths(monkeypatch)
     harness.run_track(CONFIG, REPEATS, rig=rig)
-    assert scanned == [100, 2670, 300]
-    assert filtered == [100, 267, 267]
-
-
-@pytest.fixture(scope="module")
-def wide_rigs():
-    """Rigs of populations 0 and 3 on a grid wide enough to hold the
-    bump over four 3,000-tick segments of one heading."""
-    return {seed: harness.build_rig(replace(CONFIG, grid_size=201, seed=seed))
-            for seed in (0, 3)}
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.sampled_from([0, 3]), heading=st.sampled_from(DIRECTIONS),
-       ticks=st.lists(st.none() | st.integers(1, 3000), min_size=1,
-                      max_size=4))
-@example(seed=0, heading="E", ticks=[100, None, 300, 300, 450, None])
-@example(seed=0, heading="W", ticks=[238, 237, 476, 3000, 1])
-@example(seed=3, heading="S", ticks=[5, None, 2, 2671, 2670])
-def test_reused_sessions_record_what_fresh_sessions_record(
-        wide_rigs, seed, heading, ticks):
-    # Timed (n) and until-pulse (None) segments of one heading, each one
-    # answered from the heading's stored session where it can be.
-    rig = wide_rigs[seed]
-    velocity = cardinal_velocity(heading, CONFIG.speed)
-    script = PathScript(name="one heading", segments=tuple(
-        Segment(velocity, n) for n in ticks))
-    got = harness.run_track(rig.config, script, rig=rig)
-    want = run_track_afresh(rig.config, script, rig)
-    assert (got.trail, got.resets, got.warnings, got.ticks) \
-        == (want.trail, want.resets, want.warnings, want.ticks)
-    for d in DIRECTIONS:
-        assert np.array_equal(got.traces[d], want.traces[d]), d
-
-
-def test_a_stored_pulse_past_the_budget_does_not_answer_until_pulse(
-        rig, monkeypatch):
-    # At half the predicted arrival the budget is 134 ticks: E 300's
-    # stored pulse confirms later, so the until-pulse E after it fails,
-    # as it does on its own.
-    monkeypatch.setattr(harness, "BUDGET_FACTOR", 0.5)
-    for segments in ((leg("E"),), (leg("E", 300), leg("E"))):
-        with pytest.raises(harness.SegmentTimeoutError,
-                           match=f"segment {len(segments) - 1}: no pulse "
-                                 f"within 134 ticks"):
-            harness.run_track(CONFIG, PathScript(name="late",
-                                                 segments=segments), rig=rig)
+    assert scanned == [100, 2670, 300, 450, 2670, 50]
+    assert filtered == [100, 267, 267, 267, 267, 50]
 
 
 def test_runs_share_nothing_through_the_rig(rig, monkeypatch):
@@ -339,7 +289,7 @@ def test_runs_share_nothing_through_the_rig(rig, monkeypatch):
     assert rig.chip.phases.any()
     scanned.clear()
     second = harness.run_track(CONFIG, REPEATS, rig=rig)
-    assert scanned == [100, 2670, 300]
+    assert scanned == [100, 2670, 300, 450, 2670, 50]
     assert records(second) == records(first)
 
 
