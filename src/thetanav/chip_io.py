@@ -25,9 +25,11 @@ from .theta_core import (
 NYQUIST_F_MAX_HZ = 4000.0
 
 # Calibration scans tap 0 of every unit on this clock for this long per
-# sweep velocity.  A vector-cell network reads 40 pairs of units.
+# sweep velocity.  Admission takes a unit whose fit's r2 exceeds
+# ADMISSION_R2; a vector-cell network reads 40 pairs of units.
 CALIBRATION_CLOCK_HZ = 6_000_000.0
 CALIBRATION_WINDOW_S = 0.12
+ADMISSION_R2 = 0.9
 NETWORK_UNITS = 80
 TAPS_PER_UNIT = 8
 
@@ -55,7 +57,8 @@ class NotProgrammedError(RuntimeError):
 
 
 class DegenerateFitError(ValueError):
-    """Linear fit attempted on a design with no spread in inner products."""
+    """Linear fit attempted on a non-finite sample or on a design with no
+    spread in inner products."""
 
 
 class InsufficientUnitsError(RuntimeError):
@@ -297,10 +300,13 @@ def fit_unit(samples: Sequence[tuple[float, float]], unit: int = 0) -> UnitFit:
     """Ordinary least squares of measured frequency on inner product.
 
     Fits F = f_idle + beta * p and reports the coefficient of
-    determination.  Needs at least three distinct inner products.
+    determination.  Needs finite samples and at least three distinct
+    inner products.
     """
     p = np.array([s[0] for s in samples], dtype=float)
     f = np.array([s[1] for s in samples], dtype=float)
+    if not (np.isfinite(p).all() and np.isfinite(f).all()):
+        raise DegenerateFitError("inner products and frequencies must be finite")
     if np.unique(p).size < 3:
         raise DegenerateFitError(
             "need >= 3 distinct inner-product values for a meaningful fit")
@@ -316,19 +322,18 @@ def fit_unit(samples: Sequence[tuple[float, float]], unit: int = 0) -> UnitFit:
                    beta_hat=float(beta_hat), r2=float(r2))
 
 
-def select_units(fits: Iterable[UnitFit], r2_threshold: float = 0.9,
-                 min_units: int = NETWORK_UNITS) -> list[UnitFit]:
-    """Admit units with r2 above threshold and positive fitted gain.
+def select_units(fits: Iterable[UnitFit]) -> list[UnitFit]:
+    """Admit units with r2 above ``ADMISSION_R2`` and positive fitted gain.
 
     Returns admitted fits sorted by fitted idle frequency.  Raises when
-    fewer than min_units pass, since the interference network needs a
-    full complement.
+    fewer than ``NETWORK_UNITS`` pass, since the interference network
+    needs a full complement.
     """
-    admitted = [f for f in fits if f.r2 > r2_threshold and f.beta_hat > 0]
+    admitted = [f for f in fits if f.r2 > ADMISSION_R2 and f.beta_hat > 0]
     admitted.sort(key=lambda f: f.f_idle_hat)
-    if len(admitted) < min_units:
+    if len(admitted) < NETWORK_UNITS:
         raise InsufficientUnitsError(
-            f"only {len(admitted)} units admitted, need {min_units}")
+            f"only {len(admitted)} units admitted, need {NETWORK_UNITS}")
     return admitted
 
 
@@ -336,16 +341,16 @@ def tap0_bypass() -> tuple[int, ...]:
     return (1,) + (0,) * (TAPS_PER_UNIT - 1)
 
 
-def calibrate(chip: ChipState, clock_hz: float = CALIBRATION_CLOCK_HZ,
-              window_s: float = CALIBRATION_WINDOW_S) -> list[UnitFit]:
+def calibrate(chip: ChipState) -> list[UnitFit]:
     """Full calibration pipeline: program, scan, estimate, fit.
 
     Programs every unit's preferred velocity to each axis extreme in
     turn, sweeps the matching velocity component over the linear range,
-    measures each unit's tap-0 frequency per velocity, and fits the
-    linear frequency law per unit over all sweeps.  Each unit's trace is
-    a contiguous row of the scan's ``frames.T``, so the edge count reads
-    it without a stride.
+    measures each unit's tap-0 frequency per velocity from a scan of
+    ``CALIBRATION_WINDOW_S`` on the ``CALIBRATION_CLOCK_HZ`` clock, and
+    fits the linear frequency law per unit over all sweeps.  Each unit's
+    trace is a contiguous row of the scan's ``frames.T``, so the edge
+    count reads it without a stride.
     """
     samples: list[list[tuple[float, float]]] = [
         [] for _ in range(chip.n_units)]
@@ -353,12 +358,12 @@ def calibrate(chip: ChipState, clock_hz: float = CALIBRATION_CLOCK_HZ,
         chip.hold()
         program(chip, [(u, codes, tap0_bypass()) for u in range(chip.n_units)])
         chip.release()
-        fs = phase_rate(clock_hz, chip.enabled_phases)
-        n_cycles = int(np.ceil(window_s * fs))
+        fs = phase_rate(CALIBRATION_CLOCK_HZ, chip.enabled_phases)
+        n_cycles = int(np.ceil(CALIBRATION_WINDOW_S * fs))
         pref = tuple(decode_velocity_code(c) for c in codes)
         for sweep_v in CAL_SWEEP:
             v = VelocityVector(sweep_v, 0.0) if pref[0] else VelocityVector(0.0, sweep_v)
-            frames = scan_frames(chip, v, n_cycles, clock_hz)
+            frames = scan_frames(chip, v, n_cycles, CALIBRATION_CLOCK_HZ)
             inner = v.vx * pref[0] + v.vy * pref[1]
             for unit_samples, trace in zip(samples, frames.T):
                 unit_samples.append((inner, estimate_frequency(trace, fs)))

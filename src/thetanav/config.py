@@ -2,11 +2,12 @@
 
 A RunConfig holds what varies from run to run: the population's
 mismatch statistics and seed, the grid size and pitch, the speed and the
-reset hold.  Module constants fix the rest: scan clocks and calibration
-window (``chip_io``, ``harness``), filter stages and compile tolerances
-(``vector_net``), debounce and segment budget (``harness``).  One
-velocity code unit equals one spatial unit per second, so the time to
-cross one grid cell is pitch / speed seconds.
+reset hold.  Module constants fix the rest: scan clocks, calibration
+window, admission r2 and network size (``chip_io``, ``harness``),
+filter stages, compile tolerances and group floor (``vector_net``),
+debounce and segment budget (``harness``).  One velocity code unit
+equals one spatial unit per second, so the time to cross one grid cell
+is pitch / speed seconds.
 """
 
 from __future__ import annotations
@@ -61,9 +62,7 @@ class Segment:
                 f"segment velocity {tuple(self.velocity)} is off-axis: the "
                 f"cardinal networks track axis-aligned motion only")
         if self.ticks is not None:
-            require_int("segment ticks", self.ticks)
-            if self.ticks < 0:
-                raise ValueError("segment ticks must be >= 0")
+            require_int("segment ticks", self.ticks, 0)
         if self.until_pulse and self.velocity.speed == 0:
             # Nothing moves, so no vector cell can ever fire.
             raise ValueError("an until-pulse segment needs a non-zero velocity")
@@ -105,18 +104,15 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("grid_size", "hold_ticks", "seed"):
-            require_int(name, getattr(self, name))
+        require_int("grid_size", self.grid_size)
+        require_int("hold_ticks", self.hold_ticks, 0)
+        require_int("seed", self.seed, 0)
         if not (0 < self.pitch < math.inf and self.speed > 0):
             raise ValueError("pitch and speed must be positive and finite")
         if self.speed > LINEAR_RANGE:
             raise ValueError(f"speed {self.speed} outside the linear range")
         if not (self.grid_size >= 1 and self.grid_size % 2 == 1):
             raise ValueError("grid_size must be odd and positive")
-        if not self.hold_ticks >= 0:
-            raise ValueError("hold_ticks must be >= 0")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
         if self.population.n_units < NETWORK_UNITS:
             raise ValueError(
                 f"population.n_units must be >= {NETWORK_UNITS} (the "

@@ -349,7 +349,6 @@ class FieldMapResult:
     session_ticks: int
     first_fire: dict[tuple[int, int], Optional[int]]
     outputs: dict[tuple[int, int], np.ndarray]
-    grid_size: int
     failed: dict[tuple[int, int], str] = field(default_factory=dict)
 
     @property
@@ -377,9 +376,7 @@ def field_map(config: RunConfig, velocity: VelocityVector,
     """
     require_linear("velocity", velocity)
     if session_ticks is not None:
-        require_int("session_ticks", session_ticks)
-        if session_ticks < 0:
-            raise ValueError(f"session_ticks must be >= 0, got {session_ticks}")
+        require_int("session_ticks", session_ticks, 0)
     half = config.grid_size // 2
     if targets is None:
         targets = [(x, y) for y in range(-half, half + 1)
@@ -405,8 +402,7 @@ def field_map(config: RunConfig, velocity: VelocityVector,
                                       session_ticks)
     return FieldMapResult(session_ticks=session_ticks,
                           first_fire={c: starts.get(c) for c in targets},
-                          outputs=outputs, grid_size=config.grid_size,
-                          failed=failed)
+                          outputs=outputs, failed=failed)
 
 
 @dataclass
@@ -436,9 +432,7 @@ def sweep_seeds(config: RunConfig, script: PathScript,
     script's expected final cell.  A seed whose run raises one of
     ``RUN_FAILURES`` is recorded as failed; any other error propagates.
     An ``n_seeds`` that is not an int >= 1 raises ValueError."""
-    require_int("n_seeds", n_seeds)
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    require_int("n_seeds", n_seeds, 1)
     outcomes = []
     for seed in range(config.seed, config.seed + n_seeds):
         seeded = replace(config, seed=seed)

@@ -43,11 +43,14 @@ class AliasingError(ValueError):
     """Phase step f*dt at or above half a cycle per sample."""
 
 
-def require_int(name: str, value) -> None:
-    """Refuse a value that is not exactly an int: a float, a bool or a
-    numpy integer would pass a range check and fail later."""
+def require_int(name: str, value, minimum: int | None = None) -> None:
+    """Refuse a value that is not exactly an int, or one below
+    ``minimum`` when given: a float, a bool or a numpy integer would pass
+    a range check and fail later."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def decode_velocity_code(code: int) -> int:
@@ -96,9 +99,7 @@ class PopulationSpec:
     response: str = LINEAR
 
     def __post_init__(self):
-        require_int("n_units", self.n_units)
-        if self.n_units < 1:
-            raise ValueError("n_units must be >= 1")
+        require_int("n_units", self.n_units, 1)
         # Written so that a NaN fails each comparison.
         if not (0 < self.f_idle_mean < math.inf
                 and 0 < self.beta_mean < math.inf):

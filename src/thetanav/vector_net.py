@@ -65,9 +65,10 @@ STAGES = {
     2: (FIR_LAYER2, 1.0 / 64.0, 0.55, 0.45),
 }
 
-DEFAULT_TAP_TOLERANCE = 1.0 / 16.0
-DEFAULT_DRIFT_TOLERANCE = 0.35
-DEFAULT_MIN_ACTIVE_GROUPS = 12
+# compile_lookup's two drop rules, in cycles, and its group floor.
+TAP_TOLERANCE = 1.0 / 16.0
+DRIFT_TOLERANCE = 0.35
+MIN_ACTIVE_GROUPS = 12
 
 # A node bank filters at most this many node-ticks in one pass: one
 # network's 40 first-layer nodes over the default field map's 2,829-tick
@@ -164,33 +165,29 @@ class MuxTable:
     dropped: list[int]
     target: TargetLocation
     speed: float
-    tolerance: float
-    drift_tolerance: float
     residuals: list[float] = field(default_factory=list)
 
 
-def pair_layer1(admitted: Sequence[UnitFit],
-                n_units: int = NETWORK_UNITS) -> Pairing:
+def pair_layer1(admitted: Sequence[UnitFit]) -> Pairing:
     """Pair admitted units by closest fitted idle frequency.
 
-    Takes the n_units lowest-idle-frequency admitted units, sorts them
-    stably, and pairs adjacent entries so each pair's offset difference
-    is small; the lower entry is the routable member.  The lower half of
-    the pairs lies on the x axis and the upper half on y.
+    Takes the ``NETWORK_UNITS`` lowest-idle-frequency admitted units,
+    sorts them stably, and pairs adjacent entries so each pair's offset
+    difference is small; the lower entry is the routable member.  The
+    lower half of the pairs lies on the x axis and the upper half on y.
     """
-    if len(admitted) < n_units:
+    if len(admitted) < NETWORK_UNITS:
         raise InsufficientUnitsError(
-            f"pairing needs {n_units} admitted units, got {len(admitted)}")
-    chosen = sorted(admitted, key=lambda f: f.f_idle_hat)[:n_units]
+            f"pairing needs {NETWORK_UNITS} admitted units, "
+            f"got {len(admitted)}")
+    chosen = sorted(admitted, key=lambda f: f.f_idle_hat)[:NETWORK_UNITS]
     unit, f_idle, beta, _ = (np.reshape(column, (-1, 2)).T
                              for column in zip(*chosen))
     return Pairing(unit=unit, f_idle=f_idle, beta=beta)
 
 
-def compile_lookup(pairing: Pairing, target: TargetLocation, speed: float,
-                   tolerance: float = DEFAULT_TAP_TOLERANCE,
-                   drift_tolerance: float = DEFAULT_DRIFT_TOLERANCE,
-                   min_active_groups: int = DEFAULT_MIN_ACTIVE_GROUPS) -> MuxTable:
+def compile_lookup(pairing: Pairing, target: TargetLocation,
+                   speed: float) -> MuxTable:
     """Compile the phase-tap lookup table for one designated target.
 
     Works in the time domain: the arrival time is target distance over
@@ -203,9 +200,10 @@ def compile_lookup(pairing: Pairing, target: TargetLocation, speed: float,
 
     The other pair in each group cannot be corrected (only one routable
     tap per group); a group is dropped when that pair's predicted
-    envelope misalignment at arrival exceeds ``drift_tolerance``, or
-    when the tap rounding residual exceeds ``tolerance``.  Compilation
-    fails when fewer than ``min_active_groups`` groups survive.
+    envelope misalignment at arrival exceeds ``DRIFT_TOLERANCE``, or
+    when the tap rounding residual exceeds ``TAP_TOLERANCE``.
+    Compilation fails when fewer than ``MIN_ACTIVE_GROUPS`` groups
+    survive.
     """
     if speed <= 0:
         raise ValueError("speed must be positive")
@@ -227,20 +225,19 @@ def compile_lookup(pairing: Pairing, target: TargetLocation, speed: float,
     residuals = distance.min(axis=1)
     idle = delta[1 - on]
     idle_err = np.minimum(idle, 1.0 - idle)
-    dropped = np.flatnonzero((residuals > tolerance)
-                             | (idle_err > drift_tolerance)).tolist()
+    dropped = np.flatnonzero((residuals > TAP_TOLERANCE)
+                             | (idle_err > DRIFT_TOLERANCE)).tolist()
 
-    if groups - len(dropped) < min_active_groups:
+    if groups - len(dropped) < MIN_ACTIVE_GROUPS:
         raise CompileError(
             f"only {groups - len(dropped)} active groups after "
-            f"dropping {len(dropped)}, need {min_active_groups}")
+            f"dropping {len(dropped)}, need {MIN_ACTIVE_GROUPS}")
 
     tap = np.zeros((2, 2, groups), dtype=int)      # [member, axis, group]
     tap[0, on] = best
     return MuxTable(unit=pairing.unit.T.ravel(),
                     tap=tap.reshape(2, -1).T.ravel(),
                     dropped=dropped, target=target, speed=speed,
-                    tolerance=tolerance, drift_tolerance=drift_tolerance,
                     residuals=residuals.tolist())
 
 
@@ -250,8 +247,8 @@ def serialize_mux(mux: MuxTable) -> str:
         f"target_r={mux.target.r!r}",
         f"target_theta={mux.target.theta!r}",
         f"speed={mux.speed!r}",
-        f"tolerance={mux.tolerance!r}",
-        f"drift_tolerance={mux.drift_tolerance!r}",
+        f"tolerance={TAP_TOLERANCE!r}",
+        f"drift_tolerance={DRIFT_TOLERANCE!r}",
     ]
     for i, (unit, tap) in enumerate(zip(mux.unit.tolist(), mux.tap.tolist())):
         lines.append(f"{i},{unit},{tap}")

@@ -133,8 +133,7 @@ def deserialize_mux(text: str) -> MuxTable:
     return MuxTable(
         unit=unit, tap=tap, dropped=dropped,
         target=TargetLocation(header["target_r"], header["target_theta"]),
-        speed=header["speed"], tolerance=header["tolerance"],
-        drift_tolerance=header["drift_tolerance"])
+        speed=header["speed"])
 
 
 def circular_distance(a, b):
@@ -368,8 +367,7 @@ def compile_lookup_scalar(pairs, fits, target, speed, tolerance,
     slots = [(unit, taps[unit]) for pair in pairs for unit in pair]
     unit, tap = np.array(slots, dtype=int).T
     return MuxTable(unit=unit, tap=tap, dropped=dropped, target=target,
-                    speed=speed, tolerance=tolerance,
-                    drift_tolerance=drift_tolerance, residuals=residuals)
+                    speed=speed, residuals=residuals)
 
 
 def routed_positions(mux: MuxTable, frame_layout: np.ndarray) -> list[int]:
@@ -538,15 +536,14 @@ def snapshot(path, grid_size: int) -> np.ndarray:
     return grid_matrix(activity(path), grid_size)
 
 
-def occupancy(result, tick: int) -> np.ndarray:
-    """Grid snapshot of which designated cells of the field map
-    ``result`` read high at a tick; none do past the session's end.  A
-    tick below 0 raises ValueError."""
+def occupancy(result, tick: int, grid_size: int) -> np.ndarray:
+    """Grid snapshot, ``grid_size`` cells a side, of which designated
+    cells of the field map ``result`` read high at a tick; none do past
+    the session's end.  A tick below 0 raises ValueError."""
     if tick < 0:
         raise ValueError(f"tick {tick} is before the session's start")
     return grid_matrix(((cell, 1) for cell, bits in result.outputs.items()
-                        if tick < bits.size and bits[tick]),
-                       result.grid_size)
+                        if tick < bits.size and bits[tick]), grid_size)
 
 
 def write_traces_csv(path, traces: dict, ticks: int) -> None:

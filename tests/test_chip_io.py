@@ -518,6 +518,18 @@ class TestFitUnit:
         with pytest.raises(DegenerateFitError):
             fit_unit([(4, 2080.0), (4, 2081.0), (4, 2079.0)])
 
+    @pytest.mark.parametrize("samples", [
+        [(float("nan"), 1.0), (1.0, 2.0), (0.0, 1.0)],
+        [(-1.0, 2000.0), (0.0, float("inf")), (1.0, 2020.0)],
+    ])
+    def test_non_finite_sample_rejected_before_the_solver(self, samples,
+                                                          capfd):
+        # np.unique counts a NaN as one more distinct value, and
+        # np.polyfit would fail in LAPACK, which prints to stderr first.
+        with pytest.raises(DegenerateFitError, match="must be finite"):
+            fit_unit(samples)
+        assert capfd.readouterr() == ("", "")
+
     def test_sigmoid_sweep_r2_decreases_with_swing(self):
         p = np.arange(-16, 17)
         r2 = []
@@ -554,48 +566,54 @@ class TestSelectUnits:
 
     def test_threshold_admission_count(self):
         r2 = [0.95] * 82 + [0.5] * 46
-        admitted = select_units(self._fits(r2), 0.9)
+        admitted = select_units(self._fits(r2))
         assert len(admitted) == 82
 
-    def test_zero_threshold_admits_all_positive_beta(self):
+    def test_zero_threshold_admits_all_positive_beta(self, monkeypatch):
+        monkeypatch.setattr(chip_io, "ADMISSION_R2", 0.0)
+        monkeypatch.setattr(chip_io, "NETWORK_UNITS", 8)
         fits = self._fits([0.2] * 8)
-        admitted = select_units(fits, 0.0, min_units=8)
+        admitted = select_units(fits)
         assert len(admitted) == 8
 
-    def test_negative_beta_rejected(self):
+    def test_negative_beta_rejected(self, monkeypatch):
+        monkeypatch.setattr(chip_io, "NETWORK_UNITS", 7)
         fits = self._fits([0.99] * 8)
         fits[3] = UnitFit(3, 2003.0, -1.0, 0.99)
-        admitted = select_units(fits, 0.9, min_units=7)
+        admitted = select_units(fits)
         assert len(admitted) == 7
         assert all(f.beta_hat > 0 for f in admitted)
 
     def test_boundary_insufficient(self):
         r2 = [0.95] * 79 + [0.1] * 49
         with pytest.raises(InsufficientUnitsError):
-            select_units(self._fits(r2), 0.9)
+            select_units(self._fits(r2))
 
-    def test_sorted_by_idle_frequency(self):
+    def test_sorted_by_idle_frequency(self, monkeypatch):
+        monkeypatch.setattr(chip_io, "NETWORK_UNITS", 4)
         fits = [UnitFit(i, f, 20.0, 0.99)
                 for i, f in enumerate([2100.0, 1900.0, 2050.0, 1800.0])]
-        admitted = select_units(fits, 0.9, min_units=4)
+        admitted = select_units(fits)
         assert [f.f_idle_hat for f in admitted] == [1800.0, 1900.0, 2050.0, 2100.0]
 
 
 class TestCalibratePipeline:
-    def test_zero_mismatch_recovery(self):
+    def test_zero_mismatch_recovery(self, monkeypatch):
+        monkeypatch.setattr(chip_io, "CALIBRATION_CLOCK_HZ", 8 * 46875.0)
         spec = PopulationSpec(n_units=8, f_idle_std=0.0, beta_std=0.0)
         chip = ChipState(sample_population(spec, 0))
-        fits = calibrate(chip, clock_hz=8 * 46875.0)
+        fits = calibrate(chip)
         for fit in fits:
             assert abs(fit.f_idle_hat - spec.f_idle_mean) <= 0.005 * spec.f_idle_mean
             assert abs(fit.beta_hat - spec.beta_mean) <= 0.005 * spec.beta_mean
             assert fit.r2 >= 0.999
 
-    def test_mismatched_recovery_within_one_percent(self):
+    def test_mismatched_recovery_within_one_percent(self, monkeypatch):
+        monkeypatch.setattr(chip_io, "CALIBRATION_CLOCK_HZ", 8 * 46875.0)
         spec = PopulationSpec(n_units=8)
         pop = sample_population(spec, 11)
         chip = ChipState(pop)
-        fits = calibrate(chip, clock_hz=8 * 46875.0)
+        fits = calibrate(chip)
         for f_idle, beta, fit in zip(pop.f_idle, pop.beta, fits):
             assert abs(fit.f_idle_hat - f_idle) <= 0.01 * f_idle
             assert abs(fit.beta_hat - beta) <= 0.01 * beta

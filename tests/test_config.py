@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 from thetanav import __version__
-from thetanav import harness
+from thetanav import chip_io, harness
 from thetanav.chip_io import (
     CALIBRATION_CLOCK_HZ,
     CALIBRATION_WINDOW_S,
@@ -218,11 +218,13 @@ def test_every_rule_raises_where_the_value_is_made(tmp_path, valid, bad,
         replace(valid, **bad)
 
 
-def test_shortest_calibration_window_calibrates():
+def test_shortest_calibration_window_calibrates(monkeypatch):
     # Eight units on 8/128 of the clock sample at the default per-phase rate.
     chip = ChipState(sample_population(PopulationSpec(n_units=8), 0))
     clock = CALIBRATION_CLOCK_HZ * 8 / PopulationSpec().n_units
-    assert len(calibrate(chip, clock, MIN_ESTIMATE_WINDOW_S)) == 8
+    monkeypatch.setattr(chip_io, "CALIBRATION_CLOCK_HZ", clock)
+    monkeypatch.setattr(chip_io, "CALIBRATION_WINDOW_S", MIN_ESTIMATE_WINDOW_S)
+    assert len(calibrate(chip)) == 8
 
 
 def test_a_still_segment_must_be_timed():

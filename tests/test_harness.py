@@ -663,13 +663,12 @@ def test_runs_csv_rebuilds_the_old_occupancy_files(rig, tmp_path):
         assert np.array_equal(fill_runs(runs.get(cell, ()), n), bits), cell
     rebuilt = harness.FieldMapResult(
         session_ticks=n, first_fire=mapped.first_fire,
-        outputs={cell: fill_runs(r, n) for cell, r in runs.items()},
-        grid_size=CONFIG.grid_size)
+        outputs={cell: fill_runs(r, n) for cell, r in runs.items()})
     path = tmp_path / "occupancy.csv"
     for stride, expected in OLD_OCCUPANCY_SHA256.items():
         digest = hashlib.sha256()
         for tick in range(0, n, stride):
-            write_grid_csv(path, occupancy(rebuilt, tick))
+            write_grid_csv(path, occupancy(rebuilt, tick, CONFIG.grid_size))
             digest.update(path.read_bytes())
         assert digest.hexdigest() == expected, stride
 
@@ -679,15 +678,14 @@ def test_occupancy_puts_cell_x_y_at_row_half_minus_y_column_x_plus_half():
     bits[2] = 1
     result = harness.FieldMapResult(
         session_ticks=4, first_fire={(2, -1): 2, (-1, 0): None},
-        outputs={(2, -1): bits, (-1, 0): np.zeros(4, dtype=np.uint8)},
-        grid_size=5)
+        outputs={(2, -1): bits, (-1, 0): np.zeros(4, dtype=np.uint8)})
     expected = np.zeros((5, 5), dtype=int)
     expected[2 - (-1), 2 + 2] = 1
-    assert np.array_equal(occupancy(result, 2), expected)
-    assert not occupancy(result, 1).any()
-    assert not occupancy(result, 4).any()   # past the end of the session
+    assert np.array_equal(occupancy(result, 2, 5), expected)
+    assert not occupancy(result, 1, 5).any()
+    assert not occupancy(result, 4, 5).any()   # past the end of the session
     with pytest.raises(ValueError, match="tick -1"):
-        occupancy(result, -1)   # would read the last tick, bits[-1]
+        occupancy(result, -1, 5)   # would read the last tick, bits[-1]
 
 
 def test_field_map_records_compile_failures(rig, tmp_path):
@@ -763,7 +761,7 @@ def test_write_field_map_csv_replaces_an_earlier_map(tmp_path):
     for ff, out, n_runs in ((10, bits, 1), (None, 0 * bits, 0)):
         result = harness.FieldMapResult(
             session_ticks=256, first_fire={(0, 0): ff},
-            outputs={(0, 0): out}, grid_size=3)
+            outputs={(0, 0): out})
         written = harness.write_field_map_csv(result, tmp_path)
         assert [p.name for p in written] == ["first_fire.csv", "runs.csv"]
         assert sorted(tmp_path.iterdir()) == sorted(written)
@@ -793,18 +791,18 @@ def test_field_map_and_run_track_agree_on_the_first_pulse(rig, seed):
         assert ticks["E"] == 194
 
 
-def test_compile_lookup_matches_closed_form_phase_shift(rig):
+def test_compile_lookup_matches_closed_form_phase_shift(rig, monkeypatch):
     # For the pair the compiler corrects, the tap rounding residual is
     # the closed-form shift's distance to the nearest tap.
     fit = {f.unit: f for f in rig.fits}
     pairing = rig.pairing
     rng = np.random.default_rng(1)
     worst = 0.0
+    monkeypatch.setattr(vector_net, "MIN_ACTIVE_GROUPS", 0)
     for _ in range(200):
         target = TargetLocation(float(rng.uniform(0.0, 0.02)),
                                 float(rng.uniform(-math.pi, math.pi)))
-        mux = compile_lookup(pairing, target, CONFIG.speed,
-                             min_active_groups=0)
+        mux = compile_lookup(pairing, target, CONFIG.speed)
         x_active = abs(math.cos(target.theta)) >= abs(math.sin(target.theta))
         for g in range(pairing.n_groups):
             j = g if x_active else pairing.n_groups + g
@@ -1006,4 +1004,13 @@ def test_sweep_refuses_a_non_int_seed_count_before_running(
                         lambda *args, **kwargs: runs.append(args))
     with pytest.raises(ValueError, match="n_seeds must be an int"):
         harness.sweep_seeds(CONFIG, CRAWL, n_seeds)
+    assert runs == []
+
+
+def test_sweep_refuses_no_seeds_before_running(monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run_track",
+                        lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        harness.sweep_seeds(CONFIG, CRAWL, 0)
     assert runs == []

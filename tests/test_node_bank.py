@@ -212,12 +212,14 @@ def test_bank_of_no_ticks_or_no_networks(rig):
     assert_node_major(bank, 20)
 
 
-def test_a_network_with_no_active_group_reads_low(rig):
+def test_a_network_with_no_active_group_reads_low(rig, monkeypatch):
     # A negative tap tolerance drops every group, since each residual is
     # >= 0; the network then keeps no node in a bank it shares.
+    monkeypatch.setattr(vector_net, "TAP_TOLERANCE", -1.0)
+    monkeypatch.setattr(vector_net, "MIN_ACTIVE_GROUPS", 0)
     mux = compile_lookup(rig.pairing, TargetLocation.of_cell((1, 0),
                                                             CONFIG.pitch),
-                         CONFIG.speed, tolerance=-1.0, min_active_groups=0)
+                         CONFIG.speed)
     assert mux.dropped == list(range(rig.pairing.n_groups))
     empty = VectorNetwork(mux, rig.frame_layout)
     assert empty.active.size == 0

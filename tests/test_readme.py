@@ -1,7 +1,7 @@
 """README drift guard: its command-line examples parse with the CLI's
 parser, its Outputs tables name exactly the files ``track`` and
 ``field-map`` write and each CSV's header, and every constant its
-removed-key table names exists."""
+removed-key table names exists and has the value the table gives."""
 
 import argparse
 import importlib
@@ -25,11 +25,18 @@ def examples():
 
 
 def removed_key_constants():
-    """``module.NAME`` of every backquoted name in the Constant column."""
+    """(module, NAME, index or "", Value cell) of every backquoted
+    ``module.NAME`` or ``module.NAME[index]`` in the Constant column."""
     table = README.split("| Removed key |", 1)[1].split("\n\n", 1)[0]
     rows = [line.split("|") for line in table.splitlines()[2:]]
-    return [m for row in rows
-            for m in re.findall(r"`(\w+)\.(\w+)", row[2])]
+    return [(*m, row[3].strip()) for row in rows
+            for m in re.findall(r"`(\w+)\.(\w+)(?:\[(\d+)\])?`", row[2])]
+
+
+def numbers(cell):
+    """The numbers of a Value cell, ", "-separated, each with thousands
+    separators and perhaps a trailing unit: "10,000,000 Hz" is 1e7."""
+    return [float(v.split()[0].replace(",", "")) for v in cell.split(", ")]
 
 
 def test_every_subcommand_has_an_example():
@@ -48,12 +55,22 @@ def test_every_cli_example_parses(line):
 
 
 def test_every_removed_key_constant_exists():
-    names = removed_key_constants()
-    assert len(names) >= 10
-    missing = [f"{module}.{name}" for module, name in names
-               if not hasattr(importlib.import_module(f"thetanav.{module}"),
-                              name)]
+    rows = removed_key_constants()
+    assert len(rows) >= 10
+    missing, wrong = [], []
+    for module, name, index, cell in rows:
+        found = importlib.import_module(f"thetanav.{module}")
+        if not hasattr(found, name):
+            missing.append(f"{module}.{name}")
+            continue
+        value = getattr(found, name)
+        # A STAGES[k] row lists the layer's RC alpha and Schmitt
+        # thresholds, not its FIR taps.
+        want = list(value[int(index)][1:]) if index else [value]
+        if numbers(cell) != want:
+            wrong.append((f"{module}.{name}{index and f'[{index}]'}", cell))
     assert missing == []
+    assert wrong == []
 
 
 def output_tables():

@@ -6,6 +6,7 @@ arithmetic."""
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,18 +57,26 @@ from reference_models import (
 )
 
 
+@pytest.fixture
+def one_group_floor(monkeypatch):
+    """Let a synthetic pairing of a few groups compile: the chip's floor
+    of ``MIN_ACTIVE_GROUPS`` is 12 of a network's 20 groups."""
+    monkeypatch.setattr(vector_net, "MIN_ACTIVE_GROUPS", 1)
+
+
 def fits_from(f_idles, betas, start_unit=0):
     return [UnitFit(start_unit + i, f, b, 0.999)
             for i, (f, b) in enumerate(zip(f_idles, betas))]
 
 
 class TestPairLayer1:
-    def test_four_unit_matching_beats_brute_force(self):
+    def test_four_unit_matching_beats_brute_force(self, monkeypatch):
         # Oracle: enumerate all perfect matchings of 4 units and keep the
         # one minimizing the summed idle-frequency differences.
+        monkeypatch.setattr(vector_net, "NETWORK_UNITS", 4)
         f_idles = [100.0, 101.0, 200.0, 202.0]
         fits = fits_from(f_idles, [20.0] * 4)
-        pairing = pair_layer1(fits, n_units=4)
+        pairing = pair_layer1(fits)
         got = {frozenset(pair) for pair in pairing.unit.T.tolist()}
 
         best, best_cost = None, float("inf")
@@ -227,12 +236,12 @@ def synthetic_pairing(f_idles, betas):
                    beta=np.reshape(betas, (-1, 2)).T)
 
 
+@pytest.mark.usefixtures("one_group_floor")
 class TestCompileLookup:
     def test_zero_distance_all_taps_zero(self):
         pairing = synthetic_pairing(
             [2000, 2010, 1990, 2005, 2020, 1985, 2001, 1999], [20.0] * 8)
-        mux = compile_lookup(pairing, TargetLocation(0.0, 0.0), 0.25,
-                             min_active_groups=1)
+        mux = compile_lookup(pairing, TargetLocation(0.0, 0.0), 0.25)
         assert not mux.tap.any()
         assert mux.dropped == []
 
@@ -244,8 +253,7 @@ class TestCompileLookup:
         # x-pair beat = 2*beta*(4*speed) = 128 Hz at speed 0.25;
         # arrival time r/speed = 1/128 s gives exactly one beat cycle.
         mux = compile_lookup(pairing,
-                             TargetLocation(0.25 / 128.0, 0.0), 0.25,
-                             min_active_groups=1)
+                             TargetLocation(0.25 / 128.0, 0.0), 0.25)
         assert not mux.tap.any()
         assert mux.residuals == [0.0, 0.0]
         assert mux.dropped == []
@@ -256,8 +264,7 @@ class TestCompileLookup:
         # 1; the lower index wins and the group stays at tolerance.
         pairing = synthetic_pairing(TIE_F_IDLES, TIE_BETAS)
         speed, r = 0.25, 0.25 / 128.0
-        mux = compile_lookup(pairing, TargetLocation(r, 0.0), speed,
-                             min_active_groups=1)
+        mux = compile_lookup(pairing, TargetLocation(r, 0.0), speed)
         taps = dict(zip(mux.unit.tolist(), mux.tap.tolist()))
         assert taps[0] == 0
         assert mux.residuals[0] == pytest.approx(1.0 / 16.0, abs=1e-12)
@@ -268,26 +275,26 @@ class TestCompileLookup:
         pairing = synthetic_pairing(rng.normal(2000, 300, 16),
                                     rng.uniform(15, 25, 16))
         target = TargetLocation(0.012, 0.7)
-        a = compile_lookup(pairing, target, 0.25, min_active_groups=1)
-        b = compile_lookup(pairing, target, 0.25, min_active_groups=1)
+        a = compile_lookup(pairing, target, 0.25)
+        b = compile_lookup(pairing, target, 0.25)
         assert np.array_equal(a.unit, b.unit)
         assert np.array_equal(a.tap, b.tap)
         assert a.dropped == b.dropped
         assert a.residuals == b.residuals
 
-    def test_drift_drop_and_group_floor(self):
+    def test_drift_drop_and_group_floor(self, monkeypatch):
         # A big y-pair offset leaves the idle side misaligned at arrival
         # (300 Hz over 9.6 ms accumulates 2.88 cycles, 0.12 off a whole).
         pairing = synthetic_pairing([2000.0, 2000.0, 2000.0, 2000.0,
                                      2300.0, 2000.0, 2000.0, 2000.0],
                                     [20.0] * 8)
         target = TargetLocation(0.0024, 0.0)
-        mux = compile_lookup(pairing, target, 0.25,
-                             drift_tolerance=0.05, min_active_groups=1)
+        monkeypatch.setattr(vector_net, "DRIFT_TOLERANCE", 0.05)
+        mux = compile_lookup(pairing, target, 0.25)
         assert mux.dropped == [0]
+        monkeypatch.setattr(vector_net, "MIN_ACTIVE_GROUPS", 2)
         with pytest.raises(CompileError):
-            compile_lookup(pairing, target, 0.25,
-                           drift_tolerance=0.05, min_active_groups=2)
+            compile_lookup(pairing, target, 0.25)
 
     def test_matches_waveform_oracle(self):
         # Brute-force oracle: step every unit's oscillator to the arrival
@@ -302,7 +309,7 @@ class TestCompileLookup:
             r = float(rng.uniform(0.0005, 0.005))
             theta = float(rng.uniform(-math.pi, math.pi))
             mux = compile_lookup(pairing, TargetLocation(r, theta),
-                                 speed, min_active_groups=1)
+                                 speed)
             taps = dict(zip(mux.unit.tolist(), mux.tap.tolist()))
 
             v = (speed * math.cos(theta), speed * math.sin(theta))
@@ -376,30 +383,33 @@ def test_compile_equals_the_scalar_oracle_bit_for_bit(case):
     fits = [UnitFit(u, f, b, 1.0) for u, f, b in zip(units, f_idles, betas)]
     pairing = Pairing(unit=np.transpose(pairs), f_idle=np.reshape(
         f_idles, (-1, 2)).T, beta=np.reshape(betas, (-1, 2)).T)
-    try:
-        want = compile_lookup_scalar(pairs, fits, target, speed, tol, drift,
-                                     floor)
-    except CompileError as exc:
-        with pytest.raises(CompileError) as got:
-            compile_lookup(pairing, target, speed, tol, drift, floor)
-        assert str(got.value) == str(exc)
-        return
-    got = compile_lookup(pairing, target, speed, tol, drift, floor)
-    assert np.array_equal(got.unit, want.unit)
-    assert np.array_equal(got.tap, want.tap)
-    assert got.dropped == want.dropped
-    assert got.residuals == want.residuals
-    for routed in (got.unit, got.tap):
-        assert routed.dtype.kind == "i" and routed.shape == (len(units),)
-    assert serialize_mux(got) == serialize_mux(want)
+    # A function-scoped monkeypatch would trip Hypothesis's health check.
+    with mock.patch.multiple(vector_net, TAP_TOLERANCE=tol,
+                             DRIFT_TOLERANCE=drift, MIN_ACTIVE_GROUPS=floor):
+        try:
+            want = compile_lookup_scalar(pairs, fits, target, speed, tol,
+                                         drift, floor)
+        except CompileError as exc:
+            with pytest.raises(CompileError) as got:
+                compile_lookup(pairing, target, speed)
+            assert str(got.value) == str(exc)
+            return
+        got = compile_lookup(pairing, target, speed)
+        assert np.array_equal(got.unit, want.unit)
+        assert np.array_equal(got.tap, want.tap)
+        assert got.dropped == want.dropped
+        assert got.residuals == want.residuals
+        for routed in (got.unit, got.tap):
+            assert routed.dtype.kind == "i" and routed.shape == (len(units),)
+        assert serialize_mux(got) == serialize_mux(want)
 
 
 class TestMuxSerialization:
+    @pytest.mark.usefixtures("one_group_floor")
     def test_round_trip(self):
         pairing = synthetic_pairing(
             [2000, 2011, 1990, 2005, 2020, 1985, 2001, 1999], [20.0] * 8)
-        mux = compile_lookup(pairing, TargetLocation(0.003, 1.1), 0.25,
-                             min_active_groups=1)
+        mux = compile_lookup(pairing, TargetLocation(0.003, 1.1), 0.25)
         text = serialize_mux(mux)
         back = deserialize_mux(text)
         assert np.array_equal(back.unit, mux.unit)
@@ -407,7 +417,9 @@ class TestMuxSerialization:
         assert back.dropped == mux.dropped
         assert back.target == mux.target
         assert back.speed == mux.speed
-        assert back.tolerance == mux.tolerance
+        assert text.splitlines()[4:6] == [
+            f"tolerance={vector_net.TAP_TOLERANCE!r}",
+            f"drift_tolerance={vector_net.DRIFT_TOLERANCE!r}"]
 
     def test_header_checked(self):
         with pytest.raises(ValueError):
@@ -737,12 +749,12 @@ def small_network(seed=0, n_pairs=4):
     rng = np.random.default_rng(seed)
     pairing = synthetic_pairing(rng.normal(2000, 150, 2 * n_pairs),
                                 rng.uniform(18, 24, 2 * n_pairs))
-    mux = compile_lookup(pairing, TargetLocation(0.002, 0.3), 0.25,
-                         min_active_groups=1)
+    mux = compile_lookup(pairing, TargetLocation(0.002, 0.3), 0.25)
     layout = np.arange(2 * n_pairs * 8).reshape(2 * n_pairs, 8)
     return VectorNetwork(mux, layout), 2 * n_pairs
 
 
+@pytest.mark.usefixtures("one_group_floor")
 class TestVectorNetwork:
     def test_all_zero_input_outputs_zero(self):
         net, n_units = small_network()
@@ -781,8 +793,7 @@ class TestVectorNetwork:
 
     def test_missing_phase_rejected(self):
         pairing = synthetic_pairing([2000.0] * 8, [20.0] * 8)
-        mux = compile_lookup(pairing, TargetLocation(0.002, 0.0), 0.25,
-                             min_active_groups=1)
+        mux = compile_lookup(pairing, TargetLocation(0.002, 0.0), 0.25)
         layout = np.full((8, 8), -1)
         layout[:, 0] = np.arange(8)  # tap-0 only
         if mux.tap.any():
