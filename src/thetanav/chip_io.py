@@ -341,6 +341,12 @@ def tap0_bypass() -> tuple[int, ...]:
     return (1,) + (0,) * (TAPS_PER_UNIT - 1)
 
 
+def _sweep_velocities(pref: tuple[int, int]) -> list[VelocityVector]:
+    """The calibration sweep along the axis of decoded ``pref``."""
+    return [VelocityVector(s, 0.0) if pref[0] else VelocityVector(0.0, s)
+            for s in CAL_SWEEP]
+
+
 def calibrate(chip: ChipState) -> list[UnitFit]:
     """Full calibration pipeline: program, scan, estimate, fit.
 
@@ -351,21 +357,48 @@ def calibrate(chip: ChipState) -> list[UnitFit]:
     fits the linear frequency law per unit over all sweeps.  Each unit's
     trace is a contiguous row of the scan's ``frames.T``, so the edge
     count reads it without a stride.
+
+    A session is scanned once for every group of codes whose nine
+    per-step ``frequencies`` vectors are equal byte for byte.  That is
+    exact: a tap-0 session from ``hold()`` starts every phase at 0 on
+    the same bypass bits, cycle count and clock, so its frames and end
+    phases depend on the per-unit frequencies alone.  With zero DAC
+    offsets, (8, 12) swept along y repeats (12, 8) swept along x, and
+    (8, 4) repeats (4, 8); any non-zero offset separates them.  Groups
+    run in the order of their last code, and each programs its last
+    code, so the chip ends in the state the last code's own session
+    leaves.  Each unit still gets one edge count per (code, step), with
+    that code's inner product, and its samples stay in code-major
+    order, so ``fit_unit`` sees the rows a session per code gives.
     """
-    samples: list[list[tuple[float, float]]] = [
-        [] for _ in range(chip.n_units)]
-    for codes in (member for pair in PAIR_CODES for member in pair):
+    all_codes = [member for pair in PAIR_CODES for member in pair]
+    prefs = [tuple(decode_velocity_code(c) for c in codes)
+             for codes in all_codes]
+    groups: dict[bytes, list[int]] = {}
+    for k, pref in enumerate(prefs):
+        v_pref = np.tile(pref, (chip.n_units, 1))
+        key = b"".join(frequencies(chip.population, v_pref, v).tobytes()
+                       for v in _sweep_velocities(pref))
+        groups.setdefault(key, []).append(k)
+    n_steps = len(CAL_SWEEP)
+    samples: list[list] = [[None] * (len(all_codes) * n_steps)
+                           for _ in range(chip.n_units)]
+    for group in sorted(groups.values(), key=lambda g: g[-1]):
         chip.hold()
-        program(chip, [(u, codes, tap0_bypass()) for u in range(chip.n_units)])
+        program(chip, [(u, all_codes[group[-1]], tap0_bypass())
+                       for u in range(chip.n_units)])
         chip.release()
         fs = phase_rate(CALIBRATION_CLOCK_HZ, chip.enabled_phases)
         n_cycles = int(np.ceil(CALIBRATION_WINDOW_S * fs))
-        pref = tuple(decode_velocity_code(c) for c in codes)
-        for sweep_v in CAL_SWEEP:
-            v = VelocityVector(sweep_v, 0.0) if pref[0] else VelocityVector(0.0, sweep_v)
+        # Each code's (sample index, inner product) at every step.
+        sweeps = [[(k * n_steps + j, v.vx * prefs[k][0] + v.vy * prefs[k][1])
+                   for j, v in enumerate(_sweep_velocities(prefs[k]))]
+                  for k in group]
+        for j, v in enumerate(_sweep_velocities(prefs[group[-1]])):
             frames = scan_frames(chip, v, n_cycles, CALIBRATION_CLOCK_HZ)
-            inner = v.vx * pref[0] + v.vy * pref[1]
+            step = [sweep[j] for sweep in sweeps]
             for unit_samples, trace in zip(samples, frames.T):
-                unit_samples.append((inner, estimate_frequency(trace, fs)))
+                for slot, inner in step:
+                    unit_samples[slot] = (inner, estimate_frequency(trace, fs))
     return [fit_unit(unit_samples, unit=u)
             for u, unit_samples in enumerate(samples)]

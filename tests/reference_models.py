@@ -7,7 +7,8 @@ choice in ``compile_lookup``, and the place grid in the bump's path
 (``place_grid.apply_pulse`` and ``activity``).  The models here state
 the same physics the plain way (the law for one unit in plain numbers,
 the scan's tap bits by float modulo, a trace's rising edges as matched
-0 -> 1 sample pairs, one oscillator or one node stepped
+0 -> 1 sample pairs, calibration as one scanned session per code in
+``calibrate_every_session``, one oscillator or one node stepped
 a sample at a time, the 9-tap FIR as ``lfilter`` runs it in
 ``fir_lfilter``, the tap compiler one group and one tap at a time,
 the paper's closed-form tap shift, the circular distance between two
@@ -43,7 +44,20 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.signal import lfilter
 
-from thetanav.chip_io import TAPS_PER_UNIT, ChipState, phase_rate, scan_frames
+from thetanav import chip_io
+from thetanav.chip_io import (
+    CAL_SWEEP,
+    PAIR_CODES,
+    TAPS_PER_UNIT,
+    ChipState,
+    UnitFit,
+    estimate_frequency,
+    fit_unit,
+    phase_rate,
+    program,
+    scan_frames,
+    tap0_bypass,
+)
 from thetanav.config import load_manifest
 from thetanav.harness import TRACK_CLOCK_HZ, TrackResult, run_track
 from thetanav.place_grid import (
@@ -63,6 +77,7 @@ from thetanav.theta_core import (
     InvalidCodeError,
     ThetaPopulation,
     VelocityVector,
+    decode_velocity_code,
     frequencies,
 )
 from thetanav.vector_net import (
@@ -180,6 +195,33 @@ def edge_count_frequency(trace: np.ndarray, fs: float) -> float:
     t = np.asarray(trace).astype(np.uint8)
     edges = int(np.count_nonzero((t[1:] == 1) & (t[:-1] == 0)))
     return edges / (t.size / fs)
+
+
+def calibrate_every_session(chip: ChipState) -> list[UnitFit]:
+    """What ``chip_io.calibrate`` returns and leaves on the chip, with
+    one session per code: each code of ``PAIR_CODES`` is programmed from
+    a hold and its own nine steps scanned, whether or not an earlier
+    code's session gave the same frames.  Reads the calibration clock
+    and window from ``chip_io`` at call time."""
+    samples: list[list[tuple[float, float]]] = [
+        [] for _ in range(chip.n_units)]
+    for codes in (member for pair in PAIR_CODES for member in pair):
+        chip.hold()
+        program(chip, [(u, codes, tap0_bypass()) for u in range(chip.n_units)])
+        chip.release()
+        fs = phase_rate(chip_io.CALIBRATION_CLOCK_HZ, chip.enabled_phases)
+        n_cycles = int(np.ceil(chip_io.CALIBRATION_WINDOW_S * fs))
+        pref = tuple(decode_velocity_code(c) for c in codes)
+        for sweep_v in CAL_SWEEP:
+            v = VelocityVector(sweep_v, 0.0) if pref[0] \
+                else VelocityVector(0.0, sweep_v)
+            frames = scan_frames(chip, v, n_cycles,
+                                 chip_io.CALIBRATION_CLOCK_HZ)
+            inner = v.vx * pref[0] + v.vy * pref[1]
+            for unit_samples, trace in zip(samples, frames.T):
+                unit_samples.append((inner, estimate_frequency(trace, fs)))
+    return [fit_unit(unit_samples, unit=u)
+            for u, unit_samples in enumerate(samples)]
 
 
 def square_wave(f: float, fs: float, n: int,

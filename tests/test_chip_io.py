@@ -44,6 +44,7 @@ from thetanav.theta_core import (
 )
 
 from reference_models import (
+    calibrate_every_session,
     edge_count_frequency,
     instantaneous_frequency,
     make_population,
@@ -542,7 +543,7 @@ class TestFitUnit:
 
 def test_calibration_makes_every_edge_count_through_the_module_name(
         monkeypatch):
-    # 4 programmings x 9 sweep velocities x 128 units, each counted
+    # 4 codes x 9 sweep velocities x 128 units, each counted
     # through chip_io.estimate_frequency as a per-layer tracer would see
     # them, with the fits of an unwrapped calibration.
     population = sample_population(PopulationSpec(), 0)
@@ -557,6 +558,52 @@ def test_calibration_makes_every_edge_count_through_the_module_name(
     monkeypatch.setattr(chip_io, "estimate_frequency", counted)
     assert calibrate(ChipState(population)) == want
     assert len(calls) == 4 * len(CAL_SWEEP) * 128 == 4608
+
+
+def chip_state(chip):
+    return (chip.phases.tobytes(), chip.v_pref.dtype, chip.v_pref.tobytes(),
+            chip.bypass.tobytes(), chip.held, chip.programmed)
+
+
+@pytest.mark.parametrize("response", [LINEAR, SIGMOID])
+@pytest.mark.parametrize("dac_offset_std", [0.0, 0.02, 0.1])
+@pytest.mark.parametrize("seed", [0, 1, 117])
+def test_calibration_equals_a_session_per_code(seed, dac_offset_std,
+                                               response):
+    # Scanning each distinct session once gives the fits and leaves the
+    # chip state of scanning every code's session.
+    population = sample_population(PopulationSpec(
+        dac_offset_std=dac_offset_std, response=response), seed)
+    chip, reference = ChipState(population), ChipState(population)
+    assert calibrate(chip) == calibrate_every_session(reference)
+    assert chip_state(chip) == chip_state(reference)
+
+
+@pytest.mark.parametrize("dac_offset_std, scans", [(0.0, 18), (0.02, 36)])
+def test_calibration_scans_each_distinct_session_once(monkeypatch,
+                                                      dac_offset_std, scans):
+    # With zero DAC offsets the y codes' sessions repeat the x codes'
+    # bit for bit and are not scanned again; any offset separates them.
+    # Every (code, step, unit) still gets its own edge count.
+    population = sample_population(
+        PopulationSpec(dac_offset_std=dac_offset_std), 0)
+    shapes, counts = [], []
+    scan, count = chip_io.scan_frames, chip_io.estimate_frequency
+
+    def scanned(*args, **kwargs):
+        frames = scan(*args, **kwargs)
+        shapes.append(frames.shape)
+        return frames
+
+    def counted(trace, fs):
+        counts.append(trace.size)
+        return count(trace, fs)
+
+    monkeypatch.setattr(chip_io, "scan_frames", scanned)
+    monkeypatch.setattr(chip_io, "estimate_frequency", counted)
+    calibrate(ChipState(population))
+    assert shapes == [(5625, 128)] * scans
+    assert counts == [5625] * 4608
 
 
 class TestSelectUnits:
