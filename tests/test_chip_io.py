@@ -3,10 +3,11 @@ estimation, fits and unit admission."""
 
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from thetanav import chip_io
 from thetanav.chip_io import (
@@ -23,6 +24,7 @@ from thetanav.chip_io import (
     UnitFit,
     calibrate,
     estimate_frequency,
+    fit_design,
     fit_unit,
     phase_rate,
     program,
@@ -39,6 +41,7 @@ from thetanav.theta_core import (
     PopulationSpec,
     ThetaPopulation,
     VelocityVector,
+    decode_velocity_code,
     frequencies,
     sample_population,
 )
@@ -48,6 +51,7 @@ from reference_models import (
     edge_count_frequency,
     instantaneous_frequency,
     make_population,
+    polyfit_unit,
     scan_frames_mod,
     tap_bit,
 )
@@ -508,8 +512,7 @@ def test_calibration_scan_columns_equal_the_oracle(seed, code, sweep_v):
 class TestFitUnit:
     def test_exact_linear_recovery(self):
         p = [-16, -8, 0, 8, 16]
-        samples = [(x, 2000.0 + 20.0 * x) for x in p]
-        fit = fit_unit(samples, unit=3)
+        fit = fit_unit(fit_design(p), [2000.0 + 20.0 * x for x in p], unit=3)
         assert fit.unit == 3
         assert fit.f_idle_hat == pytest.approx(2000.0)
         assert fit.beta_hat == pytest.approx(20.0)
@@ -517,7 +520,7 @@ class TestFitUnit:
 
     def test_degenerate_design_rejected(self):
         with pytest.raises(DegenerateFitError):
-            fit_unit([(4, 2080.0), (4, 2081.0), (4, 2079.0)])
+            fit_design([4, 4, 4])
 
     @pytest.mark.parametrize("samples", [
         [(float("nan"), 1.0), (1.0, 2.0), (0.0, 1.0)],
@@ -526,19 +529,121 @@ class TestFitUnit:
     def test_non_finite_sample_rejected_before_the_solver(self, samples,
                                                           capfd):
         # np.unique counts a NaN as one more distinct value, and
-        # np.polyfit would fail in LAPACK, which prints to stderr first.
+        # LAPACK would fail on it, printing to stderr first.
+        p, f = zip(*samples)
         with pytest.raises(DegenerateFitError, match="must be finite"):
-            fit_unit(samples)
+            fit_unit(fit_design(p), f)
         assert capfd.readouterr() == ("", "")
 
     def test_sigmoid_sweep_r2_decreases_with_swing(self):
         p = np.arange(-16, 17)
+        design = fit_design(p)
         r2 = []
         for f_swing in (600.0, 200.0, 60.0):
             f = 2000.0 + f_swing * np.tanh(20.0 * p / f_swing)
-            r2.append(fit_unit(list(zip(p, f))).r2)
+            r2.append(fit_unit(design, f).r2)
         assert all(x < 1.0 for x in r2)
         assert r2[0] > r2[1] > r2[2]
+
+    def test_design_is_read_only(self):
+        design = fit_design([-1, 0, 1])
+        for array in (design.p, design.lhs, design.scale):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_rank_short_design_warns_as_polyfit_does(self):
+        # Three distinct values one ulp apart scale to nearly equal
+        # columns, so lstsq drops to rank 1.
+        p = [1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51]
+        f = [1.0, 2.0, 3.0]
+        with pytest.warns(np.exceptions.RankWarning):
+            want = polyfit_unit(list(zip(p, f)))
+        with pytest.warns(np.exceptions.RankWarning):
+            assert fit_unit(fit_design(p), f) == want
+
+
+# The calibration's 36 inner products in code-major order: each code's
+# decoded preferred velocity against the sweep along its own axis.
+CALIBRATION_INNERS = [
+    s * (pref[0] or pref[1])
+    for pref in (tuple(map(decode_velocity_code, codes))
+                 for pair in PAIR_CODES for codes in pair)
+    for s in CAL_SWEEP]
+
+
+def fit_outcome(fit, *args):
+    """A fit's UnitFit and the categories of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fit(*args)
+    return result, [w.category for w in caught]
+
+
+@st.composite
+def fit_cases(draw):
+    """Inner products (3-40 ints or floats with repeats, or the
+    calibration's own 36), frequencies on an exact line, constant or
+    noisy, and a unit index."""
+    kind = draw(st.sampled_from(["int", "float", "calibration"]))
+    if kind == "calibration":
+        p = list(CALIBRATION_INNERS)
+    else:
+        n = draw(st.integers(3, 40))
+        element = (st.integers(-64, 64) if kind == "int" else
+                   st.floats(-100.0, 100.0, allow_nan=False))
+        values = draw(st.lists(element, min_size=3, max_size=n, unique=True))
+        p = draw(st.permutations(
+            values + draw(st.lists(st.sampled_from(values),
+                                   min_size=n - len(values),
+                                   max_size=n - len(values)))))
+    f_idle = draw(st.floats(0.0, 4000.0))
+    beta = draw(st.floats(-50.0, 50.0))
+    shape = draw(st.sampled_from(["line", "constant", "noisy"]))
+    if shape == "constant":
+        f = [f_idle] * len(p)
+    else:
+        noise = ([0.0] * len(p) if shape == "line" else draw(st.lists(
+            st.floats(-30.0, 30.0), min_size=len(p), max_size=len(p))))
+        f = [f_idle + beta * x + e for x, e in zip(p, noise)]
+    return p, f, draw(st.integers(0, 127))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_cases())
+@example(([-16, -8, 0, 8, 16], [2000.0 + 20.0 * x for x in (-16, -8, 0, 8, 16)],
+          3))
+@example(([0, 1, 1, 2, 2, 2], [7.5] * 6, 0))
+def test_fit_on_a_shared_design_equals_polyfit(case):
+    # The design's set-up and the one lstsq per unit give np.polyfit's
+    # fits bit for bit, warnings included.
+    p, f, unit = case
+    assert fit_outcome(lambda: fit_unit(fit_design(p), f, unit)) == \
+        fit_outcome(polyfit_unit, list(zip(p, f)), unit)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fit_and_polyfit_refuse_the_same_samples(capfd, data):
+    # A non-finite inner product or frequency, or fewer than three
+    # distinct inner products: both raise before any solver runs.
+    bad = data.draw(st.sampled_from([None, float("nan"), float("inf"),
+                                     -float("inf")]))
+    n = data.draw(st.integers(3, 40))
+    values = data.draw(st.lists(st.floats(-100.0, 100.0), min_size=1,
+                                max_size=2 if bad is None else 3,
+                                unique=True))
+    p = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    f = data.draw(st.lists(st.floats(0.0, 4000.0), min_size=n, max_size=n))
+    if bad is not None:
+        target = data.draw(st.sampled_from([p, f]))
+        target[data.draw(st.integers(0, n - 1))] = bad
+    capfd.readouterr()
+    with pytest.raises(DegenerateFitError):
+        polyfit_unit(list(zip(p, f)))
+    with pytest.raises(DegenerateFitError):
+        fit_unit(fit_design(p), f)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_calibration_makes_every_edge_count_through_the_module_name(
@@ -558,6 +663,28 @@ def test_calibration_makes_every_edge_count_through_the_module_name(
     monkeypatch.setattr(chip_io, "estimate_frequency", counted)
     assert calibrate(ChipState(population)) == want
     assert len(calls) == 4 * len(CAL_SWEEP) * 128 == 4608
+
+
+def test_calibration_fits_every_unit_on_one_design_through_the_module_name(
+        monkeypatch):
+    # 128 chip_io.fit_unit calls, as a per-layer tracer would see them,
+    # units 0..127 in order, all on the one design of the calibration's
+    # 36 inner products, with the fits of an unwrapped calibration.
+    population = sample_population(PopulationSpec(), 0)
+    want = calibrate(ChipState(population))
+    calls = []
+    original = chip_io.fit_unit
+
+    def counted(design, f, unit=0):
+        calls.append((design, unit))
+        return original(design, f, unit)
+
+    monkeypatch.setattr(chip_io, "fit_unit", counted)
+    assert calibrate(ChipState(population)) == want
+    assert [unit for _, unit in calls] == list(range(128))
+    design = calls[0][0]
+    assert all(d is design for d, _ in calls)
+    assert design.p.tolist() == CALIBRATION_INNERS
 
 
 def chip_state(chip):
